@@ -3,6 +3,7 @@
 from .characters import (
     Character,
     CharacterFormatError,
+    InternalError,
     ProjectivePoint,
     ZeroCharacterError,
     character_from_json,
@@ -26,6 +27,7 @@ __all__ = [
     "ZeroCharacterError",
     "CircleId",
     "Classification",
+    "InternalError",
     "build_kchi",
     "build_witness",
     "build_witness_for",

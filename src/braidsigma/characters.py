@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +25,10 @@ class ZeroCharacterError(ValueError):
 
 class CharacterFormatError(ValueError):
     """Raised for malformed character data (constructor input or JSON)."""
+
+
+class InternalError(RuntimeError):
+    """A broken invariant of the package itself, never an input error."""
 
 
 def edge(i: int, j: int) -> Edge:
@@ -104,13 +108,6 @@ class Character:
     def support_edges(self) -> list[Edge]:
         return [e for e in all_edges(self.n) if self.weights[e] != 0]
 
-    def __add__(self, other: "Character") -> "Character":
-        if self.n != other.n:
-            raise ValueError("cannot add characters with different n")
-        return Character(
-            self.n, {e: self.weights[e] + other.weights[e] for e in self.weights}
-        )
-
     def scale(self, q: Fraction | int) -> "Character":
         q = Fraction(q)
         return Character(self.n, {e: q * v for e, v in self.weights.items()})
@@ -142,21 +139,25 @@ class ProjectivePoint:
         )
 
 
+def _exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Sum of rationals: numerators are summed per denominator as plain
+    integers, then one Fraction is added per distinct denominator."""
+    by_denominator: dict[int, int] = {}
+    for v in values:
+        d = v.denominator
+        by_denominator[d] = by_denominator.get(d, 0) + v.numerator
+    return sum((Fraction(x, d) for d, x in by_denominator.items()), Fraction(0))
+
+
 def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
     """Value of the character on S_A: the sum of weights over pairs inside A."""
     aset = swing_set(a, chi.n)
-    total = Fraction(0)
-    for i, j in combinations(aset, 2):
-        total += chi.weights[(i, j)]
-    return total
+    return _exact_sum(chi.weights[e] for e in combinations(aset, 2))
 
 
 def delta_value(chi: Character) -> Fraction:
     """Value on the central full twist: sum of all edge weights."""
-    total = Fraction(0)
-    for v in chi.weights.values():
-        total += v
-    return total
+    return _exact_sum(chi.weights.values())
 
 
 def normalize(chi: Character) -> ProjectivePoint:
@@ -192,13 +193,6 @@ def compose_perms(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
     return tuple(tau[s - 1] for s in sigma)
 
 
-def invert_perm(perm: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm, start=1):
-        out[p - 1] = i
-    return tuple(out)
-
-
 def pullback_phi(psi: Character, a: Iterable[int], n: int) -> Character:
     """Pull back along the strand-forgetting projection onto the positions in
     ``a``: the weight on {a_r, a_s} is psi's weight on {r, s}; pairs with an
@@ -212,18 +206,6 @@ def pullback_phi(psi: Character, a: Iterable[int], n: int) -> Character:
     for (r, s), v in psi.weights.items():
         out[edge(aset[r - 1], aset[s - 1])] = v
     return Character(n, out)
-
-
-# Edge dictionary for the planar generating set of P_4 (labels a..f of the
-# planar K_4 picture): a={1,2}, b={1,3}, c={2,3}, d={3,4}, e={2,4}, f={1,4}.
-PLANAR_EDGE_OF = {
-    "a": (1, 2),
-    "b": (1, 3),
-    "c": (2, 3),
-    "d": (3, 4),
-    "e": (2, 4),
-    "f": (1, 4),
-}
 
 
 def pullback_rho(psi: Character) -> Character:
@@ -249,6 +231,10 @@ def pullback_rho(psi: Character) -> Character:
 # -- JSON wire format ------------------------------------------------------
 #
 # {"n": 4, "weights": {"1-2": "3", "1-3": "2/5", ...}}  -- every pair present.
+# A weight is a string that Fraction parses exactly, or a JSON integer;
+# floats and booleans are rejected, since they are not exact rationals.
+
+MISSING_KEYS_SHOWN = 10
 
 
 def character_to_json_dict(chi: Character) -> dict:
@@ -282,14 +268,26 @@ def character_from_json_dict(data: dict) -> Character:
             raise CharacterFormatError(f"weight key {key!r} out of range for n={n}")
         if e in weights:
             raise CharacterFormatError(f"duplicate weight key {key!r}")
+        if isinstance(val, bool) or not isinstance(val, (str, int)):
+            raise CharacterFormatError(
+                f"weight for key {key!r} must be a string or an integer, got {val!r}"
+            )
         try:
             weights[e] = Fraction(val)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc
-    missing = [e for e in all_edges(n) if e not in weights]
-    if missing:
+    # keys are distinct pairs in range, so a short count means missing keys.
+    # The pairs are generated lazily and each present key is skipped once,
+    # so naming the first few absent ones costs O(len(weights)), not O(n^2).
+    expected = n * (n - 1) // 2
+    if len(weights) != expected:
+        every_pair = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+        absent = (e for e in every_pair if e not in weights)
+        shown = [f"{i}-{j}" for i, j in islice(absent, MISSING_KEYS_SHOWN)]
+        count = expected - len(weights)
+        more = ", ..." if count > len(shown) else ""
         raise CharacterFormatError(
-            f"missing weight keys: {['{}-{}'.format(i, j) for i, j in missing]}"
+            f"missing weight keys ({count} of {expected}): {shown}{more}"
         )
     return Character(n, weights)
 

@@ -4,16 +4,36 @@ K_chi has an edge {i, j} exactly when the weight on {i, j} is nonzero.
 The central structural fact used by the classifier: a graph with no edge
 disjoint from two other edges is a star or lives on at most 4 vertices.
 ``oracle_star_or_small`` proves this exhaustively for small vertex counts.
+
+The edge searches run in O(E) for E edges, after sorting.  Edge (a, b) is
+disjoint from exactly E - deg a - deg b + 1 edges, so one degree count
+finds the first edge disjoint from k others.  Disjoint triples use the
+matching kernel (Cygan et al., *Parameterized Algorithms*, 2015, ch. 2).
+Take a greedy maximal matching M in edge order.
+
+- |M| <= 2: every edge meets the <= 4 vertices C = V(M).  The least
+  triple uses only edges inside C and, for each c in C, the 3 smallest
+  edges from c to outside C.  Exchange argument: if the least triple has
+  (c, x) with x outside C, its other two edges each meet C, so they block
+  at most two outside vertices; one of c's 3 smallest outside edges is
+  then free and replaces (c, x) by a smaller edge.
+- |M| >= 3: a triple exists; let T = (t1, t2, t3) be the least one and
+  e < t1 an edge.  The first vertex of e lies on no edge of T but
+  possibly t1, and its second vertex on at most one.  Unless e starts at
+  t1's first vertex and ends on t2 or t3, e misses two edges of T and
+  forms a smaller triple with them.  So at most 4 edges precede t1, and
+  scanning the edges in order for t1 stops after at most 5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Mapping, Optional
 
-from .characters import Character, Edge, all_edges, swing_value
+from .characters import Character, Edge, InternalError, swing_value
 
 
 @dataclass(frozen=True)
@@ -41,8 +61,8 @@ class ShapeClass:
 
 def build_kchi(chi: Character) -> CharGraph:
     """Support graph: exactly the pairs with nonzero weight, labels copied."""
-    edges = frozenset(e for e in all_edges(chi.n) if chi.weights[e] != 0)
-    return CharGraph(chi.n, edges, {e: chi.weights[e] for e in sorted(edges)})
+    labels = {e: v for e, v in chi.weights.items() if v != 0}
+    return CharGraph(chi.n, frozenset(labels), labels)
 
 
 def support_vertices(g: CharGraph) -> set[int]:
@@ -58,35 +78,66 @@ def _disjoint(e: Edge, f: Edge) -> bool:
     return not (set(e) & set(f))
 
 
+def _first_disjoint_from(edges: list[Edge], k: int) -> Optional[tuple[Edge, ...]]:
+    """For sorted ``edges``: the first edge e disjoint from at least k
+    others, followed by the k smallest of them; None if there is none."""
+    deg = Counter(v for e in edges for v in e)
+    for e in edges:
+        a, b = e
+        if len(edges) - deg[a] - deg[b] + 1 >= k:
+            away = (f for f in edges if a not in f and b not in f)
+            return (e, *islice(away, k))
+    return None
+
+
 def find_edge_disjoint_from_two(
     g: CharGraph,
 ) -> Optional[tuple[Edge, Edge, Edge]]:
     """Lexicographically least triple (e; f, g) with e disjoint from both
     f and g, f < g.  None if no edge is disjoint from two others."""
-    edges = sorted(g.edges)
-    for e in edges:
-        away = [f for f in edges if f != e and _disjoint(e, f)]
-        if len(away) >= 2:
-            return (e, away[0], away[1])
-    return None
+    return _first_disjoint_from(sorted(g.edges), 2)
 
 
 def find_disjoint_triple(g: CharGraph) -> Optional[tuple[Edge, Edge, Edge]]:
-    """Lexicographically least triple of pairwise disjoint edges, if any."""
+    """Lexicographically least triple of pairwise disjoint edges, if any
+    (the matching kernel of the module docstring)."""
     edges = sorted(g.edges)
-    for e, f, h in combinations(edges, 3):
+    matched: set[int] = set()
+    size = 0
+    for a, b in edges:
+        if a not in matched and b not in matched:
+            matched.update((a, b))
+            size += 1
+            if size == 3:
+                break
+    if size == 3:
+        for idx, (a, b) in enumerate(edges):
+            later = [f for f in edges[idx + 1:] if a not in f and b not in f]
+            pair = _first_disjoint_from(later, 1)
+            if pair is not None:
+                return ((a, b), *pair)
+        raise InternalError("a matching of size 3 must contain a disjoint triple")
+    outside: Counter[int] = Counter()
+    kernel = []
+    for a, b in edges:
+        if a in matched and b in matched:
+            kernel.append((a, b))
+        else:
+            c = a if a in matched else b
+            if outside[c] < 3:
+                outside[c] += 1
+                kernel.append((a, b))
+    for e, f, h in combinations(kernel, 3):
         if _disjoint(e, f) and _disjoint(e, h) and _disjoint(f, h):
             return (e, f, h)
     return None
 
 
 def find_disjoint_pair(g: CharGraph) -> Optional[tuple[Edge, Edge]]:
-    """Lexicographically least pair of disjoint edges, if any."""
-    edges = sorted(g.edges)
-    for e, f in combinations(edges, 2):
-        if _disjoint(e, f):
-            return (e, f)
-    return None
+    """Lexicographically least pair of disjoint edges, if any: the first
+    edge with a disjoint partner, and its smallest one (every partner of
+    that edge has a partner itself, so it comes later)."""
+    return _first_disjoint_from(sorted(g.edges), 1)
 
 
 def _star_center(edges: list[Edge]) -> Optional[int]:
@@ -183,8 +234,10 @@ def triple_sum_consequences(chi: Character) -> Optional[MatchingValues]:
         if swing_value(chi, triple) != 0:
             return None
     x, y, z = chi.weight(1, 2), chi.weight(1, 3), chi.weight(1, 4)
-    assert x == chi.weight(3, 4) and y == chi.weight(2, 4) and z == chi.weight(2, 3)
-    assert x + y + z == 0
+    if not (x == chi.weight(3, 4) and y == chi.weight(2, 4) and z == chi.weight(2, 3)):
+        raise InternalError("vanishing triangles must force equal opposite edges")
+    if x + y + z != 0:
+        raise InternalError("vanishing triangles must force a zero matching sum")
     return MatchingValues(x, y, z)
 
 

@@ -5,6 +5,16 @@ A character lies on the circle over a 3-set A when its support fits inside
 A and the triangle sum vanishes; on the circle over a 4-set when its
 support fits, opposite edges carry equal weights, and the three shared
 matching values sum to zero.
+
+Support lemma: a circle over A contains a nonzero character chi only if
+supp(chi), the set of endpoints of its nonzero edges, is exactly A.
+  - P3: if supp(chi) is a proper subset of A, it has 2 vertices, so chi is
+    a single edge and the triangle sum is that edge's nonzero weight.
+  - P4: a vertex of A outside supp(chi) lies on one edge of each perfect
+    matching; that edge is 0, so its opposite edge is 0 too, x = y = z = 0,
+    and chi would be zero.
+So a character lies on at most one circle, the one over its own support,
+and ``locate_circle`` tests that single candidate.
 """
 
 from __future__ import annotations
@@ -14,13 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .characters import (
-    Character,
-    ZeroCharacterError,
-    edge,
-    swing_set,
-    swing_value,
-)
+from .characters import Character, ZeroCharacterError, swing_value
 from .chargraph import build_kchi, support_vertices
 
 P3 = "P3"
@@ -103,25 +107,22 @@ def on_circle(chi: Character, cid: CircleId) -> bool:
 def locate_circle(chi: Character) -> Optional[CircleId]:
     """The unique circle containing the character, or None.
 
-    Only circles whose support set contains the character's support can
-    match, so the candidate list is small; uniqueness is asserted."""
-    _check_nonzero(chi)
-    n = chi.n
-    support = sorted(support_vertices(build_kchi(chi)))
-    if len(support) > 4:
+    By the support lemma (module docstring) the only candidate is the
+    circle over supp(chi): P3 if it has 3 vertices, P4 if it has 4.  One
+    pass over the weights finds the support and stops past 4 vertices."""
+    support: set[int] = set()
+    for (i, j), v in chi.weights.items():
+        if v != 0:
+            support.update((i, j))
+            if len(support) > 4:
+                return None
+    if not support:
+        raise ZeroCharacterError("circle membership is undefined for the zero character")
+    kind = {3: P3, 4: P4}.get(len(support))
+    if kind is None:
         return None
-    others = [v for v in range(1, n + 1) if v not in support]
-    candidates: list[CircleId] = []
-    if len(support) <= 3:
-        pad = 3 - len(support)
-        for extra in combinations(others, pad):
-            candidates.append(CircleId(P3, tuple(sorted(support + list(extra)))))
-    pad = 4 - len(support)
-    for extra in combinations(others, pad):
-        candidates.append(CircleId(P4, tuple(sorted(support + list(extra)))))
-    hits = [cid for cid in candidates if on_circle(chi, cid)]
-    assert len(hits) <= 1, f"character lies on multiple circles: {hits}"
-    return hits[0] if hits else None
+    cid = CircleId(kind, tuple(sorted(support)))
+    return cid if on_circle(chi, cid) else None
 
 
 def sample_circle(

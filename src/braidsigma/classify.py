@@ -19,6 +19,7 @@ from typing import Optional, Union
 from .characters import (
     Character,
     Edge,
+    InternalError,
     ZeroCharacterError,
     delta_value,
     identity_perm,
@@ -32,7 +33,6 @@ from .chargraph import (
     find_edge_disjoint_from_two,
     shape_classify,
     support_vertices,
-    triple_sum_consequences,
 )
 from .circles import P3, P4, CircleId, on_circle
 
@@ -106,14 +106,18 @@ class Classification:
 
     def __post_init__(self) -> None:
         in_complement = isinstance(self.certificate, CircleMembership)
-        assert (self.verdict == COMPLEMENT) == in_complement
+        if (self.verdict == COMPLEMENT) != in_complement:
+            raise InternalError(
+                f"verdict {self.verdict!r} does not match certificate {self.certificate!r}"
+            )
 
 
 def _complete_perm(assign: dict[int, int], n: int) -> Perm:
     """Extend a partial index assignment to a permutation of 1..n, filling
     the unassigned originals into the unassigned targets in order."""
     targets = set(assign.values())
-    assert len(targets) == len(assign)
+    if len(targets) != len(assign):
+        raise InternalError(f"partial assignment {assign} is not injective")
     rest_orig = [i for i in range(1, n + 1) if i not in assign]
     rest_targ = [t for t in range(1, n + 1) if t not in targets]
     full = dict(assign)
@@ -127,14 +131,6 @@ def _degrees(g: CharGraph) -> dict[int, list[int]]:
         nbrs.setdefault(i, []).append(j)
         nbrs.setdefault(j, []).append(i)
     return nbrs
-
-
-def _restrict_to(chi: Character, support: tuple[int, ...]) -> Character:
-    """Transport the weights living on a 4-set down to a character on P_4."""
-    weights = {}
-    for (r, s) in combinations(range(1, 5), 2):
-        weights[(r, s)] = chi.weight(support[r - 1], support[s - 1])
-    return Character.dense(4, weights)
 
 
 def classify(chi: Character) -> Classification:
@@ -159,7 +155,8 @@ def classify(chi: Character) -> Classification:
             return Classification(SIGMA1, DisjointTriple(triple, perm))
         e, f, h = dft
         shared = set(f) & set(h)
-        assert len(shared) == 1, "non-triple witness must share a vertex"
+        if len(shared) != 1:
+            raise InternalError("non-triple witness must share a vertex")
         v = shared.pop()
         f_other = (set(f) - {v}).pop()
         h_other = (set(h) - {v}).pop()
@@ -167,7 +164,8 @@ def classify(chi: Character) -> Classification:
         return Classification(SIGMA1, DisjointPair(e, (f, h), perm))
 
     shape = shape_classify(g)
-    assert shape.kind in ("star", "small_k4"), f"unexpected shape {shape.kind}"
+    if shape.kind not in ("star", "small_k4"):
+        raise InternalError(f"unexpected shape {shape.kind}")
 
     if shape.kind == "star" and len(shape.leaves) >= 3:
         center = shape.center
@@ -179,12 +177,12 @@ def classify(chi: Character) -> Classification:
     if len(support) <= 3:
         # delta = 0 rules out a single edge, so the support is a full 3-set
         # (a two-edge star or a zero-sum triangle): a P3-circle point.
-        assert len(support) == 3
-        cid = CircleId(P3, support)
-        assert on_circle(chi, cid)
-        return Classification(COMPLEMENT, CircleMembership(cid))
+        if len(support) != 3:
+            raise InternalError(f"zero-sum support {support} is not a 3-set")
+        return _on_circle_or_fail(chi, CircleId(P3, support))
 
-    assert len(support) == 4
+    if len(support) != 4:
+        raise InternalError(f"small support {support} is not a 4-set")
     nbrs = _degrees(g)
     leaves = [v for v in support if len(nbrs[v]) == 1]
     for u, w in combinations(sorted(leaves), 2):
@@ -195,7 +193,8 @@ def classify(chi: Character) -> Classification:
             return Classification(SIGMA1, DisjointLeaves((eu, ew), perm))
 
     pair = find_disjoint_pair(g)
-    assert pair is not None, "4-vertex non-star graph must contain disjoint edges"
+    if pair is None:
+        raise InternalError("4-vertex non-star graph must contain disjoint edges")
     for tri in combinations(support, 3):
         value = swing_value(chi, tri)
         if value != 0:
@@ -211,23 +210,27 @@ def classify(chi: Character) -> Classification:
             perm = _complete_perm({i1: 1, i2: 2, w: 3, missing: 4}, n)
             return Classification(SIGMA1, Triangle((inner, outer), tri, value, perm))
 
-    mv = triple_sum_consequences(_restrict_to(chi, support))
-    assert mv is not None
-    cid = CircleId(P4, support)
-    assert on_circle(chi, cid)
+    return _on_circle_or_fail(chi, CircleId(P4, support))
+
+
+def _on_circle_or_fail(chi: Character, cid: CircleId) -> Classification:
+    """The complement verdict for a character the pipeline has placed on
+    ``cid``; a character that is not on it is an internal fault."""
+    if not on_circle(chi, cid):
+        raise InternalError(f"pipeline placed the character on {cid}, which misses it")
     return Classification(COMPLEMENT, CircleMembership(cid))
 
 
 def verify_certificate(cls: Classification, chi: Character) -> bool:
     """Re-check every numeric claim a certificate makes about the character."""
     cert = cls.certificate
-    g = build_kchi(chi)
     if isinstance(cert, CircleMembership):
         return cls.verdict == COMPLEMENT and on_circle(chi, cert.circle)
     if cls.verdict != SIGMA1:
         return False
     if isinstance(cert, ZeroSum):
         return cert.delta == delta_value(chi) != 0
+    g = build_kchi(chi)
     if isinstance(cert, DisjointTriple):
         e, f, h = cert.edges
         return (

@@ -4,7 +4,8 @@ Subcommands: ``classify`` a character from JSON, ``circles`` for the
 complement circle list, ``graph`` for DOT export of the support graph,
 ``verify`` for the word-engine identity suite, ``oracle`` for the
 exhaustive star-or-small check.  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+failure, 2 input error, 3 internal error (a broken invariant of the
+package, to be reported as a bug).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .characters import CharacterFormatError, character_from_json
+from .characters import CharacterFormatError, InternalError, character_from_json
 from .chargraph import build_kchi, oracle_star_or_small, to_dot
 from .circles import enumerate_circles
 from .classify import classification_to_json_dict, classify
@@ -30,6 +31,7 @@ from .words import (
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _read_input(path: str) -> str:
@@ -139,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive star-or-small check")
     p.add_argument("--max-vertices", type=int, default=7)
     p.set_defaults(func=cmd_oracle)
-
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
     return parser
 
 
@@ -148,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -111,7 +111,7 @@ def is_connected(adj: list[set[int]]) -> bool:
 
 
 def dominates(
-    j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet], n: int
+    j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet]
 ) -> tuple[bool, list[SwingSet]]:
     """Does every element of I commute (predicate) with some element of J?
     Returns the flag and the uncovered elements."""
@@ -193,28 +193,31 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
 # -- verification ----------------------------------------------------------
 
 
-def _abelianized(a: SwingSet, n: int) -> dict[Edge, int]:
+def _abelianized(a: SwingSet) -> dict[Edge, int]:
     return {pair: 1 for pair in combinations(sorted(a), 2)}
 
 
-def _rank(vectors: list[dict[Edge, int]], n: int) -> int:
-    """Exact rank of the abelianized images over the weight lattice."""
-    cols = all_edges(n)
-    rows = [[Fraction(v.get(c, 0)) for c in cols] for v in vectors]
-    rank = 0
-    for col in range(len(cols)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                for c in range(col, len(cols)):
-                    rows[r][c] -= factor * rows[rank][c]
-        rank += 1
-    return rank
+def _rank(vectors: list[dict[Edge, int]]) -> int:
+    """Exact rank of the abelianized images over the weight lattice, by
+    sparse elimination: each row is a dict column -> value, reduced
+    against the pivot rows found so far, keyed by their leading column."""
+    pivots: dict[Edge, dict[Edge, Fraction]] = {}
+    for vec in vectors:
+        row = {c: Fraction(v) for c, v in vec.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            factor = row[lead] / pivot[lead]
+            for c, v in pivot.items():
+                reduced = row.get(c, 0) - factor * v
+                if reduced:
+                    row[c] = reduced
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 @lru_cache(maxsize=None)
@@ -226,15 +229,15 @@ def _generation_checks(
     """Character-independent part of witness verification, cached per shape:
     (full abelianized rank, factorizations in the abelianization,
     factorizations exact in the word engine or None when over budget)."""
-    vectors = [_abelianized(a, n) for a in i_sets]
-    full_rank = _rank(vectors, n) == len(all_edges(n))
+    vectors = [_abelianized(a) for a in i_sets]
+    full_rank = _rank(vectors) == n * (n - 1) // 2
 
     abelian_ok = True
     for fact in factorizations:
-        lhs = _abelianized(fact.added, n)
+        lhs = _abelianized(fact.added)
         rhs: dict[Edge, int] = {}
         for f in fact.factors:
-            for pair, v in _abelianized(f, n).items():
+            for pair, v in _abelianized(f).items():
                 rhs[pair] = rhs.get(pair, 0) + v
         if lhs != {k: v for k, v in rhs.items() if v}:
             abelian_ok = False
@@ -268,7 +271,7 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
         j for j in pkg.j_sets if swing_value(relabeled, j) == 0
     ]
     report.connected = is_connected(commuting_graph(pkg.j_sets, chi.n))
-    _, report.uncovered = dominates(pkg.j_sets, pkg.i_sets, chi.n)
+    _, report.uncovered = dominates(pkg.j_sets, pkg.i_sets)
     full_rank, abelian_ok, wordlevel = _generation_checks(
         chi.n, pkg.i_sets, pkg.factorizations
     )

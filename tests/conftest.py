@@ -14,6 +14,11 @@ def chi0() -> Character:
     )
 
 
+def add_characters(a: Character, b: Character) -> Character:
+    """Pointwise sum of two characters on the same strands."""
+    return Character(a.n, {e: a.weights[e] + b.weights[e] for e in a.weights})
+
+
 def random_character(
     n: int, rng: random.Random, span: int = 6, max_denom: int = 4
 ) -> Character:

@@ -23,7 +23,7 @@ from braidsigma.characters import (
     swing_set,
     swing_value,
 )
-from conftest import random_character, random_perm
+from conftest import add_characters, random_character, random_perm
 
 
 class TestSwingValue:
@@ -42,7 +42,8 @@ class TestSwingValue:
             a = random_character(5, rng)
             b = random_character(5, rng)
             subset = (1, 3, 4, 5)
-            assert swing_value(a + b, subset) == swing_value(a, subset) + swing_value(
+            total = add_characters(a, b)
+            assert swing_value(total, subset) == swing_value(a, subset) + swing_value(
                 b, subset
             )
 
@@ -206,6 +207,30 @@ class TestJson:
         with pytest.raises(CharacterFormatError):
             character_from_json_dict(data)
 
+    def test_integer_weights(self):
+        data = {"n": 2, "weights": {"1-2": -4}}
+        assert character_from_json_dict(data).weight(1, 2) == -4
+
+    def test_float_rejected(self):
+        # meant as a P3 circle point, but 0.1 + 0.2 - 0.3 != 0 in binary
+        text = '{"n": 3, "weights": {"1-2": "0.1", "1-3": 0.2, "2-3": "-0.3"}}'
+        with pytest.raises(CharacterFormatError, match="'1-3'.*string or an integer"):
+            character_from_json(text)
+        exact = '{"n": 3, "weights": {"1-2": "0.1", "1-3": "0.2", "2-3": "-0.3"}}'
+        assert delta_value(character_from_json(exact)) == 0
+
+    def test_bool_rejected(self):
+        with pytest.raises(CharacterFormatError, match="'1-2'"):
+            character_from_json('{"n": 2, "weights": {"1-2": true}}')
+
+    def test_missing_keys_capped(self):
+        data = {"n": 40, "weights": {"1-2": "1"}}
+        with pytest.raises(CharacterFormatError) as exc:
+            character_from_json_dict(data)
+        message = str(exc.value)
+        assert "779 of 780" in message and message.endswith(", ...")
+        assert message.count("'") == 2 * 10
+
 
 @given(
     st.lists(
@@ -217,6 +242,6 @@ def test_character_arithmetic_is_exact(entries):
     chi = Character.zero(6)
     for k, v in entries:
         edge_key = ((k % 5) + 1, 6)
-        chi = chi + Character.sparse(6, {edge_key: v})
+        chi = add_characters(chi, Character.sparse(6, {edge_key: v}))
     total = sum((v for _, v in entries), Fraction(0))
     assert delta_value(chi) == total

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from braidsigma.characters import Character
+from conftest import add_characters
 from braidsigma.chargraph import (
     MatchingValues,
     build_kchi,
@@ -38,7 +39,7 @@ class TestBuildKchi:
         assert g.edges == {(2, 5)}
 
     def test_perturbation_adds_edge(self, chi0):
-        bumped = chi0 + Character.sparse(4, {(2, 4): 1})
+        bumped = add_characters(chi0, Character.sparse(4, {(2, 4): 1}))
         assert build_kchi(bumped).edges == build_kchi(chi0).edges | {(2, 4)}
 
 

@@ -1,8 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from braidsigma.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+import braidsigma
+from braidsigma.characters import InternalError
+from braidsigma.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
+
+SRC = str(Path(braidsigma.__file__).resolve().parent.parent)
+
+
+def run_child(args, stdin=""):
+    """A fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
+    )
 
 CHI0_JSON = json.dumps(
     {
@@ -90,6 +106,49 @@ class TestClassify:
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 2, "weights": {"1-2": "0"}}))
         assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
+
+    def test_internal_error_has_its_own_exit_code(self, chi0_file, capsys, monkeypatch):
+        def broken(chi):
+            raise InternalError("broken invariant")
+
+        monkeypatch.setattr("braidsigma.cli.classify", broken)
+        assert main(["classify", "--in", chi0_file]) == EXIT_INTERNAL_ERROR
+        assert "internal error: broken invariant" in capsys.readouterr().err
+
+    def test_huge_n_fails_fast(self, tmp_path):
+        # a few keys for an enormous n must be refused before any O(n^2)
+        # allocation; the child's address space is capped so a regression
+        # dies there instead of exhausting the machine
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**9, "weights": {"1-2": "1"}}))
+        code = (
+            "import resource, sys\n"
+            "cap = 256 * 1024 * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from braidsigma.cli import main\n"
+            "sys.exit(main(['classify', '--in', sys.argv[1]]))\n"
+        )
+        proc = run_child(["-c", code, str(path)])
+        assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+        assert "missing weight keys" in proc.stderr
+
+
+def test_invariants_survive_python_O():
+    code = (
+        "import sys\n"
+        "from braidsigma.characters import InternalError\n"
+        "from braidsigma.circles import CircleId\n"
+        "from braidsigma.classify import SIGMA1, CircleMembership, Classification\n"
+        "if __debug__:\n"
+        "    sys.exit('assertions are still enabled')\n"
+        "try:\n"
+        "    Classification(SIGMA1, CircleMembership(CircleId('P3', (1, 2, 3))))\n"
+        "except InternalError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('a sigma1 verdict with a circle certificate was accepted')\n"
+    )
+    proc = run_child(["-O", "-c", code])
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCircles:

@@ -47,18 +47,18 @@ class TestCommutingGraph:
 class TestDominates:
     def test_disjoint_triple_data(self):
         j_sets = [(1, 2), (3, 4), (5, 6)]
-        ok, uncovered = dominates(j_sets, all_edges(6), 6)
+        ok, uncovered = dominates(j_sets, all_edges(6))
         assert ok and uncovered == []
 
     def test_disjoint_pair_data(self):
         j_sets = [(1, 2), (3, 4), (4, 5)]
         i_sets = [p for p in all_edges(5) if p not in ((1, 4), (2, 4))]
         i_sets += [(1, 4, 5), (2, 4, 5)]
-        ok, uncovered = dominates(j_sets, i_sets, 5)
+        ok, uncovered = dominates(j_sets, i_sets)
         assert ok and uncovered == []
 
     def test_uncovered_reported(self):
-        ok, uncovered = dominates([(1, 2)], [(1, 3)], 3)
+        ok, uncovered = dominates([(1, 2)], [(1, 3)])
         assert not ok and uncovered == [(1, 3)]
 
     def test_monotone_in_j(self):
@@ -66,8 +66,8 @@ class TestDominates:
         i_sets = all_edges(6)
         for _ in range(20):
             j_sets = [tuple(sorted(rng.sample(range(1, 7), 2))) for _ in range(2)]
-            _, before = dominates(j_sets, i_sets, 6)
-            _, after = dominates(j_sets + [(1, 2, 3)], i_sets, 6)
+            _, before = dominates(j_sets, i_sets)
+            _, after = dominates(j_sets + [(1, 2, 3)], i_sets)
             assert set(after) <= set(before)
 
 
