@@ -233,8 +233,13 @@ def pullback_rho(psi: Character) -> Character:
 # {"n": 4, "weights": {"1-2": "3", "1-3": "2/5", ...}}  -- every pair present.
 # A weight is a string that Fraction parses exactly, or a JSON integer;
 # floats and booleans are rejected, since they are not exact rationals.
+# A string's exponent ("1e3", "2.5E-2") is at most MAX_EXPONENT in absolute
+# value: Fraction expands 10**exp in full, so "1e10000000" alone would take
+# seconds and a 33-Mbit integer.  The figure is Python's own default cap on
+# the digits of an integer string (sys.int_info.default_max_str_digits).
 
 MISSING_KEYS_SHOWN = 10
+MAX_EXPONENT = 4300
 
 
 def character_to_json_dict(chi: Character) -> dict:
@@ -242,6 +247,26 @@ def character_to_json_dict(chi: Character) -> dict:
         "n": chi.n,
         "weights": {f"{i}-{j}": str(chi.weights[(i, j)]) for i, j in all_edges(chi.n)},
     }
+
+
+def _parse_weight(key: str, val: str | int) -> Fraction:
+    """Exact value of one JSON weight; ``key`` names it in errors."""
+    if isinstance(val, str):
+        _, marker, exp = val.lower().rpartition("e")
+        if marker:
+            try:
+                exponent = int(exp)
+            except ValueError:  # not an integer: Fraction rejects it below
+                exponent = 0
+            if abs(exponent) > MAX_EXPONENT:
+                raise CharacterFormatError(
+                    f"exponent of weight for key {key!r} exceeds {MAX_EXPONENT} "
+                    "in absolute value"
+                )
+    try:
+        return Fraction(val)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc
 
 
 def character_from_json_dict(data: dict) -> Character:
@@ -258,6 +283,9 @@ def character_from_json_dict(data: dict) -> Character:
     if not isinstance(raw, dict):
         raise CharacterFormatError("'weights' must be an object")
     weights = {}
+    # each distinct raw value is parsed once; pairs with equal values share
+    # one (immutable) Fraction
+    parsed: dict[str | int, Fraction] = {}
     for key, val in raw.items():
         try:
             i_s, j_s = key.split("-")
@@ -272,10 +300,10 @@ def character_from_json_dict(data: dict) -> Character:
             raise CharacterFormatError(
                 f"weight for key {key!r} must be a string or an integer, got {val!r}"
             )
-        try:
-            weights[e] = Fraction(val)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc
+        value = parsed.get(val)
+        if value is None:
+            value = parsed[val] = _parse_weight(key, val)
+        weights[e] = value
     # keys are distinct pairs in range, so a short count means missing keys.
     # The pairs are generated lazily and each present key is skipped once,
     # so naming the first few absent ones costs O(len(weights)), not O(n^2).

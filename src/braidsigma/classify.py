@@ -30,7 +30,7 @@ from .chargraph import (
     build_kchi,
     find_disjoint_pair,
     find_disjoint_triple,
-    find_edge_disjoint_from_two,
+    find_edge_disjoint_from_two,  # unused here; bench/tracing.py rebinds this name
     shape_classify,
     support_vertices,
 )
@@ -143,9 +143,9 @@ def classify(chi: Character) -> Classification:
         return Classification(SIGMA1, ZeroSum(delta, identity_perm(n)))
 
     g = build_kchi(chi)
+    shape = shape_classify(g)
 
-    dft = find_edge_disjoint_from_two(g)
-    if dft is not None:
+    if shape.kind == "has_disjoint_from_two":
         triple = find_disjoint_triple(g)
         if triple is not None:
             (a1, b1), (a2, b2), (a3, b3) = triple
@@ -153,7 +153,7 @@ def classify(chi: Character) -> Classification:
                 {a1: 1, b1: 2, a2: 3, b2: 4, a3: 5, b3: 6}, n
             )
             return Classification(SIGMA1, DisjointTriple(triple, perm))
-        e, f, h = dft
+        e, f, h = shape.witness
         shared = set(f) & set(h)
         if len(shared) != 1:
             raise InternalError("non-triple witness must share a vertex")
@@ -163,7 +163,6 @@ def classify(chi: Character) -> Classification:
         perm = _complete_perm({e[0]: 1, e[1]: 2, f_other: 3, v: 4, h_other: 5}, n)
         return Classification(SIGMA1, DisjointPair(e, (f, h), perm))
 
-    shape = shape_classify(g)
     if shape.kind not in ("star", "small_k4"):
         raise InternalError(f"unexpected shape {shape.kind}")
 

@@ -7,6 +7,12 @@ generates the group.  Generation is checked through the abelianization
 (full rank on the weight lattice) plus the recorded recovery
 factorizations, which are additionally verified exactly in the word
 engine for small strand counts.
+
+J and I are fixed by the lemma and n, not by the character, so every
+check that reads only them runs once per shape and is cached: C(J)
+connectivity and domination (``_shape_checks``), and generation
+(``_generation_checks``).  Only survival reads the character, so it
+alone runs for every character.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ class WitnessReport:
         )
 
 
-def commuting_graph(j_sets: Sequence[SwingSet], n: int) -> list[set[int]]:
+def commuting_graph(j_sets: Sequence[SwingSet]) -> list[set[int]]:
     """Adjacency sets of C(J): vertices are positions in J, edges join
     distinct members that the commutation predicate accepts."""
     adj: list[set[int]] = [set() for _ in j_sets]
@@ -221,6 +227,16 @@ def _rank(vectors: list[dict[Edge, int]]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _shape_checks(
+    j_sets: tuple[SwingSet, ...], i_sets: tuple[SwingSet, ...]
+) -> tuple[bool, tuple[SwingSet, ...]]:
+    """Character-independent C(J) and domination checks, cached per shape:
+    (C(J) connected, the elements of I that J does not dominate)."""
+    _, uncovered = dominates(j_sets, i_sets)
+    return is_connected(commuting_graph(j_sets)), tuple(uncovered)
+
+
+@lru_cache(maxsize=None)
 def _generation_checks(
     n: int,
     i_sets: tuple[SwingSet, ...],
@@ -270,8 +286,8 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     report.survival_failures = [
         j for j in pkg.j_sets if swing_value(relabeled, j) == 0
     ]
-    report.connected = is_connected(commuting_graph(pkg.j_sets, chi.n))
-    _, report.uncovered = dominates(pkg.j_sets, pkg.i_sets)
+    report.connected, uncovered = _shape_checks(pkg.j_sets, pkg.i_sets)
+    report.uncovered = list(uncovered)  # the cached tuple is shared
     full_rank, abelian_ok, wordlevel = _generation_checks(
         chi.n, pkg.i_sets, pkg.factorizations
     )

@@ -223,6 +223,53 @@ class TestJson:
         with pytest.raises(CharacterFormatError, match="'1-2'"):
             character_from_json('{"n": 2, "weights": {"1-2": true}}')
 
+    def test_exponent_notation_accepted(self):
+        data = {"n": 3, "weights": {"1-2": "1e3", "1-3": "2.5E-2", "2-3": "-1e-4300"}}
+        chi = character_from_json_dict(data)
+        assert chi.weight(1, 2) == 1000
+        assert chi.weight(1, 3) == Fraction(1, 40)
+        assert chi.weight(2, 3) == Fraction(-1, 10**4300)
+
+    @pytest.mark.parametrize(
+        "val", ["1e4301", "1E-4301", "2.5e+99999", "-1e10000000", "1e1_0000000"]
+    )
+    def test_exponent_bound(self, val):
+        data = {"n": 3, "weights": {"1-2": "1", "1-3": val, "2-3": "0"}}
+        with pytest.raises(CharacterFormatError, match="'1-3'.*exponent|exponent.*'1-3'"):
+            character_from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", ["x", "1e5000", "1/0"])
+    def test_repeated_bad_value_names_first_key(self, bad):
+        # the error names the first key in input order, not the least pair
+        weights = {"2-3": "1", "1-3": bad, "1-2": bad, "1-4": "0"}
+        weights.update({"2-4": bad, "3-4": "0"})
+        with pytest.raises(CharacterFormatError) as exc:
+            character_from_json_dict({"n": 4, "weights": weights})
+        message = str(exc.value)
+        assert "'1-3'" in message
+        assert "'1-2'" not in message and "'2-4'" not in message
+
+    def test_parsed_weights_match_fraction_per_key(self):
+        # raw values repeat heavily and mix strings with integers, including
+        # different spellings of one rational
+        pool = [0, 1, -1, 3, "0", "1", "-1", "1/1", "2/2", "-0", "+3", " 7 ",
+                "2/3", "-2/3", "0.5", "1e2", "2.5E-2", "-3.75e1", "10/4"]
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(600):
+            n = rng.randint(3, 10)
+            raw = {f"{i}-{j}": rng.choice(pool[: rng.randint(2, len(pool))])
+                   for i, j in all_edges(n)}
+            chi = character_from_json_dict({"n": n, "weights": raw})
+            by_raw = {}
+            for key, val in raw.items():
+                i, j = map(int, key.split("-"))
+                got = chi.weight(i, j)
+                assert type(got) is Fraction and got == Fraction(val), (key, val)
+                assert by_raw.setdefault((type(val), val), got) is got
+            checked += 1
+        assert checked >= 500
+
     def test_missing_keys_capped(self):
         data = {"n": 40, "weights": {"1-2": "1"}}
         with pytest.raises(CharacterFormatError) as exc:

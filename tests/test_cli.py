@@ -133,6 +133,29 @@ class TestClassify:
         assert "missing weight keys" in proc.stderr
 
 
+def test_huge_exponent_fails_fast(tmp_path):
+    # Fraction would expand 10**10000000 (seconds and a 33-Mbit integer);
+    # the child's address space is capped so a regression cannot exhaust
+    # the machine, and the parse alone is timed inside the child
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"n": 2, "weights": {"1-2": "1e10000000"}}))
+    code = (
+        "import resource, sys, time\n"
+        "cap = 256 * 1024 * 1024\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from braidsigma.cli import main\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    sys.exit(main(['classify', '--in', sys.argv[1]]))\n"
+        "finally:\n"
+        "    print(time.perf_counter() - start)\n"
+    )
+    proc = run_child(["-c", code, str(path)])
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    assert "exponent" in proc.stderr and "'1-2'" in proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
 def test_invariants_survive_python_O():
     code = (
         "import sys\n"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,11 @@ from conftest import random_nonzero_character
 
 class TestCommutingGraph:
     def test_triangle(self):
-        adj = commuting_graph([(1, 2), (3, 4), (5, 6)], 6)
+        adj = commuting_graph([(1, 2), (3, 4), (5, 6)])
         assert adj == [{1, 2}, {0, 2}, {0, 1}]
 
     def test_path(self):
-        adj = commuting_graph([(1, 2), (3, 4), (4, 5)], 5)
+        adj = commuting_graph([(1, 2), (3, 4), (4, 5)])
         assert adj[0] == {1, 2}
         assert adj[1] == {0}
         assert adj[2] == {0}
@@ -33,15 +34,15 @@ class TestCommutingGraph:
         n = 5
         comp = lambda i: tuple(k for k in range(1, n + 1) if k != i)
         j_sets = [(1, 4), (2, 4), (3, 4), comp(1), comp(2), comp(3)]
-        adj = commuting_graph(j_sets, n)
+        adj = commuting_graph(j_sets)
         # hexagon S14 - S_A2 - S34 - S_A1 - S24 - S_A3 - S14
         cycle = [0, 4, 2, 3, 1, 5]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert b in adj[a]
 
     def test_connectivity(self):
-        assert is_connected(commuting_graph([(1, 2), (3, 4), (4, 5)], 5))
-        assert not is_connected(commuting_graph([(1, 2), (2, 3)], 3))
+        assert is_connected(commuting_graph([(1, 2), (3, 4), (4, 5)]))
+        assert not is_connected(commuting_graph([(1, 2), (2, 3)]))
 
 
 class TestDominates:
@@ -133,6 +134,44 @@ class TestVerifyWitness:
         report = verify_witness(pkg, chi)
         assert not report.connected
         assert not report.ok
+
+    def test_shape_checks_follow_the_package_not_the_cache(self):
+        # zero-sum support 12, 34, 45: an edge disjoint from two others but
+        # no disjoint triple, so the lemma is disjoint_pair at n = 5
+        chi = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == "disjoint_pair"
+        assert verify_witness(pkg, chi).ok  # the shape's entry is now warm
+
+        # (1, 4) meets every member of J = (12, 34, 45), so no member
+        # dominates it; the lemma puts (1, 4, 5) in I in its place
+        i_sets = tuple((1, 4) if a == (1, 4, 5) else a for a in pkg.i_sets)
+        report = verify_witness(replace(pkg, i_sets=i_sets), chi)
+        assert report.uncovered == [(1, 4)]
+        assert report.connected and not report.ok
+
+        # 13 misses 45 and does not interleave with it, so C(J) has the
+        # edge 13 - 45 only; 34 shares a vertex with both and is isolated
+        j_sets = ((1, 3), (3, 4), (4, 5))
+        report = verify_witness(replace(pkg, j_sets=j_sets), chi)
+        assert not report.connected and not report.ok
+
+        assert verify_witness(pkg, chi).ok
+
+    def test_reports_do_not_share_uncovered(self):
+        chi = Character.sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+        # (1, 3) meets both members of J, so it is undominated
+        pkg = WitnessPackage("zero_sum", (1, 2, 3), ((1, 2), (2, 3)), tuple(all_edges(3)))
+        first = verify_witness(pkg, chi)
+        assert first.uncovered == [(1, 3)]
+        first.uncovered.clear()
+        first.uncovered.append((1, 2))
+        assert verify_witness(pkg, chi).uncovered == [(1, 3)]
+
+        good = build_witness_for(classify(chi), chi)
+        report = verify_witness(good, chi)
+        report.uncovered.append((1, 3))
+        assert verify_witness(good, chi).ok
 
     def test_star_closed_form(self):
         # for a zero-sum star, the complement swings mirror the leaf edges
