@@ -184,10 +184,6 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
     return Character(n, out)
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def compose_perms(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
     """(tau o sigma): first sigma, then tau."""
     return tuple(tau[s - 1] for s in sigma)

@@ -1,12 +1,13 @@
 """Executable witnesses for the reduction lemmas.
 
 Each invariant-side certificate is backed by a package (J, I) in the
-lemma's normal-form coordinates: J survives under the relabeled
-character, the commuting graph C(J) is connected, J dominates I, and I
-generates the group.  Generation is checked through the abelianization
-(full rank on the weight lattice) plus the recorded recovery
-factorizations, which are additionally verified exactly in the word
-engine for small strand counts.
+lemma's normal-form coordinates; the certificate's class in ``classify``
+states J, I and the recovery factorizations.  J survives under the
+relabeled character, the commuting graph C(J) is connected, J dominates
+I, and I generates the group.  Generation is checked through the
+abelianization (full rank on the weight lattice) plus the recorded
+recovery factorizations, which are additionally verified exactly in the
+word engine for small strand counts.
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them runs once per shape and is cached: C(J)
@@ -23,25 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .characters import (
-    Character,
-    Edge,
-    SwingSet,
-    all_edges,
-    permute,
-    swing_value,
-)
-from .classify import (
-    Certificate,
-    CircleMembership,
-    Classification,
-    DisjointLeaves,
-    DisjointPair,
-    DisjointTriple,
-    Star,
-    Triangle,
-    ZeroSum,
-)
+from .characters import Character, Edge, SwingSet, permute, swing_value
+from .classify import Certificate, Classification, Factorization, WitnessData
 from .words import (
     WORD_ENGINE_MAX_STRANDS,
     braid_aut,
@@ -49,17 +33,6 @@ from .words import (
     commutes_predicate,
     swing_word,
 )
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """A recovery identity: the swing on ``added`` equals the ordered product
-    of the swings on ``factors``, so the pair ``recovers`` (dropped from the
-    standard generating set) is expressible from the rest."""
-
-    added: SwingSet
-    factors: tuple[SwingSet, ...]
-    recovers: Edge
 
 
 @dataclass(frozen=True)
@@ -127,73 +100,23 @@ def dominates(
     return (not uncovered, uncovered)
 
 
-def _standard_pairs(n: int) -> tuple[SwingSet, ...]:
-    return tuple(all_edges(n))
-
-
-def _complement_set(i: int, n: int) -> SwingSet:
-    return tuple(k for k in range(1, n + 1) if k != i)
-
-
 def build_witness(cert: Certificate, chi: Character) -> WitnessPackage:
     """Instantiate the (J, I, factorizations) data of the proof backing the
     certificate, in the certificate's normal-form coordinates."""
-    n = chi.n
-    pairs = _standard_pairs(n)
-    if isinstance(cert, CircleMembership):
-        raise ValueError("complement certificates carry no invariant-side witness")
-    if isinstance(cert, ZeroSum):
-        return WitnessPackage(
-            "zero_sum", cert.perm, (tuple(range(1, n + 1)),), pairs
-        )
-    if isinstance(cert, DisjointTriple):
-        return WitnessPackage(
-            "disjoint_triple", cert.perm, ((1, 2), (3, 4), (5, 6)), pairs
-        )
-    if isinstance(cert, DisjointPair):
-        i_sets = tuple(p for p in pairs if p not in ((1, 4), (2, 4)))
-        i_sets += ((1, 4, 5), (2, 4, 5))
-        facts = (
-            Factorization((1, 4, 5), ((1, 4), (1, 5), (4, 5)), (1, 4)),
-            Factorization((2, 4, 5), ((2, 4), (2, 5), (4, 5)), (2, 4)),
-        )
-        return WitnessPackage(
-            "disjoint_pair", cert.perm, ((1, 2), (3, 4), (4, 5)), i_sets, facts
-        )
-    if isinstance(cert, Star):
-        j_sets = (
-            (1, 4),
-            (2, 4),
-            (3, 4),
-            _complement_set(1, n),
-            _complement_set(2, n),
-            _complement_set(3, n),
-        )
-        return WitnessPackage("star", cert.perm, j_sets, pairs)
-    if isinstance(cert, DisjointLeaves):
-        j_sets = (
-            (1, 2),
-            (3, 4),
-            (1, 2, 3),
-            _complement_set(1, n),
-            _complement_set(3, n),
-        )
-        return WitnessPackage("disjoint_leaves", cert.perm, j_sets, pairs)
-    if isinstance(cert, Triangle):
-        i_sets = tuple(p for p in pairs if p not in ((1, 4), (2, 4)))
-        i_sets += ((1, 3, 4), (2, 3, 4))
-        facts = (
-            Factorization((1, 3, 4), ((1, 3), (1, 4), (3, 4)), (1, 4)),
-            Factorization((2, 3, 4), ((2, 3), (2, 4), (3, 4)), (2, 4)),
-        )
-        return WitnessPackage(
-            "triangle", cert.perm, ((1, 2), (1, 2, 3), (3, 4)), i_sets, facts
-        )
-    raise TypeError(f"unknown certificate {cert!r}")
+    return build_witness_for(Classification(cert.verdict, cert, chi.n), chi)
 
 
 def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
-    return build_witness(cls.certificate, chi)
+    cert = cls.certificate
+    j_sets, i_sets, factorizations = _lemma_sets(type(cert), chi.n)
+    return WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
+
+
+@lru_cache(maxsize=None)
+def _lemma_sets(lemma: type, n: int) -> WitnessData:
+    """A lemma's (J, I, factorizations) at n, built once: packages of one
+    shape share these tuples, so the shape caches below match by identity."""
+    return lemma.witness(n)
 
 
 # -- verification ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from braidsigma.classify import (
     COMPLEMENT,
     SIGMA1,
     CircleMembership,
+    Classification,
     DisjointLeaves,
     DisjointPair,
     DisjointTriple,
@@ -19,6 +21,7 @@ from braidsigma.classify import (
     classify,
     verify_certificate,
 )
+from braidsigma.witness import build_witness_for, verify_witness
 from conftest import random_nonzero_character, random_perm
 
 
@@ -26,7 +29,8 @@ class TestPipelineStages:
     def test_zero_sum(self, chi0):
         cls = classify(chi0)
         assert cls.verdict == SIGMA1
-        assert cls.certificate == ZeroSum(Fraction(-3), (1, 2, 3, 4))
+        assert cls.certificate == ZeroSum(Fraction(-3))
+        assert cls.perm == (1, 2, 3, 4)
 
     def test_p3_circle(self):
         chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
@@ -61,15 +65,15 @@ class TestPipelineStages:
         chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
-        assert cls.certificate == DisjointTriple(
-            ((1, 2), (3, 4), (5, 6)), (1, 2, 3, 4, 5, 6)
-        )
+        assert cls.certificate == DisjointTriple(((1, 2), (3, 4), (5, 6)))
+        assert cls.perm == (1, 2, 3, 4, 5, 6)
 
     def test_star(self):
         chi = Character.sparse(5, {(1, 4): 2, (2, 4): 1, (3, 4): -3})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
-        assert cls.certificate == Star(4, (1, 2, 3), (1, 2, 3, 4, 5))
+        assert cls.certificate == Star(4, (1, 2, 3))
+        assert cls.perm == (1, 2, 3, 4, 5)
 
     def test_disjoint_pair(self):
         chi = Character.sparse(5, {(1, 2): 1, (3, 4): 2, (4, 5): -3})
@@ -170,3 +174,105 @@ class TestCertificates:
             "verdict": "complement",
             "certificate": {"kind": "circle", "id": {"kind": "P3", "support": [1, 2, 3]}},
         }
+
+
+class TestDerivedPerm:
+    # each perm sends the certificate's named vertices to their indices in
+    # the lemma's normal form and the other strands, in order, to the rest;
+    # none is the identity
+    @pytest.mark.parametrize(
+        "n, weights, cert, perm",
+        [
+            (
+                6,
+                {(1, 4): 1, (2, 6): 1, (3, 5): -2},
+                DisjointTriple(((1, 4), (2, 6), (3, 5))),
+                (1, 3, 5, 2, 6, 4),
+            ),
+            (
+                5,
+                {(2, 5): 1, (1, 3): 2, (3, 4): -3},
+                DisjointPair((2, 5), ((1, 3), (3, 4))),
+                (3, 1, 4, 5, 2),
+            ),
+            (
+                6,
+                {(1, 3): 1, (2, 3): 1, (3, 5): 1, (3, 6): -3},
+                Star(3, (1, 2, 5, 6)),
+                (1, 2, 4, 5, 3, 6),
+            ),
+            (6, {(2, 5): 1, (4, 6): -1}, DisjointLeaves(((2, 5), (4, 6))), (5, 1, 6, 3, 2, 4)),
+            (
+                5,
+                {(2, 3): -1, (2, 4): 1, (2, 5): -1, (3, 5): 1},
+                Triangle(((3, 5), (2, 4)), (2, 3, 5), Fraction(-1)),
+                (5, 3, 1, 4, 2),
+            ),
+        ],
+    )
+    def test_perm_follows_from_fields(self, n, weights, cert, perm):
+        chi = Character.sparse(n, weights)
+        cls = classify(chi)
+        assert cls.certificate == cert
+        assert cls.perm == perm
+        assert classification_to_json_dict(cls)["certificate"]["perm"] == list(perm)
+        assert verify_certificate(cls, chi)
+        assert verify_witness(build_witness_for(cls, chi), chi).ok
+
+
+class TestCertificateRejection:
+    def test_star_with_repeated_leaf_on_p3_point(self):
+        # w14 = 1, w24 = -1 lies on the P3 circle over 124; the two-edge
+        # star passes every other star condition when a leaf is repeated
+        chi = Character.sparse(4, {(1, 4): 1, (2, 4): -1})
+        assert classify(chi).verdict == COMPLEMENT
+        cls = Classification(SIGMA1, Star(4, (1, 1, 2)), 4)
+        assert not verify_certificate(cls, chi)
+
+    def test_star_with_center_among_leaves(self):
+        chi = Character.sparse(5, {(1, 4): 2, (2, 4): 1, (3, 4): -3})
+        assert verify_certificate(Classification(SIGMA1, Star(4, (1, 2, 3)), 5), chi)
+        cls = Classification(SIGMA1, Star(4, (1, 2, 3, 4)), 5)
+        assert not verify_certificate(cls, chi)
+
+    # four edges of K on six strands; three edges of K of which two meet
+    @pytest.mark.parametrize(
+        "edges", [((1, 2), (3, 4), (5, 6), (1, 3)), ((1, 2), (1, 3), (5, 6))]
+    )
+    def test_disjoint_triple_fields_break_the_lemma(self, edges):
+        chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): 1, (1, 3): -3})
+        cls = Classification(SIGMA1, DisjointTriple(edges), 6)
+        assert not verify_certificate(cls, chi)
+
+    def test_disjoint_leaves_must_not_meet(self):
+        # the two-edge path 1-2-3 lies on the P3 circle; its leaf edges meet
+        chi = Character.sparse(3, {(1, 2): 1, (2, 3): -1})
+        cls = Classification(SIGMA1, DisjointLeaves(((1, 2), (3, 2))), 3)
+        assert not verify_certificate(cls, chi)
+
+    def test_disjoint_pair_others_must_share_one_vertex(self):
+        chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
+        cls = Classification(SIGMA1, DisjointPair((1, 2), ((3, 4), (5, 6))), 6)
+        assert not verify_certificate(cls, chi)
+
+    # a repeated vertex, and a triangle that does not contain the first edge
+    @pytest.mark.parametrize(
+        "fields", [{"triangle": (1, 2, 2)}, {"edges": ((3, 4), (1, 2))}]
+    )
+    def test_triangle_fields_break_the_lemma(self, fields):
+        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2})
+        good = classify(chi)
+        assert good.certificate == Triangle(((1, 2), (3, 4)), (1, 2, 4), Fraction(-1))
+        assert verify_certificate(good, chi)
+        bad = replace(good.certificate, **fields)
+        assert not verify_certificate(Classification(SIGMA1, bad, 4), chi)
+
+    @pytest.mark.parametrize("cid", [CircleId("P3", (0, 1, 2)), CircleId("P4", (1, 2, 4, 9))])
+    def test_circle_outside_the_strands(self, cid):
+        chi = Character.sparse(4, {(1, 4): 1, (2, 4): -1})
+        assert not verify_certificate(Classification(COMPLEMENT, CircleMembership(cid), 4), chi)
+
+    def test_strand_count_must_match(self, chi0):
+        cls = classify(chi0)
+        assert verify_certificate(cls, chi0)
+        assert not verify_certificate(replace(cls, n=chi0.n + 1), chi0)

@@ -165,7 +165,7 @@ def test_invariants_survive_python_O():
         "if __debug__:\n"
         "    sys.exit('assertions are still enabled')\n"
         "try:\n"
-        "    Classification(SIGMA1, CircleMembership(CircleId('P3', (1, 2, 3))))\n"
+        "    Classification(SIGMA1, CircleMembership(CircleId('P3', (1, 2, 3))), 3)\n"
         "except InternalError:\n"
         "    sys.exit(0)\n"
         "sys.exit('a sigma1 verdict with a circle certificate was accepted')\n"

@@ -200,11 +200,10 @@ class TestSparseRank:
     def test_cold_generation_checks_at_n64(self):
         n = 64
         chi = Character.zero(n)
-        ident = tuple(range(1, n + 1))
         for cert in (
-            ZeroSum(Fraction(1), ident),
-            DisjointPair((1, 2), ((3, 4), (4, 5)), ident),
-            Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(1), ident),
+            ZeroSum(Fraction(1)),
+            DisjointPair((1, 2), ((3, 4), (4, 5))),
+            Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(1)),
         ):
             pkg = build_witness(cert, chi)
             # __wrapped__ bypasses the per-shape cache, so this is a cold run

@@ -99,6 +99,30 @@ class TestBuildWitness:
         recovered = {f.recovers for f in pkg.factorizations}
         assert recovered == {(1, 4), (2, 4)}
 
+    @pytest.mark.parametrize(
+        "weights, lemma, k",
+        [
+            ({(1, 2): 1, (3, 4): 2, (4, 5): -3}, "disjoint_pair", 5),
+            ({(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2}, "triangle", 3),
+        ],
+    )
+    def test_recovering_lemmas_drop_14_and_24(self, weights, lemma, k):
+        # I is the standard pairs without 14 and 24 plus the triples they
+        # span with vertex k; each triple's swing factors into its pairs
+        chi = Character.sparse(5, weights)
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == lemma
+        t1, t2 = tuple(sorted((1, 4, k))), tuple(sorted((2, 4, k)))
+        kept = [p for p in all_edges(5) if p not in ((1, 4), (2, 4))]
+        assert pkg.i_sets == (*kept, t1, t2)
+        assert [(f.added, f.recovers) for f in pkg.factorizations] == [
+            (t1, (1, 4)),
+            (t2, (2, 4)),
+        ]
+        for f in pkg.factorizations:
+            assert f.factors == tuple(p for p in all_edges(5) if set(p) <= set(f.added))
+        assert verify_witness(pkg, chi).ok
+
     def test_circle_certificate_rejected(self):
         chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         cls = classify(chi)
