@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -42,6 +43,16 @@ def all_edges(n: int) -> list[Edge]:
     return list(combinations(range(1, n + 1), 2))
 
 
+@lru_cache(maxsize=32)
+def _pair_tables(n: int) -> tuple[dict[str, Edge], frozenset[Edge]]:
+    """The pairs of 1..n, built once per n and only read: the canonical
+    JSON key "i-j" (i < j) of each pair mapped to it, and the set of all
+    pairs.  Callers ask only with an input of C(n,2) entries at hand, so a
+    table is never larger than an input already seen."""
+    keys = {f"{i}-{j}": (i, j) for i, j in all_edges(n)}
+    return keys, frozenset(keys.values())
+
+
 def swing_set(members: Iterable[int], n: int) -> SwingSet:
     """Validate and normalize a swing index set: distinct, in range, size >= 2."""
     a = tuple(sorted(members))
@@ -60,21 +71,25 @@ class Character:
 
     The weights mapping is total: every pair appears, zeros included.
     Instances are immutable values; all operations on them are pure.
+    ``delta_value`` and ``chargraph.build_kchi`` compute Delta and K_chi
+    once and cache them on the instance, so ``weights`` must never be
+    mutated after construction.
     """
 
     n: int
     weights: Mapping[Edge, Fraction]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise CharacterFormatError(f"need n >= 2, got n={self.n}")
-        expected = set(all_edges(self.n))
-        got = set(self.weights)
-        if got != expected:
+        n = self.n
+        if n < 2:
+            raise CharacterFormatError(f"need n >= 2, got n={n}")
+        if len(self.weights) != n * (n - 1) // 2 or self.weights.keys() != _pair_tables(n)[1]:
+            expected = set(all_edges(n))
+            got = set(self.weights)
             missing = sorted(expected - got)
             extra = sorted(got - expected)
             raise CharacterFormatError(
-                f"weights must cover exactly the pairs of 1..{self.n}; "
+                f"weights must cover exactly the pairs of 1..{n}; "
                 f"missing={missing} extra={extra}"
             )
 
@@ -156,8 +171,12 @@ def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
 
 
 def delta_value(chi: Character) -> Fraction:
-    """Value on the central full twist: sum of all edge weights."""
-    return _exact_sum(chi.weights.values())
+    """Value on the central full twist: sum of all edge weights, computed
+    once per character and cached on it."""
+    delta = chi.__dict__.get("_delta")
+    if delta is None:
+        delta = chi.__dict__["_delta"] = _exact_sum(chi.weights.values())
+    return delta
 
 
 def normalize(chi: Character) -> ProjectivePoint:
@@ -178,9 +197,11 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
     n = chi.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a bijection on 1..{n}, got {perm}")
+    image = (0, *perm)
     out = {}
     for (i, j), v in chi.weights.items():
-        out[edge(perm[i - 1], perm[j - 1])] = v
+        a, b = image[i], image[j]
+        out[(a, b) if a < b else (b, a)] = v
     return Character(n, out)
 
 
@@ -278,18 +299,24 @@ def character_from_json_dict(data: dict) -> Character:
     raw = data["weights"]
     if not isinstance(raw, dict):
         raise CharacterFormatError("'weights' must be an object")
+    expected = n * (n - 1) // 2
     weights = {}
     # each distinct raw value is parsed once; pairs with equal values share
     # one (immutable) Fraction
     parsed: dict[str | int, Fraction] = {}
+    # a canonical key "i-j" (i < j) is one lookup; any other key ("2-1",
+    # "01-2", "x") is parsed and range-checked
+    canonical = _pair_tables(n)[0] if len(raw) == expected else {}
     for key, val in raw.items():
-        try:
-            i_s, j_s = key.split("-")
-            e = edge(int(i_s), int(j_s))
-        except (ValueError, AttributeError) as exc:
-            raise CharacterFormatError(f"bad weight key {key!r}") from exc
-        if not (1 <= e[0] and e[1] <= n):
-            raise CharacterFormatError(f"weight key {key!r} out of range for n={n}")
+        e = canonical.get(key)
+        if e is None:
+            try:
+                i_s, j_s = key.split("-")
+                e = edge(int(i_s), int(j_s))
+            except (ValueError, AttributeError) as exc:
+                raise CharacterFormatError(f"bad weight key {key!r}") from exc
+            if not (1 <= e[0] and e[1] <= n):
+                raise CharacterFormatError(f"weight key {key!r} out of range for n={n}")
         if e in weights:
             raise CharacterFormatError(f"duplicate weight key {key!r}")
         if isinstance(val, bool) or not isinstance(val, (str, int)):
@@ -303,7 +330,6 @@ def character_from_json_dict(data: dict) -> Character:
     # keys are distinct pairs in range, so a short count means missing keys.
     # The pairs are generated lazily and each present key is skipped once,
     # so naming the first few absent ones costs O(len(weights)), not O(n^2).
-    expected = n * (n - 1) // 2
     if len(weights) != expected:
         every_pair = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
         absent = (e for e in every_pair if e not in weights)

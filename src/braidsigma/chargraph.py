@@ -60,9 +60,13 @@ class ShapeClass:
 
 
 def build_kchi(chi: Character) -> CharGraph:
-    """Support graph: exactly the pairs with nonzero weight, labels copied."""
-    labels = {e: v for e, v in chi.weights.items() if v != 0}
-    return CharGraph(chi.n, frozenset(labels), labels)
+    """Support graph: exactly the pairs with nonzero weight, labels copied.
+    Built once per character and cached on it."""
+    g = chi.__dict__.get("_kchi")
+    if g is None:
+        labels = {e: v for e, v in chi.weights.items() if v != 0}
+        g = chi.__dict__["_kchi"] = CharGraph(chi.n, frozenset(labels), labels)
+    return g
 
 
 def support_vertices(g: CharGraph) -> set[int]:

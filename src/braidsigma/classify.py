@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
 from .characters import (
     Character,
@@ -97,6 +97,11 @@ def _has_edges(g: CharGraph, *pairs: Edge) -> bool:
     return all(tuple(sorted(p)) in g.edges for p in pairs)
 
 
+def _are_pairs(edges: tuple, k: int) -> bool:
+    """Are ``edges`` k pairs?  A ``check`` asks before it unpacks them."""
+    return len(edges) == k and all(len(e) == 2 for e in edges)
+
+
 def _hinge(f: Edge, h: Edge) -> Optional[int]:
     """The vertex two edges share, if they share exactly one."""
     common = set(f) & set(h)
@@ -150,6 +155,8 @@ class DisjointPair(Lemma):
     others: tuple[Edge, Edge]  # the two edges share exactly one vertex
 
     def check(self, chi: Character) -> bool:
+        if not _are_pairs(self.others, 2):
+            return False
         f, h = self.others
         g = build_kchi(chi)
         return (
@@ -200,6 +207,8 @@ class DisjointLeaves(Lemma):
     leaf_edges: tuple[Edge, Edge]  # (leaf, neighbor) order within each edge
 
     def check(self, chi: Character) -> bool:
+        if not _are_pairs(self.leaf_edges, 2):
+            return False
         (u, a), (w, b) = self.leaf_edges
         deg = _degrees(build_kchi(chi))  # deg[u] == [a] puts u-a in K
         return (
@@ -226,6 +235,8 @@ class Triangle(Lemma):
     value: Fraction  # nonzero swing value of the triangle
 
     def check(self, chi: Character) -> bool:
+        if not _are_pairs(self.edges, 2):
+            return False
         p, q = self.edges
         tri = set(self.triangle)
         return (
@@ -262,7 +273,8 @@ class CircleMembership:
         raise ValueError("complement certificates carry no invariant-side witness")
 
 
-Certificate = Union[Lemma, CircleMembership]
+# not typing.Union, whose cache would keep each re-imported copy of the package alive
+Certificate = Lemma | CircleMembership
 
 
 @dataclass(frozen=True)

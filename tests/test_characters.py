@@ -26,6 +26,20 @@ from braidsigma.characters import (
 from conftest import add_characters, random_character, random_perm
 
 
+# the right count of pairs with one wrong, one reversed, and one too few
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({(1, 2): 1, (1, 3): 1, (2, 4): 1}, r"missing=\[\(2, 3\)\] extra=\[\(2, 4\)\]"),
+        ({(2, 1): 1, (1, 3): 1, (2, 3): 1}, r"missing=\[\(1, 2\)\] extra=\[\(2, 1\)\]"),
+        ({(1, 2): 1, (1, 3): 1}, r"missing=\[\(2, 3\)\] extra=\[\]"),
+    ],
+)
+def test_constructor_needs_exactly_the_pairs(weights, message):
+    with pytest.raises(CharacterFormatError, match=message):
+        Character(3, weights)
+
+
 class TestSwingValue:
     def test_figure_triples(self, chi0):
         assert swing_value(chi0, (1, 2, 4)) == -1
@@ -257,9 +271,10 @@ class TestJson:
         rng = random.Random(2024)
         checked = 0
         for _ in range(600):
-            n = rng.randint(3, 10)
-            raw = {f"{i}-{j}": rng.choice(pool[: rng.randint(2, len(pool))])
-                   for i, j in all_edges(n)}
+            n = rng.randint(3, 12)
+            keys = [f"{i}-{j}" for i, j in all_edges(n)]
+            rng.shuffle(keys)  # input order need not be pair order
+            raw = {key: rng.choice(pool[: rng.randint(2, len(pool))]) for key in keys}
             chi = character_from_json_dict({"n": n, "weights": raw})
             by_raw = {}
             for key, val in raw.items():
@@ -269,6 +284,26 @@ class TestJson:
                 assert by_raw.setdefault((type(val), val), got) is got
             checked += 1
         assert checked >= 500
+
+    @pytest.mark.parametrize("key", ["2-1", "01-2", " 1-2"])
+    def test_other_spellings_of_a_pair_in_a_full_count(self, key):
+        chi = character_from_json_dict({"n": 3, "weights": {key: "5", "1-3": "1", "2-3": "0"}})
+        assert chi.weights == {(1, 2): 5, (1, 3): 1, (2, 3): 0}
+
+    @pytest.mark.parametrize("first, second", [("1-2", "2-1"), ("2-1", "1-2")])
+    def test_two_spellings_of_one_pair_are_duplicates(self, first, second):
+        data = {"n": 3, "weights": {first: "1", second: "1", "1-3": "0"}}
+        with pytest.raises(CharacterFormatError, match=f"duplicate weight key '{second}'"):
+            character_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, message", [("x", "bad weight key 'x'"), ("1-4", "'1-4' out of range for n=3")]
+    )
+    def test_bad_key_in_a_full_count(self, key, message):
+        # the bad key is reported, not the bad value after it
+        data = {"n": 3, "weights": {"1-3": "1", key: "1", "1-2": "bad"}}
+        with pytest.raises(CharacterFormatError, match=message):
+            character_from_json_dict(data)
 
     def test_missing_keys_capped(self):
         data = {"n": 40, "weights": {"1-2": "1"}}

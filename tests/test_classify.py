@@ -272,6 +272,22 @@ class TestCertificateRejection:
         chi = Character.sparse(4, {(1, 4): 1, (2, 4): -1})
         assert not verify_certificate(Classification(COMPLEMENT, CircleMembership(cid), 4), chi)
 
+    # each certificate holds on chi; one edge more in its tuple field must
+    # make verify_certificate return False, not raise while unpacking
+    @pytest.mark.parametrize(
+        "cert, extra",
+        [
+            (DisjointPair((1, 2), ((3, 4), (4, 5))), {"others": ((3, 4), (4, 5), (5, 6))}),
+            (Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(1)), {"edges": ((1, 2), (3, 4), (5, 6))}),
+            (DisjointLeaves(((1, 2), (3, 4))), {"leaf_edges": ((1, 2), (3, 4), (5, 6))}),
+        ],
+    )
+    def test_wrong_edge_count_is_rejected(self, cert, extra):
+        chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
+        assert verify_certificate(Classification(SIGMA1, cert, 6), chi)
+        bad = replace(cert, **extra)
+        assert not verify_certificate(Classification(SIGMA1, bad, 6), chi)
+
     def test_strand_count_must_match(self, chi0):
         cls = classify(chi0)
         assert verify_certificate(cls, chi0)

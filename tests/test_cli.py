@@ -174,6 +174,26 @@ def test_invariants_survive_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_reimport_frees_the_earlier_package():
+    # a global cache that holds a class of the package (typing caches
+    # Union[...] by its arguments) keeps that whole copy alive, every
+    # module and cache included, through its functions' globals
+    code = (
+        "import gc, importlib, sys, weakref\n"
+        "def fresh():\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'braidsigma']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('braidsigma')\n"
+        "    return weakref.ref(sys.modules['braidsigma.classify'].Lemma)\n"
+        "refs = [fresh() for _ in range(4)]\n"
+        "gc.collect()\n"
+        "print(sum(ref() is not None for ref in refs[:-1]))\n"
+    )
+    proc = run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0", "earlier copies of braidsigma survive re-import"
+
+
 class TestCircles:
     def test_n4(self, capsys):
         assert main(["circles", "--n", "4"]) == EXIT_OK

@@ -1,20 +1,35 @@
 """Brute-force oracles for the fast paths: the disjoint-edge searches,
-one-candidate circle location and the sparse generation rank.  Every
-reference below is written here and shares no code with the function it
-checks."""
+one-candidate circle location, the sparse generation rank and the facts
+cached on a character.  Every reference below is written here and shares
+no code with the function it checks."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from braidsigma.characters import Character
+from braidsigma.characters import (
+    Character,
+    character_from_json,
+    character_to_json_dict,
+    delta_value,
+)
 from braidsigma.chargraph import (
     CharGraph,
+    build_kchi,
     find_disjoint_triple,
     find_edge_disjoint_from_two,
 )
 from braidsigma.circles import enumerate_circles, locate_circle
-from braidsigma.classify import DisjointPair, Triangle, ZeroSum
+from braidsigma.classify import (
+    SIGMA1,
+    Classification,
+    DisjointPair,
+    Triangle,
+    ZeroSum,
+    classify,
+    verify_certificate,
+)
 from braidsigma.witness import _generation_checks, _rank, build_witness
 
 
@@ -209,3 +224,29 @@ class TestSparseRank:
             # __wrapped__ bypasses the per-shape cache, so this is a cold run
             checks = _generation_checks.__wrapped__(n, pkg.i_sets, pkg.factorizations)
             assert checks == (True, True, None)
+
+
+class TestCachedFacts:
+    def test_kchi_and_delta_match_a_fresh_parse(self):
+        rng = random.Random(11)
+        for n in range(2, 9):
+            for _ in range(20):
+                weights = {e: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
+                           for e in pairs(n)}
+                chi = Character(n, weights)
+                g = build_kchi(chi)
+                assert build_kchi(chi) is g
+                assert delta_value(chi) is delta_value(chi)
+                fresh = character_from_json(json.dumps(character_to_json_dict(chi)))
+                assert g.edges == build_kchi(fresh).edges == {e for e, v in weights.items() if v}
+                assert g.labels == build_kchi(fresh).labels
+                assert delta_value(chi) == delta_value(fresh) == sum(weights.values())
+
+    def test_wrong_delta_rejected_after_classify(self):
+        chi = Character.sparse(5, {(1, 2): 3, (2, 5): Fraction(-1, 2)})
+        cls = classify(chi)  # caches Delta = 5/2 on chi
+        assert cls.certificate == ZeroSum(Fraction(5, 2))
+        assert verify_certificate(cls, chi)
+        for wrong in (Fraction(0), Fraction(3), Fraction(-5, 2)):
+            assert not verify_certificate(Classification(SIGMA1, ZeroSum(wrong), 5), chi)
+        assert delta_value(chi) == Fraction(5, 2)
