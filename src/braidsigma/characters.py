@@ -120,9 +120,6 @@ class Character:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.weights.values())
 
-    def support_edges(self) -> list[Edge]:
-        return [e for e in all_edges(self.n) if self.weights[e] != 0]
-
     def scale(self, q: Fraction | int) -> "Character":
         q = Fraction(q)
         return Character(self.n, {e: q * v for e, v in self.weights.items()})
@@ -345,6 +342,6 @@ def character_from_json_dict(data: dict) -> Character:
 def character_from_json(text: str) -> Character:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CharacterFormatError(f"invalid JSON: {exc}") from exc
     return character_from_json_dict(data)

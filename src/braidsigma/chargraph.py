@@ -28,19 +28,37 @@ Take a greedy maximal matching M in edge order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .characters import Character, Edge, InternalError, swing_value
 
 
 @dataclass(frozen=True)
 class CharGraph:
+    """K_chi on strands 1..n: ``edges`` are the pairs of nonzero weight and
+    ``labels`` their weights.  Construction also derives, once, what every
+    stage reads: ``order``, the edges sorted, and ``nbrs``, each support
+    vertex (an endpoint of some edge) mapped to its neighbours in
+    increasing order.  So ``set(nbrs)`` is the support and ``len(nbrs[v])``
+    the degree of v; the lists must not be mutated."""
+
     n: int
     edges: frozenset[Edge]
     labels: Mapping[Edge, Fraction]
+    order: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    nbrs: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        order = tuple(sorted(self.edges))
+        nbrs: dict[int, list[int]] = {}
+        for i, j in order:  # (i, v) edges precede (v, j) ones, so each list ascends
+            nbrs.setdefault(i, []).append(j)
+            nbrs.setdefault(j, []).append(i)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nbrs", nbrs)
 
 
 @dataclass(frozen=True)
@@ -69,20 +87,11 @@ def build_kchi(chi: Character) -> CharGraph:
     return g
 
 
-def support_vertices(g: CharGraph) -> set[int]:
-    """Endpoints of edges; isolated vertices are simply absent."""
-    verts: set[int] = set()
-    for i, j in g.edges:
-        verts.add(i)
-        verts.add(j)
-    return verts
-
-
 def _disjoint(e: Edge, f: Edge) -> bool:
     return not (set(e) & set(f))
 
 
-def _first_disjoint_from(edges: list[Edge], k: int) -> Optional[tuple[Edge, ...]]:
+def _first_disjoint_from(edges: Sequence[Edge], k: int) -> Optional[tuple[Edge, ...]]:
     """For sorted ``edges``: the first edge e disjoint from at least k
     others, followed by the k smallest of them; None if there is none."""
     deg = Counter(v for e in edges for v in e)
@@ -99,13 +108,13 @@ def find_edge_disjoint_from_two(
 ) -> Optional[tuple[Edge, Edge, Edge]]:
     """Lexicographically least triple (e; f, g) with e disjoint from both
     f and g, f < g.  None if no edge is disjoint from two others."""
-    return _first_disjoint_from(sorted(g.edges), 2)
+    return _first_disjoint_from(g.order, 2)
 
 
 def find_disjoint_triple(g: CharGraph) -> Optional[tuple[Edge, Edge, Edge]]:
     """Lexicographically least triple of pairwise disjoint edges, if any
     (the matching kernel of the module docstring)."""
-    edges = sorted(g.edges)
+    edges = g.order
     matched: set[int] = set()
     size = 0
     for a, b in edges:
@@ -141,32 +150,21 @@ def find_disjoint_pair(g: CharGraph) -> Optional[tuple[Edge, Edge]]:
     """Lexicographically least pair of disjoint edges, if any: the first
     edge with a disjoint partner, and its smallest one (every partner of
     that edge has a partner itself, so it comes later)."""
-    return _first_disjoint_from(sorted(g.edges), 1)
-
-
-def _star_center(edges: list[Edge]) -> Optional[int]:
-    """Vertex shared by every edge, or None.  Needs at least one edge; a
-    single edge reports its smaller endpoint."""
-    common = set(edges[0])
-    for e in edges[1:]:
-        common &= set(e)
-        if not common:
-            return None
-    return min(common)
+    return _first_disjoint_from(g.order, 1)
 
 
 def shape_classify(g: CharGraph) -> ShapeClass:
     witness = find_edge_disjoint_from_two(g)
     if witness is not None:
         return ShapeClass(kind="has_disjoint_from_two", witness=witness)
-    edges = sorted(g.edges)
-    if not edges:
+    if not g.order:
         return ShapeClass(kind="empty")
-    center = _star_center(edges)
+    # a star's center lies on every edge, the first one too, so its degree
+    # is the edge count; a single edge reports its smaller endpoint
+    center = next((v for v in g.order[0] if len(g.nbrs[v]) == len(g.order)), None)
     if center is not None:
-        leaves = tuple(sorted(support_vertices(g) - {center}))
-        return ShapeClass(kind="star", center=center, leaves=leaves)
-    verts = tuple(sorted(support_vertices(g)))
+        return ShapeClass(kind="star", center=center, leaves=tuple(g.nbrs[center]))
+    verts = tuple(sorted(g.nbrs))
     if len(verts) > 4:  # pragma: no cover - would contradict the shape lemma
         return ShapeClass(kind="other")
     return ShapeClass(kind="small_k4", vertex_set=verts)
@@ -248,12 +246,11 @@ def triple_sum_consequences(chi: Character) -> Optional[MatchingValues]:
 def to_dot(g: CharGraph) -> str:
     """DOT export: vertices v1..vn, edges labeled by their rational weight,
     isolated vertices dotted."""
-    support = support_vertices(g)
     lines = ["graph kchi {"]
     for v in range(1, g.n + 1):
-        attr = "" if v in support else " [style=dotted]"
+        attr = "" if v in g.nbrs else " [style=dotted]"
         lines.append(f"  v{v}{attr};")
-    for i, j in sorted(g.edges):
+    for i, j in g.order:
         lines.append(f'  v{i} -- v{j} [label="{g.labels[(i, j)]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,10 @@ supp(chi), the set of endpoints of its nonzero edges, is exactly A.
     and chi would be zero.
 So a character lies on at most one circle, the one over its own support,
 and ``locate_circle`` tests that single candidate.
+
+Every circle point has Delta = 0, so a character with Delta != 0 is on none.
+  - P3: the support lies in A, so Delta is the triangle sum, which vanishes.
+  - P4: each matching value sits on two edges, so Delta = 2(x + y + z) = 0.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .characters import Character, ZeroCharacterError, swing_value
-from .chargraph import build_kchi, support_vertices
+from .characters import Character, ZeroCharacterError, delta_value
+from .chargraph import build_kchi
 
 P3 = "P3"
 P4 = "P4"
@@ -70,58 +74,37 @@ def enumerate_circles(n: int) -> list[CircleId]:
     return ids
 
 
-def _check_nonzero(chi: Character) -> None:
-    if chi.is_zero():
-        raise ZeroCharacterError("circle membership is undefined for the zero character")
-
-
-def on_p3_circle(chi: Character, cid: CircleId) -> bool:
-    _check_nonzero(chi)
-    if cid.kind != P3:
-        raise ValueError(f"expected a P3 circle, got {cid.kind}")
-    support = set(cid.support)
-    if not support_vertices(build_kchi(chi)) <= support:
-        return False
-    return swing_value(chi, cid.support) == 0
-
-
-def on_p4_circle(chi: Character, cid: CircleId) -> bool:
-    _check_nonzero(chi)
-    if cid.kind != P4:
-        raise ValueError(f"expected a P4 circle, got {cid.kind}")
-    support = set(cid.support)
-    if not support_vertices(build_kchi(chi)) <= support:
-        return False
-    total = Fraction(0)
-    for e1, e2 in matchings_of(cid.support):
-        if chi.weights[e1] != chi.weights[e2]:
-            return False
-        total += chi.weights[e1]
-    return total == 0
-
-
 def on_circle(chi: Character, cid: CircleId) -> bool:
-    return on_p3_circle(chi, cid) if cid.kind == P3 else on_p4_circle(chi, cid)
+    """Is the nonzero character on the circle ``cid``?  By the support
+    lemma its support must be exactly the circle's, so a circle reaching
+    past the strands 1..n holds no character on P_n."""
+    g = build_kchi(chi)
+    if not g.nbrs:
+        raise ZeroCharacterError("circle membership is undefined for the zero character")
+    if g.nbrs.keys() != set(cid.support):
+        return False
+    w = g.labels
+    if cid.kind == P3:
+        return sum(w.get(e, 0) for e in combinations(cid.support, 2)) == 0
+    values = [(w.get(e1, 0), w.get(e2, 0)) for e1, e2 in matchings_of(cid.support)]
+    return all(a == b for a, b in values) and sum(a for a, _ in values) == 0
 
 
 def locate_circle(chi: Character) -> Optional[CircleId]:
     """The unique circle containing the character, or None.
 
-    By the support lemma (module docstring) the only candidate is the
-    circle over supp(chi): P3 if it has 3 vertices, P4 if it has 4.  One
-    pass over the weights finds the support and stops past 4 vertices."""
-    support: set[int] = set()
-    for (i, j), v in chi.weights.items():
-        if v != 0:
-            support.update((i, j))
-            if len(support) > 4:
-                return None
-    if not support:
+    Every circle point has Delta = 0, and by the support lemma the only
+    candidate is the circle over supp(chi), read off the cached K_chi: P3
+    if it has 3 vertices, P4 if it has 4 (module docstring)."""
+    if delta_value(chi) != 0:
+        return None
+    g = build_kchi(chi)
+    if not g.nbrs:
         raise ZeroCharacterError("circle membership is undefined for the zero character")
-    kind = {3: P3, 4: P4}.get(len(support))
+    kind = {3: P3, 4: P4}.get(len(g.nbrs))
     if kind is None:
         return None
-    cid = CircleId(kind, tuple(sorted(support)))
+    cid = CircleId(kind, tuple(sorted(g.nbrs)))
     return cid if on_circle(chi, cid) else None
 
 

@@ -53,7 +53,6 @@ from .chargraph import (
     find_disjoint_triple,
     find_edge_disjoint_from_two,  # unused here; bench/tracing.py rebinds this name
     shape_classify,
-    support_vertices,
 )
 from .circles import P3, P4, CircleId, on_circle
 
@@ -210,10 +209,10 @@ class DisjointLeaves(Lemma):
         if not _are_pairs(self.leaf_edges, 2):
             return False
         (u, a), (w, b) = self.leaf_edges
-        deg = _degrees(build_kchi(chi))  # deg[u] == [a] puts u-a in K
+        nbrs = build_kchi(chi).nbrs  # nbrs[u] == [a] puts u-a in K
         return (
-            deg.get(u) == [a]
-            and deg.get(w) == [b]
+            nbrs.get(u) == [a]
+            and nbrs.get(w) == [b]
             and not {u, a} & {w, b}
             and delta_value(chi) == 0
         )
@@ -265,8 +264,7 @@ class CircleMembership:
     circle: CircleId
 
     def check(self, chi: Character) -> bool:
-        support = self.circle.support
-        return 1 <= support[0] and support[-1] <= chi.n and on_circle(chi, self.circle)
+        return on_circle(chi, self.circle)
 
     @staticmethod
     def witness(n: int) -> WitnessData:
@@ -309,17 +307,7 @@ def _complete_perm(named: tuple[int, ...], n: int) -> Perm:
     return tuple(index[i] if i in index else next(rest) for i in range(1, n + 1))
 
 
-def _degrees(g: CharGraph) -> dict[int, list[int]]:
-    nbrs: dict[int, list[int]] = {}
-    for i, j in sorted(g.edges):
-        nbrs.setdefault(i, []).append(j)
-        nbrs.setdefault(j, []).append(i)
-    return nbrs
-
-
 def classify(chi: Character) -> Classification:
-    if chi.is_zero():
-        raise ZeroCharacterError("cannot classify the zero character")
     n = chi.n
 
     delta = delta_value(chi)
@@ -327,6 +315,8 @@ def classify(chi: Character) -> Classification:
         return Classification(SIGMA1, ZeroSum(delta), n)
 
     g = build_kchi(chi)
+    if not g.edges:
+        raise ZeroCharacterError("cannot classify the zero character")
     shape = shape_classify(g)
 
     if shape.kind == "has_disjoint_from_two":
@@ -342,7 +332,7 @@ def classify(chi: Character) -> Classification:
     if shape.kind == "star" and len(shape.leaves) >= 3:
         return Classification(SIGMA1, Star(shape.center, shape.leaves), n)
 
-    support = tuple(sorted(support_vertices(g)))
+    support = tuple(sorted(g.nbrs))
     if len(support) <= 3:
         # delta = 0 rules out a single edge, so the support is a full 3-set
         # (a two-edge star or a zero-sum triangle): a P3-circle point.
@@ -352,11 +342,8 @@ def classify(chi: Character) -> Classification:
 
     if len(support) != 4:
         raise InternalError(f"small support {support} is not a 4-set")
-    nbrs = _degrees(g)
-    leaves = [v for v in support if len(nbrs[v]) == 1]
-    for u, w in combinations(sorted(leaves), 2):
-        eu = (u, nbrs[u][0])
-        ew = (w, nbrs[w][0])
+    leaf_edges = [(v, g.nbrs[v][0]) for v in support if len(g.nbrs[v]) == 1]
+    for eu, ew in combinations(leaf_edges, 2):
         if not set(eu) & set(ew):
             return Classification(SIGMA1, DisjointLeaves((eu, ew)), n)
 

@@ -4,8 +4,11 @@ Subcommands: ``classify`` a character from JSON, ``circles`` for the
 complement circle list, ``graph`` for DOT export of the support graph,
 ``verify`` for the word-engine identity suite, ``oracle`` for the
 exhaustive star-or-small check.  Exit codes: 0 success, 1 verification
-failure, 2 input error, 3 internal error (a broken invariant of the
-package, to be reported as a bug).
+failure, 2 input error (a malformed, unreadable or zero character, an
+unwritable ``--dot`` path, or an argument out of range), 3 internal error
+(a broken invariant of the package or any other fault, to be reported as
+a bug).  ``circles`` refuses any n with more than MAX_CIRCLES = 10**6
+circles, C(n,3) + C(n,4), so n <= 70.
 """
 
 from __future__ import annotations
@@ -13,9 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 
-from .characters import CharacterFormatError, InternalError, character_from_json
+from .characters import (
+    CharacterFormatError,
+    InternalError,
+    ZeroCharacterError,
+    character_from_json,
+)
 from .chargraph import build_kchi, oracle_star_or_small, to_dot
 from .circles import enumerate_circles
 from .classify import classification_to_json_dict, classify
@@ -33,6 +42,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
+MAX_CIRCLES = 10**6
+
+
+class UsageError(Exception):
+    """A command-line argument outside the range the command supports."""
+
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -43,12 +58,16 @@ def _read_input(path: str) -> str:
 def _load_character(path: str):
     try:
         return character_from_json(_read_input(path))
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR)
     except CharacterFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR)
+        reason = str(exc)
+    except FileNotFoundError:
+        reason = f"no such file: {path}"
+    except OSError as exc:
+        reason = f"cannot read {path}: {exc.strerror}"
+    except UnicodeDecodeError:
+        reason = f"{path} is not UTF-8 text"
+    print(f"error: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT_ERROR)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -70,7 +89,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_circles(args: argparse.Namespace) -> int:
-    ids = enumerate_circles(args.n)
+    n = args.n
+    if n < 2:
+        raise UsageError(f"need n >= 2, got {n}")
+    count = comb(n, 3) + comb(n, 4)
+    if count > MAX_CIRCLES:
+        raise UsageError(f"n = {n} gives {count} circles, more than the {MAX_CIRCLES} allowed")
+    ids = enumerate_circles(n)
     print(json.dumps([cid.to_json_dict() for cid in ids]))
     return EXIT_OK
 
@@ -79,7 +104,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
     chi = _load_character(args.infile)
     dot = to_dot(build_kchi(chi))
     if args.dot:
-        Path(args.dot).write_text(dot)
+        try:
+            Path(args.dot).write_text(dot)
+        except OSError as exc:
+            print(f"error: cannot write {args.dot}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     else:
         print(dot, end="")
     return EXIT_OK
@@ -103,6 +132,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_vertices > 8:
+        raise UsageError("enumeration budget is 8 vertices")
     counterexamples = oracle_star_or_small(args.max_vertices)
     print(
         f"star-or-small oracle up to {args.max_vertices} vertices: "
@@ -151,9 +182,12 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    except ValueError as exc:
+    except (CharacterFormatError, ZeroCharacterError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

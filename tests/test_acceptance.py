@@ -17,7 +17,7 @@ from braidsigma.circles import (
     CircleId,
     enumerate_circles,
     locate_circle,
-    on_p4_circle,
+    on_circle,
 )
 from braidsigma.classify import COMPLEMENT, SIGMA1, ZeroSum, classify
 from braidsigma.planar import load_planar_words
@@ -132,7 +132,7 @@ def test_triple_sums(capsys):
             4, {(1, 2): x, (3, 4): x, (1, 3): y, (2, 4): y, (1, 4): z, (2, 3): z}
         )
         ok = ok and all(swing_value(chi, t) == 0 for t in triangles)
-        ok = ok and on_p4_circle(chi, cid)
+        ok = ok and on_circle(chi, cid)
         built += 1
     converse = True
     for chi in grid_characters():

@@ -14,7 +14,6 @@ from braidsigma.chargraph import (
     find_edge_disjoint_from_two,
     oracle_star_or_small,
     shape_classify,
-    support_vertices,
     to_dot,
     triple_sum_consequences,
 )
@@ -45,13 +44,13 @@ class TestBuildKchi:
 
 class TestSupportVertices:
     def test_figure(self, chi0):
-        assert support_vertices(build_kchi(chi0)) == {1, 2, 3, 4}
+        assert set(build_kchi(chi0).nbrs) == {1, 2, 3, 4}
 
     def test_single_edge(self):
-        assert support_vertices(graph_of(6, [(2, 5)])) == {2, 5}
+        assert set(graph_of(6, [(2, 5)]).nbrs) == {2, 5}
 
     def test_empty(self):
-        assert support_vertices(build_kchi(Character.zero(3))) == set()
+        assert set(build_kchi(Character.zero(3)).nbrs) == set()
 
 
 class TestDisjointSearches:

@@ -15,8 +15,6 @@ from braidsigma.circles import (
     enumerate_circles,
     locate_circle,
     on_circle,
-    on_p3_circle,
-    on_p4_circle,
     sample_circle,
 )
 from conftest import random_character, random_perm
@@ -43,18 +41,18 @@ class TestEnumerate:
 class TestP3Membership:
     def test_equatorial(self):
         chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
-        assert on_p3_circle(chi, CircleId("P3", (1, 2, 3)))
+        assert on_circle(chi, CircleId("P3", (1, 2, 3)))
 
     def test_support_escapes(self, chi0):
-        assert not on_p3_circle(chi0, CircleId("P3", (1, 2, 3)))
+        assert not on_circle(chi0, CircleId("P3", (1, 2, 3)))
 
     def test_embedded_triple(self):
         chi = Character.sparse(5, {(2, 4): 5, (2, 5): -5})
-        assert on_p3_circle(chi, CircleId("P3", (2, 4, 5)))
+        assert on_circle(chi, CircleId("P3", (2, 4, 5)))
 
     def test_zero_character(self):
         with pytest.raises(ZeroCharacterError):
-            on_p3_circle(Character.zero(3), CircleId("P3", (1, 2, 3)))
+            on_circle(Character.zero(3), CircleId("P3", (1, 2, 3)))
 
 
 class TestP4Membership:
@@ -62,13 +60,13 @@ class TestP4Membership:
         chi = Character.dense(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -3}
         )
-        assert on_p4_circle(chi, CircleId("P4", (1, 2, 3, 4)))
+        assert on_circle(chi, CircleId("P4", (1, 2, 3, 4)))
 
     def test_broken_matching(self):
         chi = Character.dense(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -2}
         )
-        assert not on_p4_circle(chi, CircleId("P4", (1, 2, 3, 4)))
+        assert not on_circle(chi, CircleId("P4", (1, 2, 3, 4)))
 
     def test_rho_pullbacks_land_on_circle(self):
         rng = random.Random(23)
@@ -81,7 +79,7 @@ class TestP4Membership:
             if psi.is_zero():
                 continue
             assert delta_value(psi) == 0
-            assert on_p4_circle(pullback_rho(psi), cid)
+            assert on_circle(pullback_rho(psi), cid)
             done += 1
 
 

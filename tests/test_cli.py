@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import braidsigma
 from braidsigma.characters import InternalError
-from braidsigma.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
+from braidsigma.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, MAX_CIRCLES, main
 
 SRC = str(Path(braidsigma.__file__).resolve().parent.parent)
 
@@ -102,6 +103,27 @@ class TestClassify:
             main(["classify", "--in", str(tmp_path / "absent.json")])
         assert exc.value.code == EXIT_INPUT_ERROR
 
+    def test_directory_is_input_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--in", str(tmp_path)])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 2, "weights": {"1-2": "\xff"}}')
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--in", str(path)])
+        assert exc.value.code == EXIT_INPUT_ERROR
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--in", str(path)])
+        assert exc.value.code == EXIT_INPUT_ERROR
+
     def test_zero_character_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 2, "weights": {"1-2": "0"}}))
@@ -114,6 +136,15 @@ class TestClassify:
         monkeypatch.setattr("braidsigma.cli.classify", broken)
         assert main(["classify", "--in", chi0_file]) == EXIT_INTERNAL_ERROR
         assert "internal error: broken invariant" in capsys.readouterr().err
+
+    def test_other_fault_is_not_an_input_error(self, chi0_file, capsys, monkeypatch):
+        def broken(chi):
+            raise ValueError("a fault inside a stage")
+
+        monkeypatch.setattr("braidsigma.cli.classify", broken)
+        assert main(["classify", "--in", chi0_file]) == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: a fault inside a stage\n"
 
     def test_huge_n_fails_fast(self, tmp_path):
         # a few keys for an enormous n must be refused before any O(n^2)
@@ -206,6 +237,35 @@ class TestCircles:
         assert main(["circles", "--n", "2"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == []
 
+    def test_n_below_two_is_input_error(self, capsys):
+        assert main(["circles", "--n", "1"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == ""
+
+    def test_circle_cap(self, capsys):
+        # n = 70 gives 971,635 circles and n = 71 gives 1,028,790
+        assert comb(70, 3) + comb(70, 4) <= MAX_CIRCLES < comb(71, 3) + comb(71, 4)
+        assert main(["circles", "--n", "71"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == ""
+
+    def test_huge_n_fails_fast(self):
+        # refused before any list is built: the child's address space is
+        # capped, and the call alone is timed inside the child
+        code = (
+            "import resource, sys, time\n"
+            "cap = 256 * 1024 * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from braidsigma.cli import main\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    sys.exit(main(['circles', '--n', '1000000']))\n"
+            "finally:\n"
+            "    print(time.perf_counter() - start)\n"
+        )
+        proc = run_child(["-c", code])
+        assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+        assert "more than the 1000000 allowed" in proc.stderr
+        assert float(proc.stdout) < 1.0
+
 
 class TestGraph:
     def test_dot_file(self, chi0_file, tmp_path, capsys):
@@ -214,6 +274,12 @@ class TestGraph:
         text = out_path.read_text()
         assert text.startswith("graph ")
         assert 'v1 -- v2 [label="3"]' in text
+
+    def test_dot_into_missing_directory(self, chi0_file, tmp_path, capsys):
+        out_path = tmp_path / "absent" / "graph.dot"
+        assert main(["graph", "--in", chi0_file, "--dot", str(out_path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_isolated_vertices_dotted(self, tmp_path, capsys):
         path = tmp_path / "edge.json"
@@ -251,3 +317,7 @@ class TestOracle:
     def test_small(self, capsys):
         assert main(["oracle", "--max-vertices", "5"]) == EXIT_OK
         assert "0 counterexamples" in capsys.readouterr().out
+
+    def test_budget_is_input_error(self, capsys):
+        assert main(["oracle", "--max-vertices", "9"]) == EXIT_INPUT_ERROR
+        assert "8 vertices" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Brute-force oracles for the fast paths: the disjoint-edge searches,
-one-candidate circle location, the sparse generation rank and the facts
-cached on a character.  Every reference below is written here and shares
+one-candidate circle location and membership, the sparse generation rank
+and the facts cached on a character and its support graph.  Every reference below is written here and shares
 no code with the function it checks."""
 
 import json
@@ -20,7 +20,7 @@ from braidsigma.chargraph import (
     find_disjoint_triple,
     find_edge_disjoint_from_two,
 )
-from braidsigma.circles import enumerate_circles, locate_circle
+from braidsigma.circles import enumerate_circles, locate_circle, on_circle
 from braidsigma.classify import (
     SIGMA1,
     Classification,
@@ -112,7 +112,8 @@ class TestDisjointSearches:
 
 
 def weight(chi, i, j):
-    return chi.weights[(min(i, j), max(i, j))]
+    """A pair beyond the strands 1..n carries weight 0."""
+    return chi.weights.get((min(i, j), max(i, j)), Fraction(0))
 
 
 def on_circle_reference(chi, cid):
@@ -176,6 +177,32 @@ class TestLocateCircle:
                 hits_seen += len(hits)
         assert hits_seen > 100
 
+    def test_nonzero_delta_builds_no_graph(self):
+        rng = random.Random(13)
+        for n in (3, 5, 8):
+            for chi in characters_near_circles(rng, n, 100):
+                if delta_value(chi) != 0:
+                    assert locate_circle(chi) is None
+                    assert "_kchi" not in chi.__dict__
+
+
+class TestOnCircle:
+    def test_against_reference_for_every_circle(self):
+        # circles of n + 2 strands include supports reaching past n
+        rng = random.Random(17)
+        seen = {"hit": 0, "inside": 0, "past_n": 0}
+        for n in (4, 5, 6, 7):
+            circles = enumerate_circles(n + 2)
+            for chi in characters_near_circles(rng, n, 60):
+                support = {v for e, w in chi.weights.items() if w for v in e}
+                for cid in circles:
+                    expected = on_circle_reference(chi, cid)
+                    assert on_circle(chi, cid) == expected, (chi, cid)
+                    seen["hit"] += expected
+                    seen["inside"] += support < set(cid.support)
+                    seen["past_n"] += support <= set(cid.support) and cid.support[-1] > n
+        assert min(seen.values()) > 50, seen
+
 
 # -- generation rank -------------------------------------------------------
 
@@ -226,7 +253,26 @@ class TestSparseRank:
             assert checks == (True, True, None)
 
 
+def order_reference(edges):
+    return tuple(sorted(edges))
+
+
+def nbrs_reference(edges):
+    verts = {v for e in edges for v in e}
+    return {v: sorted(w for e in edges if v in e for w in e if w != v) for v in verts}
+
+
 class TestCachedFacts:
+    def test_order_and_nbrs_match_a_reference(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            edges = [p for p in pairs(n) if rng.random() < rng.uniform(0.05, 0.7)]
+            chi = Character.sparse(n, {e: rng.choice([1, -2, Fraction(1, 3)]) for e in edges})
+            for g in (build_kchi(chi), graph(n, edges)):
+                assert g.order == order_reference(edges)
+                assert g.nbrs == nbrs_reference(edges)
+
     def test_kchi_and_delta_match_a_fresh_parse(self):
         rng = random.Random(11)
         for n in range(2, 9):
