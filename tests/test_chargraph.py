@@ -97,6 +97,10 @@ class TestShapeClassify:
         assert find_edge_disjoint_from_two(g) is None
         assert shape_classify(g).kind == "small_k4"
 
+    def test_single_edge_is_a_star_at_its_smaller_end(self):
+        shape = shape_classify(graph_of(5, [(2, 5)]))
+        assert (shape.kind, shape.center, shape.leaves) == ("star", 2, (5,))
+
     def test_two_edge_star_prefers_star(self):
         shape = shape_classify(graph_of(4, [(1, 2), (1, 3)]))
         assert shape.kind == "star"

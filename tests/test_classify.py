@@ -250,6 +250,14 @@ class TestCertificateRejection:
         cls = Classification(SIGMA1, DisjointLeaves(((1, 2), (3, 2))), 3)
         assert not verify_certificate(cls, chi)
 
+    def test_disjoint_leaves_must_be_leaves(self):
+        # 1 has degree 2, so 1-2 is not a leaf edge although it is an edge
+        chi = Character.sparse(4, {(1, 2): 1, (1, 3): 1, (3, 4): -2})
+        good = Classification(SIGMA1, DisjointLeaves(((2, 1), (4, 3))), 4)
+        assert verify_certificate(good, chi)
+        cls = Classification(SIGMA1, DisjointLeaves(((1, 2), (4, 3))), 4)
+        assert not verify_certificate(cls, chi)
+
     def test_disjoint_pair_others_must_share_one_vertex(self):
         chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
         cls = Classification(SIGMA1, DisjointPair((1, 2), ((3, 4), (5, 6))), 6)
