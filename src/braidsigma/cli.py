@@ -132,11 +132,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.max_vertices > 8:
-        raise UsageError("enumeration budget is 8 vertices")
-    counterexamples = oracle_star_or_small(args.max_vertices)
+    m = args.max_vertices
+    if not 0 <= m <= 8:
+        raise UsageError(f"--max-vertices must be in 0..8, the enumeration budget; got {m}")
+    counterexamples = oracle_star_or_small(m)
     print(
-        f"star-or-small oracle up to {args.max_vertices} vertices: "
+        f"star-or-small oracle up to {m} vertices: "
         f"{len(counterexamples)} counterexamples"
     )
     if counterexamples:

@@ -318,6 +318,7 @@ class TestOracle:
         assert main(["oracle", "--max-vertices", "5"]) == EXIT_OK
         assert "0 counterexamples" in capsys.readouterr().out
 
-    def test_budget_is_input_error(self, capsys):
-        assert main(["oracle", "--max-vertices", "9"]) == EXIT_INPUT_ERROR
-        assert "8 vertices" in capsys.readouterr().err
+    @pytest.mark.parametrize("m", ["9", "-1"])
+    def test_budget_is_input_error(self, m, capsys):
+        assert main(["oracle", "--max-vertices", m]) == EXIT_INPUT_ERROR
+        assert "0..8" in capsys.readouterr().err
