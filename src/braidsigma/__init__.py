@@ -4,12 +4,10 @@ from .characters import (
     Character,
     CharacterFormatError,
     InternalError,
-    ProjectivePoint,
     ZeroCharacterError,
     character_from_json,
     character_to_json_dict,
     delta_value,
-    normalize,
     permute,
     pullback_phi,
     pullback_rho,
@@ -23,7 +21,6 @@ from .witness import build_witness, build_witness_for, verify_witness
 __all__ = [
     "Character",
     "CharacterFormatError",
-    "ProjectivePoint",
     "ZeroCharacterError",
     "CircleId",
     "Classification",
@@ -37,7 +34,6 @@ __all__ = [
     "delta_value",
     "enumerate_circles",
     "locate_circle",
-    "normalize",
     "oracle_star_or_small",
     "permute",
     "pullback_phi",

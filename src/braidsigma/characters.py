@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -125,32 +124,6 @@ class Character:
         return Character(self.n, {e: q * v for e, v in self.weights.items()})
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Canonical representative of a positive-dilation class of characters.
-
-    Weights are scaled to integers with collective gcd 1; the overall sign
-    is preserved (positive dilations cannot flip it), so two characters give
-    the same point exactly when one is a positive rational multiple of the
-    other.
-    """
-
-    character: Character
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return (
-            self.character.n == other.character.n
-            and self.character.weights == other.character.weights
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.character.n, tuple(sorted(self.character.weights.items())))
-        )
-
-
 def _exact_sum(values: Iterable[Fraction]) -> Fraction:
     """Sum of rationals: numerators are summed per denominator as plain
     integers, then one Fraction is added per distinct denominator."""
@@ -176,18 +149,6 @@ def delta_value(chi: Character) -> Fraction:
     return delta
 
 
-def normalize(chi: Character) -> ProjectivePoint:
-    """Canonical form of the positive-dilation class of a nonzero character."""
-    if chi.is_zero():
-        raise ZeroCharacterError("the zero character has no projective class")
-    denoms = [v.denominator for v in chi.weights.values() if v != 0]
-    scale = lcm(*denoms) if denoms else 1
-    ints = {e: v.numerator * (scale // v.denominator) for e, v in chi.weights.items()}
-    g = gcd(*(abs(x) for x in ints.values() if x != 0))
-    canon = {e: Fraction(x // g) for e, x in ints.items()}
-    return ProjectivePoint(Character(chi.n, canon))
-
-
 def permute(chi: Character, perm: Sequence[int]) -> Character:
     """Relabel strands: the result weight on {perm(i), perm(j)} is the
     input weight on {i, j}.  ``perm[i-1]`` is the image of ``i``."""
@@ -200,11 +161,6 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
         a, b = image[i], image[j]
         out[(a, b) if a < b else (b, a)] = v
     return Character(n, out)
-
-
-def compose_perms(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
-    """(tau o sigma): first sigma, then tau."""
-    return tuple(tau[s - 1] for s in sigma)
 
 
 def pullback_phi(psi: Character, a: Iterable[int], n: int) -> Character:

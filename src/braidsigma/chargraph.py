@@ -1,9 +1,23 @@
 """The support graph of a character and its combinatorial structure.
 
 K_chi has an edge {i, j} exactly when the weight on {i, j} is nonzero.
-The central structural fact used by the classifier: a graph with no edge
-disjoint from two other edges is a star or lives on at most 4 vertices.
-``oracle_star_or_small`` proves this exhaustively for small vertex counts.
+The central structural fact used by the classifier, at every n: a graph
+with no edge disjoint from two other edges is a star or lives on at most
+4 vertices.  ``oracle_star_or_small`` checks every set of at most 5 edges
+on 7 vertices, which proves it for all graphs:
+
+- A star or a graph on at most 4 vertices has no edge disjoint from two
+  others: two edges of a star meet at the center, and on 4 vertices only
+  the edge on the other two vertices misses a given edge.
+- Deleting edges keeps a graph free of edges disjoint from two others.
+- Any other graph G, neither a star nor on at most 4 vertices, contains
+  a subgraph H that is neither, with at most 5 edges on at most 7
+  vertices.  Take edges of G one at a time, each with an endpoint not
+  yet covered, until 5 vertices are covered: at most 4 edges, covering 5
+  or 6 vertices.  If they form a star, it has 5 vertices; add an edge of
+  G off its center.
+- So a counterexample G would contain a counterexample H among the sets
+  the check enumerates, up to relabeling the vertices, and there is none.
 
 The edge searches run in O(E) for E edges, after sorting.  Edge (a, b) is
 disjoint from exactly E - deg a - deg b + 1 edges, so one degree count
@@ -33,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Mapping, Optional, Sequence
 
-from .characters import Character, Edge, InternalError, swing_value
+from .characters import Character, Edge, InternalError
 
 
 @dataclass(frozen=True)
@@ -65,15 +79,14 @@ class CharGraph:
 class ShapeClass:
     """Structure tag for a support graph.
 
-    kind is one of "empty", "star", "small_k4", "has_disjoint_from_two".
+    kind is one of "empty", "star", "small_k4", "has_disjoint_from_two"
+    (the star-or-small fact of the module docstring leaves no other).
     A graph that is both a star and within 4 vertices reports "star".
-    "other" is unreachable (tested exhaustively by the oracle).
     """
 
     kind: str
     center: Optional[int] = None
     leaves: tuple[int, ...] = ()
-    vertex_set: tuple[int, ...] = ()
     witness: Optional[tuple[Edge, Edge, Edge]] = None
 
 
@@ -164,83 +177,32 @@ def shape_classify(g: CharGraph) -> ShapeClass:
     center = next((v for v in g.order[0] if len(g.nbrs[v]) == len(g.order)), None)
     if center is not None:
         return ShapeClass(kind="star", center=center, leaves=tuple(g.nbrs[center]))
-    verts = tuple(sorted(g.nbrs))
-    if len(verts) > 4:  # pragma: no cover - would contradict the shape lemma
-        return ShapeClass(kind="other")
-    return ShapeClass(kind="small_k4", vertex_set=verts)
+    if len(g.nbrs) > 4:
+        raise InternalError("a graph with no edge disjoint from two others is a star or small")
+    return ShapeClass(kind="small_k4")
 
 
-def oracle_star_or_small(max_vertices: int) -> list[int]:
-    """Exhaustive check of the star-or-small dichotomy.
+def oracle_star_or_small() -> list[tuple[Edge, ...]]:
+    """The finite check behind the star-or-small fact (module docstring).
 
-    Enumerates every edge subset of K_m with m = max_vertices (smaller
-    vertex counts are subsumed; vertices are taken as endpoints only) and
-    asserts: no-edge-disjoint-from-two <=> (star or at most 4 endpoints).
-    Returns the list of counterexample bitmasks, which must be empty.
+    For every set of at most 5 edges on the vertices 0..6, asserts: no
+    edge disjoint from two others <=> (star or at most 4 endpoints).
+    Returns the counterexample edge sets, which must be none.
     """
-    if max_vertices > 8:
-        raise ValueError("enumeration budget is 8 vertices")
-    m = max_vertices
-    pairs = list(combinations(range(m), 2))
-    ne = len(pairs)
-    vmask = [(1 << i) | (1 << j) for i, j in pairs]
-    # disj[e] = bitmask of edges sharing no endpoint with edge e
-    disj = [
-        sum(1 << f for f in range(ne) if not (vmask[f] & vmask[e]))
-        for e in range(ne)
-    ]
+    pairs = list(combinations(range(7), 2))
+    vmask = {p: (1 << p[0]) | (1 << p[1]) for p in pairs}
     counterexamples = []
-    for subset in range(1 << ne):
-        members = []
-        rest = subset
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        has_dft = False
-        for e in members:
-            if (subset & disj[e]).bit_count() >= 2:
-                has_dft = True
-                break
-        if members:
-            union = 0
-            common = vmask[members[0]]
-            for e in members:
-                union |= vmask[e]
-                common &= vmask[e]
-            star_or_small = bool(common) or union.bit_count() <= 4
-        else:
-            star_or_small = True
-        if has_dft == star_or_small:
-            counterexamples.append(subset)
+    for size in range(6):
+        for subset in combinations(pairs, size):
+            masks = [vmask[e] for e in subset]
+            has_dft = any(sum(not e & f for f in masks) >= 2 for e in masks)
+            union, common = 0, (masks[0] if masks else 0)
+            for m in masks:
+                union |= m
+                common &= m
+            if has_dft == (bool(common) or union.bit_count() <= 4):
+                counterexamples.append(subset)
     return counterexamples
-
-
-@dataclass(frozen=True)
-class MatchingValues:
-    """Shared values on the three perfect matchings of K_4:
-    x on {12|34}, y on {13|24}, z on {14|23}; x + y + z = 0."""
-
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-
-def triple_sum_consequences(chi: Character) -> Optional[MatchingValues]:
-    """For a character on P_4: if all four triangle swing values vanish,
-    opposite edges carry equal weights and the three shared values sum to
-    zero.  Returns those values, or None when some triangle survives."""
-    if chi.n != 4:
-        raise ValueError(f"triple_sum_consequences needs n=4, got n={chi.n}")
-    for triple in combinations(range(1, 5), 3):
-        if swing_value(chi, triple) != 0:
-            return None
-    x, y, z = chi.weight(1, 2), chi.weight(1, 3), chi.weight(1, 4)
-    if not (x == chi.weight(3, 4) and y == chi.weight(2, 4) and z == chi.weight(2, 3)):
-        raise InternalError("vanishing triangles must force equal opposite edges")
-    if x + y + z != 0:
-        raise InternalError("vanishing triangles must force a zero matching sum")
-    return MatchingValues(x, y, z)
 
 
 def to_dot(g: CharGraph) -> str:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterator, Optional
 
 from .characters import Character, ZeroCharacterError, delta_value
 from .chargraph import build_kchi
@@ -44,9 +44,10 @@ class CircleId:
         size = {P3: 3, P4: 4}.get(self.kind)
         if size is None:
             raise ValueError(f"circle kind must be P3 or P4, got {self.kind!r}")
-        if len(self.support) != size or tuple(sorted(self.support)) != self.support:
+        s = self.support
+        if len(s) != size or tuple(sorted(set(s))) != s or s[0] < 1:
             raise ValueError(
-                f"{self.kind} circle needs a sorted {size}-set, got {self.support}"
+                f"{self.kind} circle needs {size} increasing strands >= 1, got {s}"
             )
 
     def to_json_dict(self) -> dict:
@@ -64,14 +65,21 @@ def matchings_of(support: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[
     return [((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))]
 
 
-def enumerate_circles(n: int) -> list[CircleId]:
-    """All complement circles for P_n: 3-sets first, then 4-sets, both in
-    lexicographic order.  Length is C(n,3) + C(n,4)."""
+def iter_circles(n: int) -> Iterator[CircleId]:
+    """All complement circles for P_n, one at a time: 3-sets first, then
+    4-sets, both in lexicographic order.  There are C(n,3) + C(n,4)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    ids = [CircleId(P3, t) for t in combinations(range(1, n + 1), 3)]
-    ids += [CircleId(P4, q) for q in combinations(range(1, n + 1), 4)]
-    return ids
+    strands = range(1, n + 1)
+    return chain(
+        (CircleId(P3, t) for t in combinations(strands, 3)),
+        (CircleId(P4, q) for q in combinations(strands, 4)),
+    )
+
+
+def enumerate_circles(n: int) -> list[CircleId]:
+    """The list of ``iter_circles(n)``."""
+    return list(iter_circles(n))
 
 
 def on_circle(chi: Character, cid: CircleId) -> bool:

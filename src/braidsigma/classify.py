@@ -326,9 +326,6 @@ def classify(chi: Character) -> Classification:
         e, f, h = shape.witness
         return Classification(SIGMA1, DisjointPair(e, (f, h)), n)
 
-    if shape.kind not in ("star", "small_k4"):
-        raise InternalError(f"unexpected shape {shape.kind}")
-
     if shape.kind == "star" and len(shape.leaves) >= 3:
         return Classification(SIGMA1, Star(shape.center, shape.leaves), n)
 

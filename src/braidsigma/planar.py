@@ -2,39 +2,20 @@
 
 The planar generators live at a different basepoint than the standard
 one, so some of them are conjugates of standard pair generators.  The
-word list shipped in data/planar_words.txt was produced by
-``search_planar_words`` (a bounded, deterministic enumeration of short
-conjugators) and is re-verified against all nine planar relations by the
-test suite.
+word list shipped in data/planar_words.txt takes the standard pair
+generators for a, b, c, d and f, and for e the standard generator on
+{2, 4} conjugated by sigma_2^2.  It is justified by the nine planar
+relations, which the test suite and ``braidsigma verify`` check against
+it.
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from itertools import product
-from typing import Mapping, Optional
 
-from .words import (
-    BraidWord,
-    aut_equal,
-    braid_aut,
-    format_artin_word,
-    parse_artin_word,
-    standard_pure_word,
-    verify_planar_presentation,
-)
+from .words import BraidWord, parse_artin_word
 
 DATA_FILE = "planar_words.txt"
-
-# Which standard pair generator each planar label projects to.
-PLANAR_BASE_PAIR = {
-    "a": (1, 2),
-    "b": (1, 3),
-    "c": (2, 3),
-    "d": (3, 4),
-    "e": (2, 4),
-    "f": (1, 4),
-}
 
 
 def load_planar_words() -> dict[str, BraidWord]:
@@ -50,86 +31,3 @@ def load_planar_words() -> dict[str, BraidWord]:
     if missing:
         raise ValueError(f"planar word list missing labels {sorted(missing)}")
     return words
-
-
-def _short_braid_words(n: int, max_len: int):
-    """All reduced Artin words of length <= max_len, shortest first, in a
-    deterministic order."""
-    alphabet = [k for i in range(1, n) for k in (i, -i)]
-    for length in range(max_len + 1):
-        for letters in product(alphabet, repeat=length):
-            if any(letters[i] == -letters[i + 1] for i in range(length - 1)):
-                continue
-            yield BraidWord(n, letters)
-
-
-def _conjugate(w: BraidWord, base: BraidWord) -> BraidWord:
-    return w * base * w.inverse()
-
-
-def _search_one(
-    label: str,
-    fixed: Mapping[str, BraidWord],
-    relations: list[tuple[str, str]],
-    max_conj_len: int,
-) -> Optional[BraidWord]:
-    base = standard_pure_word(*PLANAR_BASE_PAIR[label], 4)
-    for w in _short_braid_words(4, max_conj_len):
-        candidate = _conjugate(w, base)
-        env = dict(fixed)
-        env[label] = candidate
-        ok = True
-        for lhs, rhs in relations:
-            lw = BraidWord(4, ())
-            rw = BraidWord(4, ())
-            for ch in lhs:
-                lw = lw * env[ch]
-            for ch in rhs:
-                rw = rw * env[ch]
-            if not aut_equal(braid_aut(lw), braid_aut(rw)):
-                ok = False
-                break
-        if ok:
-            return candidate
-    return None
-
-
-def search_planar_words(max_conj_len: int = 3) -> dict[str, BraidWord]:
-    """Reproduce the committed planar word list.
-
-    a, b, c, d are kept standard; e and f are searched as conjugates
-    w A w^-1 of the matching standard generator, over all reduced
-    conjugators of length <= max_conj_len, taking the first (shortest)
-    candidate satisfying the relations that involve only already-fixed
-    labels.  The assembled list is then checked against all nine
-    relations."""
-    words = {
-        "a": standard_pure_word(1, 2, 4),
-        "b": standard_pure_word(1, 3, 4),
-        "c": standard_pure_word(2, 3, 4),
-        "d": standard_pure_word(3, 4, 4),
-    }
-    e = _search_one(
-        "e", words, [("cde", "dec"), ("dec", "ecd"), ("be", "eb")], max_conj_len
-    )
-    if e is None:
-        raise RuntimeError(f"no word for e within conjugator length {max_conj_len}")
-    words["e"] = e
-    f = _search_one(
-        "f", words, [("bfd", "fdb"), ("fdb", "dbf"), ("cf", "fc")], max_conj_len
-    )
-    if f is None:
-        raise RuntimeError(f"no word for f within conjugator length {max_conj_len}")
-    words["f"] = f
-    report = verify_planar_presentation(words)
-    bad = [name for name, ok in report.items() if not ok]
-    if bad:
-        raise RuntimeError(f"searched word list fails relations {bad}")
-    return words
-
-
-def format_word_list(words: Mapping[str, BraidWord]) -> str:
-    lines = ["# planar generators of P_4 as Artin words (s = sigma, S = sigma^-1)"]
-    for label in "abcdef":
-        lines.append(f"{label} {format_artin_word(words[label])}")
-    return "\n".join(lines) + "\n"

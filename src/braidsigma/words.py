@@ -28,19 +28,6 @@ class BudgetExceededError(ValueError):
 # -- free words ------------------------------------------------------------
 
 
-def free_reduce(letters: Iterable[int]) -> Word:
-    """Cancel adjacent x x^-1 pairs until none remain."""
-    out: list[int] = []
-    for x in letters:
-        if x == 0:
-            raise ValueError("0 is not a letter")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 def invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 

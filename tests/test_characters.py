@@ -14,9 +14,7 @@ from braidsigma.characters import (
     character_from_json,
     character_from_json_dict,
     character_to_json_dict,
-    compose_perms,
     delta_value,
-    normalize,
     permute,
     pullback_phi,
     pullback_rho,
@@ -24,6 +22,11 @@ from braidsigma.characters import (
     swing_value,
 )
 from conftest import add_characters, random_character, random_perm
+
+
+def compose_perms(sigma, tau):
+    """(tau o sigma): first sigma, then tau."""
+    return tuple(tau[s - 1] for s in sigma)
 
 
 # the right count of pairs with one wrong, one reversed, and one too few
@@ -72,37 +75,6 @@ class TestDeltaValue:
     def test_p3(self):
         chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         assert delta_value(chi) == 0
-
-
-class TestNormalize:
-    def test_clears_denominators(self):
-        chi = Character.sparse(4, {(1, 2): Fraction(2, 3), (1, 3): Fraction(4, 3)})
-        canon = normalize(chi).character
-        assert canon.weight(1, 2) == 1
-        assert canon.weight(1, 3) == 2
-
-    def test_sign_preserved_on_p2(self):
-        chi = Character.sparse(2, {(1, 2): -5})
-        assert normalize(chi).character.weight(1, 2) == -1
-
-    def test_dilation_equivalence(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            chi = random_character(4, rng)
-            if chi.is_zero():
-                continue
-            assert normalize(chi) == normalize(chi.scale(7))
-            assert normalize(chi) == normalize(chi.scale(Fraction(3, 11)))
-            assert normalize(chi) != normalize(chi.scale(-1)) or chi.is_zero()
-
-    def test_idempotent(self):
-        chi = Character.sparse(3, {(1, 2): Fraction(6, 4), (2, 3): -9})
-        once = normalize(chi)
-        assert normalize(once.character) == once
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroCharacterError):
-            normalize(Character.zero(3))
 
 
 class TestPermute:

@@ -1,26 +1,53 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 import pytest
 
-from braidsigma.characters import Character
+from braidsigma import chargraph
+from braidsigma.characters import Character, InternalError, swing_value
 from conftest import add_characters
 from braidsigma.chargraph import (
-    MatchingValues,
     build_kchi,
     find_disjoint_pair,
     find_disjoint_triple,
     find_edge_disjoint_from_two,
-    oracle_star_or_small,
     shape_classify,
     to_dot,
-    triple_sum_consequences,
 )
 
 
 def graph_of(n, edges):
     return build_kchi(Character.sparse(n, {e: 1 for e in edges}))
+
+
+@dataclass(frozen=True)
+class MatchingValues:
+    """Shared values on the three perfect matchings of K_4:
+    x on {12|34}, y on {13|24}, z on {14|23}; x + y + z = 0."""
+
+    x: Fraction
+    y: Fraction
+    z: Fraction
+
+
+def triple_sum_consequences(chi: Character) -> Optional[MatchingValues]:
+    """For a character on P_4: if all four triangle swing values vanish,
+    opposite edges carry equal weights and the three shared values sum to
+    zero.  Returns those values, or None when some triangle survives."""
+    if chi.n != 4:
+        raise ValueError(f"triple_sum_consequences needs n=4, got n={chi.n}")
+    for triple in combinations(range(1, 5), 3):
+        if swing_value(chi, triple) != 0:
+            return None
+    x, y, z = chi.weight(1, 2), chi.weight(1, 3), chi.weight(1, 4)
+    if not (x == chi.weight(3, 4) and y == chi.weight(2, 4) and z == chi.weight(2, 3)):
+        raise InternalError("vanishing triangles must force equal opposite edges")
+    if x + y + z != 0:
+        raise InternalError("vanishing triangles must force a zero matching sum")
+    return MatchingValues(x, y, z)
 
 
 class TestBuildKchi:
@@ -77,7 +104,6 @@ class TestShapeClassify:
     def test_path_is_small(self):
         shape = shape_classify(graph_of(4, [(1, 2), (2, 3), (3, 4)]))
         assert shape.kind == "small_k4"
-        assert shape.vertex_set == (1, 2, 3, 4)
 
     def test_star(self):
         shape = shape_classify(graph_of(5, [(1, 5), (2, 5), (3, 5), (4, 5)]))
@@ -106,14 +132,76 @@ class TestShapeClassify:
         assert shape.kind == "star"
         assert shape.center == 1
 
+    def test_other_shape_is_an_internal_error(self, monkeypatch):
+        # a 5-vertex path has edges disjoint from two others; hiding them
+        # leaves a shape the star-or-small fact rules out
+        monkeypatch.setattr(chargraph, "find_edge_disjoint_from_two", lambda g: None)
+        with pytest.raises(InternalError):
+            shape_classify(graph_of(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+
+
+def star_or_small(edges):
+    """A star (one vertex on every edge) or at most 4 endpoints."""
+    verts = {v for e in edges for v in e}
+    return len(verts) <= 4 or bool(set.intersection(*(set(e) for e in edges)))
+
+
+def reduction_subgraph(edges):
+    """The subgraph of the chargraph module docstring, for a graph that is
+    neither a star nor on at most 4 vertices: edges taken in order, each
+    with an uncovered endpoint, until 5 vertices are covered, plus the
+    first edge off the center if those form a star."""
+    chosen, covered = [], set()
+    for e in edges:
+        if len(covered) >= 5:
+            break
+        if not set(e) <= covered:
+            chosen.append(e)
+            covered |= set(e)
+    center = set.intersection(*(set(e) for e in chosen))
+    if center:
+        chosen.append(next(e for e in edges if not center & set(e)))
+    return chosen
+
 
 class TestOracle:
-    def test_up_to_five_vertices(self):
-        assert oracle_star_or_small(5) == []
+    def test_every_edge_set_of_k6(self):
+        # the full enumeration the finite check replaced, with its own
+        # bitmask predicate: all 2^15 edge sets on 6 vertices
+        pairs = list(combinations(range(6), 2))
+        vmask = [(1 << i) | (1 << j) for i, j in pairs]
+        disj = [sum(1 << f for f in range(15) if not vmask[f] & vmask[e]) for e in range(15)]
+        counterexamples = []
+        for subset in range(1 << 15):
+            members = [e for e in range(15) if subset >> e & 1]
+            has_dft = any((subset & disj[e]).bit_count() >= 2 for e in members)
+            union, common = 0, (vmask[members[0]] if members else 0)
+            for e in members:
+                union |= vmask[e]
+                common &= vmask[e]
+            if has_dft == (bool(common) or union.bit_count() <= 4):
+                counterexamples.append(subset)
+        assert counterexamples == []
 
-    def test_budget(self):
-        with pytest.raises(ValueError):
-            oracle_star_or_small(9)
+    def test_reduction_step(self):
+        # the docstring's subgraph of a graph that is neither a star nor
+        # small is again neither, and small enough for the finite check
+        rng = random.Random(7)
+        drawn = starred = 0
+        while drawn < 500:
+            n = rng.randint(5, 12)
+            pairs = list(combinations(range(1, n + 1), 2))
+            edges = sorted(rng.sample(pairs, rng.randint(1, len(pairs))))
+            if star_or_small(edges):
+                continue
+            drawn += 1
+            sub = reduction_subgraph(edges)
+            assert set(sub) <= set(edges)
+            assert len(sub) <= 5
+            assert len({v for e in sub for v in e}) <= 7
+            assert not star_or_small(sub)
+            starred += len(sub) == 5  # only the star case adds a fifth edge
+        assert 50 < starred < 450, starred
 
 
 class TestTripleSums:

@@ -37,6 +37,16 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             CircleId("P5", (1, 2, 3))
 
+    # strands must be strictly increasing and >= 1, also when read from JSON
+    @pytest.mark.parametrize(
+        "kind, support", [("P3", (1, 1, 2)), ("P4", (0, 2, 2, 5)), ("P3", (0, 1, 2))]
+    )
+    def test_malformed_strands_are_refused(self, kind, support):
+        with pytest.raises(ValueError):
+            CircleId(kind, support)
+        with pytest.raises(ValueError):
+            CircleId.from_json_dict({"kind": kind, "support": list(support)})
+
 
 class TestP3Membership:
     def test_equatorial(self):

@@ -1,13 +1,7 @@
-from braidsigma.planar import (
-    PLANAR_BASE_PAIR,
-    format_word_list,
-    load_planar_words,
-    search_planar_words,
-)
+from braidsigma.planar import load_planar_words
 from braidsigma.words import (
     braid_aut,
     aut_equal,
-    format_artin_word,
     standard_pure_word,
     verify_planar_presentation,
 )
@@ -53,27 +47,3 @@ class TestCommittedWordList:
         report = verify_planar_presentation(words)
         assert not (report["cde=dec"] and report["dec=ecd"])
 
-
-class TestSearch:
-    def test_search_reproduces_committed_list(self):
-        found = search_planar_words(max_conj_len=3)
-        committed = load_planar_words()
-        for label in "abcdef":
-            assert format_artin_word(found[label]) == format_artin_word(
-                committed[label]
-            )
-
-    def test_base_pairs_cover_k4(self):
-        assert sorted(PLANAR_BASE_PAIR.values()) == [
-            (1, 2),
-            (1, 3),
-            (1, 4),
-            (2, 3),
-            (2, 4),
-            (3, 4),
-        ]
-
-    def test_format_round_trip(self):
-        words = load_planar_words()
-        text = format_word_list(words)
-        assert "a s1 s1" in text

@@ -2,8 +2,6 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from braidsigma.words import (
     BraidWord,
@@ -16,7 +14,6 @@ from braidsigma.words import (
     commutes_predicate,
     compose,
     format_artin_word,
-    free_reduce,
     full_twist_word,
     identity_aut,
     invert_word,
@@ -28,27 +25,6 @@ from braidsigma.words import (
     verify_rho,
     verify_swing_factorizations,
 )
-
-letters = st.lists(
-    st.integers(-4, 4).filter(lambda x: x != 0), max_size=30
-)
-
-
-class TestFreeReduction:
-    def test_cancellation(self):
-        assert free_reduce([1, 2, -2, -1, 3]) == (3,)
-
-    @given(letters, letters)
-    def test_confluence(self, u, v):
-        assert free_reduce(list(u) + list(v)) == free_reduce(
-            list(free_reduce(u)) + list(free_reduce(v))
-        )
-
-    @given(letters)
-    def test_word_times_inverse_reduces_to_empty(self, u):
-        w = free_reduce(u)
-        assert free_reduce(list(w) + list(invert_word(w))) == ()
-
 
 class TestArtinAction:
     def test_sigma1_images(self):
