@@ -9,11 +9,12 @@ generators S_ij, so we store it as a total map from unordered pairs
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Mapping, Sequence
+
+from .record import Record
 
 Edge = tuple[int, int]
 SwingSet = tuple[int, ...]
@@ -64,8 +65,7 @@ def swing_set(members: Iterable[int], n: int) -> SwingSet:
     return a
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """Rational weight per unordered pair {i, j}, 1 <= i < j <= n.
 
     The weights mapping is total: every pair appears, zeros included.
@@ -75,16 +75,17 @@ class Character:
     mutated after construction.
     """
 
-    n: int
-    weights: Mapping[Edge, Fraction]
+    _fields = ("n", "weights")
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, weights: Mapping[Edge, Fraction]) -> None:
+        d = self.__dict__
+        d["n"] = n
+        d["weights"] = weights
         if n < 2:
             raise CharacterFormatError(f"need n >= 2, got n={n}")
-        if len(self.weights) != n * (n - 1) // 2 or self.weights.keys() != _pair_tables(n)[1]:
+        if len(weights) != n * (n - 1) // 2 or weights.keys() != _pair_tables(n)[1]:
             expected = set(all_edges(n))
-            got = set(self.weights)
+            got = set(weights)
             missing = sorted(expected - got)
             extra = sorted(got - expected)
             raise CharacterFormatError(

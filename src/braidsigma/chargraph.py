@@ -42,16 +42,15 @@ Take a greedy maximal matching M in edge order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Mapping, Optional, Sequence
 
 from .characters import Character, Edge, InternalError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CharGraph:
+class CharGraph(Record):
     """K_chi on strands 1..n: ``edges`` are the pairs of nonzero weight and
     ``labels`` their weights.  Construction also derives, once, what every
     stage reads: ``order``, the edges sorted, and ``nbrs``, each support
@@ -59,24 +58,23 @@ class CharGraph:
     increasing order.  So ``set(nbrs)`` is the support and ``len(nbrs[v])``
     the degree of v; the lists must not be mutated."""
 
-    n: int
-    edges: frozenset[Edge]
-    labels: Mapping[Edge, Fraction]
-    order: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
-    nbrs: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _fields = ("n", "edges", "labels")
 
-    def __post_init__(self) -> None:
-        order = tuple(sorted(self.edges))
+    def __init__(self, n: int, edges: frozenset[Edge], labels: Mapping[Edge, Fraction]) -> None:
+        order = tuple(sorted(edges))
         nbrs: dict[int, list[int]] = {}
         for i, j in order:  # (i, v) edges precede (v, j) ones, so each list ascends
             nbrs.setdefault(i, []).append(j)
             nbrs.setdefault(j, []).append(i)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nbrs", nbrs)
+        d = self.__dict__
+        d["n"] = n
+        d["edges"] = edges
+        d["labels"] = labels
+        d["order"] = order
+        d["nbrs"] = nbrs
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(Record):
     """Structure tag for a support graph.
 
     kind is one of "empty", "star", "small_k4", "has_disjoint_from_two"
@@ -84,10 +82,20 @@ class ShapeClass:
     A graph that is both a star and within 4 vertices reports "star".
     """
 
-    kind: str
-    center: Optional[int] = None
-    leaves: tuple[int, ...] = ()
-    witness: Optional[tuple[Edge, Edge, Edge]] = None
+    _fields = ("kind", "center", "leaves", "witness")
+
+    def __init__(
+        self,
+        kind: str,
+        center: Optional[int] = None,
+        leaves: tuple[int, ...] = (),
+        witness: Optional[tuple[Edge, Edge, Edge]] = None,
+    ) -> None:
+        d = self.__dict__
+        d["kind"] = kind
+        d["center"] = center
+        d["leaves"] = leaves
+        d["witness"] = witness
 
 
 def build_kchi(chi: Character) -> CharGraph:

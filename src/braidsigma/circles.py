@@ -23,31 +23,40 @@ Every circle point has Delta = 0, so a character with Delta != 0 is on none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Iterator, Optional
+from itertools import combinations
+from typing import Optional
 
 from .characters import Character, ZeroCharacterError, delta_value
 from .chargraph import build_kchi
+from .record import Record
 
 P3 = "P3"
 P4 = "P4"
 
 
-@dataclass(frozen=True)
-class CircleId:
-    kind: str
-    support: tuple[int, ...]
+class CircleId(Record):
+    """The circle over a 3-set (P3) or a 4-set (P4) of strands, given as
+    strictly increasing ints >= 1 (bools refused)."""
 
-    def __post_init__(self) -> None:
-        size = {P3: 3, P4: 4}.get(self.kind)
+    _fields = ("kind", "support")
+
+    def __init__(self, kind: str, support: tuple[int, ...]) -> None:
+        d = self.__dict__
+        d["kind"] = kind
+        d["support"] = support
+        size = {P3: 3, P4: 4}.get(kind)
         if size is None:
-            raise ValueError(f"circle kind must be P3 or P4, got {self.kind!r}")
-        s = self.support
-        if len(s) != size or tuple(sorted(set(s))) != s or s[0] < 1:
+            raise ValueError(f"circle kind must be P3 or P4, got {kind!r}")
+        s = support
+        if (
+            len(s) != size
+            or any(type(v) is not int for v in s)
+            or tuple(sorted(set(s))) != s
+            or s[0] < 1
+        ):
             raise ValueError(
-                f"{self.kind} circle needs {size} increasing strands >= 1, got {s}"
+                f"{kind} circle needs {size} increasing int strands >= 1, got {s}"
             )
 
     def to_json_dict(self) -> dict:
@@ -65,21 +74,15 @@ def matchings_of(support: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[
     return [((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))]
 
 
-def iter_circles(n: int) -> Iterator[CircleId]:
-    """All complement circles for P_n, one at a time: 3-sets first, then
-    4-sets, both in lexicographic order.  There are C(n,3) + C(n,4)."""
+def enumerate_circles(n: int) -> list[CircleId]:
+    """All complement circles for P_n: 3-sets first, then 4-sets, both in
+    lexicographic order.  There are C(n,3) + C(n,4)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     strands = range(1, n + 1)
-    return chain(
-        (CircleId(P3, t) for t in combinations(strands, 3)),
-        (CircleId(P4, q) for q in combinations(strands, 4)),
-    )
-
-
-def enumerate_circles(n: int) -> list[CircleId]:
-    """The list of ``iter_circles(n)``."""
-    return list(iter_circles(n))
+    return [CircleId(P3, t) for t in combinations(strands, 3)] + [
+        CircleId(P4, q) for q in combinations(strands, 4)
+    ]
 
 
 def on_circle(chi: Character, cid: CircleId) -> bool:

@@ -31,7 +31,6 @@ K is the support graph K_chi, edges are unordered, Delta is the total sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -55,6 +54,7 @@ from .chargraph import (
     shape_classify,
 )
 from .circles import P3, P4, CircleId, on_circle
+from .record import Record
 
 SIGMA1 = "sigma1"
 COMPLEMENT = "complement"
@@ -62,15 +62,18 @@ COMPLEMENT = "complement"
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """A recovery identity: the swing on ``added`` equals the ordered product
     of the swings on ``factors``, so the pair ``recovers`` (dropped from the
     standard generating set) is expressible from the rest."""
 
-    added: SwingSet
-    factors: tuple[SwingSet, ...]
-    recovers: Edge
+    _fields = ("added", "factors", "recovers")
+
+    def __init__(self, added: SwingSet, factors: tuple[SwingSet, ...], recovers: Edge) -> None:
+        d = self.__dict__
+        d["added"] = added
+        d["factors"] = factors
+        d["recovers"] = recovers
 
 
 WitnessData = tuple[tuple[SwingSet, ...], tuple[SwingSet, ...], tuple[Factorization, ...]]
@@ -107,17 +110,20 @@ def _hinge(f: Edge, h: Edge) -> Optional[int]:
     return common.pop() if len(common) == 1 else None
 
 
-class Lemma:
+class Lemma(Record):
     """An invariant-side certificate; each subclass is one row of the
-    module docstring's table.  ``named`` assumes ``check`` holds."""
+    module docstring's table, its ``_fields`` the row's fields.  ``named``
+    assumes ``check`` holds."""
 
     verdict = SIGMA1
 
 
-@dataclass(frozen=True)
 class ZeroSum(Lemma):
     kind = "zero_sum"
-    delta: Fraction
+    _fields = ("delta",)
+
+    def __init__(self, delta: Fraction) -> None:
+        self.__dict__["delta"] = delta
 
     def check(self, chi: Character) -> bool:
         return self.delta == delta_value(chi) != 0
@@ -130,10 +136,12 @@ class ZeroSum(Lemma):
         return (tuple(range(1, n + 1)),), tuple(all_edges(n)), ()
 
 
-@dataclass(frozen=True)
 class DisjointTriple(Lemma):
     kind = "disjoint_triple"
-    edges: tuple[Edge, Edge, Edge]
+    _fields = ("edges",)
+
+    def __init__(self, edges: tuple[Edge, Edge, Edge]) -> None:
+        self.__dict__["edges"] = edges
 
     def check(self, chi: Character) -> bool:
         disjoint = len(self.edges) == 3 and len({v for e in self.edges for v in e}) == 6
@@ -147,11 +155,14 @@ class DisjointTriple(Lemma):
         return ((1, 2), (3, 4), (5, 6)), tuple(all_edges(n)), ()
 
 
-@dataclass(frozen=True)
 class DisjointPair(Lemma):
     kind = "disjoint_pair"
-    edge: Edge
-    others: tuple[Edge, Edge]  # the two edges share exactly one vertex
+    _fields = ("edge", "others")
+
+    def __init__(self, edge: Edge, others: tuple[Edge, Edge]) -> None:
+        d = self.__dict__
+        d["edge"] = edge
+        d["others"] = others  # the two edges share exactly one vertex
 
     def check(self, chi: Character) -> bool:
         if not _are_pairs(self.others, 2):
@@ -177,11 +188,14 @@ class DisjointPair(Lemma):
         return ((1, 2), (3, 4), (4, 5)), *_recovering(5, n)
 
 
-@dataclass(frozen=True)
 class Star(Lemma):
     kind = "star"
-    center: int
-    leaves: tuple[int, ...]  # at least 3
+    _fields = ("center", "leaves")
+
+    def __init__(self, center: int, leaves: tuple[int, ...]) -> None:
+        d = self.__dict__
+        d["center"] = center
+        d["leaves"] = leaves  # at least 3
 
     def check(self, chi: Character) -> bool:
         c, leaves = self.center, self.leaves  # a leaf equal to c makes no edge of K
@@ -200,10 +214,12 @@ class Star(Lemma):
         return ((1, 4), (2, 4), (3, 4), *co), tuple(all_edges(n)), ()
 
 
-@dataclass(frozen=True)
 class DisjointLeaves(Lemma):
     kind = "disjoint_leaves"
-    leaf_edges: tuple[Edge, Edge]  # (leaf, neighbor) order within each edge
+    _fields = ("leaf_edges",)
+
+    def __init__(self, leaf_edges: tuple[Edge, Edge]) -> None:
+        self.__dict__["leaf_edges"] = leaf_edges  # (leaf, neighbor) order within each edge
 
     def check(self, chi: Character) -> bool:
         if not _are_pairs(self.leaf_edges, 2):
@@ -226,12 +242,17 @@ class DisjointLeaves(Lemma):
         return ((1, 2), (3, 4), (1, 2, 3), co1, co3), tuple(all_edges(n)), ()
 
 
-@dataclass(frozen=True)
 class Triangle(Lemma):
     kind = "triangle"
-    edges: tuple[Edge, Edge]  # disjoint pair covering the 4 support vertices
-    triangle: tuple[int, int, int]  # the first edge plus one vertex of the second
-    value: Fraction  # nonzero swing value of the triangle
+    _fields = ("edges", "triangle", "value")
+
+    def __init__(
+        self, edges: tuple[Edge, Edge], triangle: tuple[int, int, int], value: Fraction
+    ) -> None:
+        d = self.__dict__
+        d["edges"] = edges  # disjoint pair covering the 4 support vertices
+        d["triangle"] = triangle  # the first edge plus one vertex of the second
+        d["value"] = value  # nonzero swing value of the triangle
 
     def check(self, chi: Character) -> bool:
         if not _are_pairs(self.edges, 2):
@@ -257,11 +278,13 @@ class Triangle(Lemma):
         return ((1, 2), (1, 2, 3), (3, 4)), *_recovering(3, n)
 
 
-@dataclass(frozen=True)
-class CircleMembership:
+class CircleMembership(Record):
     kind = "circle"
     verdict = COMPLEMENT
-    circle: CircleId
+    _fields = ("circle",)
+
+    def __init__(self, circle: CircleId) -> None:
+        self.__dict__["circle"] = circle
 
     def check(self, chi: Character) -> bool:
         return on_circle(chi, self.circle)
@@ -275,15 +298,16 @@ class CircleMembership:
 Certificate = Lemma | CircleMembership
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str  # SIGMA1 | COMPLEMENT
-    certificate: Certificate
-    n: int  # the strand count the certificate was made for
+class Classification(Record):
+    _fields = ("verdict", "certificate", "n")
 
-    def __post_init__(self) -> None:
-        if self.verdict != self.certificate.verdict:
-            raise InternalError(f"verdict {self.verdict!r} mismatches {self.certificate!r}")
+    def __init__(self, verdict: str, certificate: Certificate, n: int) -> None:
+        d = self.__dict__
+        d["verdict"] = verdict  # SIGMA1 | COMPLEMENT
+        d["certificate"] = certificate
+        d["n"] = n  # the strand count the certificate was made for
+        if verdict != certificate.verdict:
+            raise InternalError(f"verdict {verdict!r} mismatches {certificate!r}")
 
     @property
     def perm(self) -> Perm:
@@ -391,7 +415,7 @@ def classification_to_json_dict(cls: Classification) -> dict:
         body: dict = {"kind": cert.kind, "id": cert.circle.to_json_dict()}
     else:
         body = {"kind": cert.kind}
-        for name in cert.__dataclass_fields__:
+        for name in cert._fields:
             body[name] = _json_value(getattr(cert, name))
         body["perm"] = list(cls.perm)
     return {"verdict": cls.verdict, "certificate": body}

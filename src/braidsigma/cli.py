@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -28,9 +29,8 @@ from .characters import (
     character_from_json,
 )
 from .chargraph import build_kchi, oracle_star_or_small, to_dot
-from .circles import iter_circles
+from .circles import P3, P4
 from .classify import classification_to_json_dict, classify
-from .planar import load_planar_words
 from .witness import build_witness_for, verify_witness, witness_to_json_dict
 from .words import (
     verify_p3_relation,
@@ -45,6 +45,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 MAX_CIRCLES = 10**6
+CIRCLES_PER_WRITE = 4096
 
 
 class UsageError(Exception):
@@ -97,13 +98,18 @@ def cmd_circles(args: argparse.Namespace) -> int:
     count = comb(n, 3) + comb(n, 4)
     if count > MAX_CIRCLES:
         raise UsageError(f"n = {n} gives {count} circles, more than the {MAX_CIRCLES} allowed")
-    # the bytes of json.dumps(list) plus a newline, without holding the list
+    # the bytes of json.dumps(enumerate_circles(n)) plus a newline, without
+    # holding the list: each circle is formatted from its strands, in the
+    # order of enumerate_circles, and written CIRCLES_PER_WRITE at a time
     write = sys.stdout.write
     write("[")
-    for k, cid in enumerate(iter_circles(n)):
-        if k:
-            write(", ")
-        write(json.dumps(cid.to_json_dict()))
+    sep = ""
+    for kind, size in ((P3, 3), (P4, 4)):
+        circle = '{"kind": "%s", "support": [%s]}' % (kind, ", ".join(["%d"] * size))
+        supports = combinations(range(1, n + 1), size)
+        while chunk := ", ".join([circle % s for s in islice(supports, CIRCLES_PER_WRITE)]):
+            write(sep + chunk)
+            sep = ", "
     write("]\n")
     return EXIT_OK
 
@@ -123,6 +129,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .planar import load_planar_words  # only this command reads the word list
+
     checks = [
         ("triple swing factorizations", verify_swing_factorizations()),
         ("P3 relation abc=bca=cab, central product", verify_p3_relation()),

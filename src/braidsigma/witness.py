@@ -18,7 +18,6 @@ alone runs for every character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -26,6 +25,7 @@ from typing import Optional, Sequence
 
 from .characters import Character, Edge, SwingSet, permute, swing_value
 from .classify import Certificate, Classification, Factorization, WitnessData
+from .record import Record
 from .words import (
     WORD_ENGINE_MAX_STRANDS,
     braid_aut,
@@ -35,23 +35,54 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class WitnessPackage:
-    lemma: str
-    perm: tuple[int, ...]  # relabeling into the lemma's normal form
-    j_sets: tuple[SwingSet, ...]
-    i_sets: tuple[SwingSet, ...]
-    factorizations: tuple[Factorization, ...] = ()
+class WitnessPackage(Record):
+    _fields = ("lemma", "perm", "j_sets", "i_sets", "factorizations")
+
+    def __init__(
+        self,
+        lemma: str,
+        perm: tuple[int, ...],
+        j_sets: tuple[SwingSet, ...],
+        i_sets: tuple[SwingSet, ...],
+        factorizations: tuple[Factorization, ...] = (),
+    ) -> None:
+        d = self.__dict__
+        d["lemma"] = lemma
+        d["perm"] = perm  # relabeling into the lemma's normal form
+        d["j_sets"] = j_sets
+        d["i_sets"] = i_sets
+        d["factorizations"] = factorizations
 
 
-@dataclass
-class WitnessReport:
-    survival_failures: list[SwingSet] = field(default_factory=list)
-    connected: bool = False
-    uncovered: list[SwingSet] = field(default_factory=list)
-    full_rank: bool = False
-    abelian_factorizations: bool = False
-    wordlevel_factorizations: Optional[bool] = None  # None when out of budget
+class WitnessReport(Record):
+    """The outcome of each condition ``verify_witness`` checks; the two
+    lists are the report's own."""
+
+    _fields = (
+        "survival_failures",
+        "connected",
+        "uncovered",
+        "full_rank",
+        "abelian_factorizations",
+        "wordlevel_factorizations",
+    )
+
+    def __init__(
+        self,
+        survival_failures: list[SwingSet],
+        connected: bool,
+        uncovered: list[SwingSet],
+        full_rank: bool,
+        abelian_factorizations: bool,
+        wordlevel_factorizations: Optional[bool],  # None when out of budget
+    ) -> None:
+        d = self.__dict__
+        d["survival_failures"] = survival_failures
+        d["connected"] = connected
+        d["uncovered"] = uncovered
+        d["full_rank"] = full_rank
+        d["abelian_factorizations"] = abelian_factorizations
+        d["wordlevel_factorizations"] = wordlevel_factorizations
 
     @property
     def ok(self) -> bool:
@@ -204,20 +235,16 @@ def _generation_checks(
 def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     failures are reported, never raised."""
-    report = WitnessReport()
     relabeled = permute(chi, pkg.perm)
-    report.survival_failures = [
-        j for j in pkg.j_sets if swing_value(relabeled, j) == 0
-    ]
-    report.connected, uncovered = _shape_checks(pkg.j_sets, pkg.i_sets)
-    report.uncovered = list(uncovered)  # the cached tuple is shared
+    survival_failures = [j for j in pkg.j_sets if swing_value(relabeled, j) == 0]
+    connected, uncovered = _shape_checks(pkg.j_sets, pkg.i_sets)
     full_rank, abelian_ok, wordlevel = _generation_checks(
         chi.n, pkg.i_sets, pkg.factorizations
     )
-    report.full_rank = full_rank
-    report.abelian_factorizations = abelian_ok
-    report.wordlevel_factorizations = wordlevel
-    return report
+    # the cached uncovered tuple is shared, so each report gets its own list
+    return WitnessReport(
+        survival_failures, connected, list(uncovered), full_rank, abelian_ok, wordlevel
+    )
 
 
 # -- JSON ------------------------------------------------------------------

@@ -11,10 +11,10 @@ concatenated word uv is "apply u's automorphism, then v's".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
+
+from .record import Record
 
 Word = tuple[int, ...]
 
@@ -47,20 +47,23 @@ def _apply_images(images: Sequence[Word], word: Iterable[int]) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeGroupAut:
+class FreeGroupAut(Record):
     """Automorphism of F_rank given by reduced images of the basis letters,
     together with the images under its inverse (verified on construction)."""
 
-    rank: int
-    images: tuple[Word, ...]
-    inverse_images: tuple[Word, ...]
+    _fields = ("rank", "images", "inverse_images")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.rank or len(self.inverse_images) != self.rank:
+    def __init__(
+        self, rank: int, images: tuple[Word, ...], inverse_images: tuple[Word, ...]
+    ) -> None:
+        d = self.__dict__
+        d["rank"] = rank
+        d["images"] = images
+        d["inverse_images"] = inverse_images
+        if len(images) != rank or len(inverse_images) != rank:
             raise ValueError("need one image per basis letter")
-        for i in range(self.rank):
-            if _apply_images(self.inverse_images, self.images[i]) != (i + 1,):
+        for i in range(rank):
+            if _apply_images(inverse_images, images[i]) != (i + 1,):
                 raise ValueError(
                     f"inverse_images do not invert images at basis letter {i + 1}"
                 )
@@ -113,18 +116,19 @@ def artin_sigma(i: int, n: int, inverse: bool = False) -> FreeGroupAut:
 # -- braid words -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """Word in the Artin generators sigma_1..sigma_{n-1}; letter k stands
     for sigma_k and -k for its inverse."""
 
-    n: int
-    letters: Word
+    _fields = ("n", "letters")
 
-    def __post_init__(self) -> None:
-        for x in self.letters:
-            if not 1 <= abs(x) <= self.n - 1:
-                raise ValueError(f"letter {x} out of range for {self.n} strands")
+    def __init__(self, n: int, letters: Word) -> None:
+        d = self.__dict__
+        d["n"] = n
+        d["letters"] = letters
+        for x in letters:
+            if not 1 <= abs(x) <= n - 1:
+                raise ValueError(f"letter {x} out of range for {n} strands")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
@@ -163,15 +167,6 @@ def standard_pure_word(i: int, j: int, n: int) -> BraidWord:
     prefix = list(range(j - 1, i, -1))
     letters = prefix + [i, i] + [-k for k in reversed(prefix)]
     return BraidWord(n, tuple(letters))
-
-
-def full_twist_word(lo: int, hi: int, n: int) -> BraidWord:
-    """Full twist on the contiguous strand block lo..hi:
-    (sigma_lo ... sigma_{hi-1})^(hi-lo+1)."""
-    if not 1 <= lo < hi <= n:
-        raise ValueError(f"bad block {lo}..{hi} for n={n}")
-    period = tuple(range(lo, hi))
-    return BraidWord(n, period * (hi - lo + 1))
 
 
 def swing_word(a: Iterable[int], n: int) -> BraidWord:
@@ -317,7 +312,3 @@ def parse_artin_word(text: str, n: int) -> BraidWord:
         k = int(tok[1:])
         letters.append(k if tok[0] == "s" else -k)
     return BraidWord(n, tuple(letters))
-
-
-def format_artin_word(w: BraidWord) -> str:
-    return " ".join(f"s{x}" if x > 0 else f"S{-x}" for x in w.letters)

@@ -47,6 +47,14 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             CircleId.from_json_dict({"kind": kind, "support": list(support)})
 
+    # strands are ints: strings, floats and bools are refused, also from JSON
+    @pytest.mark.parametrize("support", [("a", "b", "c"), (1.0, 2.0, 3.0), (True, 2, 3)])
+    def test_strands_that_are_not_ints_are_refused(self, support):
+        with pytest.raises(ValueError):
+            CircleId("P3", support)
+        with pytest.raises(ValueError):
+            CircleId.from_json_dict({"kind": "P3", "support": list(support)})
+
 
 class TestP3Membership:
     def test_equatorial(self):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -272,7 +271,7 @@ class TestCertificateRejection:
         good = classify(chi)
         assert good.certificate == Triangle(((1, 2), (3, 4)), (1, 2, 4), Fraction(-1))
         assert verify_certificate(good, chi)
-        bad = replace(good.certificate, **fields)
+        bad = good.certificate._replace(**fields)
         assert not verify_certificate(Classification(SIGMA1, bad, 4), chi)
 
     # a strand below 1 cannot even be named (TestEnumerate in test_circles)
@@ -294,10 +293,10 @@ class TestCertificateRejection:
     def test_wrong_edge_count_is_rejected(self, cert, extra):
         chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
         assert verify_certificate(Classification(SIGMA1, cert, 6), chi)
-        bad = replace(cert, **extra)
+        bad = cert._replace(**extra)
         assert not verify_certificate(Classification(SIGMA1, bad, 6), chi)
 
     def test_strand_count_must_match(self, chi0):
         cls = classify(chi0)
         assert verify_certificate(cls, chi0)
-        assert not verify_certificate(replace(cls, n=chi0.n + 1), chi0)
+        assert not verify_certificate(cls._replace(n=chi0.n + 1), chi0)

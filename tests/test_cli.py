@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import braidsigma
+from braidsigma import cli
 from braidsigma.characters import InternalError
 from braidsigma.circles import enumerate_circles
 from braidsigma.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, MAX_CIRCLES, main
@@ -206,6 +207,19 @@ def test_invariants_survive_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost a cold start milliseconds; the package's records need neither
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import braidsigma.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_reimport_frees_the_earlier_package():
     # a global cache that holds a class of the package (typing caches
     # Union[...] by its arguments) keeps that whole copy alive, every
@@ -245,6 +259,16 @@ class TestCircles:
         assert capsys.readouterr().out == expected
         if n == 2:
             assert expected == "[]\n"
+
+    # writes of 1, 3 and 4 circles: chunks end inside and at the end of
+    # the P3 circles (C(4,3) = 4, C(5,3) = 10), and a write may be empty
+    @pytest.mark.parametrize("per_write", [1, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_chunked_bytes_match_one_dump(self, n, per_write, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CIRCLES_PER_WRITE", per_write)
+        assert main(["circles", "--n", str(n)]) == EXIT_OK
+        expected = json.dumps([c.to_json_dict() for c in enumerate_circles(n)]) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_n_below_two_is_input_error(self, capsys):
         assert main(["circles", "--n", "1"]) == EXIT_INPUT_ERROR

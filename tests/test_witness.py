@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -170,14 +169,14 @@ class TestVerifyWitness:
         # (1, 4) meets every member of J = (12, 34, 45), so no member
         # dominates it; the lemma puts (1, 4, 5) in I in its place
         i_sets = tuple((1, 4) if a == (1, 4, 5) else a for a in pkg.i_sets)
-        report = verify_witness(replace(pkg, i_sets=i_sets), chi)
+        report = verify_witness(pkg._replace(i_sets=i_sets), chi)
         assert report.uncovered == [(1, 4)]
         assert report.connected and not report.ok
 
         # 13 misses 45 and does not interleave with it, so C(J) has the
         # edge 13 - 45 only; 34 shares a vertex with both and is isolated
         j_sets = ((1, 3), (3, 4), (4, 5))
-        report = verify_witness(replace(pkg, j_sets=j_sets), chi)
+        report = verify_witness(pkg._replace(j_sets=j_sets), chi)
         assert not report.connected and not report.ok
 
         assert verify_witness(pkg, chi).ok

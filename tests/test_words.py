@@ -13,8 +13,6 @@ from braidsigma.words import (
     commute_wordlevel,
     commutes_predicate,
     compose,
-    format_artin_word,
-    full_twist_word,
     identity_aut,
     invert_word,
     is_pure,
@@ -25,6 +23,21 @@ from braidsigma.words import (
     verify_rho,
     verify_swing_factorizations,
 )
+
+
+def full_twist_word(lo: int, hi: int, n: int) -> BraidWord:
+    """Full twist on the contiguous strand block lo..hi:
+    (sigma_lo ... sigma_{hi-1})^(hi-lo+1)."""
+    if not 1 <= lo < hi <= n:
+        raise ValueError(f"bad block {lo}..{hi} for n={n}")
+    period = tuple(range(lo, hi))
+    return BraidWord(n, period * (hi - lo + 1))
+
+
+def format_artin_word(w: BraidWord) -> str:
+    """The notation parse_artin_word reads: "s2 S1" is sigma_2 sigma_1^-1."""
+    return " ".join(f"s{x}" if x > 0 else f"S{-x}" for x in w.letters)
+
 
 class TestArtinAction:
     def test_sigma1_images(self):
