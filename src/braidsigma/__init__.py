@@ -9,8 +9,6 @@ from .characters import (
     character_to_json_dict,
     delta_value,
     permute,
-    pullback_phi,
-    pullback_rho,
     swing_value,
 )
 from .chargraph import build_kchi, oracle_star_or_small, shape_classify
@@ -36,8 +34,6 @@ __all__ = [
     "locate_circle",
     "oracle_star_or_small",
     "permute",
-    "pullback_phi",
-    "pullback_rho",
     "sample_circle",
     "shape_classify",
     "swing_value",

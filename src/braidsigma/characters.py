@@ -70,9 +70,12 @@ class Character(Record):
 
     The weights mapping is total: every pair appears, zeros included.
     Instances are immutable values; all operations on them are pure.
-    ``delta_value`` and ``chargraph.build_kchi`` compute Delta and K_chi
-    once and cache them on the instance, so ``weights`` must never be
-    mutated after construction.
+    Three derived facts are cached on the instance, outside its fields:
+    ``support_map`` (each pair of nonzero weight mapped to it, handed over
+    by the JSON parser or derived on first use), ``delta_value`` (Delta,
+    summed over the support) and ``chargraph.build_kchi`` (K_chi, labelled
+    by the support map).  So ``weights`` must never be mutated after
+    construction.
     """
 
     _fields = ("n", "weights")
@@ -118,7 +121,7 @@ class Character(Record):
         return self.weights[edge(i, j)]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.weights.values())
+        return not support_map(self)
 
     def scale(self, q: Fraction | int) -> "Character":
         q = Fraction(q)
@@ -135,6 +138,17 @@ def _exact_sum(values: Iterable[Fraction]) -> Fraction:
     return sum((Fraction(x, d) for d, x in by_denominator.items()), Fraction(0))
 
 
+def support_map(chi: Character) -> dict[Edge, Fraction]:
+    """Each pair of nonzero weight mapped to its weight, derived once per
+    character and cached on it; the parser hands it over ready-made.  The
+    map is shared, so it must not be mutated."""
+    support = chi.__dict__.get("_support")
+    if support is None:
+        support = {e: v for e, v in chi.weights.items() if v != 0}
+        chi.__dict__["_support"] = support
+    return support
+
+
 def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
     """Value of the character on S_A: the sum of weights over pairs inside A."""
     aset = swing_set(a, chi.n)
@@ -143,10 +157,10 @@ def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
 
 def delta_value(chi: Character) -> Fraction:
     """Value on the central full twist: sum of all edge weights, computed
-    once per character and cached on it."""
+    from the support once per character and cached on it."""
     delta = chi.__dict__.get("_delta")
     if delta is None:
-        delta = chi.__dict__["_delta"] = _exact_sum(chi.weights.values())
+        delta = chi.__dict__["_delta"] = _exact_sum(support_map(chi).values())
     return delta
 
 
@@ -162,41 +176,6 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
         a, b = image[i], image[j]
         out[(a, b) if a < b else (b, a)] = v
     return Character(n, out)
-
-
-def pullback_phi(psi: Character, a: Iterable[int], n: int) -> Character:
-    """Pull back along the strand-forgetting projection onto the positions in
-    ``a``: the weight on {a_r, a_s} is psi's weight on {r, s}; pairs with an
-    endpoint outside ``a`` get zero."""
-    aset = swing_set(a, n)
-    if len(aset) != psi.n:
-        raise ValueError(
-            f"swing set size {len(aset)} does not match character on {psi.n} strands"
-        )
-    out = {e: Fraction(0) for e in all_edges(n)}
-    for (r, s), v in psi.weights.items():
-        out[edge(aset[r - 1], aset[s - 1])] = v
-    return Character(n, out)
-
-
-def pullback_rho(psi: Character) -> Character:
-    """Pull back a character on P_3 along the map P_4 ->> P_3 that identifies
-    the planar generators on disjoint K_4 edges: w12=w34=psi(S12),
-    w13=w24=psi(S13), w14=w23=psi(S23)."""
-    if psi.n != 3:
-        raise ValueError(f"pullback_rho needs a character on P_3, got n={psi.n}")
-    p12, p13, p23 = psi.weight(1, 2), psi.weight(1, 3), psi.weight(2, 3)
-    return Character.dense(
-        4,
-        {
-            (1, 2): p12,
-            (3, 4): p12,
-            (1, 3): p13,
-            (2, 4): p13,
-            (1, 4): p23,
-            (2, 3): p23,
-        },
-    )
 
 
 # -- JSON wire format ------------------------------------------------------
@@ -255,9 +234,10 @@ def character_from_json_dict(data: dict) -> Character:
         raise CharacterFormatError("'weights' must be an object")
     expected = n * (n - 1) // 2
     weights = {}
-    # each distinct raw value is parsed once; pairs with equal values share
-    # one (immutable) Fraction
-    parsed: dict[str | int, Fraction] = {}
+    support = {}
+    # each distinct raw value is parsed and tested for zero once; pairs with
+    # equal values share one (immutable) Fraction
+    parsed: dict[str | int, tuple[Fraction, bool]] = {}
     # a canonical key "i-j" (i < j) is one lookup; any other key ("2-1",
     # "01-2", "x") is parsed and range-checked
     canonical = _pair_tables(n)[0] if len(raw) == expected else {}
@@ -273,14 +253,19 @@ def character_from_json_dict(data: dict) -> Character:
                 raise CharacterFormatError(f"weight key {key!r} out of range for n={n}")
         if e in weights:
             raise CharacterFormatError(f"duplicate weight key {key!r}")
-        if isinstance(val, bool) or not isinstance(val, (str, int)):
+        # strings first, the common case; then ints, but not bools
+        if not isinstance(val, str) and (isinstance(val, bool) or not isinstance(val, int)):
             raise CharacterFormatError(
                 f"weight for key {key!r} must be a string or an integer, got {val!r}"
             )
-        value = parsed.get(val)
-        if value is None:
-            value = parsed[val] = _parse_weight(key, val)
+        entry = parsed.get(val)
+        if entry is None:
+            value = _parse_weight(key, val)
+            entry = parsed[val] = (value, value != 0)
+        value, nonzero = entry
         weights[e] = value
+        if nonzero:
+            support[e] = value
     # keys are distinct pairs in range, so a short count means missing keys.
     # The pairs are generated lazily and each present key is skipped once,
     # so naming the first few absent ones costs O(len(weights)), not O(n^2).
@@ -293,7 +278,9 @@ def character_from_json_dict(data: dict) -> Character:
         raise CharacterFormatError(
             f"missing weight keys ({count} of {expected}): {shown}{more}"
         )
-    return Character(n, weights)
+    chi = Character(n, weights)
+    chi.__dict__["_support"] = support
+    return chi
 
 
 def character_from_json(text: str) -> Character:

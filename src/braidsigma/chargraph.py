@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Mapping, Optional, Sequence
 
-from .characters import Character, Edge, InternalError
+from .characters import Character, Edge, InternalError, support_map
 from .record import Record
 
 
@@ -99,11 +99,12 @@ class ShapeClass(Record):
 
 
 def build_kchi(chi: Character) -> CharGraph:
-    """Support graph: exactly the pairs with nonzero weight, labels copied.
-    Built once per character and cached on it."""
+    """Support graph: exactly the pairs with nonzero weight, labelled by the
+    character's cached support map.  Built once per character and cached
+    on it."""
     g = chi.__dict__.get("_kchi")
     if g is None:
-        labels = {e: v for e, v in chi.weights.items() if v != 0}
+        labels = support_map(chi)
         g = chi.__dict__["_kchi"] = CharGraph(chi.n, frozenset(labels), labels)
     return g
 

@@ -45,7 +45,7 @@ class CircleId(Record):
         d = self.__dict__
         d["kind"] = kind
         d["support"] = support
-        size = {P3: 3, P4: 4}.get(kind)
+        size = {P3: 3, P4: 4}.get(kind) if isinstance(kind, str) else None
         if size is None:
             raise ValueError(f"circle kind must be P3 or P4, got {kind!r}")
         s = support
@@ -64,7 +64,17 @@ class CircleId(Record):
 
     @staticmethod
     def from_json_dict(data: dict) -> "CircleId":
-        return CircleId(data["kind"], tuple(data["support"]))
+        """The id written by ``to_json_dict``; any other shape of JSON, like
+        any bad kind or strands, is refused with ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"circle id must be a JSON object, got {type(data).__name__}")
+        for key in ("kind", "support"):
+            if key not in data:
+                raise ValueError(f"circle id has no {key!r}")
+        support = data["support"]
+        if not isinstance(support, list):
+            raise ValueError(f"circle support must be a JSON list, got {type(support).__name__}")
+        return CircleId(data["kind"], tuple(support))
 
 
 def matchings_of(support: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, int]]]:

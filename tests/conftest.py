@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidsigma.characters import Character, all_edges
+from braidsigma.characters import Character, all_edges, edge, swing_set
 
 
 @pytest.fixture
@@ -42,3 +42,38 @@ def random_perm(n: int, rng: random.Random) -> tuple[int, ...]:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     return tuple(perm)
+
+
+def pullback_phi(psi: Character, a, n: int) -> Character:
+    """Pull back along the strand-forgetting projection onto the positions in
+    ``a``: the weight on {a_r, a_s} is psi's weight on {r, s}; pairs with an
+    endpoint outside ``a`` get zero."""
+    aset = swing_set(a, n)
+    if len(aset) != psi.n:
+        raise ValueError(
+            f"swing set size {len(aset)} does not match character on {psi.n} strands"
+        )
+    out = {e: Fraction(0) for e in all_edges(n)}
+    for (r, s), v in psi.weights.items():
+        out[edge(aset[r - 1], aset[s - 1])] = v
+    return Character(n, out)
+
+
+def pullback_rho(psi: Character) -> Character:
+    """Pull back a character on P_3 along the map P_4 ->> P_3 that identifies
+    the planar generators on disjoint K_4 edges: w12=w34=psi(S12),
+    w13=w24=psi(S13), w14=w23=psi(S23)."""
+    if psi.n != 3:
+        raise ValueError(f"pullback_rho needs a character on P_3, got n={psi.n}")
+    p12, p13, p23 = psi.weight(1, 2), psi.weight(1, 3), psi.weight(2, 3)
+    return Character.dense(
+        4,
+        {
+            (1, 2): p12,
+            (3, 4): p12,
+            (1, 3): p13,
+            (2, 4): p13,
+            (1, 4): p23,
+            (2, 3): p23,
+        },
+    )

@@ -16,12 +16,16 @@ from braidsigma.characters import (
     character_to_json_dict,
     delta_value,
     permute,
-    pullback_phi,
-    pullback_rho,
     swing_set,
     swing_value,
 )
-from conftest import add_characters, random_character, random_perm
+from conftest import (
+    add_characters,
+    pullback_phi,
+    pullback_rho,
+    random_character,
+    random_perm,
+)
 
 
 def compose_perms(sigma, tau):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from braidsigma.characters import (
     ZeroCharacterError,
     delta_value,
     permute,
-    pullback_rho,
 )
 from braidsigma.circles import (
     CircleId,
@@ -17,7 +17,7 @@ from braidsigma.circles import (
     on_circle,
     sample_circle,
 )
-from conftest import random_character, random_perm
+from conftest import pullback_rho, random_character, random_perm
 
 
 class TestEnumerate:
@@ -54,6 +54,29 @@ class TestEnumerate:
             CircleId("P3", support)
         with pytest.raises(ValueError):
             CircleId.from_json_dict({"kind": "P3", "support": list(support)})
+
+    # a badly shaped id is refused with ValueError too, not TypeError or KeyError
+    @pytest.mark.parametrize(
+        "data",
+        [
+            ["P3", [1, 2, 3]],  # not an object
+            "P3",
+            None,
+            {"support": [1, 2, 3]},  # no kind
+            {"kind": "P3"},  # no support
+            {"kind": "P3", "support": 5},  # support not a list
+            {"kind": "P3", "support": "123"},
+            {"kind": "P3", "support": {"1": 2}},
+            {"kind": ["P3"], "support": [1, 2, 3]},  # kind not a string
+        ],
+    )
+    def test_badly_shaped_ids_are_refused(self, data):
+        with pytest.raises(ValueError):
+            CircleId.from_json_dict(data)
+
+    def test_json_round_trip(self):
+        for cid in enumerate_circles(6):
+            assert CircleId.from_json_dict(json.loads(json.dumps(cid.to_json_dict()))) == cid
 
 
 class TestP3Membership:

@@ -1,18 +1,30 @@
 """Brute-force oracles for the fast paths: the disjoint-edge searches,
-one-candidate circle location and membership, the sparse generation rank
-and the facts cached on a character and its support graph.  Every reference below is written here and shares
-no code with the function it checks."""
+one-candidate circle location and membership, the sparse generation rank,
+the facts cached on a character and its support graph, and survival and
+the shape checks of a witness.  Every reference below is written here and
+shares no code with the function it checks, except survival, whose
+reference is its definition: relabel with ``permute``, then sum each swing
+with ``swing_value``."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from braidsigma import witness
 from braidsigma.characters import (
     Character,
+    CharacterFormatError,
     character_from_json,
+    character_from_json_dict,
     character_to_json_dict,
     delta_value,
+    permute,
+    support_map,
+    swing_value,
 )
 from braidsigma.chargraph import (
     CharGraph,
@@ -24,13 +36,26 @@ from braidsigma.circles import enumerate_circles, locate_circle, on_circle
 from braidsigma.classify import (
     SIGMA1,
     Classification,
+    DisjointLeaves,
     DisjointPair,
+    DisjointTriple,
+    Star,
     Triangle,
     ZeroSum,
     classify,
     verify_certificate,
 )
-from braidsigma.witness import _generation_checks, _rank, build_witness
+from braidsigma.witness import (
+    WitnessPackage,
+    WitnessReport,
+    _generation_checks,
+    _rank,
+    _shape_checks,
+    build_witness,
+    build_witness_for,
+    verify_witness,
+)
+from conftest import random_perm
 
 
 def pairs(n):
@@ -296,3 +321,206 @@ class TestCachedFacts:
         for wrong in (Fraction(0), Fraction(3), Fraction(-5, 2)):
             assert not verify_certificate(Classification(SIGMA1, ZeroSum(wrong), 5), chi)
         assert delta_value(chi) == Fraction(5, 2)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class TestParsedSupport:
+    def test_support_and_delta_with_every_spelling_of_zero(self):
+        zeros = ["0", 0, "0/7", "-0", "0e5"]
+        nonzeros = ["1", -2, "3/6", "-0.25", "1e2", 7]
+        rng = random.Random(31)
+        empty = 0
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            raw, weights = {}, {}
+            for i, j in pairs(n):
+                val = rng.choice(zeros if rng.random() < 0.7 else nonzeros)
+                raw[f"{i}-{j}"] = val
+                weights[(i, j)] = Fraction(val)
+            chi = character_from_json(json.dumps({"n": n, "weights": raw}))
+            expected = {e: v for e, v in weights.items() if v != 0}
+            assert chi.__dict__["_support"] == expected  # handed over by the parse
+            assert support_map(chi) is chi.__dict__["_support"]
+            assert delta_value(chi) == sum(weights.values())
+            assert chi.is_zero() == (not expected)
+            empty += not expected
+        assert empty > 10
+
+    def test_every_other_constructor_derives_the_support(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            weights = {e: Fraction(rng.choice([0, 0, 0, 1, -3]), rng.randint(1, 3))
+                       for e in pairs(n)}
+            perm = random_perm(n, rng)
+            dense = Character.dense(n, weights)
+            for chi in (
+                dense,
+                Character.sparse(n, {e: v for e, v in weights.items() if rng.random() < 0.8}),
+                permute(dense, perm),
+                dense.scale(Fraction(-2, 3)),
+                dense.scale(0),
+                Character.zero(n),
+            ):
+                expected = {e: v for e, v in chi.weights.items() if v != 0}
+                assert "_support" not in chi.__dict__
+                assert chi.is_zero() == (not expected)
+                assert support_map(chi) == expected
+                assert support_map(chi) is support_map(chi)
+                assert delta_value(chi) == sum(chi.weights.values())
+
+    # the type test looks at strings first, yet refuses exactly what it did
+    @pytest.mark.parametrize(
+        "val", ["1", 1, Text("2"), Count(3), True, False, 1.0, None, [1], {"v": 1}, Fraction(1)]
+    )
+    def test_weight_type_test_accepts_and_refuses_as_before(self, val):
+        data = {"n": 2, "weights": {"1-2": val}}
+        if isinstance(val, bool) or not isinstance(val, (str, int)):
+            with pytest.raises(CharacterFormatError, match="key '1-2' must be a string or an integer"):
+                character_from_json_dict(data)
+        else:
+            assert character_from_json_dict(data).weight(1, 2) == Fraction(val)
+
+
+# -- survival without relabeling --------------------------------------------
+
+
+LEMMAS = (ZeroSum, DisjointTriple, DisjointPair, Star, DisjointLeaves, Triangle)
+
+
+def survival_reference(pkg, chi):
+    relabeled = permute(chi, pkg.perm)
+    return [j for j in pkg.j_sets if swing_value(relabeled, j) == 0]
+
+
+def fresh_report(pkg, chi):
+    """The report with every check run afresh, past the caches."""
+    connected, uncovered = _shape_checks.__wrapped__(pkg.j_sets, pkg.i_sets)
+    generation = _generation_checks.__wrapped__(chi.n, pkg.i_sets, pkg.factorizations)
+    return WitnessReport(survival_reference(pkg, chi), connected, list(uncovered), *generation)
+
+
+def sparse_character(rng, n):
+    """A few small nonzero weights, so that many swings vanish; half the
+    time one pair absorbs the total, so Delta = 0."""
+    weights = {e: Fraction(0) for e in pairs(n)}
+    for e in rng.sample(pairs(n), rng.randint(1, min(len(weights), 2 * n))):
+        weights[e] = Fraction(rng.choice([1, -1, 2, -2]), rng.choice([1, 1, 2]))
+    if rng.random() < 0.5:
+        weights[rng.choice(pairs(n))] -= sum(weights.values())
+    return Character(n, weights)
+
+
+def size_class(j, n):
+    return {n: "all", n - 1: "all but one"}.get(len(j), "other")
+
+
+class TestSurvival:
+    def test_against_relabel_and_sum(self):
+        rng = random.Random(43)
+        seen = Counter()
+        for n in range(3, 11):
+            shapes = [lemma.witness(n) for lemma in LEMMAS]
+            shapes = [s for s in shapes if max(v for j in s[0] for v in j) <= n]
+            for trial in range(30):
+                chi = sparse_character(rng, n)
+                if trial % 2:  # the support handed over by the parse
+                    chi = character_from_json(json.dumps(character_to_json_dict(chi)))
+                perm = random_perm(n, rng)
+                # every size 2..n, each given in a random order
+                made = tuple(tuple(rng.sample(range(1, n + 1), k)) for k in range(2, n + 1))
+                packages = [WitnessPackage("zero_sum", perm, j, i, f) for j, i, f in shapes]
+                packages.append(WitnessPackage("zero_sum", perm, made, tuple(pairs(n))))
+                for pkg in packages:
+                    expected = survival_reference(pkg, chi)
+                    assert verify_witness(pkg, chi).survival_failures == expected, (chi, pkg)
+                    for j in pkg.j_sets:
+                        seen[size_class(j, n), j in expected] += 1
+        assert len(seen) == 6 and min(seen.values()) > 50, seen
+
+    @pytest.mark.parametrize(
+        "perm, j_sets",
+        [
+            ((1, 1, 3, 4, 5), ((1, 2),)),  # not a bijection
+            ((1, 2, 3, 4), ((1, 2),)),  # too short
+            ((2, 3, 4, 5, 6), ((1, 2),)),  # out of range
+            ((1, 1, 3, 4, 5), ((0, 1),)),  # both bad: the perm is checked first
+            ((5, 4, 3, 2, 1), ((1, 2), (2, 2))),  # a repeated strand
+            ((5, 4, 3, 2, 1), ((1, 2, 2, 3),)),
+            ((5, 4, 3, 2, 1), ((1, 2, 3, 4, 4),)),
+            ((5, 4, 3, 2, 1), ((1, 2), (0, 3))),  # a strand out of range
+            ((5, 4, 3, 2, 1), ((1, 2, 3, 6),)),
+            ((5, 4, 3, 2, 1), ((0, 2, 3, 4, 5),)),
+            ((5, 4, 3, 2, 1), ((1,),)),  # too small
+        ],
+    )
+    def test_bad_perm_or_swing_set_raises_like_the_reference(self, perm, j_sets):
+        chi = Character.sparse(5, {(1, 2): 1, (3, 4): -1})
+        pkg = WitnessPackage("zero_sum", perm, j_sets, tuple(pairs(5)))
+        with pytest.raises(Exception) as expected:
+            survival_reference(pkg, chi)
+        with pytest.raises(Exception) as got:
+            verify_witness(pkg, chi)
+        assert type(got.value) is type(expected.value)
+
+
+class TestIdentityCache:
+    def sigma1_packages(self):
+        for lemma, n, weights in (
+            ("disjoint_pair", 5, {(1, 2): 1, (3, 4): 1, (4, 5): -2}),
+            ("star", 12, {(3, k): 1 if k < 12 else -7 for k in (1, 2, 4, 5, 8, 9, 10, 12)}),
+            ("zero_sum", 6, {(1, 2): 2, (2, 3): 1}),
+        ):
+            chi = Character.sparse(n, weights)
+            pkg = build_witness_for(classify(chi), chi)
+            assert pkg.lemma == lemma
+            assert verify_witness(pkg, chi).ok  # the shape's identity entry is warm
+            yield chi, pkg
+
+    def test_lemma_packages_skip_the_value_caches(self, monkeypatch):
+        built = []
+        init = Character.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def refuse(*args):
+            raise AssertionError("hashed the package again")
+
+        cases = list(self.sigma1_packages())
+        monkeypatch.setattr(witness, "_shape_checks", refuse)
+        monkeypatch.setattr(witness, "_generation_checks", refuse)
+        monkeypatch.setattr(Character, "__init__", counting_init)
+        for chi, pkg in cases:
+            assert verify_witness(pkg, chi).ok
+            copy = pkg._replace(i_sets=tuple(list(pkg.i_sets)))
+            with pytest.raises(AssertionError, match="hashed"):
+                verify_witness(copy, chi)
+        assert built == []  # survival relabels no character
+
+    def test_equal_copy_and_tampered_match_a_fresh_verification(self):
+        for chi, pkg in self.sigma1_packages():
+            copy = pkg._replace(i_sets=tuple(list(pkg.i_sets)))
+            assert copy.i_sets is not pkg.i_sets and copy.i_sets == pkg.i_sets
+            tampered = pkg._replace(i_sets=pkg.i_sets[:-1])  # the rank falls short
+            for p in (pkg, copy, tampered, pkg):
+                assert verify_witness(p, chi) == fresh_report(p, chi)
+            assert verify_witness(copy, chi).ok and not verify_witness(tampered, chi).ok
+
+    def test_identity_entry_holds_only_at_its_n(self):
+        chi5 = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi5), chi5)
+        assert verify_witness(pkg, chi5).ok
+        chi6 = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        moved = pkg._replace(perm=(*pkg.perm, 6))
+        report = verify_witness(moved, chi6)
+        assert report == fresh_report(moved, chi6)
+        assert not report.full_rank
