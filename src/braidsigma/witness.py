@@ -160,9 +160,10 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
     return WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
 
 
-# id(I) -> (J, I, factorizations, n, their checks or None) for each shape
-# that _lemma_sets built; the entry holds the tuples, so no id is reused
-_by_identity: dict[int, tuple] = {}
+# (id J, id I, id factorizations, n) -> [those tuples, their checks or None]
+# for each shape that _lemma_sets built; the entry holds the tuples, so
+# their ids name no other object
+_by_identity: dict[tuple[int, int, int, int], list] = {}
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +171,7 @@ def _lemma_sets(lemma: type, n: int) -> WitnessData:
     """A lemma's (J, I, factorizations) at n, built once: packages of one
     shape share these tuples, so ``_checks`` finds them by identity."""
     data = lemma.witness(n)
-    _by_identity[id(data[1])] = (*data, n, None)
+    _by_identity[(*map(id, data), n)] = [data, None]
     return data
 
 
@@ -262,19 +263,12 @@ def _checks(pkg: WitnessPackage, n: int) -> tuple:
     answered by their identity; any other, even an equal copy, goes
     through the caches keyed by value and so is checked in full."""
     j_sets, i_sets, factorizations = pkg.j_sets, pkg.i_sets, pkg.factorizations
-    entry = _by_identity.get(id(i_sets))
-    known = (
-        entry is not None
-        and entry[0] is j_sets
-        and entry[1] is i_sets
-        and entry[2] is factorizations
-        and entry[3] == n
-    )
-    if known and entry[4] is not None:
-        return entry[4]
+    entry = _by_identity.get((id(j_sets), id(i_sets), id(factorizations), n))
+    if entry is not None and entry[1] is not None:
+        return entry[1]
     checks = _shape_checks(j_sets, i_sets), _generation_checks(n, i_sets, factorizations)
-    if known:
-        _by_identity[id(i_sets)] = (*entry[:4], checks)
+    if entry is not None:
+        entry[1] = checks
     return checks
 
 

@@ -39,6 +39,7 @@ from braidsigma.classify import (
     DisjointLeaves,
     DisjointPair,
     DisjointTriple,
+    Factorization,
     Star,
     Triangle,
     ZeroSum,
@@ -511,9 +512,13 @@ class TestIdentityCache:
             copy = pkg._replace(i_sets=tuple(list(pkg.i_sets)))
             assert copy.i_sets is not pkg.i_sets and copy.i_sets == pkg.i_sets
             tampered = pkg._replace(i_sets=pkg.i_sets[:-1])  # the rank falls short
-            for p in (pkg, copy, tampered, pkg):
+            # J and I are the shape's own tuples, but S_123 is not S_12 alone
+            wrong = Factorization((1, 2, 3), ((1, 2),), (1, 2))
+            refactored = pkg._replace(factorizations=(wrong,))
+            for p in (pkg, copy, tampered, refactored, pkg):
                 assert verify_witness(p, chi) == fresh_report(p, chi)
             assert verify_witness(copy, chi).ok and not verify_witness(tampered, chi).ok
+            assert not verify_witness(refactored, chi).abelian_factorizations
 
     def test_identity_entry_holds_only_at_its_n(self):
         chi5 = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
