@@ -73,7 +73,7 @@ class Character(Record):
     Three derived facts are cached on the instance, outside its fields:
     ``support_map`` (each pair of nonzero weight mapped to it, handed over
     by the JSON parser or derived on first use), ``delta_value`` (Delta,
-    summed over the support) and ``chargraph.build_kchi`` (K_chi, labelled
+    summed over the support) and ``chargraph.build_kchi`` (K_chi, labeled
     by the support map).  So ``weights`` must never be mutated after
     construction.
     """

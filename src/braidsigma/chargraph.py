@@ -99,7 +99,7 @@ class ShapeClass(Record):
 
 
 def build_kchi(chi: Character) -> CharGraph:
-    """Support graph: exactly the pairs with nonzero weight, labelled by the
+    """Support graph: exactly the pairs with nonzero weight, labeled by the
     character's cached support map.  Built once per character and cached
     on it."""
     g = chi.__dict__.get("_kchi")
