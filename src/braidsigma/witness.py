@@ -12,9 +12,9 @@ word engine for small strand counts.
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them runs once per shape and is cached: C(J)
 connectivity and domination (``_shape_checks``), and generation
-(``_generation_checks``).  A package from ``build_witness_for`` holds the
-tuples that ``_lemma_sets`` built for its shape, so its results are found
-by the identity of those tuples, without hashing I's C(n,2) members.
+(``_generation_checks``).  The caches are keyed by value, so a package
+that differs from its shape's own in any member is checked in full, and
+bounded, so packages from outside cannot grow them without limit.
 
 Only survival reads the character, so it alone runs for every character,
 and it reads Delta and row sums, not a relabeled copy.  The swing on J
@@ -160,19 +160,16 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
     return WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
 
 
-# (id J, id I, id factorizations, n) -> [those tuples, their checks or None]
-# for each shape that _lemma_sets built; the entry holds the tuples, so
-# their ids name no other object
-_by_identity: dict[tuple[int, int, int, int], list] = {}
-
-
 @lru_cache(maxsize=None)
 def _lemma_sets(lemma: type, n: int) -> WitnessData:
     """A lemma's (J, I, factorizations) at n, built once: packages of one
-    shape share these tuples, so ``_checks`` finds them by identity."""
-    data = lemma.witness(n)
-    _by_identity[(*map(id, data), n)] = [data, None]
-    return data
+    shape share these tuples, so the shape caches below match by identity."""
+    return lemma.witness(n)
+
+
+# entries of each shape cache: far more than the (lemma, n) shapes a run
+# meets, and a bound on what packages from outside can add
+_SHAPE_CACHE_SIZE = 256
 
 
 # -- verification ----------------------------------------------------------
@@ -205,7 +202,7 @@ def _rank(vectors: list[dict[Edge, int]]) -> int:
     return len(pivots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape_checks(
     j_sets: tuple[SwingSet, ...], i_sets: tuple[SwingSet, ...]
 ) -> tuple[bool, tuple[SwingSet, ...]]:
@@ -215,7 +212,7 @@ def _shape_checks(
     return is_connected(commuting_graph(j_sets)), tuple(uncovered)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _generation_checks(
     n: int,
     i_sets: tuple[SwingSet, ...],
@@ -257,21 +254,6 @@ def _generation_checks(
     return full_rank, abelian_ok, wordlevel
 
 
-def _checks(pkg: WitnessPackage, n: int) -> tuple:
-    """(``_shape_checks``, ``_generation_checks``) of the package at n.  A
-    package holding the very tuples that ``_lemma_sets`` built at n is
-    answered by their identity; any other, even an equal copy, goes
-    through the caches keyed by value and so is checked in full."""
-    j_sets, i_sets, factorizations = pkg.j_sets, pkg.i_sets, pkg.factorizations
-    entry = _by_identity.get((id(j_sets), id(i_sets), id(factorizations), n))
-    if entry is not None and entry[1] is not None:
-        return entry[1]
-    checks = _shape_checks(j_sets, i_sets), _generation_checks(n, i_sets, factorizations)
-    if entry is not None:
-        entry[1] = checks
-    return checks
-
-
 def _row_sum(chi: Character, v: int) -> Fraction:
     """The sum of the weights on the pairs at strand v, read off K_chi."""
     g = build_kchi(chi)
@@ -305,7 +287,10 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     failures are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
-    (connected, uncovered), (full_rank, abelian_ok, wordlevel) = _checks(pkg, chi.n)
+    connected, uncovered = _shape_checks(pkg.j_sets, pkg.i_sets)
+    full_rank, abelian_ok, wordlevel = _generation_checks(
+        chi.n, pkg.i_sets, pkg.factorizations
+    )
     # the cached uncovered tuple is shared, so each report gets its own list
     return WitnessReport(
         survival_failures, connected, list(uncovered), full_rank, abelian_ok, wordlevel

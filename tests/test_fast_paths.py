@@ -472,7 +472,7 @@ class TestSurvival:
         assert type(got.value) is type(expected.value)
 
 
-class TestIdentityCache:
+class TestShapeCache:
     def sigma1_packages(self):
         for lemma, n, weights in (
             ("disjoint_pair", 5, {(1, 2): 1, (3, 4): 1, (4, 5): -2}),
@@ -482,10 +482,10 @@ class TestIdentityCache:
             chi = Character.sparse(n, weights)
             pkg = build_witness_for(classify(chi), chi)
             assert pkg.lemma == lemma
-            assert verify_witness(pkg, chi).ok  # the shape's identity entry is warm
+            assert verify_witness(pkg, chi).ok  # the shape's cache entries are warm
             yield chi, pkg
 
-    def test_lemma_packages_skip_the_value_caches(self, monkeypatch):
+    def test_survival_builds_no_character(self, monkeypatch):
         built = []
         init = Character.__init__
 
@@ -493,18 +493,10 @@ class TestIdentityCache:
             built.append(args)
             init(self, *args)
 
-        def refuse(*args):
-            raise AssertionError("hashed the package again")
-
         cases = list(self.sigma1_packages())
-        monkeypatch.setattr(witness, "_shape_checks", refuse)
-        monkeypatch.setattr(witness, "_generation_checks", refuse)
         monkeypatch.setattr(Character, "__init__", counting_init)
         for chi, pkg in cases:
             assert verify_witness(pkg, chi).ok
-            copy = pkg._replace(i_sets=tuple(list(pkg.i_sets)))
-            with pytest.raises(AssertionError, match="hashed"):
-                verify_witness(copy, chi)
         assert built == []  # survival relabels no character
 
     def test_equal_copy_and_tampered_match_a_fresh_verification(self):
@@ -520,7 +512,18 @@ class TestIdentityCache:
             assert verify_witness(copy, chi).ok and not verify_witness(tampered, chi).ok
             assert not verify_witness(refactored, chi).abelian_factorizations
 
-    def test_identity_entry_holds_only_at_its_n(self):
+    def test_packages_from_outside_keep_the_caches_bounded(self):
+        chi = Character.sparse(6, {(1, 2): 2, (2, 3): 1})
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == "zero_sum" and not pkg.factorizations
+        subsets = (s for k in (2, 3) for s in combinations(pkg.i_sets, len(pkg.i_sets) - k))
+        for _, i_sets in zip(range(witness._SHAPE_CACHE_SIZE + 20), subsets):
+            report = verify_witness(pkg._replace(i_sets=i_sets), chi)
+            assert not report.full_rank
+        for cached in (_shape_checks, _generation_checks):
+            assert cached.cache_info().currsize == witness._SHAPE_CACHE_SIZE
+
+    def test_generation_entry_holds_only_at_its_n(self):
         chi5 = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
         pkg = build_witness_for(classify(chi5), chi5)
         assert verify_witness(pkg, chi5).ok
