@@ -14,7 +14,7 @@ from .characters import (
 from .chargraph import build_kchi, oracle_star_or_small, shape_classify
 from .circles import CircleId, enumerate_circles, locate_circle, sample_circle
 from .classify import Classification, classify, verify_certificate
-from .witness import build_witness, build_witness_for, verify_witness
+from .witness import build_witness_for, verify_witness
 
 __all__ = [
     "Character",
@@ -24,7 +24,6 @@ __all__ = [
     "Classification",
     "InternalError",
     "build_kchi",
-    "build_witness",
     "build_witness_for",
     "character_from_json",
     "character_to_json_dict",

@@ -51,24 +51,24 @@ from .record import Record
 
 
 class CharGraph(Record):
-    """K_chi on strands 1..n: ``edges`` are the pairs of nonzero weight and
-    ``labels`` their weights.  Construction also derives, once, what every
-    stage reads: ``order``, the edges sorted, and ``nbrs``, each support
-    vertex (an endpoint of some edge) mapped to its neighbours in
-    increasing order.  So ``set(nbrs)`` is the support and ``len(nbrs[v])``
-    the degree of v; the lists must not be mutated."""
+    """K_chi on strands 1..n: ``labels`` maps each edge, a pair (i, j) with
+    i < j of nonzero weight, to its weight, so its keys are the edges.
+    Construction also derives, once, what every stage reads: ``order``,
+    the edges sorted, and ``nbrs``, each support vertex (an endpoint of
+    some edge) mapped to its neighbours in increasing order.  So
+    ``set(nbrs)`` is the support and ``len(nbrs[v])`` the degree of v; the
+    lists must not be mutated."""
 
-    _fields = ("n", "edges", "labels")
+    _fields = ("n", "labels")
 
-    def __init__(self, n: int, edges: frozenset[Edge], labels: Mapping[Edge, Fraction]) -> None:
-        order = tuple(sorted(edges))
+    def __init__(self, n: int, labels: Mapping[Edge, Fraction]) -> None:
+        order = tuple(sorted(labels))
         nbrs: dict[int, list[int]] = {}
         for i, j in order:  # (i, v) edges precede (v, j) ones, so each list ascends
             nbrs.setdefault(i, []).append(j)
             nbrs.setdefault(j, []).append(i)
         d = self.__dict__
         d["n"] = n
-        d["edges"] = edges
         d["labels"] = labels
         d["order"] = order
         d["nbrs"] = nbrs
@@ -104,8 +104,7 @@ def build_kchi(chi: Character) -> CharGraph:
     on it."""
     g = chi.__dict__.get("_kchi")
     if g is None:
-        labels = support_map(chi)
-        g = chi.__dict__["_kchi"] = CharGraph(chi.n, frozenset(labels), labels)
+        g = chi.__dict__["_kchi"] = CharGraph(chi.n, support_map(chi))
     return g
 
 

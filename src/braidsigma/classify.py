@@ -96,7 +96,7 @@ def _recovering(k: int, n: int) -> tuple[tuple[SwingSet, ...], tuple[Factorizati
 
 
 def _has_edges(g: CharGraph, *pairs: Edge) -> bool:
-    return all(tuple(sorted(p)) in g.edges for p in pairs)
+    return all(tuple(sorted(p)) in g.labels for p in pairs)
 
 
 def _are_pairs(edges: tuple, k: int) -> bool:
@@ -202,7 +202,7 @@ class Star(Lemma):
         return (
             len(set(leaves)) == len(leaves) >= 3
             and delta_value(chi) == 0
-            and build_kchi(chi).edges == frozenset(tuple(sorted((c, l))) for l in leaves)
+            and build_kchi(chi).labels.keys() == {tuple(sorted((c, l))) for l in leaves}
         )
 
     def named(self) -> tuple[int, ...]:
@@ -299,15 +299,19 @@ Certificate = Lemma | CircleMembership
 
 
 class Classification(Record):
-    _fields = ("verdict", "certificate", "n")
+    """A certificate for a character on n strands.  The verdict is the
+    certificate's own: SIGMA1 for a lemma, COMPLEMENT for a circle."""
 
-    def __init__(self, verdict: str, certificate: Certificate, n: int) -> None:
+    _fields = ("certificate", "n")
+
+    def __init__(self, certificate: Certificate, n: int) -> None:
         d = self.__dict__
-        d["verdict"] = verdict  # SIGMA1 | COMPLEMENT
         d["certificate"] = certificate
         d["n"] = n  # the strand count the certificate was made for
-        if verdict != certificate.verdict:
-            raise InternalError(f"verdict {verdict!r} mismatches {certificate!r}")
+
+    @property
+    def verdict(self) -> str:
+        return self.certificate.verdict
 
     @property
     def perm(self) -> Perm:
@@ -336,22 +340,22 @@ def classify(chi: Character) -> Classification:
 
     delta = delta_value(chi)
     if delta != 0:
-        return Classification(SIGMA1, ZeroSum(delta), n)
+        return Classification(ZeroSum(delta), n)
 
     g = build_kchi(chi)
-    if not g.edges:
-        raise ZeroCharacterError("cannot classify the zero character")
+    if not g.labels:
+        raise ZeroCharacterError("the zero character has no class on the sphere")
     shape = shape_classify(g)
 
     if shape.kind == "has_disjoint_from_two":
         triple = find_disjoint_triple(g)
         if triple is not None:
-            return Classification(SIGMA1, DisjointTriple(triple), n)
+            return Classification(DisjointTriple(triple), n)
         e, f, h = shape.witness
-        return Classification(SIGMA1, DisjointPair(e, (f, h)), n)
+        return Classification(DisjointPair(e, (f, h)), n)
 
     if shape.kind == "star" and len(shape.leaves) >= 3:
-        return Classification(SIGMA1, Star(shape.center, shape.leaves), n)
+        return Classification(Star(shape.center, shape.leaves), n)
 
     support = tuple(sorted(g.nbrs))
     if len(support) <= 3:
@@ -366,7 +370,7 @@ def classify(chi: Character) -> Classification:
     leaf_edges = [(v, g.nbrs[v][0]) for v in support if len(g.nbrs[v]) == 1]
     for eu, ew in combinations(leaf_edges, 2):
         if not set(eu) & set(ew):
-            return Classification(SIGMA1, DisjointLeaves((eu, ew)), n)
+            return Classification(DisjointLeaves((eu, ew)), n)
 
     pair = find_disjoint_pair(g)
     if pair is None:
@@ -378,7 +382,7 @@ def classify(chi: Character) -> Classification:
             # holds the one support vertex the triangle misses
             p, q = pair
             inner, outer = (q, p) if set(q) <= set(tri) else (p, q)
-            return Classification(SIGMA1, Triangle((inner, outer), tri, value), n)
+            return Classification(Triangle((inner, outer), tri, value), n)
 
     return _on_circle_or_fail(chi, CircleId(P4, support))
 
@@ -388,12 +392,12 @@ def _on_circle_or_fail(chi: Character, cid: CircleId) -> Classification:
     ``cid``; a character that is not on it is an internal fault."""
     if not on_circle(chi, cid):
         raise InternalError(f"pipeline placed the character on {cid}, which misses it")
-    return Classification(COMPLEMENT, CircleMembership(cid), chi.n)
+    return Classification(CircleMembership(cid), chi.n)
 
 
 def verify_certificate(cls: Classification, chi: Character) -> bool:
     """Re-check every numeric claim a certificate makes about the character;
-    the verdict matches the certificate by construction of Classification."""
+    the verdict is the certificate's own."""
     return cls.n == chi.n and cls.certificate.check(chi)
 
 

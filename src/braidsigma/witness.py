@@ -41,7 +41,7 @@ from .characters import (
     swing_value,
 )
 from .chargraph import build_kchi
-from .classify import Certificate, Classification, Factorization, WitnessData
+from .classify import Classification, Factorization, WitnessData
 from .record import Record
 from .words import (
     WORD_ENGINE_MAX_STRANDS,
@@ -148,28 +148,25 @@ def dominates(
     return (not uncovered, uncovered)
 
 
-def build_witness(cert: Certificate, chi: Character) -> WitnessPackage:
-    """Instantiate the (J, I, factorizations) data of the proof backing the
-    certificate, in the certificate's normal-form coordinates."""
-    return build_witness_for(Classification(cert.verdict, cert, chi.n), chi)
-
-
 def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
+    """Instantiate the (J, I, factorizations) data of the proof backing the
+    classification's certificate, in its normal-form coordinates."""
     cert = cls.certificate
     j_sets, i_sets, factorizations = _lemma_sets(type(cert), chi.n)
     return WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
 
 
-@lru_cache(maxsize=None)
-def _lemma_sets(lemma: type, n: int) -> WitnessData:
-    """A lemma's (J, I, factorizations) at n, built once: packages of one
-    shape share these tuples, so the shape caches below match by identity."""
-    return lemma.witness(n)
-
-
 # entries of each shape cache: far more than the (lemma, n) shapes a run
 # meets, and a bound on what packages from outside can add
 _SHAPE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _lemma_sets(lemma: type, n: int) -> WitnessData:
+    """A lemma's (J, I, factorizations) at n, built once per shape, like
+    the shape caches below that it feeds; those are keyed by value, so a
+    package rebuilt after an eviction still finds its checks."""
+    return lemma.witness(n)
 
 
 # -- verification ----------------------------------------------------------

@@ -3,7 +3,8 @@
 Braid words act on a free group F_n; equality of braid-group elements is
 decided by comparing the reduced images of the basis letters.  This module
 supplies the swing-generator words, the chord commutation predicate, and
-mechanical checks of the presentation identities the classifier relies on.
+mechanical checks of the P_3 identities the classifier relies on; the
+planar presentation of P_4 is checked in ``planar``.
 
 Convention: products are composed left-to-right, so the automorphism of a
 concatenated word uv is "apply u's automorphism, then v's".
@@ -12,7 +13,7 @@ concatenated word uv is "apply u's automorphism, then v's".
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .record import Record
 
@@ -243,72 +244,3 @@ def verify_swing_factorizations() -> bool:
             if not _products_equal(_cyclic_triple_words(i, i + 1, i + 2, n)):
                 return False
     return True
-
-
-PLANAR_RELATIONS: list[tuple[str, str, str]] = [
-    ("abc=bca", "abc", "bca"),
-    ("bca=cab", "bca", "cab"),
-    ("ad=da", "ad", "da"),
-    ("cde=dec", "cde", "dec"),
-    ("dec=ecd", "dec", "ecd"),
-    ("be=eb", "be", "eb"),
-    ("bfd=fdb", "bfd", "fdb"),
-    ("fdb=dbf", "fdb", "dbf"),
-    ("cf=fc", "cf", "fc"),
-]
-
-
-def _eval_letters(words: Mapping[str, BraidWord], letters: str, n: int) -> BraidWord:
-    out = BraidWord(n, ())
-    for ch in letters:
-        out = out * words[ch]
-    return out
-
-
-def verify_planar_presentation(words: Mapping[str, BraidWord]) -> dict[str, bool]:
-    """Check candidate words for the planar generators a..f of P_4 against
-    all nine planar relations; returns a per-relation report."""
-    report = {}
-    for name, lhs, rhs in PLANAR_RELATIONS:
-        report[name] = aut_equal(
-            braid_aut(_eval_letters(words, lhs, 4)),
-            braid_aut(_eval_letters(words, rhs, 4)),
-        )
-    return report
-
-
-RHO_IMAGE = {"a": "a", "d": "a", "b": "b", "e": "b", "c": "c", "f": "c"}
-
-
-def verify_rho() -> bool:
-    """Substituting the disjoint-edge identification a,d -> a; b,e -> b;
-    c,f -> c into every planar relation yields an identity of P_3."""
-    p3_words = {
-        "a": standard_pure_word(1, 2, 3),
-        "b": standard_pure_word(1, 3, 3),
-        "c": standard_pure_word(2, 3, 3),
-    }
-    for _, lhs, rhs in PLANAR_RELATIONS:
-        lhs_img = "".join(RHO_IMAGE[ch] for ch in lhs)
-        rhs_img = "".join(RHO_IMAGE[ch] for ch in rhs)
-        if not aut_equal(
-            braid_aut(_eval_letters(p3_words, lhs_img, 3)),
-            braid_aut(_eval_letters(p3_words, rhs_img, 3)),
-        ):
-            return False
-    return True
-
-
-# -- plain-text word notation ---------------------------------------------
-#
-# "s2 s1 s1 S2" means sigma_2 sigma_1 sigma_1 sigma_2^-1.
-
-
-def parse_artin_word(text: str, n: int) -> BraidWord:
-    letters = []
-    for tok in text.split():
-        if len(tok) < 2 or tok[0] not in "sS" or not tok[1:].isdigit():
-            raise ValueError(f"bad Artin letter token {tok!r}")
-        k = int(tok[1:])
-        letters.append(k if tok[0] == "s" else -k)
-    return BraidWord(n, tuple(letters))

@@ -20,7 +20,7 @@ from braidsigma.circles import (
     on_circle,
 )
 from braidsigma.classify import COMPLEMENT, SIGMA1, ZeroSum, classify
-from braidsigma.planar import load_planar_words
+from braidsigma.planar import planar_words, verify_planar_presentation, verify_rho
 from braidsigma.witness import build_witness_for, verify_witness
 from braidsigma.words import (
     artin_sigma,
@@ -30,8 +30,6 @@ from braidsigma.words import (
     compose,
     standard_pure_word,
     verify_p3_relation,
-    verify_planar_presentation,
-    verify_rho,
     verify_swing_factorizations,
 )
 from conftest import random_nonzero_character, random_perm
@@ -189,7 +187,7 @@ def test_word_engine_identities(capsys):
 
 
 def test_planar_word_list(capsys):
-    results = verify_planar_presentation(load_planar_words())
+    results = verify_planar_presentation(planar_words())
     ok = len(results) == 9 and all(results.values())
     report(capsys, "planar generating words: all nine relations hold", ok)
 

@@ -225,13 +225,13 @@ class TestCertificateRejection:
         # star passes every other star condition when a leaf is repeated
         chi = Character.sparse(4, {(1, 4): 1, (2, 4): -1})
         assert classify(chi).verdict == COMPLEMENT
-        cls = Classification(SIGMA1, Star(4, (1, 1, 2)), 4)
+        cls = Classification(Star(4, (1, 1, 2)), 4)
         assert not verify_certificate(cls, chi)
 
     def test_star_with_center_among_leaves(self):
         chi = Character.sparse(5, {(1, 4): 2, (2, 4): 1, (3, 4): -3})
-        assert verify_certificate(Classification(SIGMA1, Star(4, (1, 2, 3)), 5), chi)
-        cls = Classification(SIGMA1, Star(4, (1, 2, 3, 4)), 5)
+        assert verify_certificate(Classification(Star(4, (1, 2, 3)), 5), chi)
+        cls = Classification(Star(4, (1, 2, 3, 4)), 5)
         assert not verify_certificate(cls, chi)
 
     # four edges of K on six strands; three edges of K of which two meet
@@ -240,26 +240,26 @@ class TestCertificateRejection:
     )
     def test_disjoint_triple_fields_break_the_lemma(self, edges):
         chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): 1, (1, 3): -3})
-        cls = Classification(SIGMA1, DisjointTriple(edges), 6)
+        cls = Classification(DisjointTriple(edges), 6)
         assert not verify_certificate(cls, chi)
 
     def test_disjoint_leaves_must_not_meet(self):
         # the two-edge path 1-2-3 lies on the P3 circle; its leaf edges meet
         chi = Character.sparse(3, {(1, 2): 1, (2, 3): -1})
-        cls = Classification(SIGMA1, DisjointLeaves(((1, 2), (3, 2))), 3)
+        cls = Classification(DisjointLeaves(((1, 2), (3, 2))), 3)
         assert not verify_certificate(cls, chi)
 
     def test_disjoint_leaves_must_be_leaves(self):
         # 1 has degree 2, so 1-2 is not a leaf edge although it is an edge
         chi = Character.sparse(4, {(1, 2): 1, (1, 3): 1, (3, 4): -2})
-        good = Classification(SIGMA1, DisjointLeaves(((2, 1), (4, 3))), 4)
+        good = Classification(DisjointLeaves(((2, 1), (4, 3))), 4)
         assert verify_certificate(good, chi)
-        cls = Classification(SIGMA1, DisjointLeaves(((1, 2), (4, 3))), 4)
+        cls = Classification(DisjointLeaves(((1, 2), (4, 3))), 4)
         assert not verify_certificate(cls, chi)
 
     def test_disjoint_pair_others_must_share_one_vertex(self):
         chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
-        cls = Classification(SIGMA1, DisjointPair((1, 2), ((3, 4), (5, 6))), 6)
+        cls = Classification(DisjointPair((1, 2), ((3, 4), (5, 6))), 6)
         assert not verify_certificate(cls, chi)
 
     # a repeated vertex, and a triangle that does not contain the first edge
@@ -272,13 +272,13 @@ class TestCertificateRejection:
         assert good.certificate == Triangle(((1, 2), (3, 4)), (1, 2, 4), Fraction(-1))
         assert verify_certificate(good, chi)
         bad = good.certificate._replace(**fields)
-        assert not verify_certificate(Classification(SIGMA1, bad, 4), chi)
+        assert not verify_certificate(Classification(bad, 4), chi)
 
     # a strand below 1 cannot even be named (TestEnumerate in test_circles)
     @pytest.mark.parametrize("cid", [CircleId("P3", (1, 2, 5)), CircleId("P4", (1, 2, 4, 9))])
     def test_circle_outside_the_strands(self, cid):
         chi = Character.sparse(4, {(1, 4): 1, (2, 4): -1})
-        assert not verify_certificate(Classification(COMPLEMENT, CircleMembership(cid), 4), chi)
+        assert not verify_certificate(Classification(CircleMembership(cid), 4), chi)
 
     # each certificate holds on chi; one edge more in its tuple field must
     # make verify_certificate return False, not raise while unpacking
@@ -292,9 +292,9 @@ class TestCertificateRejection:
     )
     def test_wrong_edge_count_is_rejected(self, cert, extra):
         chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
-        assert verify_certificate(Classification(SIGMA1, cert, 6), chi)
+        assert verify_certificate(Classification(cert, 6), chi)
         bad = cert._replace(**extra)
-        assert not verify_certificate(Classification(SIGMA1, bad, 6), chi)
+        assert not verify_certificate(Classification(bad, 6), chi)
 
     def test_strand_count_must_match(self, chi0):
         cls = classify(chi0)

@@ -129,7 +129,11 @@ class TestClassify:
     def test_zero_character_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 2, "weights": {"1-2": "0"}}))
-        assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
+        for flags in ([], ["--witness"]):
+            assert main(["classify", "--in", str(path), *flags]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: the zero character has no class on the sphere\n"
 
     def test_internal_error_has_its_own_exit_code(self, chi0_file, capsys, monkeypatch):
         def broken(chi):
@@ -193,15 +197,14 @@ def test_invariants_survive_python_O():
     code = (
         "import sys\n"
         "from braidsigma.characters import InternalError\n"
-        "from braidsigma.circles import CircleId\n"
-        "from braidsigma.classify import SIGMA1, CircleMembership, Classification\n"
+        "from braidsigma.classify import Classification, DisjointPair\n"
         "if __debug__:\n"
         "    sys.exit('assertions are still enabled')\n"
         "try:\n"
-        "    Classification(SIGMA1, CircleMembership(CircleId('P3', (1, 2, 3))), 3)\n"
+        "    Classification(DisjointPair((1, 2), ((3, 4), (5, 6))), 6).perm\n"
         "except InternalError:\n"
         "    sys.exit(0)\n"
-        "sys.exit('a sigma1 verdict with a circle certificate was accepted')\n"
+        "sys.exit('a perm was derived from others that share no vertex')\n"
     )
     proc = run_child(["-O", "-c", code])
     assert proc.returncode == 0, proc.stderr

@@ -34,7 +34,6 @@ from braidsigma.chargraph import (
 )
 from braidsigma.circles import enumerate_circles, locate_circle, on_circle
 from braidsigma.classify import (
-    SIGMA1,
     Classification,
     DisjointLeaves,
     DisjointPair,
@@ -52,7 +51,6 @@ from braidsigma.witness import (
     _generation_checks,
     _rank,
     _shape_checks,
-    build_witness,
     build_witness_for,
     verify_witness,
 )
@@ -64,8 +62,7 @@ def pairs(n):
 
 
 def graph(n, edges):
-    edges = frozenset(edges)
-    return CharGraph(n, edges, {e: Fraction(1) for e in edges})
+    return CharGraph(n, {e: Fraction(1) for e in edges})
 
 
 def disjoint(*edges):
@@ -273,7 +270,7 @@ class TestSparseRank:
             DisjointPair((1, 2), ((3, 4), (4, 5))),
             Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(1)),
         ):
-            pkg = build_witness(cert, chi)
+            pkg = build_witness_for(Classification(cert, n), chi)
             # __wrapped__ bypasses the per-shape cache, so this is a cold run
             checks = _generation_checks.__wrapped__(n, pkg.i_sets, pkg.factorizations)
             assert checks == (True, True, None)
@@ -310,7 +307,7 @@ class TestCachedFacts:
                 assert build_kchi(chi) is g
                 assert delta_value(chi) is delta_value(chi)
                 fresh = character_from_json(json.dumps(character_to_json_dict(chi)))
-                assert g.edges == build_kchi(fresh).edges == {e for e, v in weights.items() if v}
+                assert g.labels.keys() == build_kchi(fresh).labels.keys() == {e for e, v in weights.items() if v}
                 assert g.labels == build_kchi(fresh).labels
                 assert delta_value(chi) == delta_value(fresh) == sum(weights.values())
 
@@ -320,7 +317,7 @@ class TestCachedFacts:
         assert cls.certificate == ZeroSum(Fraction(5, 2))
         assert verify_certificate(cls, chi)
         for wrong in (Fraction(0), Fraction(3), Fraction(-5, 2)):
-            assert not verify_certificate(Classification(SIGMA1, ZeroSum(wrong), 5), chi)
+            assert not verify_certificate(Classification(ZeroSum(wrong), 5), chi)
         assert delta_value(chi) == Fraction(5, 2)
 
 
@@ -522,6 +519,23 @@ class TestShapeCache:
             assert not report.full_rank
         for cached in (_shape_checks, _generation_checks):
             assert cached.cache_info().currsize == witness._SHAPE_CACHE_SIZE
+
+    def test_lemma_sets_stay_bounded(self):
+        chi = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert verify_witness(pkg, chi).ok
+        # each lemma at n = 6..52: more (lemma, n) shapes than the bound
+        shapes = [(lemma, n) for n in range(6, 53) for lemma in LEMMAS]
+        assert len(shapes) > witness._SHAPE_CACHE_SIZE
+        for lemma, n in shapes:
+            witness._lemma_sets(lemma, n)
+        info = witness._lemma_sets.cache_info()
+        assert info.currsize == witness._SHAPE_CACHE_SIZE
+        rebuilt = build_witness_for(classify(chi), chi)
+        assert witness._lemma_sets.cache_info().misses == info.misses + 1  # it was evicted
+        assert rebuilt == pkg and rebuilt.i_sets is not pkg.i_sets
+        assert verify_witness(rebuilt, chi) == fresh_report(rebuilt, chi)
+        assert verify_witness(rebuilt, chi).ok
 
     def test_generation_entry_holds_only_at_its_n(self):
         chi5 = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})

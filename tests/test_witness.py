@@ -7,7 +7,6 @@ from braidsigma.characters import Character, all_edges, permute, swing_value
 from braidsigma.classify import SIGMA1, classify
 from braidsigma.witness import (
     WitnessPackage,
-    build_witness,
     build_witness_for,
     commuting_graph,
     dominates,

@@ -16,13 +16,12 @@ from braidsigma.words import (
     identity_aut,
     invert_word,
     is_pure,
-    parse_artin_word,
     standard_pure_word,
     swing_word,
     verify_p3_relation,
-    verify_rho,
     verify_swing_factorizations,
 )
+from braidsigma.planar import verify_rho
 
 
 def full_twist_word(lo: int, hi: int, n: int) -> BraidWord:
@@ -32,11 +31,6 @@ def full_twist_word(lo: int, hi: int, n: int) -> BraidWord:
         raise ValueError(f"bad block {lo}..{hi} for n={n}")
     period = tuple(range(lo, hi))
     return BraidWord(n, period * (hi - lo + 1))
-
-
-def format_artin_word(w: BraidWord) -> str:
-    """The notation parse_artin_word reads: "s2 S1" is sigma_2 sigma_1^-1."""
-    return " ".join(f"s{x}" if x > 0 else f"S{-x}" for x in w.letters)
 
 
 class TestArtinAction:
@@ -200,16 +194,3 @@ class TestIdentitySuite:
             for i, j in combinations(range(1, n + 1), 2):
                 assert commute_wordlevel(delta, standard_pure_word(i, j, n))
 
-
-class TestNotation:
-    def test_parse(self):
-        w = parse_artin_word("s2 s1 s1 S2", 3)
-        assert w.letters == (2, 1, 1, -2)
-
-    def test_round_trip(self):
-        w = standard_pure_word(2, 4, 5)
-        assert parse_artin_word(format_artin_word(w), 5).letters == w.letters
-
-    def test_bad_token(self):
-        with pytest.raises(ValueError):
-            parse_artin_word("x1", 3)
