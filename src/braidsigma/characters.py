@@ -4,6 +4,14 @@ A character of P_n is determined freely by its values on the standard
 generators S_ij, so we store it as a total map from unordered pairs
 {i, j} of strand indices to rationals.  All arithmetic is exact
 (``fractions.Fraction``); every zero-test below is therefore decidable.
+
+Fraction's own machinery stays off the per-character path.  The JSON
+parser reads a weight in a plain form, [+-]digits or [+-]digits/digits in
+ASCII, with int(); any other spelling goes to Fraction's parser after the
+exponent bound below.  Sums (Delta, swing values, row sums, circle sums)
+add plain integers and build one Fraction each (``_exact_sum``).  The
+parser has proved the pairs of the characters it builds, so it skips the
+constructor's check of them.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .record import Record
@@ -129,13 +138,21 @@ class Character(Record):
 
 
 def _exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """Sum of rationals: numerators are summed per denominator as plain
-    integers, then one Fraction is added per distinct denominator."""
+    """Sum of rationals in plain integers, one Fraction built at the end.
+    Numerators are summed per denominator, then merged two partial sums at
+    a time over the lcm of their denominators, oldest first: a balanced
+    tree, so k distinct denominators cost about log2 k rounds."""
     by_denominator: dict[int, int] = {}
     for v in values:
         d = v.denominator
         by_denominator[d] = by_denominator.get(d, 0) + v.numerator
-    return sum((Fraction(x, d) for d, x in by_denominator.items()), Fraction(0))
+    terms = list(by_denominator.items())
+    for i in range(0, 2 * len(terms) - 2, 2):
+        (d1, x1), (d2, x2) = terms[i], terms[i + 1]
+        d = lcm(d1, d2)
+        terms.append((d, x1 * (d // d1) + x2 * (d // d2)))
+    d, x = terms[-1] if terms else (1, 0)
+    return Fraction(x, d)
 
 
 def support_map(chi: Character) -> dict[Edge, Fraction]:
@@ -214,6 +231,16 @@ def _parse_weight(key: str, val: str | int) -> Fraction:
                     "in absolute value"
                 )
     try:
+        if isinstance(val, str) and val.isascii():
+            # the plain spellings [+-]digits and [+-]digits/digits are read
+            # by int(), which refuses what Fraction refuses: more digits
+            # than Python's limit (ValueError), a zero denominator below
+            num, slash, den = val.partition("/")
+            if (num[1:] if num[:1] in "+-" else num).isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit():
+                    return Fraction(int(num), int(den))
         return Fraction(val)
     except (ValueError, ZeroDivisionError) as exc:
         raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc
@@ -278,8 +305,10 @@ def character_from_json_dict(data: dict) -> Character:
         raise CharacterFormatError(
             f"missing weight keys ({count} of {expected}): {shown}{more}"
         )
-    chi = Character(n, weights)
-    chi.__dict__["_support"] = support
+    # the keys are now proved to be exactly the pairs of 1..n, so the
+    # constructor's check of the same fact is not run again
+    chi = Character.__new__(Character)
+    chi.__dict__.update(n=n, weights=weights, _support=support)
     return chi
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .characters import Character, ZeroCharacterError, delta_value
+from .characters import Character, ZeroCharacterError, _exact_sum, delta_value
 from .chargraph import build_kchi
 from .record import Record
 
@@ -106,9 +106,9 @@ def on_circle(chi: Character, cid: CircleId) -> bool:
         return False
     w = g.labels
     if cid.kind == P3:
-        return sum(w.get(e, 0) for e in combinations(cid.support, 2)) == 0
+        return _exact_sum(w.get(e, 0) for e in combinations(cid.support, 2)) == 0
     values = [(w.get(e1, 0), w.get(e2, 0)) for e1, e2 in matchings_of(cid.support)]
-    return all(a == b for a, b in values) and sum(a for a, _ in values) == 0
+    return all(a == b for a, b in values) and _exact_sum(a for a, _ in values) == 0
 
 
 def locate_circle(chi: Character) -> Optional[CircleId]:

@@ -7,10 +7,11 @@ check that proves the star-or-small fact for every n (it takes no
 options).  Exit codes: 0 success, 1 verification failure, 2 input error
 (a malformed, unreadable or zero character, an unwritable ``--dot``
 path, or an argument out of range or unknown), 3 internal error (a
-broken invariant of the package or any other fault, to be reported as a
-bug).  ``circles`` writes its JSON list one circle at a time and refuses
-any n with more than MAX_CIRCLES = 10**6 circles, C(n,3) + C(n,4), so
-n <= 70.
+broken invariant of the package, such as a certificate that fails the
+check ``classify`` runs before printing it, or any other fault, to be
+reported as a bug).  ``circles`` writes its JSON list one circle at a
+time and refuses any n with more than MAX_CIRCLES = 10**6 circles,
+C(n,3) + C(n,4), so n <= 70.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .characters import (
 )
 from .chargraph import build_kchi, oracle_star_or_small, to_dot
 from .circles import P3, P4
-from .classify import classification_to_json_dict, classify
+from .classify import classification_to_json_dict, classify, verify_certificate
 from .witness import build_witness_for, verify_witness, witness_to_json_dict
 from .words import verify_p3_relation, verify_swing_factorizations
 
@@ -71,6 +72,8 @@ def _load_character(path: str):
 def cmd_classify(args: argparse.Namespace) -> int:
     chi = _load_character(args.infile)
     cls = classify(chi)
+    if not verify_certificate(cls, chi):
+        raise InternalError(f"the {cls.certificate.kind} certificate fails its check")
     out = classification_to_json_dict(cls)
     if args.witness and cls.verdict == "sigma1":
         pkg = build_witness_for(cls, chi)

@@ -21,7 +21,8 @@ and it reads Delta and row sums, not a relabeled copy.  The swing on J
 after relabeling by perm is the swing on perm^-1(J) before it: J of all
 n strands gives the cached Delta, J of all strands but m gives Delta
 minus the row sum at perm^-1(m) (the weights on the edges of K_chi at
-that strand), and any other J reads its own pairs.
+that strand), J of two strands reads its one weight, and any other J
+sums its own pairs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .characters import (
     Character,
     Edge,
     SwingSet,
+    _exact_sum,
     delta_value,
     permute,  # unused here; bench/tracing.py rebinds this name
     swing_set,
@@ -254,7 +256,7 @@ def _generation_checks(
 def _row_sum(chi: Character, v: int) -> Fraction:
     """The sum of the weights on the pairs at strand v, read off K_chi."""
     g = build_kchi(chi)
-    return sum((g.labels[(v, k) if v < k else (k, v)] for k in g.nbrs.get(v, ())), Fraction(0))
+    return _exact_sum(g.labels[(v, k) if v < k else (k, v)] for k in g.nbrs.get(v, ()))
 
 
 def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
@@ -273,6 +275,9 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
         elif len(a) == n - 1:
             missing = n * (n + 1) // 2 - sum(a)
             value = delta_value(chi) - _row_sum(chi, preimage[missing])
+        elif len(a) == 2:
+            p, q = preimage[a[0]], preimage[a[1]]
+            value = chi.weights[(p, q) if p < q else (q, p)]
         else:
             value = swing_value(chi, [preimage[x] for x in a])
         if value == 0:

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidsigma.characters import (
     Character,
     CharacterFormatError,
     ZeroCharacterError,
+    _exact_sum,
+    _parse_weight,
     all_edges,
     character_from_json,
     character_from_json_dict,
@@ -19,6 +21,7 @@ from braidsigma.characters import (
     swing_set,
     swing_value,
 )
+from braidsigma.cli import EXIT_INPUT_ERROR, main
 from conftest import (
     add_characters,
     pullback_phi,
@@ -303,3 +306,140 @@ def test_character_arithmetic_is_exact(entries):
         chi = add_characters(chi, Character.sparse(6, {edge_key: v}))
     total = sum((v for _, v in entries), Fraction(0))
     assert delta_value(chi) == total
+
+
+# -- the plain-weight parse and the integer sum ----------------------------
+
+# pieces of weight spellings that the plain path must not misread: signs,
+# whitespace, underscores, non-ASCII digits, exponents and decimals
+WEIGHT_PIECES = ["0", "1", "7", "-", "+", "/", ".", "e", "E", "_", " ", "\t",
+                 "²", "٣", "１", "x", "3"]
+
+
+@pytest.mark.parametrize(
+    "digits",
+    ["7" * 5000, "-1/" + "3" * 5000, "1" * 5000 + "/7"],
+    ids=["integer", "denominator", "numerator"],
+)
+def test_too_many_digits_is_a_bad_rational(digits, tmp_path, capsys):
+    # int() refuses more digits than Python's limit with ValueError, as
+    # Fraction's parser does; both are a bad rational, exit 2, not exit 3
+    text = json.dumps({"n": 2, "weights": {"1-2": digits}})
+    with pytest.raises(CharacterFormatError) as exc:
+        character_from_json(text)
+    assert str(exc.value) == f"bad rational {digits!r} for key '1-2'"
+    path = tmp_path / "digits.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as code:
+        main(["classify", "--in", str(path)])
+    assert code.value.code == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad rational {digits!r} for key '1-2'\n"
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(WEIGHT_PIECES), max_size=9).map("".join),
+        st.text(max_size=8),
+        st.fractions().map(str),
+        st.integers().map(str),
+    )
+)
+@example("²")
+@example("١٢/٣")
+@example(" 12 ")
+@example("1_000/3")
+@example("1/+2")
+@example("+-1")
+@example("-0")
+@example("-0/5")
+@example("007/014")
+@example("1/0")
+@example("1e3")
+@example("-2.5E-2")
+@example("1/")
+@example("/2")
+@example("")
+def test_parse_weight_agrees_with_fraction(text):
+    try:
+        got = _parse_weight("1-2", text)
+    except CharacterFormatError as exc:
+        if "exponent" in str(exc):  # refused before Fraction could expand it
+            assert "e" in text.lower()
+            return
+        assert str(exc) == f"bad rational {text!r} for key '1-2'"
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(text)
+        return
+    want = Fraction(text)
+    assert type(got) is Fraction and got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def _reference_sum(values):
+    return sum(values, Fraction(0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**4), max_size=30))
+@example([])
+@example([Fraction(-3, 7)])
+@example([Fraction(1, 2), Fraction(1, 2)])
+@example([Fraction(1, 3), Fraction(-1, 3), Fraction(2, 6)])
+def test_exact_sum_is_the_fraction_sum(values):
+    got = _exact_sum(values)
+    assert type(got) is Fraction and got == _reference_sum(values)
+    # mixed integers too: K_chi lookups may hand in a plain 0
+    assert _exact_sum([*values, 0, 5]) == _reference_sum(values) + 5
+
+
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found if p * p <= candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def test_exact_sum_over_distinct_prime_denominators():
+    # n = 64 with a distinct prime denominator on each of the 2,016 pairs:
+    # the lcm has about 25,000 bits, and the pairwise merge keeps the time
+    # within a small factor of Fraction's own sum (it is faster in fact)
+    import timeit
+
+    rng = random.Random(64)
+    pairs = all_edges(64)
+    values = [Fraction(rng.choice([-1, 1]) * rng.randrange(1, p), p)
+              for p in _primes(len(pairs))]
+    assert len(set(v.denominator for v in values)) == 2016
+    want = _reference_sum(values)
+    assert _exact_sum(values) == want
+    chi = Character(64, dict(zip(pairs, values)))
+    assert delta_value(chi) == want
+    new = min(timeit.repeat(lambda: _exact_sum(values), number=1, repeat=5))
+    old = min(timeit.repeat(lambda: _reference_sum(values), number=1, repeat=5))
+    assert new < 3 * old + 0.05, (new, old)
+
+
+class TestParserBuiltCharacter:
+    def test_equals_the_checked_construction(self):
+        rng = random.Random(11)
+        for n in (2, 3, 5, 9, 16):
+            chi = random_character(n, rng)
+            parsed = character_from_json(json.dumps(character_to_json_dict(chi)))
+            checked = Character(n, dict(parsed.weights))
+            assert parsed == checked == chi
+            assert repr(parsed) == repr(checked)
+            assert delta_value(parsed) == delta_value(checked)
+
+    def test_parser_does_not_run_the_constructor_check(self, monkeypatch):
+        def refuse(self, n, weights):
+            raise AssertionError("the parser re-ran the pair check")
+
+        monkeypatch.setattr(Character, "__init__", refuse)
+        chi = character_from_json('{"n": 3, "weights": {"1-2": "1", "2-3": "-1", "1-3": "0"}}')
+        assert chi.n == 3 and chi.weights[(2, 3)] == -1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import pytest
 
 import braidsigma
 from braidsigma import cli
-from braidsigma.characters import InternalError
+from braidsigma.characters import InternalError, delta_value
 from braidsigma.circles import enumerate_circles
+from braidsigma.classify import Classification, Star, ZeroSum
 from braidsigma.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, MAX_CIRCLES, main
 
 SRC = str(Path(braidsigma.__file__).resolve().parent.parent)
@@ -151,6 +153,25 @@ class TestClassify:
         assert main(["classify", "--in", chi0_file]) == EXIT_INTERNAL_ERROR
         err = capsys.readouterr().err
         assert err == "internal error: ValueError: a fault inside a stage\n"
+
+    @pytest.mark.parametrize(
+        "tampered, kind",
+        [
+            (lambda chi: Classification(ZeroSum(Fraction(99)), chi.n), "zero_sum"),
+            (lambda chi: Classification(ZeroSum(delta_value(chi)), chi.n + 1), "zero_sum"),
+            (lambda chi: Classification(Star(1, (2, 3, 4)), chi.n), "star"),
+        ],
+    )
+    def test_certificate_failing_its_check_is_internal(
+        self, chi0_file, capsys, monkeypatch, tampered, kind
+    ):
+        # the CLI re-checks what it would print; chi0 has Delta = -3
+        monkeypatch.setattr("braidsigma.cli.classify", tampered)
+        for flags in ([], ["--witness"]):
+            assert main(["classify", "--in", chi0_file, *flags]) == EXIT_INTERNAL_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"internal error: the {kind} certificate fails its check\n"
 
     def test_huge_n_fails_fast(self, tmp_path):
         # a few keys for an enormous n must be refused before any O(n^2)
