@@ -1,17 +1,19 @@
 """Characters of the pure braid group as exact rational edge weightings.
 
 A character of P_n is determined freely by its values on the standard
-generators S_ij, so we store it as a total map from unordered pairs
-{i, j} of strand indices to rationals.  All arithmetic is exact
-(``fractions.Fraction``); every zero-test below is therefore decidable.
+generators S_ij, and every test here reads only the nonzero ones (K_chi
+and exact sums over it), so we store its support: each unordered pair
+{i, j} of strand indices with a nonzero value, mapped to that rational.
+All arithmetic is exact (``fractions.Fraction``); every zero-test below
+is therefore decidable.
 
 Fraction's own machinery stays off the per-character path.  The JSON
 parser reads a weight in a plain form, [+-]digits or [+-]digits/digits in
 ASCII, with int(); any other spelling goes to Fraction's parser after the
 exponent bound below.  Sums (Delta, swing values, row sums, circle sums)
 add plain integers and build one Fraction each (``_exact_sum``).  The
-parser has proved the pairs of the characters it builds, so it skips the
-constructor's check of them.
+parser keeps only the nonzero values and has proved their pairs, so it
+skips the constructor's check of them.
 """
 
 from __future__ import annotations
@@ -53,13 +55,12 @@ def all_edges(n: int) -> list[Edge]:
 
 
 @lru_cache(maxsize=32)
-def _pair_tables(n: int) -> tuple[dict[str, Edge], frozenset[Edge]]:
-    """The pairs of 1..n, built once per n and only read: the canonical
-    JSON key "i-j" (i < j) of each pair mapped to it, and the set of all
-    pairs.  Callers ask only with an input of C(n,2) entries at hand, so a
-    table is never larger than an input already seen."""
-    keys = {f"{i}-{j}": (i, j) for i, j in all_edges(n)}
-    return keys, frozenset(keys.values())
+def _canonical_keys(n: int) -> dict[str, Edge]:
+    """The canonical JSON key "i-j" (i < j) of each pair of 1..n mapped to
+    the pair, built once per n and only read.  Callers ask only with an
+    input of C(n,2) entries at hand, so a table is never larger than an
+    input already seen."""
+    return {f"{i}-{j}": (i, j) for i, j in all_edges(n)}
 
 
 def swing_set(members: Iterable[int], n: int) -> SwingSet:
@@ -75,66 +76,76 @@ def swing_set(members: Iterable[int], n: int) -> SwingSet:
 
 
 class Character(Record):
-    """Rational weight per unordered pair {i, j}, 1 <= i < j <= n.
+    """A character of P_n, stored as its support: ``support`` maps each
+    pair (i, j), 1 <= i < j <= n, of nonzero weight to that weight, and
+    every other pair has weight 0.
 
-    The weights mapping is total: every pair appears, zeros included.
-    Instances are immutable values; all operations on them are pure.
-    Three derived facts are cached on the instance, outside its fields:
-    ``support_map`` (each pair of nonzero weight mapped to it, handed over
-    by the JSON parser or derived on first use), ``delta_value`` (Delta,
-    summed over the support) and ``chargraph.build_kchi`` (K_chi, labeled
-    by the support map).  So ``weights`` must never be mutated after
-    construction.
+    Instances are immutable values; all operations on them are pure.  Two
+    derived facts are cached on the instance, outside its fields:
+    ``delta_value`` (Delta, summed over the support) and
+    ``chargraph.build_kchi`` (K_chi, labeled by the support itself).  So
+    ``support`` must never be mutated after construction.  The constructor
+    refuses a pair out of range and a zero value, in O(|support|).
     """
 
-    _fields = ("n", "weights")
+    _fields = ("n", "support")
 
-    def __init__(self, n: int, weights: Mapping[Edge, Fraction]) -> None:
+    def __init__(self, n: int, support: Mapping[Edge, Fraction]) -> None:
         d = self.__dict__
         d["n"] = n
-        d["weights"] = weights
+        d["support"] = support
         if n < 2:
             raise CharacterFormatError(f"need n >= 2, got n={n}")
-        if len(weights) != n * (n - 1) // 2 or weights.keys() != _pair_tables(n)[1]:
-            expected = set(all_edges(n))
-            got = set(weights)
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise CharacterFormatError(
-                f"weights must cover exactly the pairs of 1..{n}; "
-                f"missing={missing} extra={extra}"
-            )
+        for e, v in support.items():
+            if not (len(e) == 2 and 1 <= e[0] < e[1] <= n):
+                raise CharacterFormatError(f"pair {e} is not (i, j) with 1 <= i < j <= {n}")
+            if v == 0:
+                raise CharacterFormatError(f"pair {e} has weight 0, so it is not in the support")
 
     @staticmethod
     def dense(n: int, weights: Mapping[Edge, Fraction | int | str]) -> "Character":
         """Build from a total pair -> value mapping (every pair required)."""
-        w = {edge(i, j): Fraction(v) for (i, j), v in weights.items()}
-        return Character(n, w)
+        w = _exact_values(weights)
+        expected = set(all_edges(n))
+        if w.keys() != expected:
+            missing = sorted(expected - w.keys())
+            extra = sorted(w.keys() - expected)
+            raise CharacterFormatError(
+                f"weights must cover exactly the pairs of 1..{n}; "
+                f"missing={missing} extra={extra}"
+            )
+        return Character(n, {e: v for e, v in w.items() if v})
 
     @staticmethod
     def sparse(n: int, weights: Mapping[Edge, Fraction | int | str]) -> "Character":
         """Build from a partial mapping; unspecified pairs get weight 0."""
-        w = {e: Fraction(0) for e in all_edges(n)}
-        for (i, j), v in weights.items():
-            e = edge(i, j)
-            if e not in w:
-                raise CharacterFormatError(f"pair {e} out of range for n={n}")
-            w[e] = Fraction(v)
-        return Character(n, w)
+        return Character(n, {e: v for e, v in _exact_values(weights).items() if v})
 
     @staticmethod
     def zero(n: int) -> "Character":
-        return Character.sparse(n, {})
+        return Character(n, {})
 
     def weight(self, i: int, j: int) -> Fraction:
-        return self.weights[edge(i, j)]
+        return self.support.get(edge(i, j), Fraction(0))
 
     def is_zero(self) -> bool:
-        return not support_map(self)
+        return not self.support
 
     def scale(self, q: Fraction | int) -> "Character":
         q = Fraction(q)
-        return Character(self.n, {e: q * v for e, v in self.weights.items()})
+        return Character(self.n, {e: q * v for e, v in self.support.items()} if q else {})
+
+
+def _exact_values(weights: Mapping[Edge, Fraction | int | str]) -> dict[Edge, Fraction]:
+    """Each pair as (min, max), mapped to its exact value; two keys that
+    name one pair, such as (1, 2) and (2, 1), are refused."""
+    out: dict[Edge, Fraction] = {}
+    for (i, j), v in weights.items():
+        e = edge(i, j)
+        if e in out:
+            raise CharacterFormatError(f"duplicate weight key {(i, j)}")
+        out[e] = Fraction(v)
+    return out
 
 
 def _exact_sum(values: Iterable[Fraction]) -> Fraction:
@@ -155,21 +166,11 @@ def _exact_sum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(x, d)
 
 
-def support_map(chi: Character) -> dict[Edge, Fraction]:
-    """Each pair of nonzero weight mapped to its weight, derived once per
-    character and cached on it; the parser hands it over ready-made.  The
-    map is shared, so it must not be mutated."""
-    support = chi.__dict__.get("_support")
-    if support is None:
-        support = {e: v for e, v in chi.weights.items() if v != 0}
-        chi.__dict__["_support"] = support
-    return support
-
-
 def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
     """Value of the character on S_A: the sum of weights over pairs inside A."""
     aset = swing_set(a, chi.n)
-    return _exact_sum(chi.weights[e] for e in combinations(aset, 2))
+    support = chi.support
+    return _exact_sum(support.get(e, 0) for e in combinations(aset, 2))
 
 
 def delta_value(chi: Character) -> Fraction:
@@ -177,19 +178,20 @@ def delta_value(chi: Character) -> Fraction:
     from the support once per character and cached on it."""
     delta = chi.__dict__.get("_delta")
     if delta is None:
-        delta = chi.__dict__["_delta"] = _exact_sum(support_map(chi).values())
+        delta = chi.__dict__["_delta"] = _exact_sum(chi.support.values())
     return delta
 
 
 def permute(chi: Character, perm: Sequence[int]) -> Character:
     """Relabel strands: the result weight on {perm(i), perm(j)} is the
-    input weight on {i, j}.  ``perm[i-1]`` is the image of ``i``."""
+    input weight on {i, j}.  ``perm[i-1]`` is the image of ``i``.  Only
+    the support is relabeled."""
     n = chi.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a bijection on 1..{n}, got {perm}")
     image = (0, *perm)
     out = {}
-    for (i, j), v in chi.weights.items():
+    for (i, j), v in chi.support.items():
         a, b = image[i], image[j]
         out[(a, b) if a < b else (b, a)] = v
     return Character(n, out)
@@ -212,7 +214,7 @@ MAX_EXPONENT = 4300
 def character_to_json_dict(chi: Character) -> dict:
     return {
         "n": chi.n,
-        "weights": {f"{i}-{j}": str(chi.weights[(i, j)]) for i, j in all_edges(chi.n)},
+        "weights": {f"{i}-{j}": str(chi.weight(i, j)) for i, j in all_edges(chi.n)},
     }
 
 
@@ -260,14 +262,16 @@ def character_from_json_dict(data: dict) -> Character:
     if not isinstance(raw, dict):
         raise CharacterFormatError("'weights' must be an object")
     expected = n * (n - 1) // 2
-    weights = {}
     support = {}
     # each distinct raw value is parsed and tested for zero once; pairs with
     # equal values share one (immutable) Fraction
     parsed: dict[str | int, tuple[Fraction, bool]] = {}
     # a canonical key "i-j" (i < j) is one lookup; any other key ("2-1",
     # "01-2", "x") is parsed and range-checked
-    canonical = _pair_tables(n)[0] if len(raw) == expected else {}
+    canonical = _canonical_keys(n) if len(raw) == expected else {}
+    # distinct canonical keys name distinct pairs; only other input needs
+    # the set of pairs read so far to find a pair named twice
+    seen: set[Edge] | None = None if canonical and raw.keys() <= canonical.keys() else set()
     for key, val in raw.items():
         e = canonical.get(key)
         if e is None:
@@ -278,8 +282,10 @@ def character_from_json_dict(data: dict) -> Character:
                 raise CharacterFormatError(f"bad weight key {key!r}") from exc
             if not (1 <= e[0] and e[1] <= n):
                 raise CharacterFormatError(f"weight key {key!r} out of range for n={n}")
-        if e in weights:
-            raise CharacterFormatError(f"duplicate weight key {key!r}")
+        if seen is not None:
+            if e in seen:
+                raise CharacterFormatError(f"duplicate weight key {key!r}")
+            seen.add(e)
         # strings first, the common case; then ints, but not bools
         if not isinstance(val, str) and (isinstance(val, bool) or not isinstance(val, int)):
             raise CharacterFormatError(
@@ -290,25 +296,26 @@ def character_from_json_dict(data: dict) -> Character:
             value = _parse_weight(key, val)
             entry = parsed[val] = (value, value != 0)
         value, nonzero = entry
-        weights[e] = value
         if nonzero:
             support[e] = value
-    # keys are distinct pairs in range, so a short count means missing keys.
-    # The pairs are generated lazily and each present key is skipped once,
-    # so naming the first few absent ones costs O(len(weights)), not O(n^2).
-    if len(weights) != expected:
+    # each key named a distinct pair in range, so fewer keys than pairs
+    # means missing ones (and then ``seen`` holds every pair read).  The
+    # pairs are generated lazily and each present key is skipped once, so
+    # naming the first few absent ones costs O(len(raw)), not O(n^2).
+    if len(raw) != expected:
         every_pair = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-        absent = (e for e in every_pair if e not in weights)
+        absent = (e for e in every_pair if e not in seen)
         shown = [f"{i}-{j}" for i, j in islice(absent, MISSING_KEYS_SHOWN)]
-        count = expected - len(weights)
+        count = expected - len(raw)
         more = ", ..." if count > len(shown) else ""
         raise CharacterFormatError(
             f"missing weight keys ({count} of {expected}): {shown}{more}"
         )
-    # the keys are now proved to be exactly the pairs of 1..n, so the
-    # constructor's check of the same fact is not run again
+    # the keys are now proved to be exactly the pairs of 1..n, and only
+    # nonzero values entered the support, so the constructor's check of
+    # the same facts is not run again
     chi = Character.__new__(Character)
-    chi.__dict__.update(n=n, weights=weights, _support=support)
+    chi.__dict__.update(n=n, support=support)
     return chi
 
 

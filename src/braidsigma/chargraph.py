@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Mapping, Optional, Sequence
 
-from .characters import Character, Edge, InternalError, support_map
+from .characters import Character, Edge, InternalError
 from .record import Record
 
 
@@ -100,11 +100,11 @@ class ShapeClass(Record):
 
 def build_kchi(chi: Character) -> CharGraph:
     """Support graph: exactly the pairs with nonzero weight, labeled by the
-    character's cached support map.  Built once per character and cached
-    on it."""
+    character's support itself.  Built once per character and cached on
+    it."""
     g = chi.__dict__.get("_kchi")
     if g is None:
-        g = chi.__dict__["_kchi"] = CharGraph(chi.n, support_map(chi))
+        g = chi.__dict__["_kchi"] = CharGraph(chi.n, chi.support)
     return g
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .words import BraidWord, aut_equal, braid_aut, standard_pure_word
+from .words import BraidWord, braid_aut, standard_pure_word
 
 PLANAR_RELATIONS: list[tuple[str, str, str]] = [
     ("abc=bca", "abc", "bca"),
@@ -53,9 +53,8 @@ def verify_planar_presentation(words: Mapping[str, BraidWord]) -> dict[str, bool
     all nine planar relations; returns a per-relation report."""
     report = {}
     for name, lhs, rhs in PLANAR_RELATIONS:
-        report[name] = aut_equal(
-            braid_aut(_eval_letters(words, lhs, 4)),
-            braid_aut(_eval_letters(words, rhs, 4)),
+        report[name] = braid_aut(_eval_letters(words, lhs, 4)) == braid_aut(
+            _eval_letters(words, rhs, 4)
         )
     return report
 
@@ -71,9 +70,8 @@ def verify_rho() -> bool:
     for _, lhs, rhs in PLANAR_RELATIONS:
         lhs_img = "".join(RHO_IMAGE[ch] for ch in lhs)
         rhs_img = "".join(RHO_IMAGE[ch] for ch in rhs)
-        if not aut_equal(
-            braid_aut(_eval_letters(p3_words, lhs_img, 3)),
-            braid_aut(_eval_letters(p3_words, rhs_img, 3)),
+        if braid_aut(_eval_letters(p3_words, lhs_img, 3)) != braid_aut(
+            _eval_letters(p3_words, rhs_img, 3)
         ):
             return False
     return True

@@ -6,8 +6,9 @@ states J, I and the recovery factorizations.  J survives under the
 relabeled character, the commuting graph C(J) is connected, J dominates
 I, and I generates the group.  Generation is checked through the
 abelianization (full rank on the weight lattice) plus the recorded
-recovery factorizations, which are additionally verified exactly in the
-word engine for small strand counts.
+recovery factorizations, which are also verified exactly in the word
+engine at n <= WORDLEVEL_MAX_STRANDS = 5 (its comment says why 5 is
+enough).
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them runs once per shape and is cached: C(J)
@@ -21,8 +22,8 @@ and it reads Delta and row sums, not a relabeled copy.  The swing on J
 after relabeling by perm is the swing on perm^-1(J) before it: J of all
 n strands gives the cached Delta, J of all strands but m gives Delta
 minus the row sum at perm^-1(m) (the weights on the edges of K_chi at
-that strand), J of two strands reads its one weight, and any other J
-sums its own pairs.
+that strand), J of two strands reads its one weight from the support,
+and any other J sums its own pairs.
 """
 
 from __future__ import annotations
@@ -45,13 +46,7 @@ from .characters import (
 from .chargraph import build_kchi
 from .classify import Classification, Factorization, WitnessData
 from .record import Record
-from .words import (
-    WORD_ENGINE_MAX_STRANDS,
-    braid_aut,
-    aut_equal,
-    commutes_predicate,
-    swing_word,
-)
+from .words import braid_aut, commutes_predicate, swing_word
 
 
 class WitnessPackage(Record):
@@ -139,15 +134,10 @@ def is_connected(adj: list[set[int]]) -> bool:
     return len(seen) == len(adj)
 
 
-def dominates(
-    j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet]
-) -> tuple[bool, list[SwingSet]]:
-    """Does every element of I commute (predicate) with some element of J?
-    Returns the flag and the uncovered elements."""
-    uncovered = [
-        i for i in i_sets if not any(commutes_predicate(i, j) for j in j_sets)
-    ]
-    return (not uncovered, uncovered)
+def dominates(j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet]) -> list[SwingSet]:
+    """The elements of I that commute (predicate) with no element of J, so
+    J dominates I exactly when the list is empty."""
+    return [i for i in i_sets if not any(commutes_predicate(i, j) for j in j_sets)]
 
 
 def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
@@ -161,6 +151,12 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
 # entries of each shape cache: far more than the (lemma, n) shapes a run
 # meets, and a bound on what packages from outside can add
 _SHAPE_CACHE_SIZE = 256
+
+# The factorizations are checked in the word engine at n <= 5 only.  Every
+# factorization of the lemma table lies on strands 1..5, so its words use
+# only sigma_1..sigma_4, which fix x_6..x_n: its images in F_n are those in
+# F_5 with the other letters fixed, and an identity of P_5 holds in every P_n.
+WORDLEVEL_MAX_STRANDS = 5
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -207,8 +203,7 @@ def _shape_checks(
 ) -> tuple[bool, tuple[SwingSet, ...]]:
     """Character-independent C(J) and domination checks, cached per shape:
     (C(J) connected, the elements of I that J does not dominate)."""
-    _, uncovered = dominates(j_sets, i_sets)
-    return is_connected(commuting_graph(j_sets)), tuple(uncovered)
+    return is_connected(commuting_graph(j_sets)), tuple(dominates(j_sets, i_sets))
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -236,7 +231,7 @@ def _generation_checks(
             abelian_ok = False
 
     wordlevel: Optional[bool] = None
-    if n <= min(5, WORD_ENGINE_MAX_STRANDS):
+    if n <= WORDLEVEL_MAX_STRANDS:
         wordlevel = True
         for fact in factorizations:
             target = braid_aut(swing_word(fact.added, n))
@@ -248,7 +243,7 @@ def _generation_checks(
                 prod = swing_word(rotated[0], n)
                 for f in rotated[1:]:
                     prod = prod * swing_word(f, n)
-                if not aut_equal(braid_aut(prod), target):
+                if braid_aut(prod) != target:
                     wordlevel = False
     return full_rank, abelian_ok, wordlevel
 
@@ -277,7 +272,7 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
             value = delta_value(chi) - _row_sum(chi, preimage[missing])
         elif len(a) == 2:
             p, q = preimage[a[0]], preimage[a[1]]
-            value = chi.weights[(p, q) if p < q else (q, p)]
+            value = chi.weight(p, q)
         else:
             value = swing_value(chi, [preimage[x] for x in a])
         if value == 0:

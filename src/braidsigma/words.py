@@ -1,13 +1,14 @@
 """Word-level ground truth via the Artin representation.
 
-Braid words act on a free group F_n; equality of braid-group elements is
-decided by comparing the reduced images of the basis letters.  This module
+Braid words act faithfully on a free group F_n, so a braid is fixed by
+the reduced images of the basis letters x_1..x_n, and two braid words are
+equal exactly when their tuples of images are equal (``==``).  This module
 supplies the swing-generator words, the chord commutation predicate, and
 mechanical checks of the P_3 identities the classifier relies on; the
 planar presentation of P_4 is checked in ``planar``.
 
-Convention: products are composed left-to-right, so the automorphism of a
-concatenated word uv is "apply u's automorphism, then v's".
+Convention: products act left-to-right, so the images of a concatenated
+word uv are those of u with each letter replaced by its image under v.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .characters import InternalError
 from .record import Record
 
 Word = tuple[int, ...]
@@ -33,10 +35,14 @@ def invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
-# -- free group automorphisms ---------------------------------------------
+# -- the Artin action ------------------------------------------------------
+
+# The reduced images of x_1..x_n under a braid.
+Images = tuple[Word, ...]
 
 
-def _apply_images(images: Sequence[Word], word: Iterable[int]) -> Word:
+def _apply_images(images: Images, word: Iterable[int]) -> Word:
+    """The reduced word of ``word`` with each letter replaced by its image."""
     out: list[int] = []
     for x in word:
         img = images[x - 1] if x > 0 else invert_word(images[-x - 1])
@@ -48,70 +54,32 @@ def _apply_images(images: Sequence[Word], word: Iterable[int]) -> Word:
     return tuple(out)
 
 
-class FreeGroupAut(Record):
-    """Automorphism of F_rank given by reduced images of the basis letters,
-    together with the images under its inverse (verified on construction)."""
-
-    _fields = ("rank", "images", "inverse_images")
-
-    def __init__(
-        self, rank: int, images: tuple[Word, ...], inverse_images: tuple[Word, ...]
-    ) -> None:
-        d = self.__dict__
-        d["rank"] = rank
-        d["images"] = images
-        d["inverse_images"] = inverse_images
-        if len(images) != rank or len(inverse_images) != rank:
-            raise ValueError("need one image per basis letter")
-        for i in range(rank):
-            if _apply_images(inverse_images, images[i]) != (i + 1,):
-                raise ValueError(
-                    f"inverse_images do not invert images at basis letter {i + 1}"
-                )
-
-    def apply(self, word: Iterable[int]) -> Word:
-        return _apply_images(self.images, word)
-
-    def inverse_apply(self, word: Iterable[int]) -> Word:
-        return _apply_images(self.inverse_images, word)
-
-    def inverse(self) -> "FreeGroupAut":
-        return FreeGroupAut(self.rank, self.inverse_images, self.images)
-
-
-def identity_aut(rank: int) -> FreeGroupAut:
-    basis = tuple((i,) for i in range(1, rank + 1))
-    return FreeGroupAut(rank, basis, basis)
-
-
-def compose(f: FreeGroupAut, g: FreeGroupAut) -> FreeGroupAut:
-    """f then g (left-to-right)."""
-    if f.rank != g.rank:
-        raise ValueError(f"rank mismatch: {f.rank} vs {g.rank}")
-    images = tuple(g.apply(w) for w in f.images)
-    inverse_images = tuple(f.inverse_apply(w) for w in g.inverse_images)
-    return FreeGroupAut(f.rank, images, inverse_images)
-
-
-def aut_equal(f: FreeGroupAut, g: FreeGroupAut) -> bool:
-    return f.rank == g.rank and f.images == g.images
+def _sigma_tables(i: int, n: int) -> tuple[Images, Images]:
+    """The images of x_1..x_n under sigma_i, x_i -> x_i x_{i+1} x_i^-1 and
+    x_{i+1} -> x_i, and under sigma_i^-1, x_i -> x_{i+1} and
+    x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}; every other letter is fixed."""
+    sigma = [(k,) for k in range(1, n + 1)]
+    inverse = sigma[:]
+    sigma[i - 1 : i + 1] = (i, i + 1, -i), (i,)
+    inverse[i - 1 : i + 1] = (i + 1,), (-(i + 1), i, i + 1)
+    return tuple(sigma), tuple(inverse)
 
 
 @lru_cache(maxsize=None)
-def artin_sigma(i: int, n: int, inverse: bool = False) -> FreeGroupAut:
-    """The Artin action of sigma_i on F_n: x_i -> x_i x_{i+1} x_i^-1,
-    x_{i+1} -> x_i, other letters fixed."""
+def artin_sigma(x: int, n: int) -> Images:
+    """The Artin action on F_n of the signed letter x: sigma_x when x > 0,
+    sigma_{-x}^-1 when x < 0.  Under the cache, each letter checks once that
+    the other table undoes it; one that does not is an ``InternalError``."""
+    i = abs(x)
     if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
-    images = [(k,) for k in range(1, n + 1)]
-    inv = [(k,) for k in range(1, n + 1)]
-    images[i - 1] = (i, i + 1, -i)
-    images[i] = (i,)
-    inv[i - 1] = (i + 1,)
-    inv[i] = (-(i + 1), i, i + 1)
-    if inverse:
-        images, inv = inv, images
-    return FreeGroupAut(n, tuple(images), tuple(inv))
+        raise ValueError(f"need 1 <= |x| < n, got x={x}, n={n}")
+    images, undo = _sigma_tables(i, n)
+    if x < 0:
+        images, undo = undo, images
+    for k, image in enumerate(images, 1):
+        if _apply_images(undo, image) != (k,):
+            raise InternalError(f"the sigma_{i}^-1 table does not invert sigma_{i} at x_{k}, n={n}")
+    return images
 
 
 # -- braid words -----------------------------------------------------------
@@ -140,11 +108,14 @@ class BraidWord(Record):
         return BraidWord(self.n, invert_word(self.letters))
 
 
-def braid_aut(w: BraidWord) -> FreeGroupAut:
-    aut = identity_aut(w.n)
+def braid_aut(w: BraidWord) -> Images:
+    """The images of x_1..x_n under the braid of w, substituted letter by
+    letter."""
+    images = tuple((k,) for k in range(1, w.n + 1))
     for x in w.letters:
-        aut = compose(aut, artin_sigma(abs(x), w.n, inverse=x < 0))
-    return aut
+        sigma = artin_sigma(x, w.n)
+        images = tuple(_apply_images(sigma, image) for image in images)
+    return images
 
 
 def braid_perm(w: BraidWord) -> tuple[int, ...]:
@@ -204,7 +175,7 @@ def commute_wordlevel(u: BraidWord, v: BraidWord) -> bool:
         raise ValueError("strand count mismatch")
     if u.n > WORD_ENGINE_MAX_STRANDS:
         raise BudgetExceededError(f"word engine capped at {WORD_ENGINE_MAX_STRANDS} strands")
-    return aut_equal(braid_aut(u * v), braid_aut(v * u))
+    return braid_aut(u * v) == braid_aut(v * u)
 
 
 # -- identity suite --------------------------------------------------------
@@ -212,7 +183,7 @@ def commute_wordlevel(u: BraidWord, v: BraidWord) -> bool:
 
 def _products_equal(words: Sequence[BraidWord]) -> bool:
     auts = [braid_aut(w) for w in words]
-    return all(aut_equal(auts[0], h) for h in auts[1:])
+    return all(h == auts[0] for h in auts[1:])
 
 
 def _cyclic_triple_words(i: int, j: int, k: int, n: int) -> list[BraidWord]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidsigma.characters import Character, all_edges, edge, swing_set
+from braidsigma.characters import Character, all_edges, swing_set
 
 
 @pytest.fixture
@@ -16,13 +16,13 @@ def chi0() -> Character:
 
 def add_characters(a: Character, b: Character) -> Character:
     """Pointwise sum of two characters on the same strands."""
-    return Character(a.n, {e: a.weights[e] + b.weights[e] for e in a.weights})
+    return Character.dense(a.n, {e: a.weight(*e) + b.weight(*e) for e in all_edges(a.n)})
 
 
 def random_character(
     n: int, rng: random.Random, span: int = 6, max_denom: int = 4
 ) -> Character:
-    return Character(
+    return Character.dense(
         n,
         {
             e: Fraction(rng.randint(-span, span), rng.randint(1, max_denom))
@@ -53,10 +53,9 @@ def pullback_phi(psi: Character, a, n: int) -> Character:
         raise ValueError(
             f"swing set size {len(aset)} does not match character on {psi.n} strands"
         )
-    out = {e: Fraction(0) for e in all_edges(n)}
-    for (r, s), v in psi.weights.items():
-        out[edge(aset[r - 1], aset[s - 1])] = v
-    return Character(n, out)
+    return Character.sparse(
+        n, {(aset[r - 1], aset[s - 1]): v for (r, s), v in psi.support.items()}
+    )
 
 
 def pullback_rho(psi: Character) -> Character:

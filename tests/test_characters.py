@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,18 +37,49 @@ def compose_perms(sigma, tau):
     return tuple(tau[s - 1] for s in sigma)
 
 
-# the right count of pairs with one wrong, one reversed, and one too few
+# the right count of pairs with one wrong, and one too few
 @pytest.mark.parametrize(
     "weights, message",
     [
         ({(1, 2): 1, (1, 3): 1, (2, 4): 1}, r"missing=\[\(2, 3\)\] extra=\[\(2, 4\)\]"),
-        ({(2, 1): 1, (1, 3): 1, (2, 3): 1}, r"missing=\[\(1, 2\)\] extra=\[\(2, 1\)\]"),
-        ({(1, 2): 1, (1, 3): 1}, r"missing=\[\(2, 3\)\] extra=\[\]"),
+        ({(1, 2): 1, (1, 3): 0}, r"missing=\[\(2, 3\)\] extra=\[\]"),
     ],
+    ids=["wrong-pair", "too-few"],
 )
-def test_constructor_needs_exactly_the_pairs(weights, message):
+def test_dense_needs_every_pair(weights, message):
     with pytest.raises(CharacterFormatError, match=message):
-        Character(3, weights)
+        Character.dense(3, weights)
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ({(2, 1): 1}, r"pair \(2, 1\) is not \(i, j\) with 1 <= i < j <= 3"),
+        ({(1, 2): 1, (3, 4): 1}, r"pair \(3, 4\) is not"),
+        ({(0, 1): 1}, r"pair \(0, 1\) is not"),
+        ({(1, 2): 1, (1, 3): Fraction(0)}, r"pair \(1, 3\) has weight 0"),
+    ],
+    ids=["reversed", "past-n", "below-1", "zero-value"],
+)
+def test_constructor_takes_only_a_support(support, message):
+    with pytest.raises(CharacterFormatError, match=message):
+        Character(3, support)
+
+
+@pytest.mark.parametrize("build", [Character.dense, Character.sparse])
+@pytest.mark.parametrize("first, second", [((1, 2), (2, 1)), ((2, 1), (1, 2))])
+def test_two_keys_for_one_pair_are_refused(build, first, second):
+    # as the JSON parser refuses "1-2" beside "2-1"; the second key is named
+    weights = {first: 1, second: 5, (1, 3): 0, (2, 3): 0}
+    with pytest.raises(CharacterFormatError, match=re.escape(f"duplicate weight key {second}")):
+        build(3, weights)
+
+
+def test_dense_and_sparse_keep_only_nonzero_values():
+    dense = Character.dense(3, {(2, 1): "1/2", (1, 3): 0, (3, 2): Fraction(0, 5)})
+    sparse = Character.sparse(3, {(1, 2): Fraction(1, 2), (2, 3): "0"})
+    assert dense.support == sparse.support == {(1, 2): Fraction(1, 2)}
+    assert dense == sparse and dense.weight(1, 3) == 0 and dense.weight(3, 1) == 0
 
 
 class TestSwingValue:
@@ -86,7 +118,7 @@ class TestDeltaValue:
 
 class TestPermute:
     def test_identity(self, chi0):
-        assert permute(chi0, (1, 2, 3, 4)).weights == chi0.weights
+        assert permute(chi0, (1, 2, 3, 4)) == chi0
 
     def test_transposition(self, chi0):
         swapped = permute(chi0, (2, 1, 3, 4))
@@ -105,7 +137,7 @@ class TestPermute:
             tau = random_perm(5, rng)
             via_two = permute(permute(chi, sigma), tau)
             via_one = permute(chi, compose_perms(sigma, tau))
-            assert via_two.weights == via_one.weights
+            assert via_two == via_one
 
     def test_rejects_non_bijection(self, chi0):
         with pytest.raises(ValueError):
@@ -119,7 +151,7 @@ class TestPullbackPhi:
         assert chi.weight(2, 4) == 1
         assert chi.weight(2, 5) == 1
         assert chi.weight(4, 5) == -2
-        assert sum(1 for v in chi.weights.values() if v != 0) == 3
+        assert len(chi.support) == 3
 
     def test_zero(self):
         assert pullback_phi(Character.zero(3), (1, 2, 3), 6).is_zero()
@@ -178,7 +210,7 @@ class TestSwingSet:
 class TestJson:
     def test_round_trip(self, chi0):
         text = json.dumps(character_to_json_dict(chi0))
-        assert character_from_json(text).weights == chi0.weights
+        assert character_from_json(text) == chi0
 
     def test_missing_key_is_error(self):
         data = character_to_json_dict(Character.zero(3))
@@ -260,14 +292,15 @@ class TestJson:
                 i, j = map(int, key.split("-"))
                 got = chi.weight(i, j)
                 assert type(got) is Fraction and got == Fraction(val), (key, val)
-                assert by_raw.setdefault((type(val), val), got) is got
+                if got:  # the support's values are shared per raw value
+                    assert by_raw.setdefault((type(val), val), got) is got
             checked += 1
         assert checked >= 500
 
     @pytest.mark.parametrize("key", ["2-1", "01-2", " 1-2"])
     def test_other_spellings_of_a_pair_in_a_full_count(self, key):
         chi = character_from_json_dict({"n": 3, "weights": {key: "5", "1-3": "1", "2-3": "0"}})
-        assert chi.weights == {(1, 2): 5, (1, 3): 1, (2, 3): 0}
+        assert chi.support == {(1, 2): 5, (1, 3): 1}
 
     @pytest.mark.parametrize("first, second", [("1-2", "2-1"), ("2-1", "1-2")])
     def test_two_spellings_of_one_pair_are_duplicates(self, first, second):
@@ -431,15 +464,104 @@ class TestParserBuiltCharacter:
         for n in (2, 3, 5, 9, 16):
             chi = random_character(n, rng)
             parsed = character_from_json(json.dumps(character_to_json_dict(chi)))
-            checked = Character(n, dict(parsed.weights))
+            checked = Character(n, dict(parsed.support))
             assert parsed == checked == chi
             assert repr(parsed) == repr(checked)
             assert delta_value(parsed) == delta_value(checked)
 
     def test_parser_does_not_run_the_constructor_check(self, monkeypatch):
-        def refuse(self, n, weights):
+        def refuse(self, n, support):
             raise AssertionError("the parser re-ran the pair check")
 
         monkeypatch.setattr(Character, "__init__", refuse)
         chi = character_from_json('{"n": 3, "weights": {"1-2": "1", "2-3": "-1", "1-3": "0"}}')
-        assert chi.n == 3 and chi.weights[(2, 3)] == -1
+        assert chi.n == 3 and chi.support == {(1, 2): 1, (2, 3): -1}
+
+
+# -- the parser on arbitrary input -------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+# keys and values near the valid ones, so that most inputs reach the loop
+# over the weights and fail (or pass) there
+WEIGHT_KEYS = st.one_of(
+    st.builds("{}-{}".format, st.integers(0, 6), st.integers(0, 6)),
+    st.sampled_from(["01-2", " 1-2", "1-2-3", "1-", "-1", "x", ""]),
+    st.text(max_size=4),
+)
+WEIGHT_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["0", "-0", "1", "2/3", "1/0", "1e2", "1e9999", "x", " 4 "]),
+    st.lists(st.sampled_from(WEIGHT_PIECES), max_size=6).map("".join),
+    JSON_VALUES,
+)
+CHARACTER_LIKE = st.fixed_dictionaries(
+    {
+        "n": st.one_of(st.integers(-1, 6), JSON_VALUES),
+        "weights": st.one_of(st.dictionaries(WEIGHT_KEYS, WEIGHT_VALUES, max_size=16), JSON_VALUES),
+    }
+)
+
+
+def near_valid(n):
+    """Every pair of 1..n once, spelled i-j or j-i with a plain value, or
+    with its key or its value drawn from those above instead."""
+
+    def entry(i, j):
+        key = st.sampled_from([f"{i}-{j}", f"{j}-{i}"])
+        value = st.integers(-2, 2) | st.sampled_from(["0", "-0", "1", "-2/3", "1e2"])
+        odd = st.tuples(key, WEIGHT_VALUES) | st.tuples(WEIGHT_KEYS, value)
+        return st.tuples(key, value) | odd
+
+    entries = st.tuples(*(entry(i, j) for i, j in all_edges(n)))
+    return st.fixed_dictionaries({"n": st.just(n), "weights": entries.map(dict)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.integers(2, 4).flatmap(near_valid), CHARACTER_LIKE, JSON_VALUES))
+@example({"n": 3, "weights": {"1-2": "1", "2-1": "1", "1-3": "x"}})
+@example({"n": 3, "weights": {"2-1": "0", "1-3": "0", "2-3": "-0"}})
+@example({"n": 3, "weights": {"1-2": "1", "1-3": "0", "2-3": "-1", "3-1": "2"}})
+@example({"n": 10**9, "weights": {"1-2": "1"}})
+def test_parser_returns_a_character_or_refuses_the_input(data):
+    try:
+        chi = character_from_json_dict(data)
+    except CharacterFormatError:
+        return
+    assert type(chi) is Character
+    # what the parser built passes the constructor's own check
+    assert Character(chi.n, dict(chi.support)) == chi
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 3),
+                    st.fractions(max_denominator=6).map(str),
+                    st.sampled_from(["0", "-0", "0/4", "1e2", "-2.5E-1"]),
+                ),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_parser_keeps_exactly_the_nonzero_pairs(case):
+    n, values, rng = case
+    pairs = all_edges(n)
+    keys = [f"{i}-{j}" if rng.random() < 0.8 else f"{j}-{i}" for i, j in pairs]
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    chi = character_from_json_dict({"n": n, "weights": {keys[k]: values[k] for k in order}})
+    exact = {e: Fraction(str(v)) for e, v in zip(pairs, values)}
+    assert chi.support == {e: v for e, v in exact.items() if v != 0}
+    for (i, j), v in exact.items():
+        assert chi.weight(i, j) == v and chi.weight(j, i) == v

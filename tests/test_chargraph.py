@@ -241,7 +241,7 @@ class TestTripleSums:
 
         pairs = list(combinations(range(1, 5), 2))
         for vals in product((-1, 0, 1), repeat=6):
-            chi = Character(4, dict(zip(pairs, map(Fraction, vals))))
+            chi = Character.dense(4, dict(zip(pairs, map(Fraction, vals))))
             mv = triple_sum_consequences(chi)
             matches = (
                 chi.weight(1, 2) == chi.weight(3, 4)

@@ -23,7 +23,6 @@ from braidsigma.characters import (
     character_to_json_dict,
     delta_value,
     permute,
-    support_map,
     swing_value,
 )
 from braidsigma.chargraph import (
@@ -136,13 +135,13 @@ class TestDisjointSearches:
 
 def weight(chi, i, j):
     """A pair beyond the strands 1..n carries weight 0."""
-    return chi.weights.get((min(i, j), max(i, j)), Fraction(0))
+    return chi.support.get((min(i, j), max(i, j)), Fraction(0))
 
 
 def on_circle_reference(chi, cid):
     """Membership straight from the definition of the two circle kinds."""
     inside = set(cid.support)
-    if any(v and not set(e) <= inside for e, v in chi.weights.items()):
+    if any(not set(e) <= inside for e in chi.support):
         return False
     if cid.kind == "P3":
         i, j, k = cid.support
@@ -181,7 +180,7 @@ def characters_near_circles(rng, n, count):
                 local[e] = Fraction(rng.randint(-1, 1), rng.randint(1, 2))
         if rng.random() < 0.2:
             local[rng.choice(pairs(n))] += 1
-        chi = Character(n, local)
+        chi = Character.dense(n, local)
         if not chi.is_zero():
             out.append(chi)
     return out
@@ -217,7 +216,7 @@ class TestOnCircle:
         for n in (4, 5, 6, 7):
             circles = enumerate_circles(n + 2)
             for chi in characters_near_circles(rng, n, 60):
-                support = {v for e, w in chi.weights.items() if w for v in e}
+                support = {v for e in chi.support for v in e}
                 for cid in circles:
                     expected = on_circle_reference(chi, cid)
                     assert on_circle(chi, cid) == expected, (chi, cid)
@@ -302,7 +301,7 @@ class TestCachedFacts:
             for _ in range(20):
                 weights = {e: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
                            for e in pairs(n)}
-                chi = Character(n, weights)
+                chi = Character.dense(n, weights)
                 g = build_kchi(chi)
                 assert build_kchi(chi) is g
                 assert delta_value(chi) is delta_value(chi)
@@ -344,8 +343,7 @@ class TestParsedSupport:
                 weights[(i, j)] = Fraction(val)
             chi = character_from_json(json.dumps({"n": n, "weights": raw}))
             expected = {e: v for e, v in weights.items() if v != 0}
-            assert chi.__dict__["_support"] == expected  # handed over by the parse
-            assert support_map(chi) is chi.__dict__["_support"]
+            assert chi.support == expected
             assert delta_value(chi) == sum(weights.values())
             assert chi.is_zero() == (not expected)
             empty += not expected
@@ -358,21 +356,24 @@ class TestParsedSupport:
             weights = {e: Fraction(rng.choice([0, 0, 0, 1, -3]), rng.randint(1, 3))
                        for e in pairs(n)}
             perm = random_perm(n, rng)
+            kept = {e: v for e, v in weights.items() if rng.random() < 0.8}
             dense = Character.dense(n, weights)
-            for chi in (
-                dense,
-                Character.sparse(n, {e: v for e, v in weights.items() if rng.random() < 0.8}),
-                permute(dense, perm),
-                dense.scale(Fraction(-2, 3)),
-                dense.scale(0),
-                Character.zero(n),
+            relabeled = {
+                tuple(sorted((perm[i - 1], perm[j - 1]))): v for (i, j), v in weights.items()
+            }
+            for chi, total in (
+                (dense, weights),
+                (Character.sparse(n, kept), kept),
+                (permute(dense, perm), relabeled),
+                (dense.scale(Fraction(-2, 3)), {e: v * Fraction(-2, 3) for e, v in weights.items()}),
+                (dense.scale(0), {}),
+                (Character.zero(n), {}),
             ):
-                expected = {e: v for e, v in chi.weights.items() if v != 0}
-                assert "_support" not in chi.__dict__
+                expected = {e: v for e, v in total.items() if v != 0}
+                assert chi.support == expected
                 assert chi.is_zero() == (not expected)
-                assert support_map(chi) == expected
-                assert support_map(chi) is support_map(chi)
-                assert delta_value(chi) == sum(chi.weights.values())
+                assert all(chi.weight(*e) == total.get(e, 0) for e in pairs(n))
+                assert delta_value(chi) == sum(total.values())
 
     # the type test looks at strings first, yet refuses exactly what it did
     @pytest.mark.parametrize(
@@ -413,7 +414,7 @@ def sparse_character(rng, n):
         weights[e] = Fraction(rng.choice([1, -1, 2, -2]), rng.choice([1, 1, 2]))
     if rng.random() < 0.5:
         weights[rng.choice(pairs(n))] -= sum(weights.values())
-    return Character(n, weights)
+    return Character.dense(n, weights)
 
 
 def size_class(j, n):

@@ -1,5 +1,5 @@
 from braidsigma.planar import planar_words, verify_planar_presentation
-from braidsigma.words import braid_aut, aut_equal, standard_pure_word
+from braidsigma.words import braid_aut, standard_pure_word
 
 
 class TestCommittedWordList:
@@ -40,7 +40,7 @@ class TestCommittedWordList:
             "d": standard_pure_word(3, 4, 4),
         }
         for label in "abcd":
-            assert aut_equal(braid_aut(words[label]), braid_aut(std[label]))
+            assert braid_aut(words[label]) == braid_aut(std[label])
         report = verify_planar_presentation(
             {**std, "e": standard_pure_word(2, 4, 4), "f": standard_pure_word(1, 4, 4)}
         )

@@ -3,17 +3,16 @@ from itertools import combinations
 
 import pytest
 
+from braidsigma import words
+from braidsigma.characters import InternalError
 from braidsigma.words import (
     BraidWord,
     BudgetExceededError,
     artin_sigma,
-    aut_equal,
     braid_aut,
     braid_perm,
     commute_wordlevel,
     commutes_predicate,
-    compose,
-    identity_aut,
     invert_word,
     is_pure,
     standard_pure_word,
@@ -33,65 +32,87 @@ def full_twist_word(lo: int, hi: int, n: int) -> BraidWord:
     return BraidWord(n, period * (hi - lo + 1))
 
 
+def identity(n: int):
+    return tuple((k,) for k in range(1, n + 1))
+
+
+def random_word(n: int, rng: random.Random, max_len: int = 12) -> BraidWord:
+    letters = [k for i in range(1, n) for k in (i, -i)]
+    return BraidWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
+
+
+def is_reduced(w) -> bool:
+    return all(x != -y for x, y in zip(w, w[1:]))
+
+
 class TestArtinAction:
     def test_sigma1_images(self):
-        s1 = artin_sigma(1, 2)
-        assert s1.images == ((1, 2, -1), (1,))
+        assert artin_sigma(1, 2) == ((1, 2, -1), (1,))
+        assert artin_sigma(-1, 2) == ((2,), (-2, 1, 2))
+        assert artin_sigma(2, 4) == ((1,), (2, 3, -2), (2,), (4,))
 
     def test_inverse_cancels(self):
-        s1 = artin_sigma(1, 3)
-        assert aut_equal(compose(s1, artin_sigma(1, 3, inverse=True)), identity_aut(3))
+        for x in (1, -1, 2, -2):
+            assert braid_aut(BraidWord(3, (x, -x))) == identity(3)
 
     def test_braid_relation(self):
-        s1, s2 = artin_sigma(1, 3), artin_sigma(2, 3)
-        assert aut_equal(
-            compose(compose(s1, s2), s1), compose(compose(s2, s1), s2)
-        )
+        assert braid_aut(BraidWord(3, (1, 2, 1))) == braid_aut(BraidWord(3, (2, 1, 2)))
 
     def test_artin_relations_up_to_six_strands(self):
         for n in range(2, 7):
-            gens = [artin_sigma(i, n) for i in range(1, n)]
-            for i, j in combinations(range(len(gens)), 2):
+            for i, j in combinations(range(1, n), 2):
                 if j - i >= 2:
-                    assert aut_equal(
-                        compose(gens[i], gens[j]), compose(gens[j], gens[i])
-                    )
-            for i in range(len(gens) - 1):
-                assert aut_equal(
-                    compose(compose(gens[i], gens[i + 1]), gens[i]),
-                    compose(compose(gens[i + 1], gens[i]), gens[i + 1]),
+                    assert braid_aut(BraidWord(n, (i, j))) == braid_aut(BraidWord(n, (j, i)))
+            for i in range(1, n - 1):
+                assert braid_aut(BraidWord(n, (i, i + 1, i))) == braid_aut(
+                    BraidWord(n, (i + 1, i, i + 1))
                 )
 
     def test_compose_identity(self):
-        f = braid_aut(standard_pure_word(1, 3, 4))
-        assert aut_equal(compose(f, identity_aut(4)), f)
+        # the empty word acts as the identity on either side of a product
+        w = standard_pure_word(1, 3, 4)
+        empty = BraidWord(4, ())
+        assert braid_aut(empty) == identity(4)
+        assert braid_aut(w * empty) == braid_aut(empty * w) == braid_aut(w)
 
     def test_distinct_generators_differ(self):
-        assert not aut_equal(artin_sigma(1, 3), artin_sigma(2, 3))
+        assert artin_sigma(1, 3) != artin_sigma(2, 3)
+        assert artin_sigma(1, 3) != artin_sigma(-1, 3)
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            compose(artin_sigma(1, 2), artin_sigma(1, 3))
-
-    def test_inverse_images_verified(self):
-        from braidsigma.words import FreeGroupAut
-
+            BraidWord(2, (1,)) * BraidWord(3, (1,))
         with pytest.raises(ValueError):
-            FreeGroupAut(2, ((1,), (2,)), ((2,), (1,)))
+            artin_sigma(3, 3)
+
+    def test_inverse_images_verified(self, monkeypatch):
+        # a sigma_i^-1 table that does not undo sigma_i is the package's
+        # fault, found once per letter under the cache
+        tables = words._sigma_tables
+
+        def identity_for_inverse(i, n):
+            return tables(i, n)[0], identity(n)
+
+        monkeypatch.setattr(words, "_sigma_tables", identity_for_inverse)
+        artin_sigma.cache_clear()
+        try:
+            for x in (1, -1, 2):
+                with pytest.raises(InternalError, match="does not invert"):
+                    artin_sigma(x, 3)
+        finally:
+            artin_sigma.cache_clear()
 
     def test_random_braid_invertible(self):
         rng = random.Random(83)
-        for _ in range(20):
-            n = rng.randint(2, 5)
-            w = BraidWord(
-                n,
-                tuple(
-                    rng.choice([k for i in range(1, n) for k in (i, -i)])
-                    for _ in range(rng.randint(0, 12))
-                ),
-            )
-            f = braid_aut(w)
-            assert aut_equal(compose(f, f.inverse()), identity_aut(n))
+        for _ in range(40):
+            w = random_word(rng.randint(2, 6), rng)
+            assert braid_aut(w * w.inverse()) == braid_aut(w.inverse() * w) == identity(w.n)
+
+    def test_images_are_reduced(self):
+        rng = random.Random(89)
+        for _ in range(60):
+            images = braid_aut(random_word(rng.randint(2, 6), rng, max_len=16))
+            assert all(image and is_reduced(image) for image in images)
 
 
 class TestStandardPureWords:
@@ -176,16 +197,14 @@ class TestIdentitySuite:
                 q = standard_pure_word(i, k, n)
                 r = standard_pure_word(j, k, n)
                 ref = braid_aut(p * q * r)
-                assert aut_equal(ref, braid_aut(q * r * p))
-                assert aut_equal(ref, braid_aut(r * p * q))
+                assert ref == braid_aut(q * r * p) == braid_aut(r * p * q)
 
     def test_swing_word_matches_full_twist_on_blocks(self):
         for n in (3, 4, 5):
             for lo in range(1, n):
                 for hi in range(lo + 1, n + 1):
-                    assert aut_equal(
-                        braid_aut(full_twist_word(lo, hi, n)),
-                        braid_aut(swing_word(range(lo, hi + 1), n)),
+                    assert braid_aut(full_twist_word(lo, hi, n)) == braid_aut(
+                        swing_word(range(lo, hi + 1), n)
                     )
 
     def test_full_twist_is_central(self):
