@@ -85,7 +85,9 @@ class Character(Record):
     ``delta_value`` (Delta, summed over the support) and
     ``chargraph.build_kchi`` (K_chi, labeled by the support itself).  So
     ``support`` must never be mutated after construction.  The constructor
-    refuses a pair out of range and a zero value, in O(|support|).
+    refuses a pair out of range, a zero value and a value that is not an
+    int or a Fraction (a float, say, is not exact), in O(|support|).  The
+    hash is over ``n`` and the support's items, so it agrees with ``==``.
     """
 
     _fields = ("n", "support")
@@ -99,8 +101,13 @@ class Character(Record):
         for e, v in support.items():
             if not (len(e) == 2 and 1 <= e[0] < e[1] <= n):
                 raise CharacterFormatError(f"pair {e} is not (i, j) with 1 <= i < j <= {n}")
+            if type(v) is bool or not isinstance(v, (int, Fraction)):
+                raise CharacterFormatError(f"pair {e} has weight {v!r}, not an int or a Fraction")
             if v == 0:
                 raise CharacterFormatError(f"pair {e} has weight 0, so it is not in the support")
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.support.items())))
 
     @staticmethod
     def dense(n: int, weights: Mapping[Edge, Fraction | int | str]) -> "Character":
@@ -132,8 +139,16 @@ class Character(Record):
         return not self.support
 
     def scale(self, q: Fraction | int) -> "Character":
-        q = Fraction(q)
+        q = _exact_value(q, "scale factor")
         return Character(self.n, {e: q * v for e, v in self.support.items()} if q else {})
+
+
+def _exact_value(v: Fraction | int | str, what: str) -> Fraction:
+    """``v`` as a Fraction; a float or a bool, which is not an exact
+    rational, is refused rather than read as its binary value."""
+    if isinstance(v, (float, bool)):
+        raise CharacterFormatError(f"{what} is {v!r}, not an int, a Fraction or a string")
+    return Fraction(v)
 
 
 def _exact_values(weights: Mapping[Edge, Fraction | int | str]) -> dict[Edge, Fraction]:
@@ -144,7 +159,7 @@ def _exact_values(weights: Mapping[Edge, Fraction | int | str]) -> dict[Edge, Fr
         e = edge(i, j)
         if e in out:
             raise CharacterFormatError(f"duplicate weight key {(i, j)}")
-        out[e] = Fraction(v)
+        out[e] = _exact_value(v, f"weight of pair {(i, j)}")
     return out
 
 

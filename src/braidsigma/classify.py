@@ -83,16 +83,28 @@ def _complement(i: int, n: int) -> SwingSet:
     return tuple(k for k in range(1, n + 1) if k != i)
 
 
+def _recovery(k: int) -> tuple[Factorization, ...]:
+    """(1, 4) and (2, 4) each recovered from the triple it spans with
+    vertex k: the swing on the triple is the product of its three pairs."""
+    triples = [(a, tuple(sorted((a, 4, k)))) for a in (1, 2)]
+    return tuple(Factorization(t, tuple(combinations(t, 2)), (a, 4)) for a, t in triples)
+
+
+# The recovery factorizations of the lemma table, keyed by the vertex k of
+# ``_recovering``: (1, 4, 5) and (2, 4, 5) for disjoint_pair, (1, 3, 4) and
+# (2, 3, 4) for triangle.  They lie on strands 1..5 and do not depend on n;
+# ``braidsigma verify`` proves each in P_5 (``cli.cmd_verify`` says why that
+# settles every n), so witness verification does not repeat them.
+RECOVERY_FACTORIZATIONS = {5: _recovery(5), 3: _recovery(3)}
+
+
 def _recovering(k: int, n: int) -> tuple[tuple[SwingSet, ...], tuple[Factorization, ...]]:
     """I and its factorizations for the lemmas that drop (1, 4) and (2, 4)
     from the standard pairs and recover each from the triple it spans
     with vertex k."""
-    triples = [tuple(sorted((a, 4, k))) for a in (1, 2)]
+    facts = RECOVERY_FACTORIZATIONS[k]
     i_sets = tuple(p for p in all_edges(n) if p not in ((1, 4), (2, 4)))
-    facts = tuple(
-        Factorization(t, tuple(combinations(t, 2)), (a, 4)) for a, t in zip((1, 2), triples)
-    )
-    return i_sets + tuple(triples), facts
+    return i_sets + tuple(f.added for f in facts), facts
 
 
 def _has_edges(g: CharGraph, *pairs: Edge) -> bool:

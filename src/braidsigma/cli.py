@@ -31,8 +31,13 @@ from .characters import (
 )
 from .chargraph import build_kchi, oracle_star_or_small, to_dot
 from .circles import P3, P4
-from .classify import classification_to_json_dict, classify, verify_certificate
-from .witness import build_witness_for, verify_witness, witness_to_json_dict
+from .classify import (
+    RECOVERY_FACTORIZATIONS,
+    classification_to_json_dict,
+    classify,
+    verify_certificate,
+)
+from .witness import build_witness_for, factorization_holds, verify_witness, witness_to_json_dict
 from .words import verify_p3_relation, verify_swing_factorizations
 
 EXIT_OK = 0
@@ -124,6 +129,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """The word-engine identity suite, one line per identity.  Its last
+    lines prove the four recovery factorizations of the lemma table for
+    every n, so witness verification need not check them again.  Each lies
+    on strands 1..5, so its words use only sigma_1..sigma_4, which fix
+    x_6..x_n: its images in F_n are those in F_5 with the other letters
+    fixed, and an identity of P_5, checked here in every cyclic rotation of
+    the product, holds in every P_n."""
     # only this command checks the P_4 presentation
     from .planar import planar_words, verify_planar_presentation, verify_rho
 
@@ -135,6 +147,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     planar_report = verify_planar_presentation(planar_words())
     for name, ok in planar_report.items():
         checks.append((f"planar relation {name}", ok))
+    for facts in RECOVERY_FACTORIZATIONS.values():
+        for fact in facts:
+            checks.append((f"recovery factorization {fact.added}", factorization_holds(fact, 5)))
     width = max(len(name) for name, _ in checks)
     failed = False
     for name, ok in checks:

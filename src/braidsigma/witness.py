@@ -6,9 +6,11 @@ states J, I and the recovery factorizations.  J survives under the
 relabeled character, the commuting graph C(J) is connected, J dominates
 I, and I generates the group.  Generation is checked through the
 abelianization (full rank on the weight lattice) plus the recorded
-recovery factorizations, which are also verified exactly in the word
-engine at n <= WORDLEVEL_MAX_STRANDS = 5 (its comment says why 5 is
-enough).
+recovery factorizations.  The four factorizations of the lemma table
+(``classify.RECOVERY_FACTORIZATIONS``) hold at the word level in every
+P_n, as ``braidsigma verify`` proves once; any other factorization a
+package brings is checked exactly in the word engine at n <=
+WORDLEVEL_MAX_STRANDS = 5.
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them runs once per shape and is cached: C(J)
@@ -16,6 +18,19 @@ connectivity and domination (``_shape_checks``), and generation
 (``_generation_checks``).  The caches are keyed by value, so a package
 that differs from its shape's own in any member is checked in full, and
 bounded, so packages from outside cannot grow them without limit.
+
+Each of those checks costs about one pass over I, whose members are
+almost all pairs of strands.  A pair {a, b} commutes with a swing set S
+(the predicate of ``words``) when it lies in S, or when it misses S and
+the number of S's strands strictly between a and b is 0 or |S| (S lies
+in the pair only when it is the pair).  So domination tests a pair by two
+lookups in a membership array of S and one difference of its prefix
+counts, built once per member of J.  In the abelianization a pair is
+the unit row of its own column, so the rank is the number of distinct
+pairs plus the exact rank of the other members with those columns
+removed: the same elimination, unit rows first.  Members of I that are
+not pairs of 1..n take the predicate and the general elimination; a
+member that is not a swing set of 1..n adds nothing to the rank.
 
 Only survival reads the character, so it alone runs for every character,
 and it reads Delta and row sums, not a relabeled copy.  The swing on J
@@ -30,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from .characters import (
@@ -44,7 +59,7 @@ from .characters import (
     swing_value,
 )
 from .chargraph import build_kchi
-from .classify import Classification, Factorization, WitnessData
+from .classify import RECOVERY_FACTORIZATIONS, Classification, Factorization, WitnessData
 from .record import Record
 from .words import braid_aut, commutes_predicate, swing_word
 
@@ -88,7 +103,10 @@ class WitnessReport(Record):
         uncovered: list[SwingSet],
         full_rank: bool,
         abelian_factorizations: bool,
-        wordlevel_factorizations: Optional[bool],  # None when out of budget
+        # None when not run in this process: every factorization is one of
+        # the lemma table's, which ``braidsigma verify`` proves, or n is
+        # above WORDLEVEL_MAX_STRANDS
+        wordlevel_factorizations: Optional[bool],
     ) -> None:
         d = self.__dict__
         d["survival_failures"] = survival_failures
@@ -134,10 +152,44 @@ def is_connected(adj: list[set[int]]) -> bool:
     return len(seen) == len(adj)
 
 
-def dominates(j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet]) -> list[SwingSet]:
+def _is_pair(a: Sequence, n: int) -> bool:
+    """Is ``a`` a pair (i, j) of strands with 1 <= i < j <= n?"""
+    return len(a) == 2 and type(a[0]) is int is type(a[1]) and 0 < a[0] < a[1] <= n
+
+
+def _swing_set_of(a: Sequence, n: int) -> Optional[SwingSet]:
+    """``a`` sorted, if it is a swing set of 1..n (at least two distinct
+    integer strands in range), else None."""
+    if len(a) < 2 or not all(type(v) is int for v in a):
+        return None
+    s = tuple(sorted(set(a)))
+    return s if len(s) == len(a) and 1 <= s[0] and s[-1] <= n else None
+
+
+def dominates(j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet], n: int) -> list[SwingSet]:
     """The elements of I that commute (predicate) with no element of J, so
-    J dominates I exactly when the list is empty."""
-    return [i for i in i_sets if not any(commutes_predicate(i, j) for j in j_sets)]
+    J dominates I exactly when the list is empty.  A pair of 1..n is tested
+    against each swing set S of J by the lookups of the module docstring:
+    ``inside`` marks S's strands and ``before[x]`` counts those <= x."""
+    if any(_swing_set_of(j, n) is None for j in j_sets):
+        return [i for i in i_sets if not any(commutes_predicate(i, j) for j in j_sets)]
+    uncovered = list(i_sets)
+    for j in j_sets:
+        size, inside = len(j), [0] * (n + 1)
+        for v in j:
+            inside[v] = 1
+        before = list(accumulate(inside))
+        uncovered = [
+            i
+            for i in uncovered
+            if not (
+                (k := inside[i[0]] + inside[i[1]]) == 2
+                or not k and not (before[i[1]] - before[i[0]]) % size
+                if _is_pair(i, n)
+                else commutes_predicate(i, j)
+            )
+        ]
+    return uncovered
 
 
 def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
@@ -152,11 +204,12 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
 # meets, and a bound on what packages from outside can add
 _SHAPE_CACHE_SIZE = 256
 
-# The factorizations are checked in the word engine at n <= 5 only.  Every
-# factorization of the lemma table lies on strands 1..5, so its words use
-# only sigma_1..sigma_4, which fix x_6..x_n: its images in F_n are those in
-# F_5 with the other letters fixed, and an identity of P_5 holds in every P_n.
+# A factorization outside the lemma table is checked in the word engine at
+# n <= 5 only, the budget of one cold check per shape; the table's own
+# hold in every P_n that has their strands (``cli.cmd_verify``) and are
+# not checked again.
 WORDLEVEL_MAX_STRANDS = 5
+_TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() for f in fs)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -197,13 +250,47 @@ def _rank(vectors: list[dict[Edge, int]]) -> int:
     return len(pivots)
 
 
+def _generation_rank(n: int, i_sets: Sequence[SwingSet]) -> int:
+    """The exact rank of the abelianized I on the C(n,2) pair columns: the
+    distinct pairs of 1..n are unit rows, and the other swing sets of 1..n
+    are reduced by ``_rank`` with those columns removed."""
+    units: set[Edge] = set()
+    rest = []
+    for a in i_sets:
+        if _is_pair(a, n):
+            units.add(a)
+        else:
+            rest.append(a)
+    swings = [s for s in (_swing_set_of(a, n) for a in rest) if s is not None]
+    units.update(s for s in swings if len(s) == 2)
+    rows = [{p: 1 for p in combinations(s, 2) if p not in units} for s in swings if len(s) > 2]
+    return len(units) + _rank(rows)
+
+
+def factorization_holds(fact: Factorization, n: int) -> bool:
+    """Does the swing on ``fact.added`` equal the product of the swings on
+    its factors in P_n, in every cyclic rotation of the product?  Checking
+    each rotation keeps the identity from holding merely by the definition
+    of the swing word."""
+    target = braid_aut(swing_word(fact.added, n))
+    factors = list(fact.factors)
+    for shift in range(len(factors)):
+        rotated = factors[shift:] + factors[:shift]
+        prod = swing_word(rotated[0], n)
+        for f in rotated[1:]:
+            prod = prod * swing_word(f, n)
+        if braid_aut(prod) != target:
+            return False
+    return True
+
+
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape_checks(
-    j_sets: tuple[SwingSet, ...], i_sets: tuple[SwingSet, ...]
+    n: int, j_sets: tuple[SwingSet, ...], i_sets: tuple[SwingSet, ...]
 ) -> tuple[bool, tuple[SwingSet, ...]]:
     """Character-independent C(J) and domination checks, cached per shape:
     (C(J) connected, the elements of I that J does not dominate)."""
-    return is_connected(commuting_graph(j_sets)), tuple(dominates(j_sets, i_sets))
+    return is_connected(commuting_graph(j_sets)), tuple(dominates(j_sets, i_sets, n))
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -213,10 +300,10 @@ def _generation_checks(
     factorizations: tuple[Factorization, ...],
 ) -> tuple[bool, bool, Optional[bool]]:
     """Character-independent part of witness verification, cached per shape:
-    (full abelianized rank, factorizations in the abelianization,
-    factorizations exact in the word engine or None when over budget)."""
-    vectors = [_abelianized(a) for a in i_sets]
-    full_rank = _rank(vectors) == n * (n - 1) // 2
+    (full abelianized rank, factorizations in the abelianization, the
+    factorizations outside the lemma table exact in the word engine, or
+    None when there are none or n is over budget)."""
+    full_rank = _generation_rank(n, i_sets) == n * (n - 1) // 2
 
     abelian_ok = True
     for fact in factorizations:
@@ -231,20 +318,9 @@ def _generation_checks(
             abelian_ok = False
 
     wordlevel: Optional[bool] = None
-    if n <= WORDLEVEL_MAX_STRANDS:
-        wordlevel = True
-        for fact in factorizations:
-            target = braid_aut(swing_word(fact.added, n))
-            factors = list(fact.factors)
-            # check every cyclic rotation of the factor product, so the
-            # identity is not true merely by definition of the swing word
-            for shift in range(len(factors)):
-                rotated = factors[shift:] + factors[:shift]
-                prod = swing_word(rotated[0], n)
-                for f in rotated[1:]:
-                    prod = prod * swing_word(f, n)
-                if braid_aut(prod) != target:
-                    wordlevel = False
+    others = [f for f in factorizations if f not in _TABLE_FACTORIZATIONS or f.added[-1] > n]
+    if others and n <= WORDLEVEL_MAX_STRANDS:
+        wordlevel = all(factorization_holds(f, n) for f in others)
     return full_rank, abelian_ok, wordlevel
 
 
@@ -284,7 +360,7 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     failures are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
-    connected, uncovered = _shape_checks(pkg.j_sets, pkg.i_sets)
+    connected, uncovered = _shape_checks(chi.n, pkg.j_sets, pkg.i_sets)
     full_rank, abelian_ok, wordlevel = _generation_checks(
         chi.n, pkg.i_sets, pkg.factorizations
     )

@@ -82,6 +82,40 @@ def test_dense_and_sparse_keep_only_nonzero_values():
     assert dense == sparse and dense.weight(1, 3) == 0 and dense.weight(3, 1) == 0
 
 
+def test_equal_characters_hash_equal():
+    parsed = character_from_json('{"n": 3, "weights": {"1-2": "1", "1-3": "0", "2-3": "-1"}}')
+    dense = Character.dense(3, {(1, 2): 1, (1, 3): "0", (3, 2): Fraction(-2, 2)})
+    sparse = Character.sparse(3, {(2, 3): "-1", (2, 1): Fraction(1)})
+    assert parsed == dense == sparse
+    assert hash(parsed) == hash(dense) == hash(sparse)
+    assert {parsed, dense, sparse} == {sparse} and len({parsed, dense, sparse}) == 1
+    other = Character.sparse(3, {(1, 2): 1, (2, 3): 1})
+    assert {parsed: "a", other: "b"}[dense] == "a" and other not in {parsed}
+    assert Character.zero(4) in {Character.sparse(4, {})} and Character.zero(4) not in {Character.zero(5)}
+
+
+@pytest.mark.parametrize("build", [Character.dense, Character.sparse])
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, True])
+def test_dense_and_sparse_refuse_inexact_values(build, value):
+    weights = {(1, 2): 0, (3, 1): value, (2, 3): "1/3"}
+    with pytest.raises(CharacterFormatError, match=re.escape(f"weight of pair (3, 1) is {value!r}")):
+        build(3, weights)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, "1/2", None])
+def test_constructor_takes_only_ints_and_fractions(value):
+    with pytest.raises(CharacterFormatError, match=re.escape(f"pair (1, 3) has weight {value!r}")):
+        Character(3, {(1, 2): 1, (1, 3): value})
+    assert Character(3, {(1, 2): 1, (1, 3): Fraction(1, 2)}).weight(1, 3) == Fraction(1, 2)
+
+
+def test_scale_refuses_a_float():
+    chi = Character.sparse(3, {(1, 2): 1})
+    with pytest.raises(CharacterFormatError, match="scale factor is 0.1"):
+        chi.scale(0.1)
+    assert chi.scale("1/10").weight(1, 2) == Fraction(1, 10)
+
+
 class TestSwingValue:
     def test_figure_triples(self, chi0):
         assert swing_value(chi0, (1, 2, 4)) == -1

@@ -13,7 +13,14 @@ from braidsigma import cli
 from braidsigma.characters import InternalError, delta_value
 from braidsigma.circles import enumerate_circles
 from braidsigma.classify import Classification, Star, ZeroSum
-from braidsigma.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, MAX_CIRCLES, main
+from braidsigma.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    MAX_CIRCLES,
+    main,
+)
 
 SRC = str(Path(braidsigma.__file__).resolve().parent.parent)
 
@@ -368,6 +375,22 @@ class TestVerify:
         assert "pass" in out
         assert "FAIL" not in out
         assert "planar relation abc=bca" in out
+
+    def test_recovery_factorizations_are_proved(self, capsys, monkeypatch):
+        assert main(["verify"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 16 and all(line.endswith("  pass") for line in lines)
+        assert [line.split("  ")[0].rstrip() for line in lines[-4:]] == [
+            f"recovery factorization {t}" for t in ((1, 4, 5), (2, 4, 5), (1, 3, 4), (2, 3, 4))
+        ]
+        # each line reports its own check
+        holds = cli.factorization_holds
+        monkeypatch.setattr(cli, "factorization_holds", lambda f, n: f.added != (1, 3, 4) and holds(f, n))
+        assert main(["verify"]) == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.endswith("  FAIL")]
+        assert len(lines) == 16 and failed == [lines[14]]
+        assert lines[14].startswith("recovery factorization (1, 3, 4)")
 
 
 class TestOracle:

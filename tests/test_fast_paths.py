@@ -1,10 +1,11 @@
 """Brute-force oracles for the fast paths: the disjoint-edge searches,
 one-candidate circle location and membership, the sparse generation rank,
-the facts cached on a character and its support graph, and survival and
-the shape checks of a witness.  Every reference below is written here and
-shares no code with the function it checks, except survival, whose
-reference is its definition: relabel with ``permute``, then sum each swing
-with ``swing_value``."""
+the facts cached on a character and its support graph, and survival,
+domination and the shape checks of a witness.  Every reference below is
+written here and shares no code with the function it checks, except two
+whose reference is their definition: survival (relabel with ``permute``,
+then sum each swing with ``swing_value``) and domination (the commutation
+predicate of ``words`` on every pair of members)."""
 
 import json
 import random
@@ -48,11 +49,14 @@ from braidsigma.witness import (
     WitnessPackage,
     WitnessReport,
     _generation_checks,
+    _generation_rank,
     _rank,
     _shape_checks,
     build_witness_for,
+    dominates,
     verify_witness,
 )
+from braidsigma.words import commutes_predicate
 from conftest import random_perm
 
 
@@ -261,8 +265,8 @@ class TestSparseRank:
                     vectors.append({p: rng.randint(-2, 2) for p in rng.sample(cols, 3)})
             assert _rank(vectors) == dense_rank(vectors, cols)
 
-    def test_cold_generation_checks_at_n64(self):
-        n = 64
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_cold_generation_checks(self, n):
         chi = Character.zero(n)
         for cert in (
             ZeroSum(Fraction(1)),
@@ -273,6 +277,103 @@ class TestSparseRank:
             # __wrapped__ bypasses the per-shape cache, so this is a cold run
             checks = _generation_checks.__wrapped__(n, pkg.i_sets, pkg.factorizations)
             assert checks == (True, True, None)
+
+    def test_unit_pivots_against_dense_elimination(self):
+        # the lemma shapes, and random packages with repeated pairs, pairs
+        # given in either order, larger swing sets and degenerate members
+        cases = [(n, lemma.witness(n)[1]) for n in range(4, 9) for lemma in LEMMAS]
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            members = rng.sample(pairs(n), rng.randint(0, len(pairs(n)))) * rng.randint(1, 2)
+            for _ in range(rng.randint(0, 4)):
+                members.append(tuple(rng.sample(range(1, n + 1), rng.randint(2, n))))
+            for _ in range(rng.randint(0, 2)):
+                members.append(rng.choice([(2, 2), (0, 1), (1, n + 1), (1, 1, 2), (1,), (n, 0, 1)]))
+            rng.shuffle(members)
+            cases.append((n, tuple(members)))
+        for n, i_sets in cases:
+            vectors = [abelianized_reference(a, n) for a in i_sets]
+            assert _generation_rank(n, i_sets) == dense_rank(vectors, pairs(n)), (n, i_sets)
+
+
+def abelianized_reference(a, n):
+    """The row of the swing on ``a``: 1 on each pair inside it when it is
+    at least two distinct strands of 1..n, and the zero row otherwise."""
+    ok = len(set(a)) == len(a) >= 2 and all(type(v) is int and 1 <= v <= n for v in a)
+    return {p: 1 for p in combinations(sorted(a), 2)} if ok else {}
+
+
+# -- domination --------------------------------------------------------------
+
+
+def dominates_reference(j_sets, i_sets):
+    return [i for i in i_sets if not any(commutes_predicate(i, j) for j in j_sets)]
+
+
+def hostile(n):
+    """Members of I that are not pairs of 1..n, or pairs given twice."""
+    return [(3, 3), (0, 2), (1, n + 3), (2, 1), (1, 2, 3), (3, 1, 2), (1, 1, 2), (1,), (),
+            (1, 2), (1, 2), (-1, 2), (n, n + 1), (True, 2)]
+
+
+class TestDomination:
+    def test_every_pair_against_every_set_up_to_n9(self):
+        for n in range(2, 10):
+            for k in range(2, n + 1):
+                for s in combinations(range(1, n + 1), k):
+                    assert dominates([s], pairs(n), n) == dominates_reference([s], pairs(n)), s
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 16, 33, 64])
+    def test_lemma_shapes(self, n):
+        # the lemma's own I is dominated; every pair and the triples of
+        # strands 1..6 leave some members uncovered
+        extra = pairs(n) + list(combinations(range(1, min(n, 6) + 1), 3))
+        uncovered = 0
+        for lemma in LEMMAS:
+            j_sets, i_sets, _ = lemma.witness(n)
+            if max(v for j in j_sets for v in j) > n:
+                continue
+            assert dominates(j_sets, i_sets, n) == dominates_reference(j_sets, i_sets) == []
+            want = dominates_reference(j_sets, extra)
+            assert dominates(j_sets, extra, n) == want
+            uncovered += len(want)
+        assert uncovered > 0
+
+    def test_hostile_members(self):
+        for n in (4, 6, 9):
+            for lemma in LEMMAS:
+                j_sets, i_sets, _ = lemma.witness(n)
+                if max(v for j in j_sets for v in j) > n:
+                    continue
+                for members in (hostile(n), [*hostile(n)[::-1], *i_sets, *hostile(n)]):
+                    assert dominates(j_sets, members, n) == dominates_reference(j_sets, members)
+            # J out of order, or not made of swing sets of 1..n (the
+            # predicate alone then decides)
+            for j_sets in ([(3, 1)], [(2, 2)], [(1, n + 1)], [(0, 1), (2, 3)], [(1,)]):
+                members = pairs(n) + hostile(n)
+                assert dominates(j_sets, members, n) == dominates_reference(j_sets, members)
+
+    def test_cold_shape_checks_at_n256(self):
+        n = 256
+        for lemma in LEMMAS:
+            j_sets, i_sets, _ = lemma.witness(n)
+            assert _shape_checks.__wrapped__(n, j_sets, i_sets) == (True, ())
+
+    def test_pairs_never_reach_the_predicate(self, monkeypatch):
+        asked = []
+
+        def counting(a, b):
+            asked.append(a)
+            return commutes_predicate(a, b)
+
+        monkeypatch.setattr(witness, "commutes_predicate", counting)
+        for n in (6, 16, 64):
+            for lemma in LEMMAS:
+                j_sets, i_sets, _ = lemma.witness(n)
+                assert dominates(j_sets, i_sets, n) == []
+        # only the two recovering triples of disjoint_pair and triangle
+        assert asked and all(len(a) == 3 for a in asked)
 
 
 def order_reference(edges):
@@ -401,7 +502,7 @@ def survival_reference(pkg, chi):
 
 def fresh_report(pkg, chi):
     """The report with every check run afresh, past the caches."""
-    connected, uncovered = _shape_checks.__wrapped__(pkg.j_sets, pkg.i_sets)
+    connected, uncovered = _shape_checks.__wrapped__(chi.n, pkg.j_sets, pkg.i_sets)
     generation = _generation_checks.__wrapped__(chi.n, pkg.i_sets, pkg.factorizations)
     return WitnessReport(survival_reference(pkg, chi), connected, list(uncovered), *generation)
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from braidsigma import witness
 from braidsigma.characters import Character, all_edges, permute, swing_value
-from braidsigma.classify import SIGMA1, classify
+from braidsigma.classify import RECOVERY_FACTORIZATIONS, SIGMA1, Factorization, classify
 from braidsigma.witness import (
     WitnessPackage,
     build_witness_for,
@@ -46,24 +47,24 @@ class TestCommutingGraph:
 class TestDominates:
     def test_disjoint_triple_data(self):
         j_sets = [(1, 2), (3, 4), (5, 6)]
-        assert dominates(j_sets, all_edges(6)) == []
+        assert dominates(j_sets, all_edges(6), 6) == []
 
     def test_disjoint_pair_data(self):
         j_sets = [(1, 2), (3, 4), (4, 5)]
         i_sets = [p for p in all_edges(5) if p not in ((1, 4), (2, 4))]
         i_sets += [(1, 4, 5), (2, 4, 5)]
-        assert dominates(j_sets, i_sets) == []
+        assert dominates(j_sets, i_sets, 5) == []
 
     def test_uncovered_reported(self):
-        assert dominates([(1, 2)], [(1, 3)]) == [(1, 3)]
+        assert dominates([(1, 2)], [(1, 3)], 3) == [(1, 3)]
 
     def test_monotone_in_j(self):
         rng = random.Random(71)
         i_sets = all_edges(6)
         for _ in range(20):
             j_sets = [tuple(sorted(rng.sample(range(1, 7), 2))) for _ in range(2)]
-            before = dominates(j_sets, i_sets)
-            after = dominates(j_sets + [(1, 2, 3)], i_sets)
+            before = dominates(j_sets, i_sets, 6)
+            after = dominates(j_sets + [(1, 2, 3)], i_sets, 6)
             assert set(after) <= set(before)
 
 
@@ -147,6 +148,18 @@ class TestVerifyWitness:
         assert report.survival_failures == [(1, 3)]
         assert not report.ok
 
+    @pytest.mark.parametrize("degenerate", [(3, 3), (1, 9), (0, 2)])
+    def test_degenerate_members_add_nothing_to_the_rank(self, degenerate):
+        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == "zero_sum" and verify_witness(pkg, chi).ok
+        # without (1, 2) the pairs span only five of the six columns
+        i_sets = tuple(a for a in pkg.i_sets if a != (1, 2)) + (degenerate,)
+        report = verify_witness(pkg._replace(i_sets=i_sets), chi)
+        assert not report.full_rank and not report.ok
+        if degenerate == (3, 3):  # {3} lies in J's one member, so only the rank fails
+            assert report.uncovered == [] and report.connected
+
     def test_disconnected_j_detected(self):
         chi = Character.sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
         pkg = WitnessPackage("zero_sum", (1, 2, 3), ((1, 2), (2, 3)), tuple(all_edges(3)))
@@ -214,3 +227,63 @@ class TestVerifyWitness:
         assert data["lemma"] == "zero_sum"
         assert data["J"] == [[1, 2, 3, 4]]
         assert len(data["I"]) == 6
+
+
+class TestWordLevel:
+    CASES = (
+        (5, {(1, 2): 1, (3, 4): 1, (4, 5): -2}, "disjoint_pair"),
+        (4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2}, "triangle"),
+        (5, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2}, "triangle"),
+    )
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+        braid_aut = witness.braid_aut
+        monkeypatch.setattr(witness, "braid_aut", lambda w: calls.append(w) or braid_aut(w))
+        return calls
+
+    def test_table_packages_skip_the_word_engine(self, engine_calls):
+        for n, weights, lemma in self.CASES:
+            chi = Character.sparse(n, weights)
+            pkg = build_witness_for(classify(chi), chi)
+            assert pkg.lemma == lemma and len(pkg.factorizations) == 2
+            cold = witness._generation_checks.__wrapped__(n, pkg.i_sets, pkg.factorizations)
+            assert cold == (True, True, None)
+            report = verify_witness(pkg, chi)
+            assert report.wordlevel_factorizations is None and report.ok
+        assert engine_calls == []
+
+    def test_other_factorizations_run_the_word_engine(self, engine_calls):
+        n, weights, _ = self.CASES[0]
+        chi = Character.sparse(n, weights)
+        pkg = build_witness_for(classify(chi), chi)
+        first, second = pkg.factorizations
+        # S_245 is not the product of S_14, S_15 and S_45
+        wrong = first._replace(added=(2, 4, 5))
+        report = verify_witness(pkg._replace(factorizations=(wrong, second)), chi)
+        assert report.wordlevel_factorizations is False and not report.ok
+        assert engine_calls
+        # a rotation of a table product is a true identity outside the table
+        rotated = Factorization(first.added, first.factors[1:] + first.factors[:1], first.recovers)
+        assert rotated != first
+        report = verify_witness(pkg._replace(factorizations=(rotated, second)), chi)
+        assert report.wordlevel_factorizations is True and report.ok
+        # over the budget the word engine is not run
+        chi6 = Character.sparse(6, weights)
+        pkg6 = build_witness_for(classify(chi6), chi6)
+        assert pkg6.factorizations == pkg.factorizations
+        engine_calls.clear()
+        report = verify_witness(pkg6._replace(factorizations=(rotated, second)), chi6)
+        assert report.wordlevel_factorizations is None and report.ok and engine_calls == []
+
+    def test_table_factorizations_need_their_strands(self):
+        # at n = 4 the disjoint_pair factorizations name strand 5, so they
+        # are not the proved identities: the word engine refuses them
+        n, weights, lemma = self.CASES[1]
+        chi = Character.sparse(n, weights)
+        pkg = build_witness_for(classify(chi), chi)
+        assert n == 4 and pkg.lemma == lemma
+        moved = pkg._replace(factorizations=RECOVERY_FACTORIZATIONS[5])
+        with pytest.raises(ValueError, match="need 1 <= i < j <= n"):
+            verify_witness(moved, chi)
