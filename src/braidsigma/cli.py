@@ -84,8 +84,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         pkg = build_witness_for(cls, chi)
         report = verify_witness(pkg, chi)
         out["witness"] = witness_to_json_dict(pkg)
-        if not report.ok:
-            print("error: witness verification failed", file=sys.stderr)
+        if failures := report.failures():
+            for line in failures:
+                print(f"error: witness: {line}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK

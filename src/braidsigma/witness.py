@@ -4,20 +4,24 @@ Each invariant-side certificate is backed by a package (J, I) in the
 lemma's normal-form coordinates; the certificate's class in ``classify``
 states J, I and the recovery factorizations.  J survives under the
 relabeled character, the commuting graph C(J) is connected, J dominates
-I, and I generates the group.  Generation is checked through the
-abelianization (full rank on the weight lattice) plus the recorded
-recovery factorizations.  The four factorizations of the lemma table
+I, and I generates the group.  Generation is checked by covering the
+standard generators, the pairs of 1..n: a pair is given when it is a
+member of I, or when it is the ``recovers`` of a factorization, taken in
+order, whose ``added`` is a member of I, which names ``recovers`` exactly
+once among its factors, and whose other factors are members of I or
+pairs given earlier.  The identity of each factorization is checked in
+the abelianization; the four of the lemma table
 (``classify.RECOVERY_FACTORIZATIONS``) hold at the word level in every
-P_n, as ``braidsigma verify`` proves once; any other factorization a
+P_n, as ``braidsigma verify`` proves once, and any other factorization a
 package brings is checked exactly in the word engine at n <=
 WORDLEVEL_MAX_STRANDS = 5.
 
 J and I are fixed by the lemma and n, not by the character, so every
-check that reads only them runs once per shape and is cached: C(J)
-connectivity and domination (``_shape_checks``), and generation
-(``_generation_checks``).  The caches are keyed by value, so a package
-that differs from its shape's own in any member is checked in full, and
-bounded, so packages from outside cannot grow them without limit.
+check that reads only them and the factorizations (C(J) connectivity,
+domination, generation and the factorizations) runs once per shape in
+one cache, ``_shape_checks``.  It is keyed by value, so a package that
+differs from its shape's own in any member is checked in full, and
+bounded, so packages from outside cannot grow it without limit.
 
 Each of those checks costs about one pass over I, whose members are
 almost all pairs of strands.  A pair {a, b} commutes with a swing set S
@@ -25,12 +29,9 @@ almost all pairs of strands.  A pair {a, b} commutes with a swing set S
 the number of S's strands strictly between a and b is 0 or |S| (S lies
 in the pair only when it is the pair).  So domination tests a pair by two
 lookups in a membership array of S and one difference of its prefix
-counts, built once per member of J.  In the abelianization a pair is
-the unit row of its own column, so the rank is the number of distinct
-pairs plus the exact rank of the other members with those columns
-removed: the same elimination, unit rows first.  Members of I that are
-not pairs of 1..n take the predicate and the general elimination; a
-member that is not a swing set of 1..n adds nothing to the rank.
+counts, built once per member of J.  Members of I that are not pairs of
+1..n take the predicate, and are sorted into swing sets only for the
+coverage; a member that is not a swing set of 1..n gives nothing.
 
 Only survival reads the character, so it alone runs for every character,
 and it reads Delta and row sums, not a relabeled copy.  The swing on J
@@ -43,7 +44,6 @@ and any other J sums its own pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
@@ -83,15 +83,20 @@ class WitnessPackage(Record):
         d["factorizations"] = factorizations
 
 
+FAILURES_SHOWN = 8
+
+
 class WitnessReport(Record):
-    """The outcome of each condition ``verify_witness`` checks; the two
-    lists are the report's own."""
+    """The outcome of each condition ``verify_witness`` checks.  The three
+    lists are the report's own: the members of J whose swing vanishes, the
+    members of I that J does not dominate, and the pairs of 1..n that I
+    does not give (the module docstring's coverage)."""
 
     _fields = (
         "survival_failures",
         "connected",
         "uncovered",
-        "full_rank",
+        "ungenerated",
         "abelian_factorizations",
         "wordlevel_factorizations",
     )
@@ -101,7 +106,7 @@ class WitnessReport(Record):
         survival_failures: list[SwingSet],
         connected: bool,
         uncovered: list[SwingSet],
-        full_rank: bool,
+        ungenerated: list[Edge],
         abelian_factorizations: bool,
         # None when not run in this process: every factorization is one of
         # the lemma table's, which ``braidsigma verify`` proves, or n is
@@ -112,20 +117,33 @@ class WitnessReport(Record):
         d["survival_failures"] = survival_failures
         d["connected"] = connected
         d["uncovered"] = uncovered
-        d["full_rank"] = full_rank
+        d["ungenerated"] = ungenerated
         d["abelian_factorizations"] = abelian_factorizations
         d["wordlevel_factorizations"] = wordlevel_factorizations
 
+    def failures(self) -> list[str]:
+        """One line naming each condition that fails, with the length and
+        the first FAILURES_SHOWN members of a failing list; empty when all
+        hold."""
+        lines = []
+        k = FAILURES_SHOWN
+        if s := self.survival_failures:
+            lines.append(f"members of J whose swing vanishes ({len(s)}): {s[:k]}")
+        if not self.connected:
+            lines.append("the commuting graph C(J) is not connected")
+        if s := self.uncovered:
+            lines.append(f"members of I that J does not dominate ({len(s)}): {s[:k]}")
+        if s := self.ungenerated:
+            lines.append(f"pairs of 1..n that I does not give ({len(s)}): {s[:k]}")
+        if not self.abelian_factorizations:
+            lines.append("a factorization fails in the abelianization")
+        if self.wordlevel_factorizations is False:
+            lines.append("a factorization fails in the word engine")
+        return lines
+
     @property
     def ok(self) -> bool:
-        return (
-            not self.survival_failures
-            and self.connected
-            and not self.uncovered
-            and self.full_rank
-            and self.abelian_factorizations
-            and self.wordlevel_factorizations in (None, True)
-        )
+        return not self.failures()
 
 
 def commuting_graph(j_sets: Sequence[SwingSet]) -> list[set[int]]:
@@ -200,7 +218,7 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
     return WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
 
 
-# entries of each shape cache: far more than the (lemma, n) shapes a run
+# entries of each cache here: far more than the (lemma, n) shapes a run
 # meets, and a bound on what packages from outside can add
 _SHAPE_CACHE_SIZE = 256
 
@@ -215,7 +233,7 @@ _TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() f
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _lemma_sets(lemma: type, n: int) -> WitnessData:
     """A lemma's (J, I, factorizations) at n, built once per shape, like
-    the shape caches below that it feeds; those are keyed by value, so a
+    the shape cache below that it feeds; that one is keyed by value, so a
     package rebuilt after an eviction still finds its checks."""
     return lemma.witness(n)
 
@@ -227,44 +245,43 @@ def _abelianized(a: SwingSet) -> dict[Edge, int]:
     return {pair: 1 for pair in combinations(sorted(a), 2)}
 
 
-def _rank(vectors: list[dict[Edge, int]]) -> int:
-    """Exact rank of the abelianized images over the weight lattice, by
-    sparse elimination: each row is a dict column -> value, reduced
-    against the pivot rows found so far, keyed by their leading column."""
-    pivots: dict[Edge, dict[Edge, Fraction]] = {}
-    for vec in vectors:
-        row = {c: Fraction(v) for c, v in vec.items() if v}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            factor = row[lead] / pivot[lead]
-            for c, v in pivot.items():
-                reduced = row.get(c, 0) - factor * v
-                if reduced:
-                    row[c] = reduced
-                else:
-                    row.pop(c, None)
-    return len(pivots)
+def _ungenerated(
+    n: int, i_sets: Sequence[SwingSet], factorizations: Sequence[Factorization]
+) -> list[Edge]:
+    """The pairs of 1..n that I does not give, in order: a pair is given
+    when it is a member of I, or when it is the ``recovers`` of a
+    factorization, taken in order, whose ``added`` is a member of I, which
+    names ``recovers`` exactly once among its factors, and whose other
+    factors are members of I or pairs given earlier.  Members are compared
+    as sorted swing sets of 1..n; any other member gives nothing."""
 
+    def swing(a: Sequence) -> Optional[SwingSet]:
+        return a if _is_pair(a, n) else _swing_set_of(a, n)
 
-def _generation_rank(n: int, i_sets: Sequence[SwingSet]) -> int:
-    """The exact rank of the abelianized I on the C(n,2) pair columns: the
-    distinct pairs of 1..n are unit rows, and the other swing sets of 1..n
-    are reduced by ``_rank`` with those columns removed."""
-    units: set[Edge] = set()
-    rest = []
-    for a in i_sets:
+    pairs: set[Edge] = set()  # the members of I: its pairs, its other swing sets
+    others: set[SwingSet] = set()
+    for a in i_sets:  # ``swing`` inlined, as this runs for each of C(n,2) members
         if _is_pair(a, n):
-            units.add(a)
-        else:
-            rest.append(a)
-    swings = [s for s in (_swing_set_of(a, n) for a in rest) if s is not None]
-    units.update(s for s in swings if len(s) == 2)
-    rows = [{p: 1 for p in combinations(s, 2) if p not in units} for s in swings if len(s) > 2]
-    return len(units) + _rank(rows)
+            pairs.add(a)
+        elif (s := _swing_set_of(a, n)) is not None:
+            (pairs if len(s) == 2 else others).add(s)
+    recovered: set[Edge] = set()
+    for fact in factorizations:
+        pair, factors = swing(fact.recovers), [swing(f) for f in fact.factors]
+        added = swing(fact.added)
+        if (
+            pair is not None
+            and len(pair) == 2
+            and (added in pairs or added in others)
+            and factors.count(pair) == 1
+            and all(f == pair or f in pairs or f in others or f in recovered for f in factors)
+        ):
+            recovered.add(pair)
+    recovered -= pairs
+    if len(pairs) + len(recovered) == n * (n - 1) // 2:
+        return []
+    everything = combinations(range(1, n + 1), 2)
+    return [p for p in everything if p not in pairs and p not in recovered]
 
 
 def factorization_holds(fact: Factorization, n: int) -> bool:
@@ -286,24 +303,19 @@ def factorization_holds(fact: Factorization, n: int) -> bool:
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape_checks(
-    n: int, j_sets: tuple[SwingSet, ...], i_sets: tuple[SwingSet, ...]
-) -> tuple[bool, tuple[SwingSet, ...]]:
-    """Character-independent C(J) and domination checks, cached per shape:
-    (C(J) connected, the elements of I that J does not dominate)."""
-    return is_connected(commuting_graph(j_sets)), tuple(dominates(j_sets, i_sets, n))
-
-
-@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _generation_checks(
     n: int,
+    j_sets: tuple[SwingSet, ...],
     i_sets: tuple[SwingSet, ...],
     factorizations: tuple[Factorization, ...],
-) -> tuple[bool, bool, Optional[bool]]:
+) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool, Optional[bool]]:
     """Character-independent part of witness verification, cached per shape:
-    (full abelianized rank, factorizations in the abelianization, the
+    (C(J) connected, the elements of I that J does not dominate, the pairs
+    that I does not give, factorizations in the abelianization, the
     factorizations outside the lemma table exact in the word engine, or
     None when there are none or n is over budget)."""
-    full_rank = _generation_rank(n, i_sets) == n * (n - 1) // 2
+    connected = is_connected(commuting_graph(j_sets))
+    uncovered = tuple(dominates(j_sets, i_sets, n))
+    ungenerated = tuple(_ungenerated(n, i_sets, factorizations))
 
     abelian_ok = True
     for fact in factorizations:
@@ -312,22 +324,17 @@ def _generation_checks(
         for f in fact.factors:
             for pair, v in _abelianized(f).items():
                 rhs[pair] = rhs.get(pair, 0) + v
-        if lhs != {k: v for k, v in rhs.items() if v}:
-            abelian_ok = False
-        if fact.recovers not in lhs:
+        # ``recovers`` lies in ``added`` whenever the coverage uses the
+        # factorization (every abelian coefficient is positive); the test
+        # refuses one that the coverage passes over, as before
+        if lhs != rhs or fact.recovers not in lhs:
             abelian_ok = False
 
     wordlevel: Optional[bool] = None
     others = [f for f in factorizations if f not in _TABLE_FACTORIZATIONS or f.added[-1] > n]
     if others and n <= WORDLEVEL_MAX_STRANDS:
         wordlevel = all(factorization_holds(f, n) for f in others)
-    return full_rank, abelian_ok, wordlevel
-
-
-def _row_sum(chi: Character, v: int) -> Fraction:
-    """The sum of the weights on the pairs at strand v, read off K_chi."""
-    g = build_kchi(chi)
-    return _exact_sum(g.labels[(v, k) if v < k else (k, v)] for k in g.nbrs.get(v, ()))
+    return connected, uncovered, ungenerated, abelian_ok, wordlevel
 
 
 def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
@@ -344,8 +351,10 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
         if len(a) == n:
             value = delta_value(chi)
         elif len(a) == n - 1:
-            missing = n * (n + 1) // 2 - sum(a)
-            value = delta_value(chi) - _row_sum(chi, preimage[missing])
+            # Delta minus the row sum at the missing strand, read off K_chi
+            v, g = preimage[n * (n + 1) // 2 - sum(a)], build_kchi(chi)
+            row = _exact_sum(g.labels[(v, k) if v < k else (k, v)] for k in g.nbrs.get(v, ()))
+            value = delta_value(chi) - row
         elif len(a) == 2:
             p, q = preimage[a[0]], preimage[a[1]]
             value = chi.weight(p, q)
@@ -360,13 +369,12 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     failures are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
-    connected, uncovered = _shape_checks(chi.n, pkg.j_sets, pkg.i_sets)
-    full_rank, abelian_ok, wordlevel = _generation_checks(
-        chi.n, pkg.i_sets, pkg.factorizations
+    connected, uncovered, ungenerated, abelian_ok, wordlevel = _shape_checks(
+        chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations
     )
-    # the cached uncovered tuple is shared, so each report gets its own list
+    # the cached tuples are shared, so each report gets its own lists
     return WitnessReport(
-        survival_failures, connected, list(uncovered), full_rank, abelian_ok, wordlevel
+        survival_failures, connected, list(uncovered), list(ungenerated), abelian_ok, wordlevel
     )
 
 

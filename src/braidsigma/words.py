@@ -118,19 +118,6 @@ def braid_aut(w: BraidWord) -> Images:
     return images
 
 
-def braid_perm(w: BraidWord) -> tuple[int, ...]:
-    """Strand permutation of the word (image of each strand position)."""
-    perm = list(range(1, w.n + 1))
-    for x in w.letters:
-        i = abs(x)
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return tuple(perm)
-
-
-def is_pure(w: BraidWord) -> bool:
-    return braid_perm(w) == tuple(range(1, w.n + 1))
-
-
 def standard_pure_word(i: int, j: int, n: int) -> BraidWord:
     """The standard pure generator for the pair {i, j}:
     (sigma_{j-1} ... sigma_{i+1}) sigma_i^2 (sigma_{i+1}^-1 ... sigma_{j-1}^-1)."""

@@ -76,3 +76,16 @@ def pullback_rho(psi: Character) -> Character:
             (2, 3): p23,
         },
     )
+
+
+def braid_perm(w) -> tuple[int, ...]:
+    """Strand permutation of a braid word (image of each strand position)."""
+    perm = list(range(1, w.n + 1))
+    for x in w.letters:
+        i = abs(x)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
+
+
+def is_pure(w) -> bool:
+    return braid_perm(w) == tuple(range(1, w.n + 1))

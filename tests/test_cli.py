@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import braidsigma
-from braidsigma import cli
+from braidsigma import cli, witness
 from braidsigma.characters import InternalError, delta_value
 from braidsigma.circles import enumerate_circles
 from braidsigma.classify import Classification, Star, ZeroSum
@@ -160,6 +160,35 @@ class TestClassify:
         assert main(["classify", "--in", chi0_file]) == EXIT_INTERNAL_ERROR
         err = capsys.readouterr().err
         assert err == "internal error: ValueError: a fault inside a stage\n"
+
+    def test_failed_witness_names_its_conditions(self, chi0_file, capsys, monkeypatch):
+        # chi0 is zero_sum at n = 4: J is all four strands, I every pair
+        lemma_sets = witness._lemma_sets
+
+        def dropping(lemma, n, drop=((1, 2),), j_sets=None):
+            j, i, f = lemma_sets(lemma, n)
+            return j_sets or j, tuple(a for a in i if a not in drop), f
+
+        monkeypatch.setattr(witness, "_lemma_sets", dropping)
+        assert main(["classify", "--in", chi0_file, "--witness"]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness: pairs of 1..n that I does not give (1): [(1, 2)]\n"
+
+        # chi0 has no weight on (2, 4); (1, 3) and (2, 4) cross, so C(J) has
+        # no edge, and J dominates none of the pairs that meet both
+        monkeypatch.setattr(
+            witness, "_lemma_sets", lambda lemma, n: dropping(lemma, n, [], ((1, 3), (2, 4)))
+        )
+        assert main(["classify", "--in", chi0_file, "--witness"]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: witness: members of J whose swing vanishes (1): [(2, 4)]",
+            "error: witness: the commuting graph C(J) is not connected",
+            "error: witness: members of I that J does not dominate (4):"
+            " [(1, 2), (1, 4), (2, 3), (3, 4)]",
+        ]
 
     @pytest.mark.parametrize(
         "tampered, kind",

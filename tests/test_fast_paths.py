@@ -1,5 +1,5 @@
 """Brute-force oracles for the fast paths: the disjoint-edge searches,
-one-candidate circle location and membership, the sparse generation rank,
+one-candidate circle location and membership, generation by coverage,
 the facts cached on a character and its support graph, and survival,
 domination and the shape checks of a witness.  Every reference below is
 written here and shares no code with the function it checks, except two
@@ -48,10 +48,8 @@ from braidsigma.classify import (
 from braidsigma.witness import (
     WitnessPackage,
     WitnessReport,
-    _generation_checks,
-    _generation_rank,
-    _rank,
     _shape_checks,
+    _ungenerated,
     build_witness_for,
     dominates,
     verify_witness,
@@ -230,7 +228,7 @@ class TestOnCircle:
         assert min(seen.values()) > 50, seen
 
 
-# -- generation rank -------------------------------------------------------
+# -- generation by coverage ------------------------------------------------
 
 
 def dense_rank(vectors, cols):
@@ -249,59 +247,150 @@ def dense_rank(vectors, cols):
     return rank
 
 
-class TestSparseRank:
-    def test_against_dense_elimination(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            n = rng.randint(3, 6)
-            cols = pairs(n)
-            vectors = []
-            for _ in range(rng.randint(1, len(cols) + 2)):
-                if rng.random() < 0.7:
-                    # abelianized swing: 1 on every pair inside a random set
-                    members = rng.sample(range(1, n + 1), rng.randint(2, 3))
-                    vectors.append({p: 1 for p in combinations(sorted(members), 2)})
-                else:
-                    vectors.append({p: rng.randint(-2, 2) for p in rng.sample(cols, 3)})
-            assert _rank(vectors) == dense_rank(vectors, cols)
-
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_cold_generation_checks(self, n):
-        chi = Character.zero(n)
-        for cert in (
-            ZeroSum(Fraction(1)),
-            DisjointPair((1, 2), ((3, 4), (4, 5))),
-            Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(1)),
-        ):
-            pkg = build_witness_for(Classification(cert, n), chi)
-            # __wrapped__ bypasses the per-shape cache, so this is a cold run
-            checks = _generation_checks.__wrapped__(n, pkg.i_sets, pkg.factorizations)
-            assert checks == (True, True, None)
-
-    def test_unit_pivots_against_dense_elimination(self):
-        # the lemma shapes, and random packages with repeated pairs, pairs
-        # given in either order, larger swing sets and degenerate members
-        cases = [(n, lemma.witness(n)[1]) for n in range(4, 9) for lemma in LEMMAS]
-        rng = random.Random(17)
-        for _ in range(300):
-            n = rng.randint(2, 7)
-            members = rng.sample(pairs(n), rng.randint(0, len(pairs(n)))) * rng.randint(1, 2)
-            for _ in range(rng.randint(0, 4)):
-                members.append(tuple(rng.sample(range(1, n + 1), rng.randint(2, n))))
-            for _ in range(rng.randint(0, 2)):
-                members.append(rng.choice([(2, 2), (0, 1), (1, n + 1), (1, 1, 2), (1,), (n, 0, 1)]))
-            rng.shuffle(members)
-            cases.append((n, tuple(members)))
-        for n, i_sets in cases:
-            vectors = [abelianized_reference(a, n) for a in i_sets]
-            assert _generation_rank(n, i_sets) == dense_rank(vectors, pairs(n)), (n, i_sets)
-
-
 def abelianized_reference(a, n):
     """The row of the swing on ``a``: 1 on each pair inside it when it is
     at least two distinct strands of 1..n, and the zero row otherwise."""
     ok = len(set(a)) == len(a) >= 2 and all(type(v) is int and 1 <= v <= n for v in a)
     return {p: 1 for p in combinations(sorted(a), 2)} if ok else {}
+
+
+def closure_reference(n, i_sets, factorizations):
+    """The pairs of 1..n not given by I closed under the factorizations in
+    order: each may give its ``recovers`` from ``added`` in I and its other
+    factors in I or given before it."""
+
+    def swing(a):
+        return tuple(sorted(a)) if abelianized_reference(a, n) else None
+
+    members = {swing(a) for a in i_sets} - {None}
+    given = {m for m in members if len(m) == 2}
+    for f in factorizations:
+        pair, factors = swing(f.recovers), [swing(x) for x in f.factors]
+        others = [x for x in factors if x != pair]
+        if (
+            pair is not None
+            and len(pair) == 2
+            and swing(f.added) in members
+            and len(others) == len(factors) - 1
+            and all(x in members or x in given for x in others)
+        ):
+            given.add(pair)
+    return [p for p in pairs(n) if p not in given]
+
+
+def random_package(rng, n):
+    """I: some pairs of 1..n, in either order and some twice, some larger
+    swing sets and some degenerate members; factorizations: swing sets
+    factored into their pairs in a random order, some with a factor
+    swapped, dropped or repeated, each recovering one of its factors or a
+    random pair."""
+    members = rng.sample(pairs(n), rng.randint(0, len(pairs(n))))
+    members = [p[::-1] if rng.random() < 0.1 else p for p in members] * rng.randint(1, 2)
+    added = [tuple(rng.sample(range(1, n + 1), rng.randint(2, n))) for _ in range(4)]
+    members += rng.sample(added, rng.randint(0, 4))
+    for _ in range(rng.randint(0, 2)):
+        members.append(rng.choice([(2, 2), (0, 1), (1, n + 1), (1, 1, 2), (1,), (n, 0, 1)]))
+    rng.shuffle(members)
+    facts = []
+    for a in added:
+        factors = list(combinations(sorted(a), 2))
+        rng.shuffle(factors)
+        change = rng.random()
+        if change < 0.1:
+            factors[0] = rng.choice(added)
+        elif change < 0.2:
+            factors.pop()
+        elif change < 0.3:
+            factors.append(factors[0])
+        recovers = rng.choice(factors) if factors and rng.random() < 0.8 else rng.choice(pairs(n))
+        facts.append(Factorization(a, tuple(factors), recovers))
+    return tuple(members), tuple(facts)
+
+
+def recovering_package(rng, n):
+    """All pairs of 1..n but a few, each of those recovered from a swing
+    set through it, factored into its pairs; in a random order, so a
+    factorization may need a pair that only a later one gives."""
+    dropped = rng.sample(pairs(n), rng.randint(1, 3))
+    i_sets = [p for p in pairs(n) if p not in dropped]
+    facts = []
+    for p in dropped:
+        added = tuple(sorted({*p, *rng.sample(range(1, n + 1), rng.randint(1, 2))}))
+        factors = list(combinations(added, 2))
+        rng.shuffle(factors)
+        i_sets.append(added)
+        facts.append(Factorization(added, tuple(factors), p))
+    rng.shuffle(facts)
+    return tuple(i_sets), tuple(facts)
+
+
+class TestCoverage:
+    def test_lemma_shapes_generate(self):
+        for n in range(4, 10):
+            for lemma in LEMMAS:
+                j_sets, i_sets, facts = lemma.witness(n)
+                if max(v for j in j_sets for v in j) <= n:
+                    assert _ungenerated(n, i_sets, facts) == [], (n, lemma)
+
+    def test_each_dropped_member_names_the_pairs_it_gave(self):
+        for n in range(4, 10):
+            for lemma in LEMMAS:
+                j_sets, i_sets, facts = lemma.witness(n)
+                if max(v for j in j_sets for v in j) > n:
+                    continue
+                for k, dropped in enumerate(i_sets):
+                    # the member itself, if a pair, and every pair recovered
+                    # through it; no table factorization needs another
+                    want = {dropped} if len(dropped) == 2 else set()
+                    want |= {f.recovers for f in facts if dropped in (f.added, *f.factors)}
+                    rest = i_sets[:k] + i_sets[k + 1 :]
+                    assert _ungenerated(n, rest, facts) == sorted(want), (n, lemma, dropped)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_cold_coverage(self, n):
+        for lemma in LEMMAS:
+            _, i_sets, facts = lemma.witness(n)
+            assert _ungenerated(n, i_sets, facts) == []
+
+    def test_random_packages_against_in_order_closure(self):
+        rng = random.Random(17)
+        seen = Counter()
+        for k in range(600):
+            n = rng.randint(3, 7)
+            i_sets, facts = (random_package if k % 2 else recovering_package)(rng, n)
+            want = closure_reference(n, i_sets, facts)
+            assert _ungenerated(n, i_sets, facts) == want, (n, i_sets, facts)
+            recovered = len(closure_reference(n, i_sets, ())) - len(want)
+            seen["recovered"] += recovered
+            seen["gave nothing"] += len(facts) - recovered
+            seen["generated"] += not want
+        assert len(seen) == 3 and min(seen.values()) > 100, seen
+
+    def test_accepted_packages_have_full_abelian_rank(self):
+        # coverage and the abelian identities imply full rank, so no package
+        # the rank check refused is accepted: check it on near-complete I
+        rng = random.Random(19)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(3, 6)
+            i_sets, facts = recovering_package(rng, n)
+            if rng.random() < 0.3:  # a factor of one swapped for a set in I
+                f = rng.choice(facts)
+                swapped = f._replace(factors=(*f.factors[:-1], rng.choice(i_sets)))
+                facts = tuple(swapped if g is f else g for g in facts)
+            accepted = not _ungenerated(n, i_sets, facts)
+            if accepted and all(abelian_identity(f, n) for f in facts):
+                vectors = [abelianized_reference(a, n) for a in i_sets]
+                assert dense_rank(vectors, pairs(n)) == len(pairs(n)), (n, i_sets, facts)
+            seen[accepted] += 1
+        assert min(seen.values()) > 30, seen
+
+
+def abelian_identity(fact, n):
+    rhs = Counter()
+    for x in fact.factors:
+        rhs.update(abelianized_reference(x, n))
+    return abelianized_reference(fact.added, n) == dict(rhs)
 
 
 # -- domination --------------------------------------------------------------
@@ -358,7 +447,8 @@ class TestDomination:
         n = 256
         for lemma in LEMMAS:
             j_sets, i_sets, _ = lemma.witness(n)
-            assert _shape_checks.__wrapped__(n, j_sets, i_sets) == (True, ())
+            facts = lemma.witness(n)[2]
+            assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts) == (True, (), (), True, None)
 
     def test_pairs_never_reach_the_predicate(self, monkeypatch):
         asked = []
@@ -501,10 +591,11 @@ def survival_reference(pkg, chi):
 
 
 def fresh_report(pkg, chi):
-    """The report with every check run afresh, past the caches."""
-    connected, uncovered = _shape_checks.__wrapped__(chi.n, pkg.j_sets, pkg.i_sets)
-    generation = _generation_checks.__wrapped__(chi.n, pkg.i_sets, pkg.factorizations)
-    return WitnessReport(survival_reference(pkg, chi), connected, list(uncovered), *generation)
+    """The report with every check run afresh, past the cache."""
+    checks = _shape_checks.__wrapped__(chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
+    connected, uncovered, ungenerated, abelian, wordlevel = checks
+    survival = survival_reference(pkg, chi)
+    return WitnessReport(survival, connected, list(uncovered), list(ungenerated), abelian, wordlevel)
 
 
 def sparse_character(rng, n):
@@ -602,7 +693,7 @@ class TestShapeCache:
         for chi, pkg in self.sigma1_packages():
             copy = pkg._replace(i_sets=tuple(list(pkg.i_sets)))
             assert copy.i_sets is not pkg.i_sets and copy.i_sets == pkg.i_sets
-            tampered = pkg._replace(i_sets=pkg.i_sets[:-1])  # the rank falls short
+            tampered = pkg._replace(i_sets=pkg.i_sets[:-1])  # a pair is not given
             # J and I are the shape's own tuples, but S_123 is not S_12 alone
             wrong = Factorization((1, 2, 3), ((1, 2),), (1, 2))
             refactored = pkg._replace(factorizations=(wrong,))
@@ -618,9 +709,8 @@ class TestShapeCache:
         subsets = (s for k in (2, 3) for s in combinations(pkg.i_sets, len(pkg.i_sets) - k))
         for _, i_sets in zip(range(witness._SHAPE_CACHE_SIZE + 20), subsets):
             report = verify_witness(pkg._replace(i_sets=i_sets), chi)
-            assert not report.full_rank
-        for cached in (_shape_checks, _generation_checks):
-            assert cached.cache_info().currsize == witness._SHAPE_CACHE_SIZE
+            assert report.ungenerated == sorted(set(pkg.i_sets) - set(i_sets))
+        assert _shape_checks.cache_info().currsize == witness._SHAPE_CACHE_SIZE
 
     def test_lemma_sets_stay_bounded(self):
         chi = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
@@ -647,4 +737,4 @@ class TestShapeCache:
         moved = pkg._replace(perm=(*pkg.perm, 6))
         report = verify_witness(moved, chi6)
         assert report == fresh_report(moved, chi6)
-        assert not report.full_rank
+        assert report.ungenerated == [(k, 6) for k in range(1, 6)]

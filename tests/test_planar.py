@@ -1,5 +1,6 @@
 from braidsigma.planar import planar_words, verify_planar_presentation
 from braidsigma.words import braid_aut, standard_pure_word
+from conftest import is_pure
 
 
 class TestCommittedWordList:
@@ -26,8 +27,6 @@ class TestCommittedWordList:
         # each planar word is a pure braid conjugate to its standard pair
         # generator; in the abelianization this shows as the aut acting on
         # the same basis letters (permutation part trivial)
-        from braidsigma.words import is_pure
-
         for label, w in planar_words().items():
             assert is_pure(w)
 

@@ -156,9 +156,63 @@ class TestVerifyWitness:
         # without (1, 2) the pairs span only five of the six columns
         i_sets = tuple(a for a in pkg.i_sets if a != (1, 2)) + (degenerate,)
         report = verify_witness(pkg._replace(i_sets=i_sets), chi)
-        assert not report.full_rank and not report.ok
-        if degenerate == (3, 3):  # {3} lies in J's one member, so only the rank fails
+        assert report.ungenerated == [(1, 2)] and not report.ok
+        if degenerate == (3, 3):  # {3} lies in J's one member, so only generation fails
             assert report.uncovered == [] and report.connected
+
+    # J dominates I and the abelianized I has full rank in each case below,
+    # but a pair of 1..n is not given
+    RECOVERING = (
+        (5, {(1, 2): 1, (3, 4): 1, (4, 5): -2}, "disjoint_pair"),
+        (4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2}, "triangle"),
+    )
+
+    @pytest.mark.parametrize("n, weights, lemma", RECOVERING)
+    def test_recovered_pairs_need_their_factorizations(self, n, weights, lemma):
+        chi = Character.sparse(n, weights)
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == lemma and verify_witness(pkg, chi).ok
+        report = verify_witness(pkg._replace(factorizations=()), chi)
+        assert report.ungenerated == [(1, 4), (2, 4)] and not report.ok
+        assert report.uncovered == [] and report.connected
+        # each factorization names a factor that is not in I
+        facts = tuple(f._replace(factors=(*f.factors[:-1], (1, 2, 3))) for f in pkg.factorizations)
+        report = verify_witness(pkg._replace(factorizations=facts), chi)
+        assert report.ungenerated == [(1, 4), (2, 4)] and not report.ok
+
+    def test_factorizations_are_taken_in_order(self):
+        # (1, 4) from (1, 2, 4) needs (2, 4), which only the second
+        # factorization gives; both are identities of P_4
+        n, weights, _ = self.RECOVERING[1]
+        chi = Character.sparse(n, weights)
+        pkg = build_witness_for(classify(chi), chi)
+        i_sets = tuple(a for a in pkg.i_sets if a != (1, 3, 4)) + ((1, 2, 4),)
+        f1 = Factorization((1, 2, 4), ((1, 2), (1, 4), (2, 4)), (1, 4))
+        f2 = Factorization((2, 3, 4), ((2, 3), (2, 4), (3, 4)), (2, 4))
+        report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=(f1, f2)), chi)
+        assert report.ungenerated == [(1, 4)] and not report.ok
+        assert report.wordlevel_factorizations and report.abelian_factorizations
+        assert verify_witness(pkg._replace(i_sets=i_sets, factorizations=(f2, f1)), chi).ok
+
+    def test_a_factorization_must_recover_a_pair_of_its_own(self):
+        # I gives every pair, so the coverage passes the factorization over;
+        # its identity holds, but (3, 4) is not a pair of (1, 2, 3), so the
+        # abelian check refuses it, as it did beside the rank check
+        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2})
+        pkg = build_witness_for(classify(chi), chi)
+        extra = Factorization((1, 2, 3), ((1, 2), (1, 3), (2, 3)), (3, 4))
+        tampered = pkg._replace(i_sets=(*pkg.i_sets, (1, 2, 3)), factorizations=(extra,))
+        report = verify_witness(tampered, chi)
+        assert report.ungenerated == [] and not report.abelian_factorizations and not report.ok
+
+    def test_failures_name_the_length_and_the_first_members(self):
+        chi = Character.sparse(5, {(1, 2): 1, (3, 4): 2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert verify_witness(pkg, chi).failures() == []
+        report = verify_witness(pkg._replace(i_sets=()), chi)
+        assert report.failures() == [
+            f"pairs of 1..n that I does not give (10): {list(all_edges(5))[:8]}"
+        ]
 
     def test_disconnected_j_detected(self):
         chi = Character.sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
@@ -248,8 +302,8 @@ class TestWordLevel:
             chi = Character.sparse(n, weights)
             pkg = build_witness_for(classify(chi), chi)
             assert pkg.lemma == lemma and len(pkg.factorizations) == 2
-            cold = witness._generation_checks.__wrapped__(n, pkg.i_sets, pkg.factorizations)
-            assert cold == (True, True, None)
+            cold = witness._shape_checks.__wrapped__(n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
+            assert cold == (True, (), (), True, None)
             report = verify_witness(pkg, chi)
             assert report.wordlevel_factorizations is None and report.ok
         assert engine_calls == []

@@ -10,17 +10,16 @@ from braidsigma.words import (
     BudgetExceededError,
     artin_sigma,
     braid_aut,
-    braid_perm,
     commute_wordlevel,
     commutes_predicate,
     invert_word,
-    is_pure,
     standard_pure_word,
     swing_word,
     verify_p3_relation,
     verify_swing_factorizations,
 )
 from braidsigma.planar import verify_rho
+from conftest import braid_perm, is_pure
 
 
 def full_twist_word(lo: int, hi: int, n: int) -> BraidWord:
