@@ -12,16 +12,20 @@ check ``classify`` runs before printing it, or any other fault, to be
 reported as a bug).  ``circles`` writes its JSON list one circle at a
 time and refuses any n with more than MAX_CIRCLES = 10**6 circles,
 C(n,3) + C(n,4), so n <= 70.
+
+The arguments are read from one table, COMMANDS, which also gives the
+``-h``/``--help`` text; a usage error prints one ``error:`` line and exits
+2.  ``--in`` is decoded as UTF-8 (RFC 8259) whatever the locale.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from itertools import combinations, islice
 from math import comb
-from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NoReturn, Optional
 
 from .characters import (
     CharacterFormatError,
@@ -38,7 +42,6 @@ from .classify import (
     verify_certificate,
 )
 from .witness import build_witness_for, factorization_holds, verify_witness, witness_to_json_dict
-from .words import verify_p3_relation, verify_swing_factorizations
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -53,10 +56,16 @@ class UsageError(Exception):
     """A command-line argument outside the range the command supports."""
 
 
+def _input_error(reason: str) -> NoReturn:
+    print(f"error: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT_ERROR)
+
+
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, "rb") as f:
+        return f.read().decode("utf-8")
 
 
 def _load_character(path: str):
@@ -70,11 +79,10 @@ def _load_character(path: str):
         reason = f"cannot read {path}: {exc.strerror}"
     except UnicodeDecodeError:
         reason = f"{path} is not UTF-8 text"
-    print(f"error: {reason}", file=sys.stderr)
-    raise SystemExit(EXIT_INPUT_ERROR)
+    _input_error(reason)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     chi = _load_character(args.infile)
     cls = classify(chi)
     if not verify_certificate(cls, chi):
@@ -92,7 +100,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_circles(args: argparse.Namespace) -> int:
+def cmd_circles(args: SimpleNamespace) -> int:
     n = args.n
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
@@ -115,12 +123,13 @@ def cmd_circles(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
+def cmd_graph(args: SimpleNamespace) -> int:
     chi = _load_character(args.infile)
     dot = to_dot(build_kchi(chi))
     if args.dot:
         try:
-            Path(args.dot).write_text(dot)
+            with open(args.dot, "w", encoding="utf-8") as f:
+                f.write(dot)
         except OSError as exc:
             print(f"error: cannot write {args.dot}: {exc.strerror}", file=sys.stderr)
             return EXIT_INPUT_ERROR
@@ -129,7 +138,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     """The word-engine identity suite, one line per identity.  Its last
     lines prove the four recovery factorizations of the lemma table for
     every n, so witness verification need not check them again.  Each lies
@@ -137,8 +146,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     x_6..x_n: its images in F_n are those in F_5 with the other letters
     fixed, and an identity of P_5, checked here in every cyclic rotation of
     the product, holds in every P_n."""
-    # only this command checks the P_4 presentation
-    from .planar import planar_words, verify_planar_presentation, verify_rho
+    # only this command loads the identity suite
+    from .planar import (
+        planar_words,
+        verify_p3_relation,
+        verify_planar_presentation,
+        verify_rho,
+        verify_swing_factorizations,
+    )
 
     checks = [
         ("triple swing factorizations", verify_swing_factorizations()),
@@ -159,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     counterexamples = oracle_star_or_small()
     print(
         "star-or-small at every n, from all sets of at most 5 edges on 7 "
@@ -171,39 +186,112 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="braidsigma",
-        description="exact BNS classifier for pure braid group characters",
+HELP_FLAGS = ("-h", "--help")
+
+# Each command: its handler, a one-line help, its options and its switches.
+# An option is (flag, attribute, converter, required, help) and takes one
+# value, as ``--flag VALUE`` (a VALUE starting with ``--`` is taken for a
+# missing value, as argparse does) or ``--flag=VALUE``; the last one wins.
+# A switch is (flag, attribute, help) and reads True when given.
+COMMANDS = {
+    "classify": (
+        cmd_classify,
+        "classify a character from JSON",
+        [("--in", "infile", str, True, "JSON path, or - for stdin")],
+        [("--witness", "witness", "attach a verified witness package")],
+    ),
+    "circles": (
+        cmd_circles,
+        "list the complement circles for P_n",
+        [("--n", "n", int, True, "number of strands, 2 to 70")],
+        [],
+    ),
+    "graph": (
+        cmd_graph,
+        "export the support graph as DOT",
+        [
+            ("--in", "infile", str, True, "JSON path, or - for stdin"),
+            ("--dot", "dot", str, False, "output path (stdout if omitted)"),
+        ],
+        [],
+    ),
+    "verify": (cmd_verify, "run the word-engine identity suite", [], []),
+    "oracle": (cmd_oracle, "prove the star-or-small fact for every n", [], []),
+}
+
+
+def _help(name: Optional[str]) -> str:
+    """The ``--help`` text of the command ``name``, or of the whole program."""
+    if name is None:
+        usage = f"[-h] {{{','.join(COMMANDS)}}} ..."
+        about = "exact BNS classifier for pure braid group characters"
+        heading, rows = "commands:", [(command, spec[1]) for command, spec in COMMANDS.items()]
+        tail = ["", "run 'braidsigma COMMAND -h' for the options of a command"]
+    else:
+        _, about, options, switches = COMMANDS[name]
+        words, rows = [name, "[-h]"], [("-h, --help", "show this help and exit")]
+        for flag, attr, _, required, text in options:
+            word = f"{flag} {attr.upper()}"
+            words.append(word if required else f"[{word}]")
+            rows.append((word, text))
+        for flag, _, text in switches:
+            words.append(f"[{flag}]")
+            rows.append((flag, text))
+        usage, heading, tail = " ".join(words), "options:", []
+    width = max(len(left) for left, _ in rows)
+    lines = [f"usage: braidsigma {usage}", "", about, "", heading]
+    return "\n".join(lines + [f"  {left:<{width}}  {right}" for left, right in rows] + tail)
+
+
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler that ``argv`` names and its arguments, read from COMMANDS.
+    ``-h`` prints help and exits 0; a usage error exits 2."""
+    if not argv:
+        _input_error(f"the following arguments are required: command ({', '.join(COMMANDS)})")
+    name, tokens = argv[0], iter(argv[1:])
+    if name in HELP_FLAGS:
+        print(_help(None))
+        raise SystemExit(EXIT_OK)
+    if name not in COMMANDS:
+        _input_error(f"invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
+    handler, _, options, switches = COMMANDS[name]
+    takes = {flag: (attr, convert) for flag, attr, convert, _, _ in options}
+    sets = {flag: attr for flag, attr, _ in switches}
+    args = SimpleNamespace(
+        **{attr: None for attr, _ in takes.values()}, **dict.fromkeys(sets.values(), False)
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a character from JSON")
-    p.add_argument("--in", dest="infile", required=True, help="JSON path or - for stdin")
-    p.add_argument("--witness", action="store_true", help="attach a verified witness package")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("circles", help="list the complement circles for P_n")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_circles)
-
-    p = sub.add_parser("graph", help="export the support graph as DOT")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--dot", help="output path (stdout if omitted)")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("verify", help="run the word-engine identity suite")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="prove the star-or-small fact for every n")
-    p.set_defaults(func=cmd_oracle)
-    return parser
+    unknown = []
+    for token in tokens:
+        if token in HELP_FLAGS:
+            print(_help(name))
+            raise SystemExit(EXIT_OK)
+        flag, eq, value = token.partition("=")
+        if token in sets:
+            setattr(args, sets[token], True)
+        elif flag in takes:
+            attr, convert = takes[flag]
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    _input_error(f"argument {flag}: expected one argument")
+            try:
+                setattr(args, attr, convert(value))
+            except ValueError:
+                _input_error(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+        else:
+            unknown.append(token)
+    missing = [flag for flag, attr, _, req, _ in options if req and getattr(args, attr) is None]
+    if missing:
+        _input_error(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _input_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return handler, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

@@ -1,5 +1,7 @@
-"""The planar presentation of P_4: generators a..f, nine relations, and
-rho onto P_3.
+"""The word-engine identity suite of ``braidsigma verify``: the P_3
+relation, the cyclic factorizations of a triple swing, and the planar
+presentation of P_4 (generators a..f, nine relations, and rho onto P_3).
+Only that command imports this module.
 
 The planar generators live at a different basepoint than the standard
 one, so some of them are conjugates of standard pair generators: a, b,
@@ -12,9 +14,67 @@ disjoint-edge pairs a,d; b,e; c,f sends every relation to one of P_3.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .words import BraidWord, braid_aut, standard_pure_word
+
+# -- word-level commutation ------------------------------------------------
+
+WORD_ENGINE_MAX_STRANDS = 6
+
+
+class BudgetExceededError(ValueError):
+    """Raised when a word-level operation exceeds the strand budget."""
+
+
+def commute_wordlevel(u: BraidWord, v: BraidWord) -> bool:
+    if u.n != v.n:
+        raise ValueError("strand count mismatch")
+    if u.n > WORD_ENGINE_MAX_STRANDS:
+        raise BudgetExceededError(f"word engine capped at {WORD_ENGINE_MAX_STRANDS} strands")
+    return braid_aut(u * v) == braid_aut(v * u)
+
+
+# -- the P_3 identities ----------------------------------------------------
+
+
+def _products_equal(words: Sequence[BraidWord]) -> bool:
+    auts = [braid_aut(w) for w in words]
+    return all(h == auts[0] for h in auts[1:])
+
+
+def _cyclic_triple_words(i: int, j: int, k: int, n: int) -> list[BraidWord]:
+    p, q, r = (
+        standard_pure_word(i, j, n),
+        standard_pure_word(i, k, n),
+        standard_pure_word(j, k, n),
+    )
+    return [p * q * r, q * r * p, r * p * q]
+
+
+def verify_p3_relation() -> bool:
+    """abc = bca = cab for a=S12, b=S13, c=S23 in P_3, and the product is
+    central (commutes with a and b)."""
+    a = standard_pure_word(1, 2, 3)
+    b = standard_pure_word(1, 3, 3)
+    c = standard_pure_word(2, 3, 3)
+    if not _products_equal([a * b * c, b * c * a, c * a * b]):
+        return False
+    delta = a * b * c
+    return commute_wordlevel(delta, a) and commute_wordlevel(delta, b)
+
+
+def verify_swing_factorizations() -> bool:
+    """The three cyclic pair factorizations of a triple swing coincide, for
+    every contiguous triple with up to 5 strands."""
+    for n in (3, 4, 5):
+        for i in range(1, n - 1):
+            if not _products_equal(_cyclic_triple_words(i, i + 1, i + 2, n)):
+                return False
+    return True
+
+
+# -- the planar presentation of P_4 ----------------------------------------
 
 PLANAR_RELATIONS: list[tuple[str, str, str]] = [
     ("abc=bca", "abc", "bca"),

@@ -29,9 +29,10 @@ almost all pairs of strands.  A pair {a, b} commutes with a swing set S
 the number of S's strands strictly between a and b is 0 or |S| (S lies
 in the pair only when it is the pair).  So domination tests a pair by two
 lookups in a membership array of S and one difference of its prefix
-counts, built once per member of J.  Members of I that are not pairs of
-1..n take the predicate, and are sorted into swing sets only for the
-coverage; a member that is not a swing set of 1..n gives nothing.
+counts, built once per member of J.  I is split once per shape into its
+pairs of 1..n and its other members, which take the predicate and are
+sorted into swing sets only for the coverage; a member that is not a
+swing set of 1..n gives nothing.
 
 Only survival reads the character, so it alone runs for every character,
 and it reads Delta and row sums, not a relabeled copy.  The swing on J
@@ -184,30 +185,52 @@ def _swing_set_of(a: Sequence, n: int) -> Optional[SwingSet]:
     return s if len(s) == len(a) and 1 <= s[0] and s[-1] <= n else None
 
 
-def dominates(j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet], n: int) -> list[SwingSet]:
+Members = tuple[list, list]
+
+
+def _split_members(i_sets: Sequence[SwingSet], n: int) -> Members:
+    """I's members that are pairs of 1..n, and its other members, each in
+    I's order: the one place that tells them apart."""
+    pairs: list[Edge] = []
+    others: list[SwingSet] = []
+    for a in i_sets:
+        (pairs if _is_pair(a, n) else others).append(a)
+    return pairs, others
+
+
+def dominates(
+    j_sets: Sequence[SwingSet],
+    i_sets: Sequence[SwingSet],
+    n: int,
+    members: Optional[Members] = None,
+) -> list[SwingSet]:
     """The elements of I that commute (predicate) with no element of J, so
     J dominates I exactly when the list is empty.  A pair of 1..n is tested
     against each swing set S of J by the lookups of the module docstring:
-    ``inside`` marks S's strands and ``before[x]`` counts those <= x."""
+    ``inside`` marks S's strands and ``before[x]`` counts those <= x.
+    ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
     if any(_swing_set_of(j, n) is None for j in j_sets):
         return [i for i in i_sets if not any(commutes_predicate(i, j) for j in j_sets)]
-    uncovered = list(i_sets)
+    pairs, others = members or _split_members(i_sets, n)
     for j in j_sets:
         size, inside = len(j), [0] * (n + 1)
         for v in j:
             inside[v] = 1
         before = list(accumulate(inside))
-        uncovered = [
+        pairs = [
             i
-            for i in uncovered
+            for i in pairs
             if not (
                 (k := inside[i[0]] + inside[i[1]]) == 2
                 or not k and not (before[i[1]] - before[i[0]]) % size
-                if _is_pair(i, n)
-                else commutes_predicate(i, j)
             )
         ]
-    return uncovered
+        others = [i for i in others if not commutes_predicate(i, j)]
+    if not pairs and not others:
+        return []
+    # back into I's order; by identity, as a member need not be hashable
+    left = {id(i) for i in pairs} | {id(i) for i in others}
+    return [i for i in i_sets if id(i) in left]
 
 
 def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
@@ -246,24 +269,27 @@ def _abelianized(a: SwingSet) -> dict[Edge, int]:
 
 
 def _ungenerated(
-    n: int, i_sets: Sequence[SwingSet], factorizations: Sequence[Factorization]
+    n: int,
+    i_sets: Sequence[SwingSet],
+    factorizations: Sequence[Factorization],
+    members: Optional[Members] = None,
 ) -> list[Edge]:
     """The pairs of 1..n that I does not give, in order: a pair is given
     when it is a member of I, or when it is the ``recovers`` of a
     factorization, taken in order, whose ``added`` is a member of I, which
     names ``recovers`` exactly once among its factors, and whose other
     factors are members of I or pairs given earlier.  Members are compared
-    as sorted swing sets of 1..n; any other member gives nothing."""
+    as sorted swing sets of 1..n; any other member gives nothing.
+    ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
 
     def swing(a: Sequence) -> Optional[SwingSet]:
         return a if _is_pair(a, n) else _swing_set_of(a, n)
 
-    pairs: set[Edge] = set()  # the members of I: its pairs, its other swing sets
+    pair_members, other_members = members or _split_members(i_sets, n)
+    pairs: set[Edge] = set(pair_members)  # the members of I: its pairs, its other swing sets
     others: set[SwingSet] = set()
-    for a in i_sets:  # ``swing`` inlined, as this runs for each of C(n,2) members
-        if _is_pair(a, n):
-            pairs.add(a)
-        elif (s := _swing_set_of(a, n)) is not None:
+    for a in other_members:
+        if (s := _swing_set_of(a, n)) is not None:
             (pairs if len(s) == 2 else others).add(s)
     recovered: set[Edge] = set()
     for fact in factorizations:
@@ -314,8 +340,9 @@ def _shape_checks(
     factorizations outside the lemma table exact in the word engine, or
     None when there are none or n is over budget)."""
     connected = is_connected(commuting_graph(j_sets))
-    uncovered = tuple(dominates(j_sets, i_sets, n))
-    ungenerated = tuple(_ungenerated(n, i_sets, factorizations))
+    members = _split_members(i_sets, n)
+    uncovered = tuple(dominates(j_sets, i_sets, n, members))
+    ungenerated = tuple(_ungenerated(n, i_sets, factorizations, members))
 
     abelian_ok = True
     for fact in factorizations:

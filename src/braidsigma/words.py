@@ -3,9 +3,9 @@
 Braid words act faithfully on a free group F_n, so a braid is fixed by
 the reduced images of the basis letters x_1..x_n, and two braid words are
 equal exactly when their tuples of images are equal (``==``).  This module
-supplies the swing-generator words, the chord commutation predicate, and
-mechanical checks of the P_3 identities the classifier relies on; the
-planar presentation of P_4 is checked in ``planar``.
+supplies the swing-generator words and the chord commutation predicate;
+the identities that ``braidsigma verify`` checks, of P_3 and of the
+planar presentation of P_4, are in ``planar``.
 
 Convention: products act left-to-right, so the images of a concatenated
 word uv are those of u with each letter replaced by its image under v.
@@ -14,18 +14,12 @@ word uv are those of u with each letter replaced by its image under v.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .characters import InternalError
 from .record import Record
 
 Word = tuple[int, ...]
-
-WORD_ENGINE_MAX_STRANDS = 6
-
-
-class BudgetExceededError(ValueError):
-    """Raised when a word-level operation exceeds the strand budget."""
 
 
 # -- free words ------------------------------------------------------------
@@ -155,50 +149,3 @@ def commutes_predicate(a: Iterable[int], b: Iterable[int]) -> bool:
     marks = [x in sa for x in sorted(sa | sb)]
     crossings = sum(1 for k in range(len(marks)) if marks[k] != marks[k - 1])
     return crossings == 2
-
-
-def commute_wordlevel(u: BraidWord, v: BraidWord) -> bool:
-    if u.n != v.n:
-        raise ValueError("strand count mismatch")
-    if u.n > WORD_ENGINE_MAX_STRANDS:
-        raise BudgetExceededError(f"word engine capped at {WORD_ENGINE_MAX_STRANDS} strands")
-    return braid_aut(u * v) == braid_aut(v * u)
-
-
-# -- identity suite --------------------------------------------------------
-
-
-def _products_equal(words: Sequence[BraidWord]) -> bool:
-    auts = [braid_aut(w) for w in words]
-    return all(h == auts[0] for h in auts[1:])
-
-
-def _cyclic_triple_words(i: int, j: int, k: int, n: int) -> list[BraidWord]:
-    p, q, r = (
-        standard_pure_word(i, j, n),
-        standard_pure_word(i, k, n),
-        standard_pure_word(j, k, n),
-    )
-    return [p * q * r, q * r * p, r * p * q]
-
-
-def verify_p3_relation() -> bool:
-    """abc = bca = cab for a=S12, b=S13, c=S23 in P_3, and the product is
-    central (commutes with a and b)."""
-    a = standard_pure_word(1, 2, 3)
-    b = standard_pure_word(1, 3, 3)
-    c = standard_pure_word(2, 3, 3)
-    if not _products_equal([a * b * c, b * c * a, c * a * b]):
-        return False
-    delta = a * b * c
-    return commute_wordlevel(delta, a) and commute_wordlevel(delta, b)
-
-
-def verify_swing_factorizations() -> bool:
-    """The three cyclic pair factorizations of a triple swing coincide, for
-    every contiguous triple with up to 5 strands."""
-    for n in (3, 4, 5):
-        for i in range(1, n - 1):
-            if not _products_equal(_cyclic_triple_words(i, i + 1, i + 2, n)):
-                return False
-    return True

@@ -20,17 +20,16 @@ from braidsigma.circles import (
     on_circle,
 )
 from braidsigma.classify import COMPLEMENT, SIGMA1, ZeroSum, classify
-from braidsigma.planar import planar_words, verify_planar_presentation, verify_rho
-from braidsigma.witness import build_witness_for, verify_witness
-from braidsigma.words import (
-    BraidWord,
-    braid_aut,
+from braidsigma.planar import (
     commute_wordlevel,
-    commutes_predicate,
-    standard_pure_word,
+    planar_words,
     verify_p3_relation,
+    verify_planar_presentation,
+    verify_rho,
     verify_swing_factorizations,
 )
+from braidsigma.witness import build_witness_for, verify_witness
+from braidsigma.words import BraidWord, braid_aut, commutes_predicate, standard_pure_word
 from conftest import random_nonzero_character, random_perm
 
 GRID_VALUES = range(-2, 3)

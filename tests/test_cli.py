@@ -65,7 +65,8 @@ class TestClassify:
     def test_stdin(self, capsys, monkeypatch):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO(CHI0_JSON))
+        # stdin is read as bytes and decoded as UTF-8
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CHI0_JSON.encode())))
         assert main(["classify", "--in", "-"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "sigma1"
@@ -280,6 +281,61 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_classify_leaves_out_argparse_and_the_identity_suite(chi0_file):
+    # argparse costs a one-shot process about 9 ms (with gettext and locale);
+    # the word-engine identities are for ``verify`` only
+    code = (
+        "import sys\n"
+        "from braidsigma.cli import main\n"
+        "code = main(['classify', '--witness', '--in', sys.argv[1]])\n"
+        "unwanted = {'argparse', 'gettext', 'dataclasses', 'braidsigma.planar'}\n"
+        "print(code, sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = run_child(["-c", code, chi0_file])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "0 []\n"
+
+
+# a UTF-8 file whose one non-ASCII weight is ARABIC-INDIC DIGIT ONE
+ARABIC_ONE_JSON = '{"n": 3, "weights": {"1-2": "\u0661", "1-3": "1", "2-3": "-2"}}'
+
+
+def test_input_is_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "arabic.json"
+    path.write_bytes(ARABIC_ONE_JSON.encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    c_locale = dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    runs = []
+    for child_env in (env, c_locale):
+        for args in (["--in", str(path)], ["--in", "-"]):
+            runs.append(
+                subprocess.run(
+                    [sys.executable, "-m", "braidsigma.cli", "classify", *args],
+                    input=path.read_bytes(),
+                    capture_output=True,
+                    env=child_env,
+                    timeout=60,
+                )
+            )
+    for proc in runs:
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b""), proc.stderr
+        assert proc.stdout == runs[0].stdout
+    assert json.loads(runs[0].stdout)["verdict"] == "complement"
+
+
+def test_no_default_encoding_is_used(tmp_path):
+    path = tmp_path / "arabic.json"
+    path.write_bytes(ARABIC_ONE_JSON.encode("utf-8"))
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "braidsigma.cli"]
+    for args in (["classify", "--witness", "--in", str(path)], ["graph", "--in", str(path)]):
+        proc = run_child([*flags, *args])
+        assert proc.returncode == EXIT_OK, proc.stderr
+    dot = tmp_path / "out.dot"
+    proc = run_child([*flags, "graph", "--in", str(path), "--dot", str(dot)])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert dot.read_text(encoding="utf-8").startswith("graph ")
+
+
 def test_reimport_frees_the_earlier_package():
     # a global cache that holds a class of the package (typing caches
     # Union[...] by its arguments) keeps that whole copy alive, every
@@ -432,3 +488,113 @@ class TestOracle:
             main(["oracle", "--max-vertices", "7"])
         assert exc.value.code == EXIT_INPUT_ERROR
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestParser:
+    """Arguments are read from ``cli.COMMANDS``; a usage error prints one
+    ``error:`` line and exits 2, in argparse's words."""
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            ([], "the following arguments are required: command"),
+            (["classfy"], "invalid choice: 'classfy'"),
+            (["--in", "x"], "invalid choice: '--in'"),
+            (["classify", "--in", "{chi}", "--bogus"], "unrecognized arguments: --bogus"),
+            (["classify", "--in", "{chi}", "extra"], "unrecognized arguments: extra"),
+            # abbreviations, which argparse accepted
+            (["classify", "--in", "{chi}", "--wit"], "unrecognized arguments: --wit"),
+            (["graph", "--in", "{chi}", "--do", "x.dot"], "unrecognized arguments: --do x.dot"),
+            (["classify", "--i", "{chi}"], "the following arguments are required: --in"),
+            (["classify", "--in", "{chi}", "--witness=1"], "unrecognized arguments: --witness=1"),
+            (["oracle", "--max-vertices", "7"], "unrecognized arguments: --max-vertices 7"),
+            (["verify", "-x"], "unrecognized arguments: -x"),
+            (["classify"], "the following arguments are required: --in"),
+            (["classify", "--witness"], "the following arguments are required: --in"),
+            (["graph", "--dot", "x.dot"], "the following arguments are required: --in"),
+            (["circles"], "the following arguments are required: --n"),
+            (["classify", "--in"], "argument --in: expected one argument"),
+            (["classify", "--in", "--witness"], "argument --in: expected one argument"),
+            (["graph", "--in", "{chi}", "--dot"], "argument --dot: expected one argument"),
+            (["circles", "--n"], "argument --n: expected one argument"),
+            (["circles", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["circles", "--n=4.0"], "argument --n: invalid int value: '4.0'"),
+            (["circles", "--n", ""], "argument --n: invalid int value: ''"),
+        ],
+    )
+    def test_usage_error(self, argv, words, chi0_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{chi}", chi0_file) for a in argv])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert words in captured.err
+
+    def test_option_spelling_and_order(self, chi0_file, tmp_path, capsys):
+        spellings = [
+            ["--in", chi0_file, "--witness"],
+            ["--witness", "--in", chi0_file],
+            [f"--in={chi0_file}", "--witness"],
+            ["--witness", f"--in={chi0_file}", "--witness"],
+            # the last of a repeated option wins
+            ["--in", str(tmp_path / "absent.json"), "--witness", f"--in={chi0_file}"],
+        ]
+        outputs = []
+        for args in spellings:
+            assert main(["classify", *args]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs == [outputs[0]] * len(spellings)
+        assert "witness" in json.loads(outputs[0])
+
+        dots = []
+        for k, args in enumerate(
+            [["--in", chi0_file, "--dot", "{out}"], ["--dot={out}", f"--in={chi0_file}"]]
+        ):
+            out = tmp_path / f"g{k}.dot"
+            assert main(["graph", *[a.replace("{out}", str(out)) for a in args]]) == EXIT_OK
+            dots.append(out.read_text())
+        assert dots[0] == dots[1] and dots[0].startswith("graph ")
+
+        assert main(["circles", "--n=5", "--n", "4"]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)) == 5
+
+    def test_handlers_receive_their_attributes(self, monkeypatch):
+        seen = {}
+
+        def recording(name):
+            def handler(args):
+                seen[name] = vars(args)
+                return EXIT_OK
+
+            return handler
+
+        for name, (_, *rest) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, name, (recording(name), *rest))
+        main(["classify", "--in", "x.json"])
+        main(["circles", "--n", "7"])
+        main(["graph", "--in", "-", "--dot", "out.dot"])
+        main(["verify"])
+        assert seen["classify"] == {"infile": "x.json", "witness": False}
+        assert seen["circles"] == {"n": 7}
+        assert seen["graph"] == {"infile": "-", "dot": "out.dot"}
+        assert seen["verify"] == {}
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == EXIT_OK
+        top = capsys.readouterr().out
+        usage = top.splitlines()[0]
+        assert usage.startswith("usage: braidsigma")
+        assert all(name in usage and f"  {name}  " in top for name in cli.COMMANDS)
+        for name, (_, about, options, switches) in cli.COMMANDS.items():
+            # help wins wherever it stands, as with argparse
+            for argv in ([name, flag], [name, "--bogus", flag]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == EXIT_OK
+                text = capsys.readouterr().out
+                assert text.startswith(f"usage: braidsigma {name} [-h]") and about in text
+                assert all(option[0] in text for option in options + switches)

@@ -450,6 +450,25 @@ class TestDomination:
             facts = lemma.witness(n)[2]
             assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts) == (True, (), (), True, None)
 
+    def test_each_member_is_sorted_once_per_shape(self, monkeypatch):
+        # I is split into its pairs and its other members once, for both
+        # domination and coverage; each factorization sorts its own sets
+        calls = Counter()
+        is_pair = witness._is_pair
+
+        def counting(a, n):
+            calls[a] += 1
+            return is_pair(a, n)
+
+        monkeypatch.setattr(witness, "_is_pair", counting)
+        for n in (6, 16):
+            for lemma in LEMMAS:
+                j_sets, i_sets, facts = lemma.witness(n)
+                calls.clear()
+                assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts)[1:3] == ((), ())
+                in_facts = Counter(a for f in facts for a in (f.recovers, *f.factors, f.added))
+                assert calls == Counter(i_sets) + in_facts, (n, lemma)
+
     def test_pairs_never_reach_the_predicate(self, monkeypatch):
         asked = []
 

@@ -7,18 +7,20 @@ from braidsigma import words
 from braidsigma.characters import InternalError
 from braidsigma.words import (
     BraidWord,
-    BudgetExceededError,
     artin_sigma,
     braid_aut,
-    commute_wordlevel,
     commutes_predicate,
     invert_word,
     standard_pure_word,
     swing_word,
+)
+from braidsigma.planar import (
+    BudgetExceededError,
+    commute_wordlevel,
     verify_p3_relation,
+    verify_rho,
     verify_swing_factorizations,
 )
-from braidsigma.planar import verify_rho
 from conftest import braid_perm, is_pure
 
 
