@@ -19,11 +19,11 @@ skips the constructor's check of them.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from .record import Record
 
@@ -109,58 +109,11 @@ class Character(Record):
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.support.items())))
 
-    @staticmethod
-    def dense(n: int, weights: Mapping[Edge, Fraction | int | str]) -> "Character":
-        """Build from a total pair -> value mapping (every pair required)."""
-        w = _exact_values(weights)
-        expected = set(all_edges(n))
-        if w.keys() != expected:
-            missing = sorted(expected - w.keys())
-            extra = sorted(w.keys() - expected)
-            raise CharacterFormatError(
-                f"weights must cover exactly the pairs of 1..{n}; "
-                f"missing={missing} extra={extra}"
-            )
-        return Character(n, {e: v for e, v in w.items() if v})
-
-    @staticmethod
-    def sparse(n: int, weights: Mapping[Edge, Fraction | int | str]) -> "Character":
-        """Build from a partial mapping; unspecified pairs get weight 0."""
-        return Character(n, {e: v for e, v in _exact_values(weights).items() if v})
-
-    @staticmethod
-    def zero(n: int) -> "Character":
-        return Character(n, {})
-
     def weight(self, i: int, j: int) -> Fraction:
         return self.support.get(edge(i, j), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.support
-
-    def scale(self, q: Fraction | int) -> "Character":
-        q = _exact_value(q, "scale factor")
-        return Character(self.n, {e: q * v for e, v in self.support.items()} if q else {})
-
-
-def _exact_value(v: Fraction | int | str, what: str) -> Fraction:
-    """``v`` as a Fraction; a float or a bool, which is not an exact
-    rational, is refused rather than read as its binary value."""
-    if isinstance(v, (float, bool)):
-        raise CharacterFormatError(f"{what} is {v!r}, not an int, a Fraction or a string")
-    return Fraction(v)
-
-
-def _exact_values(weights: Mapping[Edge, Fraction | int | str]) -> dict[Edge, Fraction]:
-    """Each pair as (min, max), mapped to its exact value; two keys that
-    name one pair, such as (1, 2) and (2, 1), are refused."""
-    out: dict[Edge, Fraction] = {}
-    for (i, j), v in weights.items():
-        e = edge(i, j)
-        if e in out:
-            raise CharacterFormatError(f"duplicate weight key {(i, j)}")
-        out[e] = _exact_value(v, f"weight of pair {(i, j)}")
-    return out
 
 
 def _exact_sum(values: Iterable[Fraction]) -> Fraction:
@@ -224,13 +177,6 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
 
 MISSING_KEYS_SHOWN = 10
 MAX_EXPONENT = 4300
-
-
-def character_to_json_dict(chi: Character) -> dict:
-    return {
-        "n": chi.n,
-        "weights": {f"{i}-{j}": str(chi.weight(i, j)) for i, j in all_edges(chi.n)},
-    }
 
 
 def _parse_weight(key: str, val: str | int) -> Fraction:

@@ -3,8 +3,9 @@
 K_chi has an edge {i, j} exactly when the weight on {i, j} is nonzero.
 The central structural fact used by the classifier, at every n: a graph
 with no edge disjoint from two other edges is a star or lives on at most
-4 vertices.  ``oracle_star_or_small`` checks every set of at most 5 edges
-on 7 vertices, which proves it for all graphs:
+4 vertices.  ``commands.oracle_star_or_small``, run by ``braidsigma
+oracle``, checks every set of at most 5 edges on 7 vertices, which proves
+it for all graphs:
 
 - A star or a graph on at most 4 vertices has no edge disjoint from two
   others: two edges of a star meet at the center, and on 4 vertices only
@@ -42,9 +43,9 @@ Take a greedy maximal matching M in edge order.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Mapping, Optional, Sequence
 
 from .characters import Character, Edge, InternalError
 from .record import Record
@@ -87,9 +88,9 @@ class ShapeClass(Record):
     def __init__(
         self,
         kind: str,
-        center: Optional[int] = None,
+        center: int | None = None,
         leaves: tuple[int, ...] = (),
-        witness: Optional[tuple[Edge, Edge, Edge]] = None,
+        witness: tuple[Edge, Edge, Edge] | None = None,
     ) -> None:
         d = self.__dict__
         d["kind"] = kind
@@ -112,7 +113,7 @@ def _disjoint(e: Edge, f: Edge) -> bool:
     return not (set(e) & set(f))
 
 
-def _first_disjoint_from(edges: Sequence[Edge], k: int) -> Optional[tuple[Edge, ...]]:
+def _first_disjoint_from(edges: Sequence[Edge], k: int) -> tuple[Edge, ...] | None:
     """For sorted ``edges``: the first edge e disjoint from at least k
     others, followed by the k smallest of them; None if there is none."""
     deg = Counter(v for e in edges for v in e)
@@ -124,15 +125,13 @@ def _first_disjoint_from(edges: Sequence[Edge], k: int) -> Optional[tuple[Edge, 
     return None
 
 
-def find_edge_disjoint_from_two(
-    g: CharGraph,
-) -> Optional[tuple[Edge, Edge, Edge]]:
+def find_edge_disjoint_from_two(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
     """Lexicographically least triple (e; f, g) with e disjoint from both
     f and g, f < g.  None if no edge is disjoint from two others."""
     return _first_disjoint_from(g.order, 2)
 
 
-def find_disjoint_triple(g: CharGraph) -> Optional[tuple[Edge, Edge, Edge]]:
+def find_disjoint_triple(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
     """Lexicographically least triple of pairwise disjoint edges, if any
     (the matching kernel of the module docstring)."""
     edges = g.order
@@ -167,7 +166,7 @@ def find_disjoint_triple(g: CharGraph) -> Optional[tuple[Edge, Edge, Edge]]:
     return None
 
 
-def find_disjoint_pair(g: CharGraph) -> Optional[tuple[Edge, Edge]]:
+def find_disjoint_pair(g: CharGraph) -> tuple[Edge, Edge] | None:
     """Lexicographically least pair of disjoint edges, if any: the first
     edge with a disjoint partner, and its smallest one (every partner of
     that edge has a partner itself, so it comes later)."""
@@ -188,39 +187,3 @@ def shape_classify(g: CharGraph) -> ShapeClass:
     if len(g.nbrs) > 4:
         raise InternalError("a graph with no edge disjoint from two others is a star or small")
     return ShapeClass(kind="small_k4")
-
-
-def oracle_star_or_small() -> list[tuple[Edge, ...]]:
-    """The finite check behind the star-or-small fact (module docstring).
-
-    For every set of at most 5 edges on the vertices 0..6, asserts: no
-    edge disjoint from two others <=> (star or at most 4 endpoints).
-    Returns the counterexample edge sets, which must be none.
-    """
-    pairs = list(combinations(range(7), 2))
-    vmask = {p: (1 << p[0]) | (1 << p[1]) for p in pairs}
-    counterexamples = []
-    for size in range(6):
-        for subset in combinations(pairs, size):
-            masks = [vmask[e] for e in subset]
-            has_dft = any(sum(not e & f for f in masks) >= 2 for e in masks)
-            union, common = 0, (masks[0] if masks else 0)
-            for m in masks:
-                union |= m
-                common &= m
-            if has_dft == (bool(common) or union.bit_count() <= 4):
-                counterexamples.append(subset)
-    return counterexamples
-
-
-def to_dot(g: CharGraph) -> str:
-    """DOT export: vertices v1..vn, edges labeled by their rational weight,
-    isolated vertices dotted."""
-    lines = ["graph kchi {"]
-    for v in range(1, g.n + 1):
-        attr = "" if v in g.nbrs else " [style=dotted]"
-        lines.append(f"  v{v}{attr};")
-    for i, j in g.order:
-        lines.append(f'  v{i} -- v{j} [label="{g.labels[(i, j)]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

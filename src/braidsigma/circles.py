@@ -23,9 +23,7 @@ Every circle point has Delta = 0, so a character with Delta != 0 is on none.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 from .characters import Character, ZeroCharacterError, _exact_sum, delta_value
 from .chargraph import build_kchi
@@ -84,17 +82,6 @@ def matchings_of(support: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[
     return [((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))]
 
 
-def enumerate_circles(n: int) -> list[CircleId]:
-    """All complement circles for P_n: 3-sets first, then 4-sets, both in
-    lexicographic order.  There are C(n,3) + C(n,4)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    strands = range(1, n + 1)
-    return [CircleId(P3, t) for t in combinations(strands, 3)] + [
-        CircleId(P4, q) for q in combinations(strands, 4)
-    ]
-
-
 def on_circle(chi: Character, cid: CircleId) -> bool:
     """Is the nonzero character on the circle ``cid``?  By the support
     lemma its support must be exactly the circle's, so a circle reaching
@@ -111,7 +98,7 @@ def on_circle(chi: Character, cid: CircleId) -> bool:
     return all(a == b for a, b in values) and _exact_sum(a for a, _ in values) == 0
 
 
-def locate_circle(chi: Character) -> Optional[CircleId]:
+def locate_circle(chi: Character) -> CircleId | None:
     """The unique circle containing the character, or None.
 
     Every circle point has Delta = 0, and by the support lemma the only
@@ -127,24 +114,3 @@ def locate_circle(chi: Character) -> Optional[CircleId]:
         return None
     cid = CircleId(kind, tuple(sorted(g.nbrs)))
     return cid if on_circle(chi, cid) else None
-
-
-def sample_circle(
-    cid: CircleId, t: tuple[Fraction | int, Fraction | int], n: int
-) -> Character:
-    """A point on the circle with parameters (t1, t2, -t1-t2) spread over the
-    support edges (P3) or the three perfect matchings (P4)."""
-    t1, t2 = Fraction(t[0]), Fraction(t[1])
-    if t1 == 0 and t2 == 0:
-        raise ZeroCharacterError("parameters (0, 0) give the zero character")
-    if cid.support[-1] > n:
-        raise ValueError(f"circle support {cid.support} out of range for n={n}")
-    values = (t1, t2, -t1 - t2)
-    if cid.kind == P3:
-        i, j, k = cid.support
-        return Character.sparse(n, {(i, j): values[0], (i, k): values[1], (j, k): values[2]})
-    weights = {}
-    for (e1, e2), v in zip(matchings_of(cid.support), values):
-        weights[e1] = v
-        weights[e2] = v
-    return Character.sparse(n, weights)

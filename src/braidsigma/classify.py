@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 from .characters import (
     Character,
@@ -93,8 +92,9 @@ def _recovery(k: int) -> tuple[Factorization, ...]:
 # The recovery factorizations of the lemma table, keyed by the vertex k of
 # ``_recovering``: (1, 4, 5) and (2, 4, 5) for disjoint_pair, (1, 3, 4) and
 # (2, 3, 4) for triangle.  They lie on strands 1..5 and do not depend on n;
-# ``braidsigma verify`` proves each in P_5 (``cli.cmd_verify`` says why that
-# settles every n), so witness verification does not repeat them.
+# ``braidsigma verify`` proves each in P_5 (``commands.cmd_verify`` says why
+# that settles every n), so witness verification does not repeat them, and
+# accepts no other factorization.
 RECOVERY_FACTORIZATIONS = {5: _recovery(5), 3: _recovery(3)}
 
 
@@ -116,7 +116,7 @@ def _are_pairs(edges: tuple, k: int) -> bool:
     return len(edges) == k and all(len(e) == 2 for e in edges)
 
 
-def _hinge(f: Edge, h: Edge) -> Optional[int]:
+def _hinge(f: Edge, h: Edge) -> int | None:
     """The vertex two edges share, if they share exactly one."""
     common = set(f) & set(h)
     return common.pop() if len(common) == 1 else None

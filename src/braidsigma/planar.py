@@ -1,7 +1,8 @@
 """The word-engine identity suite of ``braidsigma verify``: the P_3
-relation, the cyclic factorizations of a triple swing, and the planar
-presentation of P_4 (generators a..f, nine relations, and rho onto P_3).
-Only that command imports this module.
+relation, the cyclic factorizations of a triple swing, the planar
+presentation of P_4 (generators a..f, nine relations, and rho onto P_3),
+and the recovery factorizations of the lemma table.  Only that command
+imports this module.
 
 The planar generators live at a different basepoint than the standard
 one, so some of them are conjugates of standard pair generators: a, b,
@@ -14,9 +15,10 @@ disjoint-edge pairs a,d; b,e; c,f sends every relation to one of P_3.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .words import BraidWord, braid_aut, standard_pure_word
+from .classify import Factorization
+from .words import BraidWord, braid_aut, standard_pure_word, swing_word
 
 # -- word-level commutation ------------------------------------------------
 
@@ -133,5 +135,25 @@ def verify_rho() -> bool:
         if braid_aut(_eval_letters(p3_words, lhs_img, 3)) != braid_aut(
             _eval_letters(p3_words, rhs_img, 3)
         ):
+            return False
+    return True
+
+
+# -- the recovery factorizations -------------------------------------------
+
+
+def factorization_holds(fact: Factorization, n: int) -> bool:
+    """Does the swing on ``fact.added`` equal the product of the swings on
+    its factors in P_n, in every cyclic rotation of the product?  Checking
+    each rotation keeps the identity from holding merely by the definition
+    of the swing word."""
+    target = braid_aut(swing_word(fact.added, n))
+    factors = list(fact.factors)
+    for shift in range(len(factors)):
+        rotated = factors[shift:] + factors[:shift]
+        prod = swing_word(rotated[0], n)
+        for f in rotated[1:]:
+            prod = prod * swing_word(f, n)
+        if braid_aut(prod) != target:
             return False
     return True

@@ -9,12 +9,11 @@ standard generators, the pairs of 1..n: a pair is given when it is a
 member of I, or when it is the ``recovers`` of a factorization, taken in
 order, whose ``added`` is a member of I, which names ``recovers`` exactly
 once among its factors, and whose other factors are members of I or
-pairs given earlier.  The identity of each factorization is checked in
-the abelianization; the four of the lemma table
-(``classify.RECOVERY_FACTORIZATIONS``) hold at the word level in every
-P_n, as ``braidsigma verify`` proves once, and any other factorization a
-package brings is checked exactly in the word engine at n <=
-WORDLEVEL_MAX_STRANDS = 5.
+pairs given earlier.  A package may carry only the factorizations of the
+lemma table (``classify.RECOVERY_FACTORIZATIONS``) whose strands lie in
+1..n: each is an identity of every such P_n, as ``braidsigma verify``
+proves once, so no word is checked here.  Any other factorization is a
+reported failure, and each is also checked in the abelianization.
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them and the factorizations (C(J) connectivity,
@@ -25,7 +24,7 @@ bounded, so packages from outside cannot grow it without limit.
 
 Each of those checks costs about one pass over I, whose members are
 almost all pairs of strands.  A pair {a, b} commutes with a swing set S
-(the predicate of ``words``) when it lies in S, or when it misses S and
+(``commutes_predicate``) when it lies in S, or when it misses S and
 the number of S's strands strictly between a and b is 0 or |S| (S lies
 in the pair only when it is the pair).  So domination tests a pair by two
 lookups in a membership array of S and one difference of its prefix
@@ -45,9 +44,9 @@ and any other J sums its own pairs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import Optional, Sequence
 
 from .characters import (
     Character,
@@ -62,7 +61,7 @@ from .characters import (
 from .chargraph import build_kchi
 from .classify import RECOVERY_FACTORIZATIONS, Classification, Factorization, WitnessData
 from .record import Record
-from .words import braid_aut, commutes_predicate, swing_word
+from .words import braid_aut  # unused here; bench/tracing.py rebinds this name
 
 
 class WitnessPackage(Record):
@@ -99,7 +98,7 @@ class WitnessReport(Record):
         "uncovered",
         "ungenerated",
         "abelian_factorizations",
-        "wordlevel_factorizations",
+        "table_factorizations",
     )
 
     def __init__(
@@ -109,10 +108,7 @@ class WitnessReport(Record):
         uncovered: list[SwingSet],
         ungenerated: list[Edge],
         abelian_factorizations: bool,
-        # None when not run in this process: every factorization is one of
-        # the lemma table's, which ``braidsigma verify`` proves, or n is
-        # above WORDLEVEL_MAX_STRANDS
-        wordlevel_factorizations: Optional[bool],
+        table_factorizations: bool,
     ) -> None:
         d = self.__dict__
         d["survival_failures"] = survival_failures
@@ -120,7 +116,7 @@ class WitnessReport(Record):
         d["uncovered"] = uncovered
         d["ungenerated"] = ungenerated
         d["abelian_factorizations"] = abelian_factorizations
-        d["wordlevel_factorizations"] = wordlevel_factorizations
+        d["table_factorizations"] = table_factorizations
 
     def failures(self) -> list[str]:
         """One line naming each condition that fails, with the length and
@@ -138,13 +134,27 @@ class WitnessReport(Record):
             lines.append(f"pairs of 1..n that I does not give ({len(s)}): {s[:k]}")
         if not self.abelian_factorizations:
             lines.append("a factorization fails in the abelianization")
-        if self.wordlevel_factorizations is False:
-            lines.append("a factorization fails in the word engine")
+        if not self.table_factorizations:
+            lines.append("a factorization is not one of the lemma table's on strands 1..n")
         return lines
 
     @property
     def ok(self) -> bool:
         return not self.failures()
+
+
+def commutes_predicate(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Sufficient commutation test for swing generators S_A, S_B with the
+    points in convex position: nested sets commute, and so do disjoint sets
+    whose convex hulls do not cross (no cyclic interleaving of labels)."""
+    sa, sb = set(a), set(b)
+    if sa <= sb or sb <= sa:
+        return True
+    if sa & sb:
+        return False
+    marks = [x in sa for x in sorted(sa | sb)]
+    crossings = sum(1 for k in range(len(marks)) if marks[k] != marks[k - 1])
+    return crossings == 2
 
 
 def commuting_graph(j_sets: Sequence[SwingSet]) -> list[set[int]]:
@@ -176,7 +186,7 @@ def _is_pair(a: Sequence, n: int) -> bool:
     return len(a) == 2 and type(a[0]) is int is type(a[1]) and 0 < a[0] < a[1] <= n
 
 
-def _swing_set_of(a: Sequence, n: int) -> Optional[SwingSet]:
+def _swing_set_of(a: Sequence, n: int) -> SwingSet | None:
     """``a`` sorted, if it is a swing set of 1..n (at least two distinct
     integer strands in range), else None."""
     if len(a) < 2 or not all(type(v) is int for v in a):
@@ -202,7 +212,7 @@ def dominates(
     j_sets: Sequence[SwingSet],
     i_sets: Sequence[SwingSet],
     n: int,
-    members: Optional[Members] = None,
+    members: Members | None = None,
 ) -> list[SwingSet]:
     """The elements of I that commute (predicate) with no element of J, so
     J dominates I exactly when the list is empty.  A pair of 1..n is tested
@@ -245,11 +255,8 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
 # meets, and a bound on what packages from outside can add
 _SHAPE_CACHE_SIZE = 256
 
-# A factorization outside the lemma table is checked in the word engine at
-# n <= 5 only, the budget of one cold check per shape; the table's own
-# hold in every P_n that has their strands (``cli.cmd_verify``) and are
-# not checked again.
-WORDLEVEL_MAX_STRANDS = 5
+# the only factorizations a package may carry: each holds in every P_n
+# that has its strands (``commands.cmd_verify``)
 _TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() for f in fs)
 
 
@@ -272,7 +279,7 @@ def _ungenerated(
     n: int,
     i_sets: Sequence[SwingSet],
     factorizations: Sequence[Factorization],
-    members: Optional[Members] = None,
+    members: Members | None = None,
 ) -> list[Edge]:
     """The pairs of 1..n that I does not give, in order: a pair is given
     when it is a member of I, or when it is the ``recovers`` of a
@@ -282,7 +289,7 @@ def _ungenerated(
     as sorted swing sets of 1..n; any other member gives nothing.
     ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
 
-    def swing(a: Sequence) -> Optional[SwingSet]:
+    def swing(a: Sequence) -> SwingSet | None:
         return a if _is_pair(a, n) else _swing_set_of(a, n)
 
     pair_members, other_members = members or _split_members(i_sets, n)
@@ -310,35 +317,17 @@ def _ungenerated(
     return [p for p in everything if p not in pairs and p not in recovered]
 
 
-def factorization_holds(fact: Factorization, n: int) -> bool:
-    """Does the swing on ``fact.added`` equal the product of the swings on
-    its factors in P_n, in every cyclic rotation of the product?  Checking
-    each rotation keeps the identity from holding merely by the definition
-    of the swing word."""
-    target = braid_aut(swing_word(fact.added, n))
-    factors = list(fact.factors)
-    for shift in range(len(factors)):
-        rotated = factors[shift:] + factors[:shift]
-        prod = swing_word(rotated[0], n)
-        for f in rotated[1:]:
-            prod = prod * swing_word(f, n)
-        if braid_aut(prod) != target:
-            return False
-    return True
-
-
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape_checks(
     n: int,
     j_sets: tuple[SwingSet, ...],
     i_sets: tuple[SwingSet, ...],
     factorizations: tuple[Factorization, ...],
-) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool, Optional[bool]]:
+) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool, bool]:
     """Character-independent part of witness verification, cached per shape:
     (C(J) connected, the elements of I that J does not dominate, the pairs
-    that I does not give, factorizations in the abelianization, the
-    factorizations outside the lemma table exact in the word engine, or
-    None when there are none or n is over budget)."""
+    that I does not give, factorizations in the abelianization, every
+    factorization one of the lemma table's on strands 1..n)."""
     connected = is_connected(commuting_graph(j_sets))
     members = _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
@@ -357,11 +346,9 @@ def _shape_checks(
         if lhs != rhs or fact.recovers not in lhs:
             abelian_ok = False
 
-    wordlevel: Optional[bool] = None
-    others = [f for f in factorizations if f not in _TABLE_FACTORIZATIONS or f.added[-1] > n]
-    if others and n <= WORDLEVEL_MAX_STRANDS:
-        wordlevel = all(factorization_holds(f, n) for f in others)
-    return connected, uncovered, ungenerated, abelian_ok, wordlevel
+    # a table factorization's ``added`` is sorted and holds all its strands
+    table_ok = all(f in _TABLE_FACTORIZATIONS and f.added[-1] <= n for f in factorizations)
+    return connected, uncovered, ungenerated, abelian_ok, table_ok
 
 
 def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
@@ -396,12 +383,12 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     failures are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
-    connected, uncovered, ungenerated, abelian_ok, wordlevel = _shape_checks(
+    connected, uncovered, ungenerated, abelian_ok, table_ok = _shape_checks(
         chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations
     )
     # the cached tuples are shared, so each report gets its own lists
     return WitnessReport(
-        survival_failures, connected, list(uncovered), list(ungenerated), abelian_ok, wordlevel
+        survival_failures, connected, list(uncovered), list(ungenerated), abelian_ok, table_ok
     )
 
 

@@ -3,9 +3,9 @@
 Braid words act faithfully on a free group F_n, so a braid is fixed by
 the reduced images of the basis letters x_1..x_n, and two braid words are
 equal exactly when their tuples of images are equal (``==``).  This module
-supplies the swing-generator words and the chord commutation predicate;
-the identities that ``braidsigma verify`` checks, of P_3 and of the
-planar presentation of P_4, are in ``planar``.
+supplies the braid words of the pure and swing generators; the identities
+that ``braidsigma verify`` checks, of P_3, of the planar presentation of
+P_4 and of the recovery factorizations, are in ``planar``.
 
 Convention: products act left-to-right, so the images of a concatenated
 word uv are those of u with each letter replaced by its image under v.
@@ -13,8 +13,8 @@ word uv are those of u with each letter replaced by its image under v.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .characters import InternalError
 from .record import Record
@@ -132,20 +132,3 @@ def swing_word(a: Iterable[int], n: int) -> BraidWord:
         for i in range(j):
             word = word * standard_pure_word(aset[i], aset[j], n)
     return word
-
-
-# -- commutation -----------------------------------------------------------
-
-
-def commutes_predicate(a: Iterable[int], b: Iterable[int]) -> bool:
-    """Sufficient commutation test for swing generators S_A, S_B with the
-    points in convex position: nested sets commute, and so do disjoint sets
-    whose convex hulls do not cross (no cyclic interleaving of labels)."""
-    sa, sb = set(a), set(b)
-    if sa <= sb or sb <= sa:
-        return True
-    if sa & sb:
-        return False
-    marks = [x in sa for x in sorted(sa | sb)]
-    crossings = sum(1 for k in range(len(marks)) if marks[k] != marks[k - 1])
-    return crossings == 2

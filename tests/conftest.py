@@ -3,26 +3,115 @@ from fractions import Fraction
 
 import pytest
 
-from braidsigma.characters import Character, all_edges, swing_set
+from braidsigma.characters import (
+    Character,
+    CharacterFormatError,
+    ZeroCharacterError,
+    all_edges,
+    edge,
+    swing_set,
+)
+from braidsigma.circles import P3, CircleId, matchings_of
+
+# -- building characters -------------------------------------------------------
+#
+# The package builds characters from JSON and from a support; tests also
+# build them from weight mappings, which these helpers read exactly.
+
+
+def exact_value(v, what: str) -> Fraction:
+    """``v`` as a Fraction; a float or a bool, which is not an exact
+    rational, is refused rather than read as its binary value."""
+    if isinstance(v, (float, bool)):
+        raise CharacterFormatError(f"{what} is {v!r}, not an int, a Fraction or a string")
+    return Fraction(v)
+
+
+def exact_values(weights) -> dict:
+    """Each pair as (min, max), mapped to its exact value; two keys that
+    name one pair, such as (1, 2) and (2, 1), are refused."""
+    out = {}
+    for (i, j), v in weights.items():
+        e = edge(i, j)
+        if e in out:
+            raise CharacterFormatError(f"duplicate weight key {(i, j)}")
+        out[e] = exact_value(v, f"weight of pair {(i, j)}")
+    return out
+
+
+def dense(n: int, weights) -> Character:
+    """Build from a total pair -> value mapping (every pair required)."""
+    w = exact_values(weights)
+    expected = set(all_edges(n))
+    if w.keys() != expected:
+        missing = sorted(expected - w.keys())
+        extra = sorted(w.keys() - expected)
+        raise CharacterFormatError(
+            f"weights must cover exactly the pairs of 1..{n}; missing={missing} extra={extra}"
+        )
+    return Character(n, {e: v for e, v in w.items() if v})
+
+
+def sparse(n: int, weights) -> Character:
+    """Build from a partial mapping; unspecified pairs get weight 0."""
+    return Character(n, {e: v for e, v in exact_values(weights).items() if v})
+
+
+def zero_character(n: int) -> Character:
+    return Character(n, {})
+
+
+def scale(chi: Character, q) -> Character:
+    q = exact_value(q, "scale factor")
+    return Character(chi.n, {e: q * v for e, v in chi.support.items()} if q else {})
+
+
+def character_to_json_dict(chi: Character) -> dict:
+    return {
+        "n": chi.n,
+        "weights": {f"{i}-{j}": str(chi.weight(i, j)) for i, j in all_edges(chi.n)},
+    }
+
+
+def sample_circle(cid: CircleId, t, n: int) -> Character:
+    """A point on the circle with parameters (t1, t2, -t1-t2) spread over the
+    support edges (P3) or the three perfect matchings (P4)."""
+    t1, t2 = Fraction(t[0]), Fraction(t[1])
+    if t1 == 0 and t2 == 0:
+        raise ZeroCharacterError("parameters (0, 0) give the zero character")
+    if cid.support[-1] > n:
+        raise ValueError(f"circle support {cid.support} out of range for n={n}")
+    values = (t1, t2, -t1 - t2)
+    if cid.kind == P3:
+        i, j, k = cid.support
+        return sparse(n, {(i, j): values[0], (i, k): values[1], (j, k): values[2]})
+    weights = {}
+    for (e1, e2), v in zip(matchings_of(cid.support), values):
+        weights[e1] = v
+        weights[e2] = v
+    return sparse(n, weights)
+
+
+# -- fixtures and random characters ---------------------------------------------
 
 
 @pytest.fixture
 def chi0() -> Character:
     """The running example on four strands: weights 3, 2, -4, -5, 0, 1."""
-    return Character.dense(
+    return dense(
         4, {(1, 2): 3, (1, 3): 2, (1, 4): -4, (2, 3): -5, (2, 4): 0, (3, 4): 1}
     )
 
 
 def add_characters(a: Character, b: Character) -> Character:
     """Pointwise sum of two characters on the same strands."""
-    return Character.dense(a.n, {e: a.weight(*e) + b.weight(*e) for e in all_edges(a.n)})
+    return dense(a.n, {e: a.weight(*e) + b.weight(*e) for e in all_edges(a.n)})
 
 
 def random_character(
     n: int, rng: random.Random, span: int = 6, max_denom: int = 4
 ) -> Character:
-    return Character.dense(
+    return dense(
         n,
         {
             e: Fraction(rng.randint(-span, span), rng.randint(1, max_denom))
@@ -53,7 +142,7 @@ def pullback_phi(psi: Character, a, n: int) -> Character:
         raise ValueError(
             f"swing set size {len(aset)} does not match character on {psi.n} strands"
         )
-    return Character.sparse(
+    return sparse(
         n, {(aset[r - 1], aset[s - 1]): v for (r, s), v in psi.support.items()}
     )
 
@@ -65,7 +154,7 @@ def pullback_rho(psi: Character) -> Character:
     if psi.n != 3:
         raise ValueError(f"pullback_rho needs a character on P_3, got n={psi.n}")
     p12, p13, p23 = psi.weight(1, 2), psi.weight(1, 3), psi.weight(2, 3)
-    return Character.dense(
+    return dense(
         4,
         {
             (1, 2): p12,

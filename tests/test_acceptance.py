@@ -11,15 +11,10 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from braidsigma.characters import Character, permute, swing_value
-from braidsigma.chargraph import oracle_star_or_small
-from braidsigma.circles import (
-    CircleId,
-    enumerate_circles,
-    locate_circle,
-    on_circle,
-)
+from braidsigma.characters import permute, swing_value
+from braidsigma.circles import CircleId, locate_circle, on_circle
 from braidsigma.classify import COMPLEMENT, SIGMA1, ZeroSum, classify
+from braidsigma.commands import enumerate_circles, oracle_star_or_small
 from braidsigma.planar import (
     commute_wordlevel,
     planar_words,
@@ -28,9 +23,9 @@ from braidsigma.planar import (
     verify_rho,
     verify_swing_factorizations,
 )
-from braidsigma.witness import build_witness_for, verify_witness
-from braidsigma.words import BraidWord, braid_aut, commutes_predicate, standard_pure_word
-from conftest import random_nonzero_character, random_perm
+from braidsigma.witness import build_witness_for, commutes_predicate, verify_witness
+from braidsigma.words import BraidWord, braid_aut, standard_pure_word
+from conftest import dense, random_nonzero_character, random_perm, scale
 
 GRID_VALUES = range(-2, 3)
 PAIRS4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -45,7 +40,7 @@ def report(capsys, label, ok):
 def grid_characters():
     for values in itertools.product(GRID_VALUES, repeat=6):
         if any(values):
-            yield Character.dense(4, dict(zip(PAIRS4, values)))
+            yield dense(4, dict(zip(PAIRS4, values)))
 
 
 @lru_cache(maxsize=1)
@@ -124,7 +119,7 @@ def test_triple_sums(capsys):
         z = -x - y
         if x == y == 0:
             continue
-        chi = Character.dense(
+        chi = dense(
             4, {(1, 2): x, (3, 4): x, (1, 3): y, (2, 4): y, (1, 4): z, (2, 3): z}
         )
         ok = ok and all(swing_value(chi, t) == 0 for t in triangles)
@@ -194,7 +189,7 @@ def test_dilation_permutation_invariance(capsys):
             chi = random_nonzero_character(n, rng, span=3, max_denom=2)
             dilation = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             perm = random_perm(n, rng)
-            moved = permute(chi.scale(dilation), perm)
+            moved = permute(scale(chi, dilation), perm)
             if classify(chi).verdict != classify(moved).verdict:
                 violations += 1
     report(

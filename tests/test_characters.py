@@ -16,7 +16,6 @@ from braidsigma.characters import (
     all_edges,
     character_from_json,
     character_from_json_dict,
-    character_to_json_dict,
     delta_value,
     permute,
     swing_set,
@@ -25,10 +24,15 @@ from braidsigma.characters import (
 from braidsigma.cli import EXIT_INPUT_ERROR, main
 from conftest import (
     add_characters,
+    character_to_json_dict,
+    dense,
     pullback_phi,
     pullback_rho,
     random_character,
     random_perm,
+    scale,
+    sparse,
+    zero_character,
 )
 
 
@@ -48,7 +52,7 @@ def compose_perms(sigma, tau):
 )
 def test_dense_needs_every_pair(weights, message):
     with pytest.raises(CharacterFormatError, match=message):
-        Character.dense(3, weights)
+        dense(3, weights)
 
 
 @pytest.mark.parametrize(
@@ -66,7 +70,7 @@ def test_constructor_takes_only_a_support(support, message):
         Character(3, support)
 
 
-@pytest.mark.parametrize("build", [Character.dense, Character.sparse])
+@pytest.mark.parametrize("build", [dense, sparse])
 @pytest.mark.parametrize("first, second", [((1, 2), (2, 1)), ((2, 1), (1, 2))])
 def test_two_keys_for_one_pair_are_refused(build, first, second):
     # as the JSON parser refuses "1-2" beside "2-1"; the second key is named
@@ -76,25 +80,25 @@ def test_two_keys_for_one_pair_are_refused(build, first, second):
 
 
 def test_dense_and_sparse_keep_only_nonzero_values():
-    dense = Character.dense(3, {(2, 1): "1/2", (1, 3): 0, (3, 2): Fraction(0, 5)})
-    sparse = Character.sparse(3, {(1, 2): Fraction(1, 2), (2, 3): "0"})
-    assert dense.support == sparse.support == {(1, 2): Fraction(1, 2)}
-    assert dense == sparse and dense.weight(1, 3) == 0 and dense.weight(3, 1) == 0
+    full = dense(3, {(2, 1): "1/2", (1, 3): 0, (3, 2): Fraction(0, 5)})
+    part = sparse(3, {(1, 2): Fraction(1, 2), (2, 3): "0"})
+    assert full.support == part.support == {(1, 2): Fraction(1, 2)}
+    assert full == part and full.weight(1, 3) == 0 and full.weight(3, 1) == 0
 
 
 def test_equal_characters_hash_equal():
     parsed = character_from_json('{"n": 3, "weights": {"1-2": "1", "1-3": "0", "2-3": "-1"}}')
-    dense = Character.dense(3, {(1, 2): 1, (1, 3): "0", (3, 2): Fraction(-2, 2)})
-    sparse = Character.sparse(3, {(2, 3): "-1", (2, 1): Fraction(1)})
-    assert parsed == dense == sparse
-    assert hash(parsed) == hash(dense) == hash(sparse)
-    assert {parsed, dense, sparse} == {sparse} and len({parsed, dense, sparse}) == 1
-    other = Character.sparse(3, {(1, 2): 1, (2, 3): 1})
-    assert {parsed: "a", other: "b"}[dense] == "a" and other not in {parsed}
-    assert Character.zero(4) in {Character.sparse(4, {})} and Character.zero(4) not in {Character.zero(5)}
+    full = dense(3, {(1, 2): 1, (1, 3): "0", (3, 2): Fraction(-2, 2)})
+    part = sparse(3, {(2, 3): "-1", (2, 1): Fraction(1)})
+    assert parsed == full == part
+    assert hash(parsed) == hash(full) == hash(part)
+    assert {parsed, full, part} == {part} and len({parsed, full, part}) == 1
+    other = sparse(3, {(1, 2): 1, (2, 3): 1})
+    assert {parsed: "a", other: "b"}[full] == "a" and other not in {parsed}
+    assert zero_character(4) in {sparse(4, {})} and zero_character(4) not in {zero_character(5)}
 
 
-@pytest.mark.parametrize("build", [Character.dense, Character.sparse])
+@pytest.mark.parametrize("build", [dense, sparse])
 @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, True])
 def test_dense_and_sparse_refuse_inexact_values(build, value):
     weights = {(1, 2): 0, (3, 1): value, (2, 3): "1/3"}
@@ -110,10 +114,10 @@ def test_constructor_takes_only_ints_and_fractions(value):
 
 
 def test_scale_refuses_a_float():
-    chi = Character.sparse(3, {(1, 2): 1})
+    chi = sparse(3, {(1, 2): 1})
     with pytest.raises(CharacterFormatError, match="scale factor is 0.1"):
-        chi.scale(0.1)
-    assert chi.scale("1/10").weight(1, 2) == Fraction(1, 10)
+        scale(chi, 0.1)
+    assert scale(chi, "1/10").weight(1, 2) == Fraction(1, 10)
 
 
 class TestSwingValue:
@@ -143,10 +147,10 @@ class TestDeltaValue:
         assert delta_value(chi0) == -3
 
     def test_zero_character(self):
-        assert delta_value(Character.zero(5)) == 0
+        assert delta_value(zero_character(5)) == 0
 
     def test_p3(self):
-        chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        chi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         assert delta_value(chi) == 0
 
 
@@ -180,7 +184,7 @@ class TestPermute:
 
 class TestPullbackPhi:
     def test_index_transport(self):
-        psi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        psi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         chi = pullback_phi(psi, (2, 4, 5), 5)
         assert chi.weight(2, 4) == 1
         assert chi.weight(2, 5) == 1
@@ -188,7 +192,7 @@ class TestPullbackPhi:
         assert len(chi.support) == 3
 
     def test_zero(self):
-        assert pullback_phi(Character.zero(3), (1, 2, 3), 6).is_zero()
+        assert pullback_phi(zero_character(3), (1, 2, 3), 6).is_zero()
 
     def test_delta_preserved(self):
         rng = random.Random(13)
@@ -208,20 +212,20 @@ class TestPullbackPhi:
             assert swing_value(chi, a) == swing_value(psi, (1, 2, 3))
 
     def test_size_mismatch(self):
-        psi = Character.zero(3)
+        psi = zero_character(3)
         with pytest.raises(ValueError):
             pullback_phi(psi, (1, 2), 4)
 
 
 class TestPullbackRho:
     def test_edge_dictionary(self):
-        psi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        psi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         chi = pullback_rho(psi)
         ordered = [chi.weight(*e) for e in all_edges(4)]
         assert ordered == [1, 1, -2, -2, 1, 1]
 
     def test_zero(self):
-        assert pullback_rho(Character.zero(3)).is_zero()
+        assert pullback_rho(zero_character(3)).is_zero()
 
     def test_delta_doubles(self):
         rng = random.Random(19)
@@ -247,7 +251,7 @@ class TestJson:
         assert character_from_json(text) == chi0
 
     def test_missing_key_is_error(self):
-        data = character_to_json_dict(Character.zero(3))
+        data = character_to_json_dict(zero_character(3))
         del data["weights"]["1-3"]
         with pytest.raises(CharacterFormatError, match="1-3"):
             character_from_json_dict(data)
@@ -367,10 +371,10 @@ class TestJson:
 )
 def test_character_arithmetic_is_exact(entries):
     # sums of weights over any index set stay in lowest-terms rationals
-    chi = Character.zero(6)
+    chi = zero_character(6)
     for k, v in entries:
         edge_key = ((k % 5) + 1, 6)
-        chi = add_characters(chi, Character.sparse(6, {edge_key: v}))
+        chi = add_characters(chi, sparse(6, {edge_key: v}))
     total = sum((v for _, v in entries), Fraction(0))
     assert delta_value(chi) == total
 

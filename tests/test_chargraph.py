@@ -8,19 +8,19 @@ import pytest
 
 from braidsigma import chargraph
 from braidsigma.characters import Character, InternalError, swing_value
-from conftest import add_characters
 from braidsigma.chargraph import (
     build_kchi,
     find_disjoint_pair,
     find_disjoint_triple,
     find_edge_disjoint_from_two,
     shape_classify,
-    to_dot,
 )
+from braidsigma.commands import to_dot
+from conftest import add_characters, dense, sparse, zero_character
 
 
 def graph_of(n, edges):
-    return build_kchi(Character.sparse(n, {e: 1 for e in edges}))
+    return build_kchi(sparse(n, {e: 1 for e in edges}))
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,14 @@ class TestBuildKchi:
         assert g.labels[(2, 3)] == -5
 
     def test_zero_character(self):
-        assert build_kchi(Character.zero(4)).labels == {}
+        assert build_kchi(zero_character(4)).labels == {}
 
     def test_single_edge(self):
-        g = build_kchi(Character.sparse(5, {(2, 5): Fraction(1, 3)}))
+        g = build_kchi(sparse(5, {(2, 5): Fraction(1, 3)}))
         assert g.labels.keys() == {(2, 5)}
 
     def test_perturbation_adds_edge(self, chi0):
-        bumped = add_characters(chi0, Character.sparse(4, {(2, 4): 1}))
+        bumped = add_characters(chi0, sparse(4, {(2, 4): 1}))
         assert build_kchi(bumped).labels.keys() == build_kchi(chi0).labels.keys() | {(2, 4)}
 
 
@@ -77,7 +77,7 @@ class TestSupportVertices:
         assert set(graph_of(6, [(2, 5)]).nbrs) == {2, 5}
 
     def test_empty(self):
-        assert set(build_kchi(Character.zero(3)).nbrs) == set()
+        assert set(build_kchi(zero_character(3)).nbrs) == set()
 
 
 class TestDisjointSearches:
@@ -116,7 +116,7 @@ class TestShapeClassify:
         assert shape.kind == "has_disjoint_from_two"
 
     def test_empty(self):
-        assert shape_classify(build_kchi(Character.zero(3))).kind == "empty"
+        assert shape_classify(build_kchi(zero_character(3))).kind == "empty"
 
     def test_four_cycle(self):
         g = graph_of(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -206,20 +206,20 @@ class TestOracle:
 
 class TestTripleSums:
     def test_matching_example(self):
-        chi = Character.dense(
+        chi = dense(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -3}
         )
         assert triple_sum_consequences(chi) == MatchingValues(1, 2, -3)
 
     def test_zero(self):
-        assert triple_sum_consequences(Character.zero(4)) == MatchingValues(0, 0, 0)
+        assert triple_sum_consequences(zero_character(4)) == MatchingValues(0, 0, 0)
 
     def test_surviving_triangle(self, chi0):
         assert triple_sum_consequences(chi0) is None
 
     def test_wrong_n(self):
         with pytest.raises(ValueError):
-            triple_sum_consequences(Character.zero(5))
+            triple_sum_consequences(zero_character(5))
 
     def test_reconstruction(self):
         # the matching values determine the character, and any zero-sum
@@ -229,7 +229,7 @@ class TestTripleSums:
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             y = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             z = -x - y
-            chi = Character.dense(
+            chi = dense(
                 4, {(1, 2): x, (3, 4): x, (1, 3): y, (2, 4): y, (1, 4): z, (2, 3): z}
             )
             assert triple_sum_consequences(chi) == MatchingValues(x, y, z)
@@ -241,7 +241,7 @@ class TestTripleSums:
 
         pairs = list(combinations(range(1, 5), 2))
         for vals in product((-1, 0, 1), repeat=6):
-            chi = Character.dense(4, dict(zip(pairs, map(Fraction, vals))))
+            chi = dense(4, dict(zip(pairs, map(Fraction, vals))))
             mv = triple_sum_consequences(chi)
             matches = (
                 chi.weight(1, 2) == chi.weight(3, 4)

@@ -5,19 +5,22 @@ from fractions import Fraction
 import pytest
 
 from braidsigma.characters import (
-    Character,
     ZeroCharacterError,
     delta_value,
     permute,
 )
-from braidsigma.circles import (
-    CircleId,
-    enumerate_circles,
-    locate_circle,
-    on_circle,
+from braidsigma.circles import CircleId, locate_circle, on_circle
+from braidsigma.commands import enumerate_circles
+from conftest import (
+    dense,
+    pullback_rho,
+    random_character,
+    random_perm,
     sample_circle,
+    scale,
+    sparse,
+    zero_character,
 )
-from conftest import pullback_rho, random_character, random_perm
 
 
 class TestEnumerate:
@@ -81,30 +84,30 @@ class TestEnumerate:
 
 class TestP3Membership:
     def test_equatorial(self):
-        chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        chi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         assert on_circle(chi, CircleId("P3", (1, 2, 3)))
 
     def test_support_escapes(self, chi0):
         assert not on_circle(chi0, CircleId("P3", (1, 2, 3)))
 
     def test_embedded_triple(self):
-        chi = Character.sparse(5, {(2, 4): 5, (2, 5): -5})
+        chi = sparse(5, {(2, 4): 5, (2, 5): -5})
         assert on_circle(chi, CircleId("P3", (2, 4, 5)))
 
     def test_zero_character(self):
         with pytest.raises(ZeroCharacterError):
-            on_circle(Character.zero(3), CircleId("P3", (1, 2, 3)))
+            on_circle(zero_character(3), CircleId("P3", (1, 2, 3)))
 
 
 class TestP4Membership:
     def test_matching_point(self):
-        chi = Character.dense(
+        chi = dense(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -3}
         )
         assert on_circle(chi, CircleId("P4", (1, 2, 3, 4)))
 
     def test_broken_matching(self):
-        chi = Character.dense(
+        chi = dense(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -2}
         )
         assert not on_circle(chi, CircleId("P4", (1, 2, 3, 4)))
@@ -116,7 +119,7 @@ class TestP4Membership:
         while done < 100:
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            psi = Character.sparse(3, {(1, 2): a, (1, 3): b, (2, 3): -a - b})
+            psi = sparse(3, {(1, 2): a, (1, 3): b, (2, 3): -a - b})
             if psi.is_zero():
                 continue
             assert delta_value(psi) == 0
@@ -126,11 +129,11 @@ class TestP4Membership:
 
 class TestLocate:
     def test_p3(self):
-        chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        chi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         assert locate_circle(chi) == CircleId("P3", (1, 2, 3))
 
     def test_p4(self):
-        chi = Character.dense(
+        chi = dense(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -3}
         )
         assert locate_circle(chi) == CircleId("P4", (1, 2, 3, 4))
@@ -194,7 +197,7 @@ class TestCircleGeometry:
             chi = random_character(5, rng)
             if chi.is_zero():
                 continue
-            scaled = chi.scale(Fraction(7, 3))
+            scaled = scale(chi, Fraction(7, 3))
             for cid in enumerate_circles(5):
                 assert on_circle(chi, cid) == on_circle(scaled, cid)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidsigma.characters import Character, ZeroCharacterError, permute
+from braidsigma.characters import ZeroCharacterError, permute
 from braidsigma.circles import CircleId, locate_circle
 from braidsigma.classify import (
     COMPLEMENT,
@@ -21,7 +21,16 @@ from braidsigma.classify import (
     verify_certificate,
 )
 from braidsigma.witness import build_witness_for, verify_witness
-from conftest import random_nonzero_character, random_perm
+from braidsigma.commands import enumerate_circles
+from conftest import (
+    dense,
+    random_nonzero_character,
+    random_perm,
+    sample_circle,
+    scale,
+    sparse,
+    zero_character,
+)
 
 
 class TestPipelineStages:
@@ -32,7 +41,7 @@ class TestPipelineStages:
         assert cls.perm == (1, 2, 3, 4)
 
     def test_p3_circle(self):
-        chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        chi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         cls = classify(chi)
         assert cls.verdict == COMPLEMENT
         assert cls.certificate.circle == CircleId("P3", (1, 2, 3))
@@ -40,20 +49,20 @@ class TestPipelineStages:
     def test_disjoint_leaves_on_three_edge_path(self):
         # the 3-edge path 2-1-3-4 has two disjoint leaf edges, which the
         # pipeline reaches before the triangle stage
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 1, (1, 3): -2})
+        chi = sparse(4, {(1, 2): 1, (3, 4): 1, (1, 3): -2})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
         assert isinstance(cls.certificate, DisjointLeaves)
 
     def test_disjoint_leaves_on_two_edges(self):
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): -1})
+        chi = sparse(4, {(1, 2): 1, (3, 4): -1})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
         assert isinstance(cls.certificate, DisjointLeaves)
         assert cls.certificate.leaf_edges == ((1, 2), (3, 4))
 
     def test_p4_circle(self):
-        chi = Character.dense(
+        chi = dense(
             4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -3}
         )
         cls = classify(chi)
@@ -61,21 +70,21 @@ class TestPipelineStages:
         assert cls.certificate.circle == CircleId("P4", (1, 2, 3, 4))
 
     def test_disjoint_triple(self):
-        chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
+        chi = sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
         assert cls.certificate == DisjointTriple(((1, 2), (3, 4), (5, 6)))
         assert cls.perm == (1, 2, 3, 4, 5, 6)
 
     def test_star(self):
-        chi = Character.sparse(5, {(1, 4): 2, (2, 4): 1, (3, 4): -3})
+        chi = sparse(5, {(1, 4): 2, (2, 4): 1, (3, 4): -3})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
         assert cls.certificate == Star(4, (1, 2, 3))
         assert cls.perm == (1, 2, 3, 4, 5)
 
     def test_disjoint_pair(self):
-        chi = Character.sparse(5, {(1, 2): 1, (3, 4): 2, (4, 5): -3})
+        chi = sparse(5, {(1, 2): 1, (3, 4): 2, (4, 5): -3})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
         cert = cls.certificate
@@ -86,7 +95,7 @@ class TestPipelineStages:
     def test_triangle_on_four_cycle(self):
         # 4-cycle with a surviving triangle: no leaves, no edge disjoint
         # from two others, matching equality broken
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2})
+        chi = sparse(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
         cert = cls.certificate
@@ -94,14 +103,14 @@ class TestPipelineStages:
         assert cert.value != 0
 
     def test_n2(self):
-        chi = Character.sparse(2, {(1, 2): -7})
+        chi = sparse(2, {(1, 2): -7})
         cls = classify(chi)
         assert cls.verdict == SIGMA1
         assert isinstance(cls.certificate, ZeroSum)
 
     def test_zero_character_rejected(self):
         with pytest.raises(ZeroCharacterError):
-            classify(Character.zero(4))
+            classify(zero_character(4))
 
 
 class TestAgreementWithCircles:
@@ -117,7 +126,6 @@ class TestAgreementWithCircles:
                     assert cls.certificate.circle == located
 
     def test_circle_samples_classify_complement(self):
-        from braidsigma.circles import enumerate_circles, sample_circle
 
         rng = random.Random(53)
         for n in (4, 5):
@@ -133,7 +141,7 @@ class TestInvariance:
         rng = random.Random(59)
         for _ in range(100):
             chi = random_nonzero_character(5, rng)
-            scaled = chi.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            scaled = scale(chi, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             a, b = classify(chi), classify(scaled)
             assert a.verdict == b.verdict
             assert type(a.certificate) is type(b.certificate)
@@ -167,7 +175,7 @@ class TestCertificates:
         }
 
     def test_json_circle(self):
-        chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        chi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         out = classification_to_json_dict(classify(chi))
         assert out == {
             "verdict": "complement",
@@ -210,7 +218,7 @@ class TestDerivedPerm:
         ],
     )
     def test_perm_follows_from_fields(self, n, weights, cert, perm):
-        chi = Character.sparse(n, weights)
+        chi = sparse(n, weights)
         cls = classify(chi)
         assert cls.certificate == cert
         assert cls.perm == perm
@@ -223,13 +231,13 @@ class TestCertificateRejection:
     def test_star_with_repeated_leaf_on_p3_point(self):
         # w14 = 1, w24 = -1 lies on the P3 circle over 124; the two-edge
         # star passes every other star condition when a leaf is repeated
-        chi = Character.sparse(4, {(1, 4): 1, (2, 4): -1})
+        chi = sparse(4, {(1, 4): 1, (2, 4): -1})
         assert classify(chi).verdict == COMPLEMENT
         cls = Classification(Star(4, (1, 1, 2)), 4)
         assert not verify_certificate(cls, chi)
 
     def test_star_with_center_among_leaves(self):
-        chi = Character.sparse(5, {(1, 4): 2, (2, 4): 1, (3, 4): -3})
+        chi = sparse(5, {(1, 4): 2, (2, 4): 1, (3, 4): -3})
         assert verify_certificate(Classification(Star(4, (1, 2, 3)), 5), chi)
         cls = Classification(Star(4, (1, 2, 3, 4)), 5)
         assert not verify_certificate(cls, chi)
@@ -239,26 +247,26 @@ class TestCertificateRejection:
         "edges", [((1, 2), (3, 4), (5, 6), (1, 3)), ((1, 2), (1, 3), (5, 6))]
     )
     def test_disjoint_triple_fields_break_the_lemma(self, edges):
-        chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): 1, (1, 3): -3})
+        chi = sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): 1, (1, 3): -3})
         cls = Classification(DisjointTriple(edges), 6)
         assert not verify_certificate(cls, chi)
 
     def test_disjoint_leaves_must_not_meet(self):
         # the two-edge path 1-2-3 lies on the P3 circle; its leaf edges meet
-        chi = Character.sparse(3, {(1, 2): 1, (2, 3): -1})
+        chi = sparse(3, {(1, 2): 1, (2, 3): -1})
         cls = Classification(DisjointLeaves(((1, 2), (3, 2))), 3)
         assert not verify_certificate(cls, chi)
 
     def test_disjoint_leaves_must_be_leaves(self):
         # 1 has degree 2, so 1-2 is not a leaf edge although it is an edge
-        chi = Character.sparse(4, {(1, 2): 1, (1, 3): 1, (3, 4): -2})
+        chi = sparse(4, {(1, 2): 1, (1, 3): 1, (3, 4): -2})
         good = Classification(DisjointLeaves(((2, 1), (4, 3))), 4)
         assert verify_certificate(good, chi)
         cls = Classification(DisjointLeaves(((1, 2), (4, 3))), 4)
         assert not verify_certificate(cls, chi)
 
     def test_disjoint_pair_others_must_share_one_vertex(self):
-        chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
+        chi = sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
         cls = Classification(DisjointPair((1, 2), ((3, 4), (5, 6))), 6)
         assert not verify_certificate(cls, chi)
 
@@ -267,7 +275,7 @@ class TestCertificateRejection:
         "fields", [{"triangle": (1, 2, 2)}, {"edges": ((3, 4), (1, 2))}]
     )
     def test_triangle_fields_break_the_lemma(self, fields):
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2})
+        chi = sparse(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2})
         good = classify(chi)
         assert good.certificate == Triangle(((1, 2), (3, 4)), (1, 2, 4), Fraction(-1))
         assert verify_certificate(good, chi)
@@ -277,7 +285,7 @@ class TestCertificateRejection:
     # a strand below 1 cannot even be named (TestEnumerate in test_circles)
     @pytest.mark.parametrize("cid", [CircleId("P3", (1, 2, 5)), CircleId("P4", (1, 2, 4, 9))])
     def test_circle_outside_the_strands(self, cid):
-        chi = Character.sparse(4, {(1, 4): 1, (2, 4): -1})
+        chi = sparse(4, {(1, 4): 1, (2, 4): -1})
         assert not verify_certificate(Classification(CircleMembership(cid), 4), chi)
 
     # each certificate holds on chi; one edge more in its tuple field must
@@ -291,7 +299,7 @@ class TestCertificateRejection:
         ],
     )
     def test_wrong_edge_count_is_rejected(self, cert, extra):
-        chi = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
+        chi = sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
         assert verify_certificate(Classification(cert, 6), chi)
         bad = cert._replace(**extra)
         assert not verify_certificate(Classification(bad, 6), chi)

@@ -9,18 +9,17 @@ from pathlib import Path
 import pytest
 
 import braidsigma
-from braidsigma import cli, witness
+from braidsigma import cli, commands, planar, witness
 from braidsigma.characters import InternalError, delta_value
-from braidsigma.circles import enumerate_circles
 from braidsigma.classify import Classification, Star, ZeroSum
 from braidsigma.cli import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    MAX_CIRCLES,
     main,
 )
+from braidsigma.commands import MAX_CIRCLES, enumerate_circles
 
 SRC = str(Path(braidsigma.__file__).resolve().parent.parent)
 
@@ -31,6 +30,15 @@ def run_child(args, stdin=""):
     return subprocess.run(
         [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
     )
+
+def run_child_shell(script):
+    """``script`` run by sh, with this interpreter as $0 and this checkout's
+    package on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        ["sh", "-c", script, sys.executable], capture_output=True, text=True, env=env, timeout=60
+    )
+
 
 CHI0_JSON = json.dumps(
     {
@@ -283,17 +291,29 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 def test_classify_leaves_out_argparse_and_the_identity_suite(chi0_file):
     # argparse costs a one-shot process about 9 ms (with gettext and locale);
-    # the word-engine identities are for ``verify`` only
+    # the word-engine identities are for ``verify`` only, and the other
+    # commands and the help text are compiled only when they run; without
+    # site, nothing else loads typing, so the package must not either
     code = (
         "import sys\n"
         "from braidsigma.cli import main\n"
         "code = main(['classify', '--witness', '--in', sys.argv[1]])\n"
-        "unwanted = {'argparse', 'gettext', 'dataclasses', 'braidsigma.planar'}\n"
+        "unwanted = {'argparse', 'gettext', 'dataclasses', 'typing',\n"
+        "            'braidsigma.planar', 'braidsigma.commands'}\n"
         "print(code, sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
     )
-    proc = run_child(["-c", code, chi0_file])
+    proc = run_child(["-S", "-c", code, chi0_file])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "0 []\n"
+
+
+def test_closed_stdin_is_an_input_error():
+    # the child starts with no file descriptor 0, so sys.stdin is None
+    script = '"$0" -m braidsigma.cli classify --in - <&-'
+    proc = run_child_shell(script)
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cannot read -: standard input is closed\n"
 
 
 # a UTF-8 file whose one non-ASCII weight is ARABIC-INDIC DIGIT ONE
@@ -381,7 +401,7 @@ class TestCircles:
     @pytest.mark.parametrize("per_write", [1, 3, 4])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_chunked_bytes_match_one_dump(self, n, per_write, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "CIRCLES_PER_WRITE", per_write)
+        monkeypatch.setattr(commands, "CIRCLES_PER_WRITE", per_write)
         assert main(["circles", "--n", str(n)]) == EXIT_OK
         expected = json.dumps([c.to_json_dict() for c in enumerate_circles(n)]) + "\n"
         assert capsys.readouterr().out == expected
@@ -469,8 +489,10 @@ class TestVerify:
             f"recovery factorization {t}" for t in ((1, 4, 5), (2, 4, 5), (1, 3, 4), (2, 3, 4))
         ]
         # each line reports its own check
-        holds = cli.factorization_holds
-        monkeypatch.setattr(cli, "factorization_holds", lambda f, n: f.added != (1, 3, 4) and holds(f, n))
+        holds = planar.factorization_holds
+        monkeypatch.setattr(
+            planar, "factorization_holds", lambda f, n: f.added != (1, 3, 4) and holds(f, n)
+        )
         assert main(["verify"]) == EXIT_VERIFY_FAILED
         lines = capsys.readouterr().out.splitlines()
         failed = [line for line in lines if line.endswith("  FAIL")]
@@ -488,6 +510,71 @@ class TestOracle:
             main(["oracle", "--max-vertices", "7"])
         assert exc.value.code == EXIT_INPUT_ERROR
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The -h text of the program (None) and of each command, byte for byte as
+# the argparse parser before the command table printed it.
+HELP_TEXTS = {
+    None: """\
+usage: braidsigma [-h] {classify,circles,graph,verify,oracle} ...
+
+exact BNS classifier for pure braid group characters
+
+commands:
+  classify  classify a character from JSON
+  circles   list the complement circles for P_n
+  graph     export the support graph as DOT
+  verify    run the word-engine identity suite
+  oracle    prove the star-or-small fact for every n
+
+run 'braidsigma COMMAND -h' for the options of a command
+""",
+    "classify": """\
+usage: braidsigma classify [-h] --in INFILE [--witness]
+
+classify a character from JSON
+
+options:
+  -h, --help   show this help and exit
+  --in INFILE  JSON path, or - for stdin
+  --witness    attach a verified witness package
+""",
+    "circles": """\
+usage: braidsigma circles [-h] --n N
+
+list the complement circles for P_n
+
+options:
+  -h, --help  show this help and exit
+  --n N       number of strands, 2 to 70
+""",
+    "graph": """\
+usage: braidsigma graph [-h] --in INFILE [--dot DOT]
+
+export the support graph as DOT
+
+options:
+  -h, --help   show this help and exit
+  --in INFILE  JSON path, or - for stdin
+  --dot DOT    output path (stdout if omitted)
+""",
+    "verify": """\
+usage: braidsigma verify [-h]
+
+run the word-engine identity suite
+
+options:
+  -h, --help  show this help and exit
+""",
+    "oracle": """\
+usage: braidsigma oracle [-h]
+
+prove the star-or-small fact for every n
+
+options:
+  -h, --help  show this help and exit
+""",
+}
 
 
 class TestParser:
@@ -579,6 +666,13 @@ class TestParser:
         assert seen["circles"] == {"n": 7}
         assert seen["graph"] == {"infile": "-", "dot": "out.dot"}
         assert seen["verify"] == {}
+
+    @pytest.mark.parametrize("name", list(HELP_TEXTS))
+    def test_help_text_is_unchanged(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"] if name is None else [name, "-h"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr() == (HELP_TEXTS[name], "")
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help(self, flag, capsys):

@@ -21,7 +21,6 @@ from braidsigma.characters import (
     CharacterFormatError,
     character_from_json,
     character_from_json_dict,
-    character_to_json_dict,
     delta_value,
     permute,
     swing_value,
@@ -32,7 +31,7 @@ from braidsigma.chargraph import (
     find_disjoint_triple,
     find_edge_disjoint_from_two,
 )
-from braidsigma.circles import enumerate_circles, locate_circle, on_circle
+from braidsigma.circles import locate_circle, on_circle
 from braidsigma.classify import (
     Classification,
     DisjointLeaves,
@@ -45,17 +44,25 @@ from braidsigma.classify import (
     classify,
     verify_certificate,
 )
+from braidsigma.commands import enumerate_circles
 from braidsigma.witness import (
     WitnessPackage,
     WitnessReport,
     _shape_checks,
     _ungenerated,
     build_witness_for,
+    commutes_predicate,
     dominates,
     verify_witness,
 )
-from braidsigma.words import commutes_predicate
-from conftest import random_perm
+from conftest import (
+    character_to_json_dict,
+    dense,
+    random_perm,
+    scale,
+    sparse,
+    zero_character,
+)
 
 
 def pairs(n):
@@ -182,7 +189,7 @@ def characters_near_circles(rng, n, count):
                 local[e] = Fraction(rng.randint(-1, 1), rng.randint(1, 2))
         if rng.random() < 0.2:
             local[rng.choice(pairs(n))] += 1
-        chi = Character.dense(n, local)
+        chi = dense(n, local)
         if not chi.is_zero():
             out.append(chi)
     return out
@@ -448,7 +455,7 @@ class TestDomination:
         for lemma in LEMMAS:
             j_sets, i_sets, _ = lemma.witness(n)
             facts = lemma.witness(n)[2]
-            assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts) == (True, (), (), True, None)
+            assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts) == (True, (), (), True, True)
 
     def test_each_member_is_sorted_once_per_shape(self, monkeypatch):
         # I is split into its pairs and its other members once, for both
@@ -500,7 +507,7 @@ class TestCachedFacts:
         for _ in range(300):
             n = rng.randint(2, 12)
             edges = [p for p in pairs(n) if rng.random() < rng.uniform(0.05, 0.7)]
-            chi = Character.sparse(n, {e: rng.choice([1, -2, Fraction(1, 3)]) for e in edges})
+            chi = sparse(n, {e: rng.choice([1, -2, Fraction(1, 3)]) for e in edges})
             for g in (build_kchi(chi), graph(n, edges)):
                 assert g.order == order_reference(edges)
                 assert g.nbrs == nbrs_reference(edges)
@@ -511,7 +518,7 @@ class TestCachedFacts:
             for _ in range(20):
                 weights = {e: Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
                            for e in pairs(n)}
-                chi = Character.dense(n, weights)
+                chi = dense(n, weights)
                 g = build_kchi(chi)
                 assert build_kchi(chi) is g
                 assert delta_value(chi) is delta_value(chi)
@@ -521,7 +528,7 @@ class TestCachedFacts:
                 assert delta_value(chi) == delta_value(fresh) == sum(weights.values())
 
     def test_wrong_delta_rejected_after_classify(self):
-        chi = Character.sparse(5, {(1, 2): 3, (2, 5): Fraction(-1, 2)})
+        chi = sparse(5, {(1, 2): 3, (2, 5): Fraction(-1, 2)})
         cls = classify(chi)  # caches Delta = 5/2 on chi
         assert cls.certificate == ZeroSum(Fraction(5, 2))
         assert verify_certificate(cls, chi)
@@ -567,17 +574,17 @@ class TestParsedSupport:
                        for e in pairs(n)}
             perm = random_perm(n, rng)
             kept = {e: v for e, v in weights.items() if rng.random() < 0.8}
-            dense = Character.dense(n, weights)
+            full = dense(n, weights)
             relabeled = {
                 tuple(sorted((perm[i - 1], perm[j - 1]))): v for (i, j), v in weights.items()
             }
             for chi, total in (
-                (dense, weights),
-                (Character.sparse(n, kept), kept),
-                (permute(dense, perm), relabeled),
-                (dense.scale(Fraction(-2, 3)), {e: v * Fraction(-2, 3) for e, v in weights.items()}),
-                (dense.scale(0), {}),
-                (Character.zero(n), {}),
+                (full, weights),
+                (sparse(n, kept), kept),
+                (permute(full, perm), relabeled),
+                (scale(full, Fraction(-2, 3)), {e: v * Fraction(-2, 3) for e, v in weights.items()}),
+                (scale(full, 0), {}),
+                (zero_character(n), {}),
             ):
                 expected = {e: v for e, v in total.items() if v != 0}
                 assert chi.support == expected
@@ -612,9 +619,9 @@ def survival_reference(pkg, chi):
 def fresh_report(pkg, chi):
     """The report with every check run afresh, past the cache."""
     checks = _shape_checks.__wrapped__(chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
-    connected, uncovered, ungenerated, abelian, wordlevel = checks
+    connected, uncovered, ungenerated, abelian, table = checks
     survival = survival_reference(pkg, chi)
-    return WitnessReport(survival, connected, list(uncovered), list(ungenerated), abelian, wordlevel)
+    return WitnessReport(survival, connected, list(uncovered), list(ungenerated), abelian, table)
 
 
 def sparse_character(rng, n):
@@ -625,7 +632,7 @@ def sparse_character(rng, n):
         weights[e] = Fraction(rng.choice([1, -1, 2, -2]), rng.choice([1, 1, 2]))
     if rng.random() < 0.5:
         weights[rng.choice(pairs(n))] -= sum(weights.values())
-    return Character.dense(n, weights)
+    return dense(n, weights)
 
 
 def size_class(j, n):
@@ -672,7 +679,7 @@ class TestSurvival:
         ],
     )
     def test_bad_perm_or_swing_set_raises_like_the_reference(self, perm, j_sets):
-        chi = Character.sparse(5, {(1, 2): 1, (3, 4): -1})
+        chi = sparse(5, {(1, 2): 1, (3, 4): -1})
         pkg = WitnessPackage("zero_sum", perm, j_sets, tuple(pairs(5)))
         with pytest.raises(Exception) as expected:
             survival_reference(pkg, chi)
@@ -688,7 +695,7 @@ class TestShapeCache:
             ("star", 12, {(3, k): 1 if k < 12 else -7 for k in (1, 2, 4, 5, 8, 9, 10, 12)}),
             ("zero_sum", 6, {(1, 2): 2, (2, 3): 1}),
         ):
-            chi = Character.sparse(n, weights)
+            chi = sparse(n, weights)
             pkg = build_witness_for(classify(chi), chi)
             assert pkg.lemma == lemma
             assert verify_witness(pkg, chi).ok  # the shape's cache entries are warm
@@ -722,7 +729,7 @@ class TestShapeCache:
             assert not verify_witness(refactored, chi).abelian_factorizations
 
     def test_packages_from_outside_keep_the_caches_bounded(self):
-        chi = Character.sparse(6, {(1, 2): 2, (2, 3): 1})
+        chi = sparse(6, {(1, 2): 2, (2, 3): 1})
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == "zero_sum" and not pkg.factorizations
         subsets = (s for k in (2, 3) for s in combinations(pkg.i_sets, len(pkg.i_sets) - k))
@@ -732,7 +739,7 @@ class TestShapeCache:
         assert _shape_checks.cache_info().currsize == witness._SHAPE_CACHE_SIZE
 
     def test_lemma_sets_stay_bounded(self):
-        chi = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        chi = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
         pkg = build_witness_for(classify(chi), chi)
         assert verify_witness(pkg, chi).ok
         # each lemma at n = 6..52: more (lemma, n) shapes than the bound
@@ -749,10 +756,10 @@ class TestShapeCache:
         assert verify_witness(rebuilt, chi).ok
 
     def test_generation_entry_holds_only_at_its_n(self):
-        chi5 = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        chi5 = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
         pkg = build_witness_for(classify(chi5), chi5)
         assert verify_witness(pkg, chi5).ok
-        chi6 = Character.sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        chi6 = sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
         moved = pkg._replace(perm=(*pkg.perm, 6))
         report = verify_witness(moved, chi6)
         assert report == fresh_report(moved, chi6)

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidsigma import witness
-from braidsigma.characters import Character, all_edges, permute, swing_value
+from braidsigma import planar, witness, words
+from braidsigma.cli import main
+from braidsigma.characters import all_edges, permute, swing_value
 from braidsigma.classify import RECOVERY_FACTORIZATIONS, SIGMA1, Factorization, classify
 from braidsigma.witness import (
     WitnessPackage,
@@ -15,7 +17,9 @@ from braidsigma.witness import (
     verify_witness,
     witness_to_json_dict,
 )
-from conftest import random_nonzero_character
+from conftest import character_to_json_dict, random_nonzero_character, sparse
+
+TABLE_LINE = "a factorization is not one of the lemma table's on strands 1..n"
 
 
 class TestCommutingGraph:
@@ -77,7 +81,7 @@ class TestBuildWitness:
         assert pkg.factorizations == ()
 
     def test_disjoint_leaves_survival_values(self):
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): -1})
+        chi = sparse(4, {(1, 2): 1, (3, 4): -1})
         cls = classify(chi)
         pkg = build_witness_for(cls, chi)
         assert pkg.lemma == "disjoint_leaves"
@@ -86,7 +90,7 @@ class TestBuildWitness:
         assert values == [1, -1, 1, -1, 1]
 
     def test_triangle_factorizations(self):
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2})
+        chi = sparse(4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2})
         cls = classify(chi)
         pkg = build_witness_for(cls, chi)
         assert pkg.lemma == "triangle"
@@ -105,7 +109,7 @@ class TestBuildWitness:
     def test_recovering_lemmas_drop_14_and_24(self, weights, lemma, k):
         # I is the standard pairs without 14 and 24 plus the triples they
         # span with vertex k; each triple's swing factors into its pairs
-        chi = Character.sparse(5, weights)
+        chi = sparse(5, weights)
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == lemma
         t1, t2 = tuple(sorted((1, 4, k))), tuple(sorted((2, 4, k)))
@@ -120,7 +124,7 @@ class TestBuildWitness:
         assert verify_witness(pkg, chi).ok
 
     def test_circle_certificate_rejected(self):
-        chi = Character.sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+        chi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         cls = classify(chi)
         with pytest.raises(ValueError):
             build_witness_for(cls, chi)
@@ -142,7 +146,7 @@ class TestVerifyWitness:
         assert checked > 1000
 
     def test_survival_failure_detected(self):
-        chi = Character.sparse(3, {(1, 2): 1, (2, 3): -1})
+        chi = sparse(3, {(1, 2): 1, (2, 3): -1})
         pkg = WitnessPackage("zero_sum", (1, 2, 3), ((1, 3),), tuple(all_edges(3)))
         report = verify_witness(pkg, chi)
         assert report.survival_failures == [(1, 3)]
@@ -150,7 +154,7 @@ class TestVerifyWitness:
 
     @pytest.mark.parametrize("degenerate", [(3, 3), (1, 9), (0, 2)])
     def test_degenerate_members_add_nothing_to_the_rank(self, degenerate):
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2})
+        chi = sparse(4, {(1, 2): 1, (3, 4): 2})
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == "zero_sum" and verify_witness(pkg, chi).ok
         # without (1, 2) the pairs span only five of the six columns
@@ -169,7 +173,7 @@ class TestVerifyWitness:
 
     @pytest.mark.parametrize("n, weights, lemma", RECOVERING)
     def test_recovered_pairs_need_their_factorizations(self, n, weights, lemma):
-        chi = Character.sparse(n, weights)
+        chi = sparse(n, weights)
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == lemma and verify_witness(pkg, chi).ok
         report = verify_witness(pkg._replace(factorizations=()), chi)
@@ -182,23 +186,27 @@ class TestVerifyWitness:
 
     def test_factorizations_are_taken_in_order(self):
         # (1, 4) from (1, 2, 4) needs (2, 4), which only the second
-        # factorization gives; both are identities of P_4
+        # factorization gives; both are identities of P_4, but only the
+        # second is one of the lemma table's, so a package with both fails
         n, weights, _ = self.RECOVERING[1]
-        chi = Character.sparse(n, weights)
+        chi = sparse(n, weights)
         pkg = build_witness_for(classify(chi), chi)
         i_sets = tuple(a for a in pkg.i_sets if a != (1, 3, 4)) + ((1, 2, 4),)
         f1 = Factorization((1, 2, 4), ((1, 2), (1, 4), (2, 4)), (1, 4))
         f2 = Factorization((2, 3, 4), ((2, 3), (2, 4), (3, 4)), (2, 4))
+        assert witness._ungenerated(n, i_sets, (f1, f2)) == [(1, 4)]
+        assert witness._ungenerated(n, i_sets, (f2, f1)) == []
         report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=(f1, f2)), chi)
-        assert report.ungenerated == [(1, 4)] and not report.ok
-        assert report.wordlevel_factorizations and report.abelian_factorizations
-        assert verify_witness(pkg._replace(i_sets=i_sets, factorizations=(f2, f1)), chi).ok
+        assert report.ungenerated == [(1, 4)] and report.abelian_factorizations
+        assert not report.table_factorizations and not report.ok
+        report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=(f2, f1)), chi)
+        assert report.failures() == [TABLE_LINE]
 
     def test_a_factorization_must_recover_a_pair_of_its_own(self):
         # I gives every pair, so the coverage passes the factorization over;
         # its identity holds, but (3, 4) is not a pair of (1, 2, 3), so the
         # abelian check refuses it, as it did beside the rank check
-        chi = Character.sparse(4, {(1, 2): 1, (3, 4): 2})
+        chi = sparse(4, {(1, 2): 1, (3, 4): 2})
         pkg = build_witness_for(classify(chi), chi)
         extra = Factorization((1, 2, 3), ((1, 2), (1, 3), (2, 3)), (3, 4))
         tampered = pkg._replace(i_sets=(*pkg.i_sets, (1, 2, 3)), factorizations=(extra,))
@@ -206,7 +214,7 @@ class TestVerifyWitness:
         assert report.ungenerated == [] and not report.abelian_factorizations and not report.ok
 
     def test_failures_name_the_length_and_the_first_members(self):
-        chi = Character.sparse(5, {(1, 2): 1, (3, 4): 2})
+        chi = sparse(5, {(1, 2): 1, (3, 4): 2})
         pkg = build_witness_for(classify(chi), chi)
         assert verify_witness(pkg, chi).failures() == []
         report = verify_witness(pkg._replace(i_sets=()), chi)
@@ -215,7 +223,7 @@ class TestVerifyWitness:
         ]
 
     def test_disconnected_j_detected(self):
-        chi = Character.sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+        chi = sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
         pkg = WitnessPackage("zero_sum", (1, 2, 3), ((1, 2), (2, 3)), tuple(all_edges(3)))
         report = verify_witness(pkg, chi)
         assert not report.connected
@@ -224,7 +232,7 @@ class TestVerifyWitness:
     def test_shape_checks_follow_the_package_not_the_cache(self):
         # zero-sum support 12, 34, 45: an edge disjoint from two others but
         # no disjoint triple, so the lemma is disjoint_pair at n = 5
-        chi = Character.sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        chi = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == "disjoint_pair"
         assert verify_witness(pkg, chi).ok  # the shape's entry is now warm
@@ -245,7 +253,7 @@ class TestVerifyWitness:
         assert verify_witness(pkg, chi).ok
 
     def test_reports_do_not_share_uncovered(self):
-        chi = Character.sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+        chi = sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
         # (1, 3) meets both members of J, so it is undominated
         pkg = WitnessPackage("zero_sum", (1, 2, 3), ((1, 2), (2, 3)), tuple(all_edges(3)))
         first = verify_witness(pkg, chi)
@@ -266,7 +274,7 @@ class TestVerifyWitness:
             for _ in range(30):
                 a = Fraction(rng.randint(1, 9))
                 b = Fraction(rng.randint(1, 9))
-                chi = Character.sparse(
+                chi = sparse(
                     n, {(1, 4): a, (2, 4): b, (3, 4): -a - b}
                 )
                 if swing_value(chi, (3, 4)) == 0:
@@ -284,6 +292,10 @@ class TestVerifyWitness:
 
 
 class TestWordLevel:
+    """A package may carry only the lemma table's factorizations, which
+    ``braidsigma verify`` proves in the word engine once; certifying runs
+    no braid word."""
+
     CASES = (
         (5, {(1, 2): 1, (3, 4): 1, (4, 5): -2}, "disjoint_pair"),
         (4, {(1, 2): 1, (3, 4): 2, (1, 3): -1, (2, 4): -2}, "triangle"),
@@ -292,52 +304,78 @@ class TestWordLevel:
 
     @pytest.fixture
     def engine_calls(self, monkeypatch):
+        # every braid word's images are built by words.artin_sigma; witness
+        # keeps the name braid_aut for the benchmark's tracer
         calls = []
-        braid_aut = witness.braid_aut
+        artin_sigma, braid_aut = words.artin_sigma, witness.braid_aut
+        monkeypatch.setattr(words, "artin_sigma", lambda x, n: calls.append(x) or artin_sigma(x, n))
         monkeypatch.setattr(witness, "braid_aut", lambda w: calls.append(w) or braid_aut(w))
         return calls
 
-    def test_table_packages_skip_the_word_engine(self, engine_calls):
+    def test_no_certify_path_calls_the_word_engine(self, engine_calls, tmp_path, capsys):
         for n, weights, lemma in self.CASES:
-            chi = Character.sparse(n, weights)
+            chi = sparse(n, weights)
             pkg = build_witness_for(classify(chi), chi)
             assert pkg.lemma == lemma and len(pkg.factorizations) == 2
             cold = witness._shape_checks.__wrapped__(n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
-            assert cold == (True, (), (), True, None)
-            report = verify_witness(pkg, chi)
-            assert report.wordlevel_factorizations is None and report.ok
+            assert cold == (True, (), (), True, True)
+            assert verify_witness(pkg, chi).ok
+        # the CLI, over a character of every lemma and random ones
+        rng = random.Random(61)
+        chars = [sparse(n, w) for n, w, _ in self.CASES]
+        chars += [
+            sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2}),  # disjoint_triple
+            sparse(5, {(1, 5): 1, (2, 5): 1, (3, 5): -2}),  # star
+            sparse(4, {(1, 2): 1, (3, 4): -1}),  # disjoint_leaves
+        ]
+        chars += [random_nonzero_character(n, rng, span=2, max_denom=1) for n in (4, 5, 6, 7) * 5]
+        lemmas = set()
+        path = tmp_path / "chi.json"
+        for chi in chars:
+            path.write_text(json.dumps(character_to_json_dict(chi)))
+            assert main(["classify", "--witness", "--in", str(path)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            lemmas.add(out.get("witness", {}).get("lemma"))
+        kinds = ["zero_sum", "disjoint_triple", "disjoint_pair", "star", "disjoint_leaves"]
+        assert {*kinds, "triangle"} <= lemmas
         assert engine_calls == []
 
-    def test_other_factorizations_run_the_word_engine(self, engine_calls):
+    def test_other_factorizations_are_refused(self, engine_calls):
         n, weights, _ = self.CASES[0]
-        chi = Character.sparse(n, weights)
+        chi = sparse(n, weights)
         pkg = build_witness_for(classify(chi), chi)
         first, second = pkg.factorizations
+        # a rotation of a table product is a true identity outside the table
+        rotated = Factorization(first.added, first.factors[1:] + first.factors[:1], first.recovers)
+        assert rotated != first and planar.factorization_holds(rotated, n)
+        engine_calls.clear()
+        report = verify_witness(pkg._replace(factorizations=(rotated, second)), chi)
+        assert report.failures() == [TABLE_LINE]
         # S_245 is not the product of S_14, S_15 and S_45
         wrong = first._replace(added=(2, 4, 5))
         report = verify_witness(pkg._replace(factorizations=(wrong, second)), chi)
-        assert report.wordlevel_factorizations is False and not report.ok
-        assert engine_calls
-        # a rotation of a table product is a true identity outside the table
-        rotated = Factorization(first.added, first.factors[1:] + first.factors[:1], first.recovers)
-        assert rotated != first
-        report = verify_witness(pkg._replace(factorizations=(rotated, second)), chi)
-        assert report.wordlevel_factorizations is True and report.ok
-        # over the budget the word engine is not run
-        chi6 = Character.sparse(6, weights)
-        pkg6 = build_witness_for(classify(chi6), chi6)
-        assert pkg6.factorizations == pkg.factorizations
-        engine_calls.clear()
-        report = verify_witness(pkg6._replace(factorizations=(rotated, second)), chi6)
-        assert report.wordlevel_factorizations is None and report.ok and engine_calls == []
+        assert not report.table_factorizations and TABLE_LINE in report.failures()
+        assert engine_calls == []
+
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_reordered_factors_are_refused_at_every_n(self, n, engine_calls):
+        # the product S_14 S_45 S_15 is not the table's S_14 S_15 S_45
+        chi = sparse(n, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == "disjoint_pair" and verify_witness(pkg, chi).ok
+        first, second = pkg.factorizations
+        reordered = first._replace(factors=((1, 4), (4, 5), (1, 5)))
+        report = verify_witness(pkg._replace(factorizations=(reordered, second)), chi)
+        assert report.failures() == [TABLE_LINE]
+        assert engine_calls == []
 
     def test_table_factorizations_need_their_strands(self):
         # at n = 4 the disjoint_pair factorizations name strand 5, so they
-        # are not the proved identities: the word engine refuses them
+        # are not the proved identities of P_4: the package is refused
         n, weights, lemma = self.CASES[1]
-        chi = Character.sparse(n, weights)
+        chi = sparse(n, weights)
         pkg = build_witness_for(classify(chi), chi)
         assert n == 4 and pkg.lemma == lemma
         moved = pkg._replace(factorizations=RECOVERY_FACTORIZATIONS[5])
-        with pytest.raises(ValueError, match="need 1 <= i < j <= n"):
-            verify_witness(moved, chi)
+        report = verify_witness(moved, chi)
+        assert not report.table_factorizations and report.failures()[-1] == TABLE_LINE

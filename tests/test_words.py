@@ -9,7 +9,6 @@ from braidsigma.words import (
     BraidWord,
     artin_sigma,
     braid_aut,
-    commutes_predicate,
     invert_word,
     standard_pure_word,
     swing_word,
@@ -21,6 +20,7 @@ from braidsigma.planar import (
     verify_rho,
     verify_swing_factorizations,
 )
+from braidsigma.witness import commutes_predicate
 from conftest import braid_perm, is_pure
 
 
