@@ -10,10 +10,22 @@ is therefore decidable.
 Fraction's own machinery stays off the per-character path.  The JSON
 parser reads a weight in a plain form, [+-]digits or [+-]digits/digits in
 ASCII, with int(); any other spelling goes to Fraction's parser after the
-exponent bound below.  Sums (Delta, swing values, row sums, circle sums)
-add plain integers and build one Fraction each (``_exact_sum``).  The
-parser keeps only the nonzero values and has proved their pairs, so it
-skips the constructor's check of them.
+exponent bound below.  Each distinct spelling is parsed once per
+character, and once per process if ``_weight_memo`` keeps it: the memo
+maps a spelling that parsed to its value and whether that is nonzero.  A
+spelling that fails is never kept, so it fails again, naming its key, in
+every character that holds it.  The memo keeps only exact ``str``
+spellings of at most _WEIGHT_MEMO_LENGTH = 32 characters without an
+exponent, whose values have at most 32 digits above and below the line,
+and only the first _WEIGHT_MEMO_SIZE = 1024 of them.  On 64-bit CPython
+an entry holds at most 517 bytes (the spelling 333, as 32 four-byte
+characters and a cached UTF-8 copy; its tuple 56; the Fraction 48 and
+its two integers 40 each) and the dict's table under 37,000 (26,032 on
+3.11), so the memo never holds more than 1024 * 517 + 37,000 = 566,408
+bytes.  Sums (Delta, swing values, row sums, circle sums) add plain
+integers and build one Fraction each (``_exact_sum``).  The parser keeps
+only the nonzero values and has proved their pairs, so it skips the
+constructor's check of them.
 """
 
 from __future__ import annotations
@@ -178,6 +190,10 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
 MISSING_KEYS_SHOWN = 10
 MAX_EXPONENT = 4300
 
+_WEIGHT_MEMO_SIZE = 1024
+_WEIGHT_MEMO_LENGTH = 32
+_weight_memo: dict[str, tuple[Fraction, bool]] = {}
+
 
 def _parse_weight(key: str, val: str | int) -> Fraction:
     """Exact value of one JSON weight; ``key`` names it in errors."""
@@ -209,6 +225,19 @@ def _parse_weight(key: str, val: str | int) -> Fraction:
         raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc
 
 
+def _weight_entry(key: str, val: str | int) -> tuple[Fraction, bool]:
+    """(value, value != 0) of one JSON weight, read from ``_weight_memo``
+    or parsed and then kept there when the module docstring allows."""
+    kept = type(val) is str and len(val) <= _WEIGHT_MEMO_LENGTH
+    if kept and (entry := _weight_memo.get(val)) is not None:
+        return entry
+    value = _parse_weight(key, val)
+    entry = (value, value != 0)
+    if kept and len(_weight_memo) < _WEIGHT_MEMO_SIZE and "e" not in val.lower():
+        _weight_memo[val] = entry
+    return entry
+
+
 def character_from_json_dict(data: dict) -> Character:
     if not isinstance(data, dict):
         raise CharacterFormatError("character JSON must be an object")
@@ -224,8 +253,9 @@ def character_from_json_dict(data: dict) -> Character:
         raise CharacterFormatError("'weights' must be an object")
     expected = n * (n - 1) // 2
     support = {}
-    # each distinct raw value is parsed and tested for zero once; pairs with
-    # equal values share one (immutable) Fraction
+    # each distinct raw value is looked up once, and in the process-wide
+    # memo only when this dict misses; pairs with equal values share one
+    # (immutable) Fraction
     parsed: dict[str | int, tuple[Fraction, bool]] = {}
     # a canonical key "i-j" (i < j) is one lookup; any other key ("2-1",
     # "01-2", "x") is parsed and range-checked
@@ -254,8 +284,7 @@ def character_from_json_dict(data: dict) -> Character:
             )
         entry = parsed.get(val)
         if entry is None:
-            value = _parse_weight(key, val)
-            entry = parsed[val] = (value, value != 0)
+            entry = parsed[val] = _weight_entry(key, val)
         value, nonzero = entry
         if nonzero:
             support[e] = value

@@ -88,12 +88,13 @@ def cmd_classify(args: SimpleNamespace) -> int:
 
 
 def _deferred(name: str) -> Callable[[SimpleNamespace], int]:
-    """The handler ``name`` of ``commands``, imported when it first runs."""
+    """The handler ``name`` of ``commands``, imported when it first runs and
+    given this module's names, which ``commands`` never imports."""
 
     def handler(args: SimpleNamespace) -> int:
         from . import commands
 
-        return getattr(commands, name)(args)
+        return getattr(commands, name)(args, SimpleNamespace(**globals()))
 
     return handler
 
@@ -136,7 +137,7 @@ def _help(name: str | None):
     """Print the ``-h`` text of ``name`` (None for the program) and exit 0."""
     from .commands import help_text
 
-    print(help_text(name))
+    print(help_text(name, COMMANDS))
     raise SystemExit(EXIT_OK)
 
 

@@ -1,7 +1,10 @@
 """The commands other than ``classify``: ``circles``, ``graph``, ``verify``
 and ``oracle``, with the ``-h`` text of every command and what only these
 commands use.  ``cli`` imports this module when one of them runs or help
-is asked for, so a ``classify`` process never compiles it.
+is asked for, so a ``classify`` process never compiles it.  This module
+never imports ``cli``: under ``python -m braidsigma.cli`` that would load
+a second copy of it.  Each handler is given ``cli``'s names instead, and
+the help text its table.
 
 ``circles`` writes its JSON list one circle at a time and refuses any n
 with more than MAX_CIRCLES = 10**6 circles, C(n,3) + C(n,4), so n <= 70.
@@ -20,17 +23,13 @@ from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
 from .classify import RECOVERY_FACTORIZATIONS
 
-# under ``python -m braidsigma.cli`` this loads a second copy of cli, as
-# ``braidsigma.cli``; only its table, its constants and its reader are used
-from .cli import COMMANDS, EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, _load_character
-
 MAX_CIRCLES = 10**6
 CIRCLES_PER_WRITE = 4096
 
 
-def _refused(reason: str) -> int:
+def _refused(cli: SimpleNamespace, reason: str) -> int:
     print(f"error: {reason}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
+    return cli.EXIT_INPUT_ERROR
 
 
 def enumerate_circles(n: int) -> list[CircleId]:
@@ -44,13 +43,13 @@ def enumerate_circles(n: int) -> list[CircleId]:
     ]
 
 
-def cmd_circles(args: SimpleNamespace) -> int:
+def cmd_circles(args: SimpleNamespace, cli: SimpleNamespace) -> int:
     n = args.n
     if n < 2:
-        return _refused(f"need n >= 2, got {n}")
+        return _refused(cli, f"need n >= 2, got {n}")
     count = comb(n, 3) + comb(n, 4)
     if count > MAX_CIRCLES:
-        return _refused(f"n = {n} gives {count} circles, more than the {MAX_CIRCLES} allowed")
+        return _refused(cli, f"n = {n} gives {count} circles, more than the {MAX_CIRCLES} allowed")
     # the bytes of json.dumps(enumerate_circles(n)) plus a newline, without
     # holding the list: each circle is formatted from its strands, in the
     # order of enumerate_circles, and written CIRCLES_PER_WRITE at a time
@@ -64,7 +63,7 @@ def cmd_circles(args: SimpleNamespace) -> int:
             write(sep + chunk)
             sep = ", "
     write("]\n")
-    return EXIT_OK
+    return cli.EXIT_OK
 
 
 def to_dot(g: CharGraph) -> str:
@@ -80,21 +79,21 @@ def to_dot(g: CharGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_graph(args: SimpleNamespace) -> int:
-    chi = _load_character(args.infile)
+def cmd_graph(args: SimpleNamespace, cli: SimpleNamespace) -> int:
+    chi = cli._load_character(args.infile)
     dot = to_dot(build_kchi(chi))
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as f:
                 f.write(dot)
         except OSError as exc:
-            return _refused(f"cannot write {args.dot}: {exc.strerror}")
+            return _refused(cli, f"cannot write {args.dot}: {exc.strerror}")
     else:
         print(dot, end="")
-    return EXIT_OK
+    return cli.EXIT_OK
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace, cli: SimpleNamespace) -> int:
     """The word-engine identity suite, one line per identity.  Its last
     lines prove the four recovery factorizations of the lemma table for
     every n, so witness verification need not check them again.  Each lies
@@ -128,7 +127,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     for name, ok in checks:
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}")
         failed = failed or not ok
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    return cli.EXIT_VERIFY_FAILED if failed else cli.EXIT_OK
 
 
 def oracle_star_or_small() -> list[tuple[Edge, ...]]:
@@ -155,7 +154,7 @@ def oracle_star_or_small() -> list[tuple[Edge, ...]]:
     return counterexamples
 
 
-def cmd_oracle(args: SimpleNamespace) -> int:
+def cmd_oracle(args: SimpleNamespace, cli: SimpleNamespace) -> int:
     counterexamples = oracle_star_or_small()
     print(
         "star-or-small at every n, from all sets of at most 5 edges on 7 "
@@ -163,19 +162,20 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     )
     if counterexamples:
         print(json.dumps(counterexamples[:20]))
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+        return cli.EXIT_VERIFY_FAILED
+    return cli.EXIT_OK
 
 
-def help_text(name: str | None) -> str:
-    """The ``--help`` text of the command ``name``, or of the whole program."""
+def help_text(name: str | None, table: dict) -> str:
+    """The ``--help`` text of the command ``name``, or of the whole program,
+    from ``cli``'s command table."""
     if name is None:
-        usage = f"[-h] {{{','.join(COMMANDS)}}} ..."
+        usage = f"[-h] {{{','.join(table)}}} ..."
         about = "exact BNS classifier for pure braid group characters"
-        heading, rows = "commands:", [(command, spec[1]) for command, spec in COMMANDS.items()]
+        heading, rows = "commands:", [(command, spec[1]) for command, spec in table.items()]
         tail = ["", "run 'braidsigma COMMAND -h' for the options of a command"]
     else:
-        _, about, options, switches = COMMANDS[name]
+        _, about, options, switches = table[name]
         words, rows = [name, "[-h]"], [("-h, --help", "show this help and exit")]
         for flag, attr, _, required, text in options:
             word = f"{flag} {attr.upper()}"

@@ -13,7 +13,7 @@ pairs given earlier.  A package may carry only the factorizations of the
 lemma table (``classify.RECOVERY_FACTORIZATIONS``) whose strands lie in
 1..n: each is an identity of every such P_n, as ``braidsigma verify``
 proves once, so no word is checked here.  Any other factorization is a
-reported failure, and each is also checked in the abelianization.
+reported failure.
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them and the factorizations (C(J) connectivity,
@@ -97,7 +97,6 @@ class WitnessReport(Record):
         "connected",
         "uncovered",
         "ungenerated",
-        "abelian_factorizations",
         "table_factorizations",
     )
 
@@ -107,7 +106,6 @@ class WitnessReport(Record):
         connected: bool,
         uncovered: list[SwingSet],
         ungenerated: list[Edge],
-        abelian_factorizations: bool,
         table_factorizations: bool,
     ) -> None:
         d = self.__dict__
@@ -115,7 +113,6 @@ class WitnessReport(Record):
         d["connected"] = connected
         d["uncovered"] = uncovered
         d["ungenerated"] = ungenerated
-        d["abelian_factorizations"] = abelian_factorizations
         d["table_factorizations"] = table_factorizations
 
     def failures(self) -> list[str]:
@@ -132,8 +129,6 @@ class WitnessReport(Record):
             lines.append(f"members of I that J does not dominate ({len(s)}): {s[:k]}")
         if s := self.ungenerated:
             lines.append(f"pairs of 1..n that I does not give ({len(s)}): {s[:k]}")
-        if not self.abelian_factorizations:
-            lines.append("a factorization fails in the abelianization")
         if not self.table_factorizations:
             lines.append("a factorization is not one of the lemma table's on strands 1..n")
         return lines
@@ -271,10 +266,6 @@ def _lemma_sets(lemma: type, n: int) -> WitnessData:
 # -- verification ----------------------------------------------------------
 
 
-def _abelianized(a: SwingSet) -> dict[Edge, int]:
-    return {pair: 1 for pair in combinations(sorted(a), 2)}
-
-
 def _ungenerated(
     n: int,
     i_sets: Sequence[SwingSet],
@@ -323,32 +314,18 @@ def _shape_checks(
     j_sets: tuple[SwingSet, ...],
     i_sets: tuple[SwingSet, ...],
     factorizations: tuple[Factorization, ...],
-) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool, bool]:
+) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool]:
     """Character-independent part of witness verification, cached per shape:
     (C(J) connected, the elements of I that J does not dominate, the pairs
-    that I does not give, factorizations in the abelianization, every
-    factorization one of the lemma table's on strands 1..n)."""
+    that I does not give, every factorization one of the lemma table's on
+    strands 1..n)."""
     connected = is_connected(commuting_graph(j_sets))
     members = _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
     ungenerated = tuple(_ungenerated(n, i_sets, factorizations, members))
-
-    abelian_ok = True
-    for fact in factorizations:
-        lhs = _abelianized(fact.added)
-        rhs: dict[Edge, int] = {}
-        for f in fact.factors:
-            for pair, v in _abelianized(f).items():
-                rhs[pair] = rhs.get(pair, 0) + v
-        # ``recovers`` lies in ``added`` whenever the coverage uses the
-        # factorization (every abelian coefficient is positive); the test
-        # refuses one that the coverage passes over, as before
-        if lhs != rhs or fact.recovers not in lhs:
-            abelian_ok = False
-
     # a table factorization's ``added`` is sorted and holds all its strands
     table_ok = all(f in _TABLE_FACTORIZATIONS and f.added[-1] <= n for f in factorizations)
-    return connected, uncovered, ungenerated, abelian_ok, table_ok
+    return connected, uncovered, ungenerated, table_ok
 
 
 def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
@@ -383,13 +360,11 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     failures are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
-    connected, uncovered, ungenerated, abelian_ok, table_ok = _shape_checks(
+    connected, uncovered, ungenerated, table_ok = _shape_checks(
         chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations
     )
     # the cached tuples are shared, so each report gets its own lists
-    return WitnessReport(
-        survival_failures, connected, list(uncovered), list(ungenerated), abelian_ok, table_ok
-    )
+    return WitnessReport(survival_failures, connected, list(uncovered), list(ungenerated), table_ok)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braidsigma import characters
 from braidsigma.characters import (
     Character,
     CharacterFormatError,
@@ -603,3 +605,120 @@ def test_parser_keeps_exactly_the_nonzero_pairs(case):
     assert chi.support == {e: v for e, v in exact.items() if v != 0}
     for (i, j), v in exact.items():
         assert chi.weight(i, j) == v and chi.weight(j, i) == v
+
+
+# -- the process-wide memo of weight spellings -------------------------------
+
+
+class Shouted(str):
+    """A str subclass whose lowercase form has an exponent too large, so
+    the parser refuses it whatever its text."""
+
+    def lower(self):
+        return "1e99999"
+
+
+# good and bad spellings, a JSON integer equal to a good one, and types the
+# parser refuses before it reads a value
+MEMO_POOL = ["0", "-0", "1", "2/3", "-2/3", "007/014", " 4 ", "1.5", "٣", "1e2", "1" * 33,
+             "1/0", "x", "1e9999", "", 1, -2, True, None, 2.5, Shouted("1")]
+
+
+def memo_character(n):
+    """A character of P_n whose weights are drawn from MEMO_POOL."""
+    keys = [f"{i}-{j}" for i, j in all_edges(n)]
+    values = st.lists(st.sampled_from(MEMO_POOL), min_size=len(keys), max_size=len(keys))
+    return values.map(lambda drawn: {"n": n, "weights": dict(zip(keys, drawn))})
+
+
+def parse_outcome(data):
+    """What the parser gives for ``data``: the character, its Delta and
+    repr, or the message it refuses the input with."""
+    try:
+        chi = character_from_json_dict(data)
+    except CharacterFormatError as exc:
+        return ("refused", str(exc))
+    return (chi, delta_value(chi), repr(chi))
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo for this test; the process's own is put back after."""
+    monkeypatch.setattr(characters, "_weight_memo", {})
+    return characters._weight_memo
+
+
+class TestWeightMemo:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.integers(2, 4).flatmap(memo_character), min_size=1, max_size=8))
+    def test_the_memo_is_transparent(self, stream):
+        # the stream shares spellings, bad ones too; each character must come
+        # out the same with the memo warmed by those before it and from empty
+        characters._weight_memo.clear()
+        warm = [parse_outcome(data) for data in stream]
+        for data, outcome in zip(stream, warm):
+            characters._weight_memo.clear()
+            assert parse_outcome(data) == outcome
+        assert all(type(k) is str for k in characters._weight_memo)
+
+    @pytest.mark.parametrize("bad", ["1/0", "x", "1e9999", ""])
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_a_bad_spelling_never_enters_the_memo(self, memo, bad, bad_first):
+        good = [("1-3", "2/3"), ("2-3", "-1")]
+        items = [("1-2", bad), *good] if bad_first else [*good, ("1-2", bad)]
+        for _ in range(2):
+            with pytest.raises(CharacterFormatError, match="key '1-2'"):
+                character_from_json_dict({"n": 3, "weights": dict(items)})
+        assert bad not in memo
+        # the same spelling under another key names that key
+        with pytest.raises(CharacterFormatError, match="key '2-3'"):
+            character_from_json_dict({"n": 3, "weights": {"1-2": "1", "1-3": "1", "2-3": bad}})
+        assert bad not in memo and set(memo) <= {"2/3", "-1", "1"}
+
+    def test_subclasses_and_integers_take_the_parser(self, memo):
+        warm = character_from_json_dict({"n": 2, "weights": {"1-2": "1"}})
+        assert warm.weight(1, 2) == 1 and list(memo) == ["1"]
+        # equal to "1" and of equal hash, but its own methods refuse it
+        with pytest.raises(CharacterFormatError, match="exponent of weight for key '1-2'"):
+            character_from_json_dict({"n": 2, "weights": {"1-2": Shouted("1")}})
+        chi = character_from_json_dict({"n": 3, "weights": {"1-2": 1, "1-3": "1", "2-3": -2}})
+        assert chi.support == {(1, 2): 1, (1, 3): 1, (2, 3): -2}
+        assert all(type(v) is Fraction for v in chi.support.values())
+        assert list(memo) == ["1"] and all(type(k) is str for k in memo)
+
+    def test_the_memo_stays_at_its_bound(self, memo):
+        size = characters._WEIGHT_MEMO_SIZE
+        for k in range(size + 20):
+            chi = character_from_json_dict({"n": 2, "weights": {"1-2": f"{k}/7"}})
+            assert chi.weight(1, 2) == Fraction(k, 7)
+            assert len(memo) == min(k + 1, size)
+        assert f"{size}/7" not in memo and f"{size - 1}/7" in memo
+
+    def test_a_long_spelling_or_an_exponent_is_parsed_but_not_kept(self, memo):
+        limit = characters._WEIGHT_MEMO_LENGTH
+        kept, long, exponent = "1" * limit, "1" * (limit + 1), "1e30"
+        weights = {"1-2": kept, "1-3": long, "2-3": exponent}
+        chi = character_from_json_dict({"n": 3, "weights": weights})
+        assert chi.support == {(1, 2): int(kept), (1, 3): int(long), (2, 3): 10**30}
+        assert list(memo) == [kept]
+
+    def test_the_full_memo_is_within_its_stated_worst_case(self, memo):
+        # distinct spellings of four-byte digits, with about as many digits in
+        # their values as characters: first some too long to keep, then twice
+        # as many as the memo keeps of the longest kept; the module
+        # docstring's bound also counts a cached UTF-8 copy of each spelling,
+        # which none has here
+        digits = str.maketrans("0123456789", "".join(chr(0x1D7F6 + d) for d in range(10)))
+        size, limit = characters._WEIGHT_MEMO_SIZE, characters._WEIGHT_MEMO_LENGTH
+        for length, count in ((3 * limit, size), (limit, 2 * size)):
+            for k in range(count):
+                text = "9" * (length - 20) + f"{k:04d}" + "." + "9" * 15
+                spelling = text.translate(digits)
+                character_from_json_dict({"n": 2, "weights": {"1-2": spelling}})
+        assert len(memo) == size and all(len(key) == limit for key in memo)
+        held = sys.getsizeof(memo) + sum(
+            sys.getsizeof(key) + sys.getsizeof(entry) + sys.getsizeof(entry[0])
+            + sys.getsizeof(entry[0].numerator) + sys.getsizeof(entry[0].denominator)
+            for key, entry in memo.items()
+        )
+        assert held <= 566_408  # the module docstring's bound, under 1 MB

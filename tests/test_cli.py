@@ -307,6 +307,27 @@ def test_classify_leaves_out_argparse_and_the_identity_suite(chi0_file):
     assert proc.stderr == "0 []\n"
 
 
+def test_python_m_loads_cli_once():
+    # ``python -m braidsigma.cli`` runs cli as __main__; a command that loads
+    # ``commands`` must not import it again as braidsigma.cli
+    code = (
+        "import runpy, sys\n"
+        "codes = []\n"
+        "for argv in (['oracle'], ['-h']):\n"
+        "    sys.argv[1:] = argv\n"
+        "    try:\n"
+        "        runpy.run_module('braidsigma.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(codes, 'braidsigma.cli' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = run_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[0, 0] False\n"
+    assert proc.stdout.startswith("star-or-small at every n")
+    assert "usage: braidsigma [-h]" in proc.stdout
+
+
 def test_closed_stdin_is_an_input_error():
     # the child starts with no file descriptor 0, so sys.stdin is None
     script = '"$0" -m braidsigma.cli classify --in - <&-'

@@ -455,7 +455,7 @@ class TestDomination:
         for lemma in LEMMAS:
             j_sets, i_sets, _ = lemma.witness(n)
             facts = lemma.witness(n)[2]
-            assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts) == (True, (), (), True, True)
+            assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts) == (True, (), (), True)
 
     def test_each_member_is_sorted_once_per_shape(self, monkeypatch):
         # I is split into its pairs and its other members once, for both
@@ -619,9 +619,9 @@ def survival_reference(pkg, chi):
 def fresh_report(pkg, chi):
     """The report with every check run afresh, past the cache."""
     checks = _shape_checks.__wrapped__(chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
-    connected, uncovered, ungenerated, abelian, table = checks
+    connected, uncovered, ungenerated, table = checks
     survival = survival_reference(pkg, chi)
-    return WitnessReport(survival, connected, list(uncovered), list(ungenerated), abelian, table)
+    return WitnessReport(survival, connected, list(uncovered), list(ungenerated), table)
 
 
 def sparse_character(rng, n):
@@ -726,7 +726,7 @@ class TestShapeCache:
             for p in (pkg, copy, tampered, refactored, pkg):
                 assert verify_witness(p, chi) == fresh_report(p, chi)
             assert verify_witness(copy, chi).ok and not verify_witness(tampered, chi).ok
-            assert not verify_witness(refactored, chi).abelian_factorizations
+            assert not verify_witness(refactored, chi).table_factorizations
 
     def test_packages_from_outside_keep_the_caches_bounded(self):
         chi = sparse(6, {(1, 2): 2, (2, 3): 1})
