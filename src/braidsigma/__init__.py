@@ -3,6 +3,7 @@
 from .characters import (
     Character,
     CharacterFormatError,
+    InputError,
     InternalError,
     ZeroCharacterError,
     character_from_json,
@@ -18,6 +19,7 @@ from .witness import build_witness_for, verify_witness
 __all__ = [
     "Character",
     "CharacterFormatError",
+    "InputError",
     "ZeroCharacterError",
     "CircleId",
     "Classification",

@@ -31,6 +31,7 @@ constructor's check of them.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -43,11 +44,16 @@ Edge = tuple[int, int]
 SwingSet = tuple[int, ...]
 
 
-class ZeroCharacterError(ValueError):
+class InputError(ValueError):
+    """Input the package refuses: a malformed, unreadable or zero
+    character, or a command-line argument out of range or unknown."""
+
+
+class ZeroCharacterError(InputError):
     """Raised when an operation requires a nonzero character."""
 
 
-class CharacterFormatError(ValueError):
+class CharacterFormatError(InputError):
     """Raised for malformed character data (constructor input or JSON)."""
 
 
@@ -76,8 +82,11 @@ def _canonical_keys(n: int) -> dict[str, Edge]:
 
 
 def swing_set(members: Iterable[int], n: int) -> SwingSet:
-    """Validate and normalize a swing index set: distinct, in range, size >= 2."""
+    """Validate and normalize a swing index set: int strands (bools
+    refused), distinct, in range, size >= 2."""
     a = tuple(sorted(members))
+    if not {int}.issuperset(map(type, a)):  # a bool or a float compares equal to an int
+        raise ValueError(f"swing set strands must be ints, got {a}")
     if len(a) < 2:
         raise ValueError(f"swing set needs at least 2 indices, got {a}")
     if len(set(a)) != len(a):
@@ -312,6 +321,29 @@ def character_from_json_dict(data: dict) -> Character:
 def character_from_json(text: str) -> Character:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # a ValueError is also an int past Python's digit limit; RecursionError, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise CharacterFormatError(f"invalid JSON: {exc}") from exc
     return character_from_json_dict(data)
+
+
+def read_character(path: str) -> Character:
+    """The character in the JSON file ``path``, or on standard input for
+    ``-``, decoded as UTF-8 (RFC 8259) whatever the locale.  A file or
+    stream that cannot be read is a CharacterFormatError too."""
+    try:
+        if path == "-":
+            if sys.stdin is None:  # the process started with no file descriptor 0
+                raise CharacterFormatError("cannot read -: standard input is closed")
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as f:
+                data = f.read()
+        text = data.decode("utf-8")
+    except FileNotFoundError:
+        raise CharacterFormatError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise CharacterFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CharacterFormatError(f"{path} is not UTF-8 text") from None
+    return character_from_json(text)

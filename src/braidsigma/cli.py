@@ -11,11 +11,14 @@ broken invariant of the package, such as a certificate that fails the
 check ``classify`` runs before printing it, or any other fault, to be
 reported as a bug).
 
-The arguments are read from one table, COMMANDS, which also gives the
-``-h``/``--help`` text; a usage error prints one ``error:`` line and exits
-2.  ``--in`` is decoded as UTF-8 (RFC 8259) whatever the locale.  This
-module holds only what ``classify`` runs; the other handlers and the help
-text are in ``commands``, which is imported only when they are needed.
+``main`` alone turns an outcome into an exit code.  A command returns
+True, or False when a verification fails; an ``InputError``, raised where
+it is found (by the argument reader, ``read_character`` or a command), is
+printed as one ``error:`` line.  ``-h`` is an outcome too: ``_help``
+prints the help.  The arguments are read from one table, COMMANDS, which
+also gives the help text.  This module holds only what ``classify`` runs;
+``commands``, which never imports it, holds the rest and is imported only
+when it is needed.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ import sys
 from collections.abc import Callable
 from types import SimpleNamespace
 
-from .characters import (
-    CharacterFormatError,
-    InternalError,
-    ZeroCharacterError,
-    character_from_json,
-)
+from .characters import InputError, InternalError, read_character
 from .classify import classification_to_json_dict, classify, verify_certificate
 from .witness import build_witness_for, verify_witness, witness_to_json_dict
 
@@ -40,37 +38,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-def _input_error(reason: str):
-    """Print one ``error:`` line and exit 2; never returns."""
-    print(f"error: {reason}", file=sys.stderr)
-    raise SystemExit(EXIT_INPUT_ERROR)
-
-
-def _read_input(path: str) -> str:
-    if path == "-":
-        if sys.stdin is None:  # the process started with no file descriptor 0
-            _input_error("cannot read -: standard input is closed")
-        return sys.stdin.buffer.read().decode("utf-8")
-    with open(path, "rb") as f:
-        return f.read().decode("utf-8")
-
-
-def _load_character(path: str):
-    try:
-        return character_from_json(_read_input(path))
-    except CharacterFormatError as exc:
-        reason = str(exc)
-    except FileNotFoundError:
-        reason = f"no such file: {path}"
-    except OSError as exc:
-        reason = f"cannot read {path}: {exc.strerror}"
-    except UnicodeDecodeError:
-        reason = f"{path} is not UTF-8 text"
-    _input_error(reason)
-
-
-def cmd_classify(args: SimpleNamespace) -> int:
-    chi = _load_character(args.infile)
+def cmd_classify(args: SimpleNamespace) -> bool:
+    chi = read_character(args.infile)
     cls = classify(chi)
     if not verify_certificate(cls, chi):
         raise InternalError(f"the {cls.certificate.kind} certificate fails its check")
@@ -82,19 +51,18 @@ def cmd_classify(args: SimpleNamespace) -> int:
         if failures := report.failures():
             for line in failures:
                 print(f"error: witness: {line}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+            return False
     print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK
+    return True
 
 
-def _deferred(name: str) -> Callable[[SimpleNamespace], int]:
-    """The handler ``name`` of ``commands``, imported when it first runs and
-    given this module's names, which ``commands`` never imports."""
+def _deferred(name: str) -> Callable[[SimpleNamespace], bool]:
+    """The handler ``name`` of ``commands``, imported when it first runs."""
 
-    def handler(args: SimpleNamespace) -> int:
+    def handler(args: SimpleNamespace) -> bool:
         from . import commands
 
-        return getattr(commands, name)(args, SimpleNamespace(**globals()))
+        return getattr(commands, name)(args)
 
     return handler
 
@@ -133,24 +101,24 @@ COMMANDS = {
 }
 
 
-def _help(name: str | None):
-    """Print the ``-h`` text of ``name`` (None for the program) and exit 0."""
+def _help(args: SimpleNamespace) -> bool:
+    """Print the ``-h`` text of ``args.command`` (None for the program)."""
     from .commands import help_text
 
-    print(help_text(name, COMMANDS))
-    raise SystemExit(EXIT_OK)
+    print(help_text(args.command, COMMANDS))
+    return True
 
 
-def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
-    """The handler that ``argv`` names and its arguments, read from COMMANDS.
-    ``-h`` prints help and exits 0; a usage error exits 2."""
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], bool], SimpleNamespace]:
+    """The handler that ``argv`` names and its arguments, read from COMMANDS;
+    ``_help`` for ``-h``.  A usage error raises InputError."""
     if not argv:
-        _input_error(f"the following arguments are required: command ({', '.join(COMMANDS)})")
+        raise InputError(f"the following arguments are required: command ({', '.join(COMMANDS)})")
     name, tokens = argv[0], iter(argv[1:])
     if name in HELP_FLAGS:
-        _help(None)
+        return _help, SimpleNamespace(command=None)
     if name not in COMMANDS:
-        _input_error(f"invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
+        raise InputError(f"invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
     handler, _, options, switches = COMMANDS[name]
     takes = {flag: (attr, convert) for flag, attr, convert, _, _ in options}
     sets = {flag: attr for flag, attr, _ in switches}
@@ -160,7 +128,7 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNam
     unknown = []
     for token in tokens:
         if token in HELP_FLAGS:
-            _help(name)
+            return _help, SimpleNamespace(command=name)
         flag, eq, value = token.partition("=")
         if token in sets:
             setattr(args, sets[token], True)
@@ -169,34 +137,36 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNam
             if not eq:
                 value = next(tokens, None)
                 if value is None or value.startswith("--"):
-                    _input_error(f"argument {flag}: expected one argument")
+                    raise InputError(f"argument {flag}: expected one argument")
             try:
                 setattr(args, attr, convert(value))
             except ValueError:
-                _input_error(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+                raise InputError(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
         else:
             unknown.append(token)
     missing = [flag for flag, attr, _, req, _ in options if req and getattr(args, attr) is None]
     if missing:
-        _input_error(f"the following arguments are required: {', '.join(missing)}")
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
     if unknown:
-        _input_error(f"unrecognized arguments: {' '.join(unknown)}")
+        raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
     return handler, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    """Run the command that ``argv`` names; return its exit code."""
     try:
-        return handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        ok = handler(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    except (CharacterFormatError, ZeroCharacterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """The commands other than ``classify``: ``circles``, ``graph``, ``verify``
 and ``oracle``, with the ``-h`` text of every command and what only these
 commands use.  ``cli`` imports this module when one of them runs or help
-is asked for, so a ``classify`` process never compiles it.  This module
-never imports ``cli``: under ``python -m braidsigma.cli`` that would load
-a second copy of it.  Each handler is given ``cli``'s names instead, and
-the help text its table.
+is asked for, so a ``classify`` process never compiles it.  Each handler
+takes the parsed arguments, raises InputError for input it refuses and
+returns False when a check fails, True otherwise; ``cli.main`` turns that
+into the exit code.
 
 ``circles`` writes its JSON list one circle at a time and refuses any n
 with more than MAX_CIRCLES = 10**6 circles, C(n,3) + C(n,4), so n <= 70.
@@ -18,18 +18,13 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import Edge
+from .characters import Edge, InputError, read_character
 from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
 from .classify import RECOVERY_FACTORIZATIONS
 
 MAX_CIRCLES = 10**6
 CIRCLES_PER_WRITE = 4096
-
-
-def _refused(cli: SimpleNamespace, reason: str) -> int:
-    print(f"error: {reason}", file=sys.stderr)
-    return cli.EXIT_INPUT_ERROR
 
 
 def enumerate_circles(n: int) -> list[CircleId]:
@@ -43,13 +38,13 @@ def enumerate_circles(n: int) -> list[CircleId]:
     ]
 
 
-def cmd_circles(args: SimpleNamespace, cli: SimpleNamespace) -> int:
+def cmd_circles(args: SimpleNamespace) -> bool:
     n = args.n
     if n < 2:
-        return _refused(cli, f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     count = comb(n, 3) + comb(n, 4)
     if count > MAX_CIRCLES:
-        return _refused(cli, f"n = {n} gives {count} circles, more than the {MAX_CIRCLES} allowed")
+        raise InputError(f"n = {n} gives {count} circles, more than the {MAX_CIRCLES} allowed")
     # the bytes of json.dumps(enumerate_circles(n)) plus a newline, without
     # holding the list: each circle is formatted from its strands, in the
     # order of enumerate_circles, and written CIRCLES_PER_WRITE at a time
@@ -63,7 +58,7 @@ def cmd_circles(args: SimpleNamespace, cli: SimpleNamespace) -> int:
             write(sep + chunk)
             sep = ", "
     write("]\n")
-    return cli.EXIT_OK
+    return True
 
 
 def to_dot(g: CharGraph) -> str:
@@ -79,21 +74,21 @@ def to_dot(g: CharGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_graph(args: SimpleNamespace, cli: SimpleNamespace) -> int:
-    chi = cli._load_character(args.infile)
+def cmd_graph(args: SimpleNamespace) -> bool:
+    chi = read_character(args.infile)
     dot = to_dot(build_kchi(chi))
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as f:
                 f.write(dot)
         except OSError as exc:
-            return _refused(cli, f"cannot write {args.dot}: {exc.strerror}")
+            raise InputError(f"cannot write {args.dot}: {exc.strerror}") from None
     else:
         print(dot, end="")
-    return cli.EXIT_OK
+    return True
 
 
-def cmd_verify(args: SimpleNamespace, cli: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> bool:
     """The word-engine identity suite, one line per identity.  Its last
     lines prove the four recovery factorizations of the lemma table for
     every n, so witness verification need not check them again.  Each lies
@@ -123,11 +118,9 @@ def cmd_verify(args: SimpleNamespace, cli: SimpleNamespace) -> int:
         for fact in facts:
             checks.append((f"recovery factorization {fact.added}", factorization_holds(fact, 5)))
     width = max(len(name) for name, _ in checks)
-    failed = False
     for name, ok in checks:
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return cli.EXIT_VERIFY_FAILED if failed else cli.EXIT_OK
+    return all(ok for _, ok in checks)
 
 
 def oracle_star_or_small() -> list[tuple[Edge, ...]]:
@@ -154,7 +147,7 @@ def oracle_star_or_small() -> list[tuple[Edge, ...]]:
     return counterexamples
 
 
-def cmd_oracle(args: SimpleNamespace, cli: SimpleNamespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> bool:
     counterexamples = oracle_star_or_small()
     print(
         "star-or-small at every n, from all sets of at most 5 edges on 7 "
@@ -162,8 +155,7 @@ def cmd_oracle(args: SimpleNamespace, cli: SimpleNamespace) -> int:
     )
     if counterexamples:
         print(json.dumps(counterexamples[:20]))
-        return cli.EXIT_VERIFY_FAILED
-    return cli.EXIT_OK
+    return not counterexamples
 
 
 def help_text(name: str | None, table: dict) -> str:

@@ -246,6 +246,14 @@ class TestSwingSet:
         with pytest.raises(IndexError):
             swing_set([1, 9], 5)
 
+    @pytest.mark.parametrize(
+        "members", [(1.0, 2.0, 3.0, 4.0), (True, 2.0, 3, 4), (1, 2.0), (True, 2)]
+    )
+    def test_strands_that_are_not_ints_are_refused(self, members):
+        # 1.0 == 1 and True == 1, so range and distinctness alone pass them
+        with pytest.raises(ValueError, match="strands must be ints"):
+            swing_set(members, 4)
+
 
 class TestJson:
     def test_round_trip(self, chi0):
@@ -403,12 +411,29 @@ def test_too_many_digits_is_a_bad_rational(digits, tmp_path, capsys):
     assert str(exc.value) == f"bad rational {digits!r} for key '1-2'"
     path = tmp_path / "digits.json"
     path.write_text(text)
-    with pytest.raises(SystemExit) as code:
-        main(["classify", "--in", str(path)])
-    assert code.value.code == EXIT_INPUT_ERROR
+    assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad rational {digits!r} for key '1-2'\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 2, "weights": {"1-2": %s}}', '{"n": %s, "weights": {}}', "%s"],
+    ids=["weight", "n", "document"],
+)
+def test_json_integer_of_too_many_digits_is_invalid_json(text, tmp_path, capsys):
+    # json.loads refuses it with a ValueError that is not a decode error;
+    # it is input, exit 2, not an internal error
+    text = text % ("7" * 5000)
+    with pytest.raises(CharacterFormatError, match="^invalid JSON: .*4300 digits"):
+        character_from_json(text)
+    path = tmp_path / "digits.json"
+    path.write_text(text)
+    assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: ") and captured.err.count("\n") == 1
 
 
 @settings(derandomize=True, max_examples=250, deadline=None)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import braidsigma
 from braidsigma import cli, commands, planar, witness
@@ -106,43 +110,31 @@ class TestClassify:
     def test_missing_key_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 3, "weights": {"1-2": "1", "1-3": "1"}}))
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--in", str(path)])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
         assert "2-3" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--in", str(path)])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
 
     def test_missing_file(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--in", str(tmp_path / "absent.json")])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["classify", "--in", str(tmp_path / "absent.json")]) == EXIT_INPUT_ERROR
 
     def test_directory_is_input_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--in", str(tmp_path)])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["classify", "--in", str(tmp_path)]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read") and err.count("\n") == 1
 
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"n": 2, "weights": {"1-2": "\xff"}}')
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--in", str(path)])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
 
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--in", str(path)])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
 
     def test_zero_character_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
@@ -337,6 +329,94 @@ def test_closed_stdin_is_an_input_error():
     assert proc.stderr == "error: cannot read -: standard input is closed\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["graph", "--in", "{tmp}/absent.json"], "no such file: {tmp}/absent.json"),
+        (["graph", "--in", "{tmp}"], "cannot read {tmp}: Is a directory"),
+        (
+            ["graph", "--in", "{chi}", "--dot", "{tmp}/absent/x.dot"],
+            "cannot write {tmp}/absent/x.dot: No such file or directory",
+        ),
+        (["circles", "--n", "1"], "need n >= 2, got 1"),
+    ],
+    ids=["missing-in", "directory-in", "dot-in-missing-directory", "circles-n-1"],
+)
+def test_graph_and_circles_input_errors_in_a_child(args, message, chi0_file, tmp_path):
+    def fill(text):
+        return text.replace("{tmp}", str(tmp_path)).replace("{chi}", chi0_file)
+
+    proc = run_child(["-m", "braidsigma.cli", *map(fill, args)])
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, ""), proc.stderr
+    assert proc.stderr == f"error: {fill(message)}\n"
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+VALID_WEIGHTS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"]) | st.integers(-2, 2)
+
+
+@st.composite
+def near_characters(draw):
+    """A character's JSON at n = 2..6, perhaps spoiled in one place: a
+    weight, n, a key dropped or a key added."""
+    n = draw(st.integers(2, 6))
+    pairs = [f"{i}-{j}" for i in range(1, n) for j in range(i + 1, n + 1)]
+    weights = {key: draw(VALID_WEIGHTS) for key in pairs}
+    data = {"n": n, "weights": weights}
+    spoil = draw(st.sampled_from([None, None, "weight", "n", "drop", "add"]))
+    if spoil == "weight":
+        weights[draw(st.sampled_from(pairs))] = draw(JSON_SCALARS)
+    elif spoil == "n":
+        data["n"] = draw(JSON_SCALARS)
+    elif spoil == "drop":
+        del weights[draw(st.sampled_from(pairs))]
+    elif spoil == "add":
+        weights[draw(st.text(max_size=4))] = draw(VALID_WEIGHTS)
+    return data
+
+
+def json_bytes(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        JSON_VALUES.map(json_bytes),
+        near_characters().map(json_bytes),
+    )
+)
+@example(b'{"n": 2, "weights": {"1-2": ' + b"7" * 5000 + b"}}")
+@example(b"\xff")
+def test_any_file_exits_0_or_2(tmp_path, data):
+    # whatever the file holds, the answer is a result or one error line:
+    # never an internal error (3), never an exception out of main
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    for argv in (["classify", "--witness", "--in", str(path)], ["graph", "--in", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INPUT_ERROR), (argv, data, err.getvalue())
+        if code == EXIT_OK:
+            assert err.getvalue() == ""
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 # a UTF-8 file whose one non-ASCII weight is ARABIC-INDIC DIGIT ONE
 ARABIC_ONE_JSON = '{"n": 3, "weights": {"1-2": "\u0661", "1-3": "1", "2-3": "-2"}}'
 
@@ -527,9 +607,7 @@ class TestOracle:
         assert ": 0 counterexamples" in capsys.readouterr().out
 
     def test_takes_no_options(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "--max-vertices", "7"])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main(["oracle", "--max-vertices", "7"]) == EXIT_INPUT_ERROR
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -631,9 +709,7 @@ class TestParser:
         ],
     )
     def test_usage_error(self, argv, words, chi0_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([a.replace("{chi}", chi0_file) for a in argv])
-        assert exc.value.code == EXIT_INPUT_ERROR
+        assert main([a.replace("{chi}", chi0_file) for a in argv]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -673,7 +749,7 @@ class TestParser:
         def recording(name):
             def handler(args):
                 seen[name] = vars(args)
-                return EXIT_OK
+                return True
 
             return handler
 
@@ -690,16 +766,12 @@ class TestParser:
 
     @pytest.mark.parametrize("name", list(HELP_TEXTS))
     def test_help_text_is_unchanged(self, name, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["-h"] if name is None else [name, "-h"])
-        assert exc.value.code == EXIT_OK
+        assert main(["-h"] if name is None else [name, "-h"]) == EXIT_OK
         assert capsys.readouterr() == (HELP_TEXTS[name], "")
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help(self, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([flag])
-        assert exc.value.code == EXIT_OK
+        assert main([flag]) == EXIT_OK
         top = capsys.readouterr().out
         usage = top.splitlines()[0]
         assert usage.startswith("usage: braidsigma")
@@ -707,9 +779,7 @@ class TestParser:
         for name, (_, about, options, switches) in cli.COMMANDS.items():
             # help wins wherever it stands, as with argparse
             for argv in ([name, flag], [name, "--bogus", flag]):
-                with pytest.raises(SystemExit) as exc:
-                    main(argv)
-                assert exc.value.code == EXIT_OK
+                assert main(argv) == EXIT_OK
                 text = capsys.readouterr().out
                 assert text.startswith(f"usage: braidsigma {name} [-h]") and about in text
                 assert all(option[0] in text for option in options + switches)

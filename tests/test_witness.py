@@ -152,6 +152,15 @@ class TestVerifyWitness:
         assert report.survival_failures == [(1, 3)]
         assert not report.ok
 
+    @pytest.mark.parametrize("j_sets", [((1.0, 2.0, 3.0, 4.0),), ((True, 2.0, 3, 4),)])
+    def test_strands_that_are_not_ints_are_refused(self, chi0, j_sets):
+        # chi0 is zero_sum at n = 4; a J member of all four strands spelled
+        # as floats or a bool once passed every condition
+        pkg = build_witness_for(classify(chi0), chi0)
+        assert pkg.j_sets == ((1, 2, 3, 4),) and verify_witness(pkg, chi0).ok
+        with pytest.raises(ValueError, match="strands must be ints"):
+            verify_witness(pkg._replace(j_sets=j_sets), chi0)
+
     @pytest.mark.parametrize("degenerate", [(3, 3), (1, 9), (0, 2)])
     def test_degenerate_members_add_nothing_to_the_rank(self, degenerate):
         chi = sparse(4, {(1, 2): 1, (3, 4): 2})
