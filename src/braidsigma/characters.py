@@ -327,10 +327,10 @@ def character_from_json(text: str) -> Character:
     return character_from_json_dict(data)
 
 
-def read_character(path: str) -> Character:
-    """The character in the JSON file ``path``, or on standard input for
-    ``-``, decoded as UTF-8 (RFC 8259) whatever the locale.  A file or
-    stream that cannot be read is a CharacterFormatError too."""
+def read_text(path: str) -> str:
+    """The text of the file ``path``, or of standard input for ``-``,
+    decoded as UTF-8 (RFC 8259) whatever the locale.  A file or stream
+    that cannot be read is a CharacterFormatError."""
     try:
         if path == "-":
             if sys.stdin is None:  # the process started with no file descriptor 0
@@ -339,11 +339,10 @@ def read_character(path: str) -> Character:
         else:
             with open(path, "rb") as f:
                 data = f.read()
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except FileNotFoundError:
         raise CharacterFormatError(f"no such file: {path}") from None
     except OSError as exc:
         raise CharacterFormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise CharacterFormatError(f"{path} is not UTF-8 text") from None
-    return character_from_json(text)

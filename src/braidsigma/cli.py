@@ -13,12 +13,12 @@ reported as a bug).
 
 ``main`` alone turns an outcome into an exit code.  A command returns
 True, or False when a verification fails; an ``InputError``, raised where
-it is found (by the argument reader, ``read_character`` or a command), is
-printed as one ``error:`` line.  ``-h`` is an outcome too: ``_help``
-prints the help.  The arguments are read from one table, COMMANDS, which
-also gives the help text.  This module holds only what ``classify`` runs;
-``commands``, which never imports it, holds the rest and is imported only
-when it is needed.
+it is found (by the argument reader, ``read_text``, the JSON parser or a
+command), is printed as one ``error:`` line.  ``-h`` is an outcome too:
+``_help`` prints the help.  The arguments are read from one table,
+COMMANDS, which also gives the help text.  This module holds only what
+``classify`` runs; ``commands``, which never imports it, holds the rest and
+is imported only when it is needed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 from collections.abc import Callable
 from types import SimpleNamespace
 
-from .characters import InputError, InternalError, read_character
+from .characters import InputError, InternalError, character_from_json, read_text
 from .classify import classification_to_json_dict, classify, verify_certificate
 from .witness import build_witness_for, verify_witness, witness_to_json_dict
 
@@ -39,7 +39,7 @@ EXIT_INTERNAL_ERROR = 3
 
 
 def cmd_classify(args: SimpleNamespace) -> bool:
-    chi = read_character(args.infile)
+    chi = character_from_json(read_text(args.infile))
     cls = classify(chi)
     if not verify_certificate(cls, chi):
         raise InternalError(f"the {cls.certificate.kind} certificate fails its check")

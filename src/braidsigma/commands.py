@@ -18,7 +18,7 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import Edge, InputError, read_character
+from .characters import Edge, InputError, character_from_json, read_text
 from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
 from .classify import RECOVERY_FACTORIZATIONS
@@ -75,7 +75,7 @@ def to_dot(g: CharGraph) -> str:
 
 
 def cmd_graph(args: SimpleNamespace) -> bool:
-    chi = read_character(args.infile)
+    chi = character_from_json(read_text(args.infile))
     dot = to_dot(build_kchi(chi))
     if args.dot:
         try:

@@ -357,8 +357,11 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
 
 
 def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
-    """Check all four conditions of the connectivity-and-domination lemma;
-    failures are reported, never raised."""
+    """Check all four conditions of the connectivity-and-domination lemma.
+    A malformed package raises: ValueError for a perm that is not a
+    bijection on 1..n or a member of J that is not a swing set of int
+    strands, IndexError for a member of J out of range.  The conditions
+    that a well-formed package fails are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
     connected, uncovered, ungenerated, table_ok = _shape_checks(
         chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations

@@ -153,6 +153,18 @@ class TestClassify:
         assert main(["classify", "--in", chi0_file]) == EXIT_INTERNAL_ERROR
         assert "internal error: broken invariant" in capsys.readouterr().err
 
+    def test_parses_through_the_names_cli_imports(self, chi0_file, capsys, monkeypatch):
+        # a tracer rebinds these names of cli to see each stage of classify
+        calls = []
+        for name in ("character_from_json", "classify", "verify_witness"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+            )
+        assert main(["classify", "--witness", "--in", chi0_file]) == EXIT_OK
+        assert calls == ["character_from_json", "classify", "verify_witness"]
+        capsys.readouterr()
+
     def test_other_fault_is_not_an_input_error(self, chi0_file, capsys, monkeypatch):
         def broken(chi):
             raise ValueError("a fault inside a stage")
