@@ -17,10 +17,11 @@ reported failure.
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them and the factorizations (C(J) connectivity,
-domination, generation and the factorizations) runs once per shape in
-one cache, ``_shape_checks``.  It is keyed by value, so a package that
-differs from its shape's own in any member is checked in full, and
-bounded, so packages from outside cannot grow it without limit.
+domination, generation and the factorizations) runs once per (lemma, n)
+in ``_lemma_shape``, the one cache here, and travels with the package
+``build_witness_for`` makes, outside its fields.  Any other package
+(from ``WitnessPackage``, ``_replace`` or JSON) is checked in full on
+every call, so no package from outside reaches the cache.
 
 Each of those checks costs about one pass over I, whose members are
 almost all pairs of strands.  A pair {a, b} commutes with a swing set S
@@ -181,15 +182,6 @@ def _is_pair(a: Sequence, n: int) -> bool:
     return len(a) == 2 and type(a[0]) is int is type(a[1]) and 0 < a[0] < a[1] <= n
 
 
-def _swing_set_of(a: Sequence, n: int) -> SwingSet | None:
-    """``a`` sorted, if it is a swing set of 1..n (at least two distinct
-    integer strands in range), else None."""
-    if len(a) < 2 or not all(type(v) is int for v in a):
-        return None
-    s = tuple(sorted(set(a)))
-    return s if len(s) == len(a) and 1 <= s[0] and s[-1] <= n else None
-
-
 Members = tuple[list, list]
 
 
@@ -213,9 +205,9 @@ def dominates(
     J dominates I exactly when the list is empty.  A pair of 1..n is tested
     against each swing set S of J by the lookups of the module docstring:
     ``inside`` marks S's strands and ``before[x]`` counts those <= x.
+    Every member of J must be a swing set of 1..n, as survival, which
+    ``verify_witness`` runs first, proves of a package's J.
     ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
-    if any(_swing_set_of(j, n) is None for j in j_sets):
-        return [i for i in i_sets if not any(commutes_predicate(i, j) for j in j_sets)]
     pairs, others = members or _split_members(i_sets, n)
     for j in j_sets:
         size, inside = len(j), [0] * (n + 1)
@@ -240,14 +232,16 @@ def dominates(
 
 def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
     """Instantiate the (J, I, factorizations) data of the proof backing the
-    classification's certificate, in its normal-form coordinates."""
+    classification's certificate, in its normal-form coordinates, at the n
+    of its perm, with the shape's checks outside the package's fields."""
     cert = cls.certificate
-    j_sets, i_sets, factorizations = _lemma_sets(type(cert), chi.n)
-    return WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
+    (j_sets, i_sets, factorizations), checks = _lemma_shape(type(cert), cls.n)
+    pkg = WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
+    pkg.__dict__["_checks"] = checks
+    return pkg
 
 
-# entries of each cache here: far more than the (lemma, n) shapes a run
-# meets, and a bound on what packages from outside can add
+# entries of the shape cache: far more than the (lemma, n) shapes a run meets
 _SHAPE_CACHE_SIZE = 256
 
 # the only factorizations a package may carry: each holds in every P_n
@@ -256,11 +250,10 @@ _TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() f
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _lemma_sets(lemma: type, n: int) -> WitnessData:
-    """A lemma's (J, I, factorizations) at n, built once per shape, like
-    the shape cache below that it feeds; that one is keyed by value, so a
-    package rebuilt after an eviction still finds its checks."""
-    return lemma.witness(n)
+def _lemma_shape(lemma: type, n: int) -> tuple[WitnessData, tuple]:
+    """A lemma's (J, I, factorizations) at n and their ``_shape_checks``."""
+    data = lemma.witness(n)
+    return data, _shape_checks(n, *data)
 
 
 # -- verification ----------------------------------------------------------
@@ -280,14 +273,20 @@ def _ungenerated(
     as sorted swing sets of 1..n; any other member gives nothing.
     ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
 
+    def swing_set_of(a: Sequence) -> SwingSet | None:
+        try:
+            return swing_set(a, n)
+        except (ValueError, IndexError, TypeError):  # TypeError: strands that do not sort
+            return None
+
     def swing(a: Sequence) -> SwingSet | None:
-        return a if _is_pair(a, n) else _swing_set_of(a, n)
+        return a if _is_pair(a, n) else swing_set_of(a)
 
     pair_members, other_members = members or _split_members(i_sets, n)
     pairs: set[Edge] = set(pair_members)  # the members of I: its pairs, its other swing sets
     others: set[SwingSet] = set()
     for a in other_members:
-        if (s := _swing_set_of(a, n)) is not None:
+        if (s := swing_set_of(a)) is not None:
             (pairs if len(s) == 2 else others).add(s)
     recovered: set[Edge] = set()
     for fact in factorizations:
@@ -308,17 +307,15 @@ def _ungenerated(
     return [p for p in everything if p not in pairs and p not in recovered]
 
 
-@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape_checks(
     n: int,
     j_sets: tuple[SwingSet, ...],
     i_sets: tuple[SwingSet, ...],
     factorizations: tuple[Factorization, ...],
 ) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool]:
-    """Character-independent part of witness verification, cached per shape:
-    (C(J) connected, the elements of I that J does not dominate, the pairs
-    that I does not give, every factorization one of the lemma table's on
-    strands 1..n)."""
+    """The checks that read no character: (C(J) connected, the members of
+    I that J does not dominate, the pairs that I does not give, every
+    factorization one of the lemma table's on strands 1..n)."""
     connected = is_connected(commuting_graph(j_sets))
     members = _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
@@ -357,16 +354,18 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
 
 
 def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
-    """Check all four conditions of the connectivity-and-domination lemma.
+    """Check all four conditions of the connectivity-and-domination lemma;
+    only a package from ``build_witness_for`` brings its shape's checks.
     A malformed package raises: ValueError for a perm that is not a
     bijection on 1..n or a member of J that is not a swing set of int
     strands, IndexError for a member of J out of range.  The conditions
     that a well-formed package fails are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
-    connected, uncovered, ungenerated, table_ok = _shape_checks(
+    # survival proved len(perm) == chi.n, the n a built package's checks ran at
+    connected, uncovered, ungenerated, table_ok = pkg.__dict__.get("_checks") or _shape_checks(
         chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations
     )
-    # the cached tuples are shared, so each report gets its own lists
+    # the carried tuples are shared, so each report gets its own lists
     return WitnessReport(survival_failures, connected, list(uncovered), list(ungenerated), table_ok)
 
 

@@ -176,13 +176,14 @@ class TestClassify:
 
     def test_failed_witness_names_its_conditions(self, chi0_file, capsys, monkeypatch):
         # chi0 is zero_sum at n = 4: J is all four strands, I every pair
-        lemma_sets = witness._lemma_sets
+        lemma_shape = witness._lemma_shape
 
         def dropping(lemma, n, drop=((1, 2),), j_sets=None):
-            j, i, f = lemma_sets(lemma, n)
-            return j_sets or j, tuple(a for a in i if a not in drop), f
+            (j, i, f), _ = lemma_shape(lemma, n)
+            data = j_sets or j, tuple(a for a in i if a not in drop), f
+            return data, witness._shape_checks(n, *data)
 
-        monkeypatch.setattr(witness, "_lemma_sets", dropping)
+        monkeypatch.setattr(witness, "_lemma_shape", dropping)
         assert main(["classify", "--in", chi0_file, "--witness"]) == EXIT_VERIFY_FAILED
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -191,7 +192,7 @@ class TestClassify:
         # chi0 has no weight on (2, 4); (1, 3) and (2, 4) cross, so C(J) has
         # no edge, and J dominates none of the pairs that meet both
         monkeypatch.setattr(
-            witness, "_lemma_sets", lambda lemma, n: dropping(lemma, n, [], ((1, 3), (2, 4)))
+            witness, "_lemma_shape", lambda lemma, n: dropping(lemma, n, [], ((1, 3), (2, 4)))
         )
         assert main(["classify", "--in", chi0_file, "--witness"]) == EXIT_VERIFY_FAILED
         captured = capsys.readouterr()

@@ -444,18 +444,30 @@ class TestDomination:
                     continue
                 for members in (hostile(n), [*hostile(n)[::-1], *i_sets, *hostile(n)]):
                     assert dominates(j_sets, members, n) == dominates_reference(j_sets, members)
-            # J out of order, or not made of swing sets of 1..n (the
-            # predicate alone then decides)
-            for j_sets in ([(3, 1)], [(2, 2)], [(1, n + 1)], [(0, 1), (2, 3)], [(1,)]):
-                members = pairs(n) + hostile(n)
-                assert dominates(j_sets, members, n) == dominates_reference(j_sets, members)
+            # a member of J out of order is still a swing set
+            members = pairs(n) + hostile(n)
+            assert dominates([(3, 1)], members, n) == dominates_reference([(3, 1)], members)
+
+    def test_j_of_other_members_never_reaches_domination(self):
+        # survival runs first and refuses a J that is not made of swing
+        # sets of 1..n, so ``dominates`` never sees one
+        chi = sparse(4, {(1, 2): 1})
+        pkg = build_witness_for(classify(chi), chi)
+        for j_sets, error in (
+            ([(2, 2)], ValueError),
+            ([(1, 5)], IndexError),
+            ([(0, 1), (2, 3)], IndexError),
+            ([(1,)], ValueError),
+        ):
+            with pytest.raises(error):
+                verify_witness(pkg._replace(j_sets=j_sets), chi)
 
     def test_cold_shape_checks_at_n256(self):
         n = 256
         for lemma in LEMMAS:
             j_sets, i_sets, _ = lemma.witness(n)
             facts = lemma.witness(n)[2]
-            assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts) == (True, (), (), True)
+            assert _shape_checks(n, j_sets, i_sets, facts) == (True, (), (), True)
 
     def test_each_member_is_sorted_once_per_shape(self, monkeypatch):
         # I is split into its pairs and its other members once, for both
@@ -472,7 +484,7 @@ class TestDomination:
             for lemma in LEMMAS:
                 j_sets, i_sets, facts = lemma.witness(n)
                 calls.clear()
-                assert _shape_checks.__wrapped__(n, j_sets, i_sets, facts)[1:3] == ((), ())
+                assert _shape_checks(n, j_sets, i_sets, facts)[1:3] == ((), ())
                 in_facts = Counter(a for f in facts for a in (f.recovers, *f.factors, f.added))
                 assert calls == Counter(i_sets) + in_facts, (n, lemma)
 
@@ -617,8 +629,9 @@ def survival_reference(pkg, chi):
 
 
 def fresh_report(pkg, chi):
-    """The report with every check run afresh, past the cache."""
-    checks = _shape_checks.__wrapped__(chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
+    """The report with every check run afresh, past the checks a built
+    package carries."""
+    checks = _shape_checks(chi.n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
     connected, uncovered, ungenerated, table = checks
     survival = survival_reference(pkg, chi)
     return WitnessReport(survival, connected, list(uncovered), list(ungenerated), table)
@@ -728,17 +741,20 @@ class TestShapeCache:
             assert verify_witness(copy, chi).ok and not verify_witness(tampered, chi).ok
             assert not verify_witness(refactored, chi).table_factorizations
 
-    def test_packages_from_outside_keep_the_caches_bounded(self):
+    def test_packages_from_outside_leave_the_cache_alone(self):
         chi = sparse(6, {(1, 2): 2, (2, 3): 1})
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == "zero_sum" and not pkg.factorizations
+        size = witness._lemma_shape.cache_info().currsize
         subsets = (s for k in (2, 3) for s in combinations(pkg.i_sets, len(pkg.i_sets) - k))
         for _, i_sets in zip(range(witness._SHAPE_CACHE_SIZE + 20), subsets):
-            report = verify_witness(pkg._replace(i_sets=i_sets), chi)
+            outside = pkg._replace(i_sets=i_sets)
+            report = verify_witness(outside, chi)
+            assert report == fresh_report(outside, chi)
             assert report.ungenerated == sorted(set(pkg.i_sets) - set(i_sets))
-        assert _shape_checks.cache_info().currsize == witness._SHAPE_CACHE_SIZE
+        assert witness._lemma_shape.cache_info().currsize == size
 
-    def test_lemma_sets_stay_bounded(self):
+    def test_lemma_shapes_stay_bounded(self):
         chi = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
         pkg = build_witness_for(classify(chi), chi)
         assert verify_witness(pkg, chi).ok
@@ -746,14 +762,43 @@ class TestShapeCache:
         shapes = [(lemma, n) for n in range(6, 53) for lemma in LEMMAS]
         assert len(shapes) > witness._SHAPE_CACHE_SIZE
         for lemma, n in shapes:
-            witness._lemma_sets(lemma, n)
-        info = witness._lemma_sets.cache_info()
+            witness._lemma_shape(lemma, n)
+        info = witness._lemma_shape.cache_info()
         assert info.currsize == witness._SHAPE_CACHE_SIZE
         rebuilt = build_witness_for(classify(chi), chi)
-        assert witness._lemma_sets.cache_info().misses == info.misses + 1  # it was evicted
+        assert witness._lemma_shape.cache_info().misses == info.misses + 1  # it was evicted
         assert rebuilt == pkg and rebuilt.i_sets is not pkg.i_sets
         assert verify_witness(rebuilt, chi) == fresh_report(rebuilt, chi)
         assert verify_witness(rebuilt, chi).ok
+
+    def test_float_members_do_not_alias_the_built_shape(self):
+        # (1.0, 2.0) equals and hashes like (1, 2), but is no pair of
+        # strands: the float copy gives nothing, in whatever order
+        chi = sparse(4, {(1, 2): 1})
+        for order in (("float", "built", "float"), ("built", "float")):
+            pkg = build_witness_for(classify(chi), chi)
+            assert pkg.lemma == "zero_sum"
+            floats = pkg._replace(i_sets=tuple(tuple(map(float, a)) for a in pkg.i_sets))
+            assert floats == pkg and hash(floats) == hash(pkg)
+            for name in order:
+                report = verify_witness({"built": pkg, "float": floats}[name], chi)
+                if name == "built":
+                    assert report.ok
+                else:
+                    assert report.ungenerated == pairs(4) and not report.ok
+                    assert report == fresh_report(floats, chi)
+
+    def test_carried_checks_are_read_only_at_their_n(self):
+        # a classification at n = 5 builds its shape at 5, whatever the
+        # character passed along; its perm is then no bijection on 1..6
+        chi5 = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        chi6 = sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi5), chi6)
+        assert pkg == build_witness_for(classify(chi5), chi5)
+        with pytest.raises(ValueError, match="bijection on 1..6"):
+            verify_witness(pkg, chi6)
+        assert verify_witness(pkg, chi5) == fresh_report(pkg, chi5)
+        assert verify_witness(pkg, chi5).ok
 
     def test_generation_entry_holds_only_at_its_n(self):
         chi5 = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})

@@ -326,7 +326,7 @@ class TestWordLevel:
             chi = sparse(n, weights)
             pkg = build_witness_for(classify(chi), chi)
             assert pkg.lemma == lemma and len(pkg.factorizations) == 2
-            cold = witness._shape_checks.__wrapped__(n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
+            cold = witness._shape_checks(n, pkg.j_sets, pkg.i_sets, pkg.factorizations)
             assert cold == (True, (), (), True)
             assert verify_witness(pkg, chi).ok
         # the CLI, over a character of every lemma and random ones
