@@ -22,10 +22,12 @@ an entry holds at most 517 bytes (the spelling 333, as 32 four-byte
 characters and a cached UTF-8 copy; its tuple 56; the Fraction 48 and
 its two integers 40 each) and the dict's table under 37,000 (26,032 on
 3.11), so the memo never holds more than 1024 * 517 + 37,000 = 566,408
-bytes.  Sums (Delta, swing values, row sums, circle sums) add plain
-integers and build one Fraction each (``_exact_sum``).  The parser keeps
-only the nonzero values and has proved their pairs, so it skips the
-constructor's check of them.
+bytes.  Sums (Delta, swing values, row sums) run on each value's
+(numerator, denominator), read once per spelling; ``_pair_sum`` returns an
+unreduced pair, so a zero test reads its numerator and an equality
+cross-multiplies.  The parser keeps only the nonzero values and has proved
+their pairs, so it skips the constructor's check of them, and it sums Delta
+in the pass that fills the support (``_exact`` for any other character).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .record import Record
 
 Edge = tuple[int, int]
 SwingSet = tuple[int, ...]
+Pair = tuple[int, int]  # (numerator, denominator), denominator > 0
 
 
 class InputError(ValueError):
@@ -103,7 +106,7 @@ class Character(Record):
 
     Instances are immutable values; all operations on them are pure.  Two
     derived facts are cached on the instance, outside its fields:
-    ``delta_value`` (Delta, summed over the support) and
+    ``_exact`` (the support's values and Delta as integer pairs) and
     ``chargraph.build_kchi`` (K_chi, labeled by the support itself).  So
     ``support`` must never be mutated after construction.  The constructor
     refuses a pair out of range, a zero value and a value that is not an
@@ -137,38 +140,53 @@ class Character(Record):
         return not self.support
 
 
-def _exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """Sum of rationals in plain integers, one Fraction built at the end.
-    Numerators are summed per denominator, then merged two partial sums at
-    a time over the lcm of their denominators, oldest first: a balanced
-    tree, so k distinct denominators cost about log2 k rounds."""
+def _pair_sum(pairs: Iterable[Pair]) -> Pair:
+    """Sum of pairs as one unreduced pair (x, d), d > 0.  Numerators are
+    summed per denominator, then the nonzero sums merged two at a time over
+    the lcm of their denominators, oldest first: a balanced tree, so k
+    distinct denominators cost about log2 k rounds."""
     by_denominator: dict[int, int] = {}
-    for v in values:
-        d = v.denominator
-        by_denominator[d] = by_denominator.get(d, 0) + v.numerator
-    terms = list(by_denominator.items())
+    for x, d in pairs:
+        by_denominator[d] = by_denominator.get(d, 0) + x
+    terms = [(d, x) for d, x in by_denominator.items() if x]
     for i in range(0, 2 * len(terms) - 2, 2):
         (d1, x1), (d2, x2) = terms[i], terms[i + 1]
         d = lcm(d1, d2)
         terms.append((d, x1 * (d // d1) + x2 * (d // d2)))
     d, x = terms[-1] if terms else (1, 0)
-    return Fraction(x, d)
+    return x, d
+
+
+def _exact(chi: Character) -> tuple[dict[Edge, Pair], Pair]:
+    """The support's values as (numerator, denominator) in lowest terms, and
+    Delta as a pair: set by the parser, else derived once and cached."""
+    d = chi.__dict__
+    if "_pairs" not in d:
+        pairs = d["_pairs"] = {e: (v.numerator, v.denominator) for e, v in chi.support.items()}
+        d["_delta"] = _pair_sum(pairs.values())
+    return d["_pairs"], d["_delta"]
+
+
+def _swing_pair(chi: Character, a: SwingSet) -> Pair:
+    """The swing on the sorted strands ``a`` as an unreduced pair."""
+    pairs = _exact(chi)[0]
+    return _pair_sum(pairs.get(e, (0, 1)) for e in combinations(a, 2))
+
+
+def _equals(value: object, pair: Pair) -> bool:
+    """Is ``value`` an int or a Fraction equal to the pair's rational?"""
+    x, d = pair
+    return isinstance(value, (int, Fraction)) and value.numerator * d == x * value.denominator
 
 
 def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
     """Value of the character on S_A: the sum of weights over pairs inside A."""
-    aset = swing_set(a, chi.n)
-    support = chi.support
-    return _exact_sum(support.get(e, 0) for e in combinations(aset, 2))
+    return Fraction(*_swing_pair(chi, swing_set(a, chi.n)))
 
 
 def delta_value(chi: Character) -> Fraction:
-    """Value on the central full twist: sum of all edge weights, computed
-    from the support once per character and cached on it."""
-    delta = chi.__dict__.get("_delta")
-    if delta is None:
-        delta = chi.__dict__["_delta"] = _exact_sum(chi.support.values())
-    return delta
+    """Value on the central full twist: sum of all edge weights."""
+    return Fraction(*_exact(chi)[1])
 
 
 def permute(chi: Character, perm: Sequence[int]) -> Character:
@@ -262,10 +280,11 @@ def character_from_json_dict(data: dict) -> Character:
         raise CharacterFormatError("'weights' must be an object")
     expected = n * (n - 1) // 2
     support = {}
+    pairs, delta = {}, {}  # the support as pairs; Delta's numerators per denominator
     # each distinct raw value is looked up once, and in the process-wide
     # memo only when this dict misses; pairs with equal values share one
-    # (immutable) Fraction
-    parsed: dict[str | int, tuple[Fraction, bool]] = {}
+    # (immutable) Fraction and its pair, None for a zero value
+    parsed: dict[str | int, tuple[Fraction, Pair | None]] = {}
     # a canonical key "i-j" (i < j) is one lookup; any other key ("2-1",
     # "01-2", "x") is parsed and range-checked
     canonical = _canonical_keys(n) if len(raw) == expected else {}
@@ -293,10 +312,14 @@ def character_from_json_dict(data: dict) -> Character:
             )
         entry = parsed.get(val)
         if entry is None:
-            entry = parsed[val] = _weight_entry(key, val)
-        value, nonzero = entry
-        if nonzero:
+            value, nonzero = _weight_entry(key, val)
+            entry = parsed[val] = (value, (value.numerator, value.denominator) if nonzero else None)
+        value, pair = entry
+        if pair:
             support[e] = value
+            pairs[e] = pair
+            x, d = pair
+            delta[d] = delta.get(d, 0) + x
     # each key named a distinct pair in range, so fewer keys than pairs
     # means missing ones (and then ``seen`` holds every pair read).  The
     # pairs are generated lazily and each present key is skipped once, so
@@ -314,7 +337,8 @@ def character_from_json_dict(data: dict) -> Character:
     # nonzero values entered the support, so the constructor's check of
     # the same facts is not run again
     chi = Character.__new__(Character)
-    chi.__dict__.update(n=n, support=support)
+    delta_pair = _pair_sum((x, d) for d, x in delta.items())
+    chi.__dict__.update(n=n, support=support, _pairs=pairs, _delta=delta_pair)
     return chi
 
 

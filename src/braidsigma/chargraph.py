@@ -43,7 +43,7 @@ Take a greedy maximal matching M in edge order.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -113,13 +113,16 @@ def _disjoint(e: Edge, f: Edge) -> bool:
     return not (set(e) & set(f))
 
 
-def _first_disjoint_from(edges: Sequence[Edge], k: int) -> tuple[Edge, ...] | None:
-    """For sorted ``edges``: the first edge e disjoint from at least k
-    others, followed by the k smallest of them; None if there is none."""
-    deg = Counter(v for e in edges for v in e)
+def _first_disjoint_from(
+    edges: Sequence[Edge], k: int, degree: Callable[[int], int] | None = None
+) -> tuple[Edge, ...] | None:
+    """For sorted ``edges``, ``degree(v)`` edges at v (counted here if not
+    given): the first edge e disjoint from at least k others, followed by
+    the k smallest of them; None if there is none."""
+    degree = degree or Counter(v for e in edges for v in e).__getitem__
     for e in edges:
         a, b = e
-        if len(edges) - deg[a] - deg[b] + 1 >= k:
+        if len(edges) - degree(a) - degree(b) + 1 >= k:
             away = (f for f in edges if a not in f and b not in f)
             return (e, *islice(away, k))
     return None
@@ -128,7 +131,7 @@ def _first_disjoint_from(edges: Sequence[Edge], k: int) -> tuple[Edge, ...] | No
 def find_edge_disjoint_from_two(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
     """Lexicographically least triple (e; f, g) with e disjoint from both
     f and g, f < g.  None if no edge is disjoint from two others."""
-    return _first_disjoint_from(g.order, 2)
+    return _first_disjoint_from(g.order, 2, lambda v: len(g.nbrs[v]))
 
 
 def find_disjoint_triple(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
@@ -170,7 +173,7 @@ def find_disjoint_pair(g: CharGraph) -> tuple[Edge, Edge] | None:
     """Lexicographically least pair of disjoint edges, if any: the first
     edge with a disjoint partner, and its smallest one (every partner of
     that edge has a partner itself, so it comes later)."""
-    return _first_disjoint_from(g.order, 1)
+    return _first_disjoint_from(g.order, 1, lambda v: len(g.nbrs[v]))
 
 
 def shape_classify(g: CharGraph) -> ShapeClass:

@@ -23,9 +23,7 @@ Every circle point has Delta = 0, so a character with Delta != 0 is on none.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .characters import Character, ZeroCharacterError, _exact_sum, delta_value
+from .characters import Character, ZeroCharacterError, _exact
 from .chargraph import build_kchi
 from .record import Record
 
@@ -91,11 +89,13 @@ def on_circle(chi: Character, cid: CircleId) -> bool:
         raise ZeroCharacterError("circle membership is undefined for the zero character")
     if g.nbrs.keys() != set(cid.support):
         return False
-    w = g.labels
-    if cid.kind == P3:
-        return _exact_sum(w.get(e, 0) for e in combinations(cid.support, 2)) == 0
-    values = [(w.get(e1, 0), w.get(e2, 0)) for e1, e2 in matchings_of(cid.support)]
-    return all(a == b for a, b in values) and _exact_sum(a for a, _ in values) == 0
+    # the support is the circle's, so Delta is the P3 triangle sum, and twice
+    # the P4 matching sum when opposite weights agree (module docstring); the
+    # cached pairs are in lowest terms, so equal weights are equal pairs
+    w, (delta, _) = _exact(chi)
+    return delta == 0 and (
+        cid.kind == P3 or all(w.get(e1) == w.get(e2) for e1, e2 in matchings_of(cid.support))
+    )
 
 
 def locate_circle(chi: Character) -> CircleId | None:
@@ -104,7 +104,7 @@ def locate_circle(chi: Character) -> CircleId | None:
     Every circle point has Delta = 0, and by the support lemma the only
     candidate is the circle over supp(chi), read off the cached K_chi: P3
     if it has 3 vertices, P4 if it has 4 (module docstring)."""
-    if delta_value(chi) != 0:
+    if _exact(chi)[1][0] != 0:
         return None
     g = build_kchi(chi)
     if not g.nbrs:

@@ -40,9 +40,12 @@ from .characters import (
     InternalError,
     SwingSet,
     ZeroCharacterError,
+    _equals,
+    _exact,
+    _swing_pair,
     all_edges,
     delta_value,
-    swing_value,
+    swing_set,
 )
 from .chargraph import (
     CharGraph,
@@ -138,7 +141,7 @@ class ZeroSum(Lemma):
         self.__dict__["delta"] = delta
 
     def check(self, chi: Character) -> bool:
-        return self.delta == delta_value(chi) != 0
+        return _equals(self.delta, _exact(chi)[1]) and self.delta != 0
 
     def named(self) -> tuple[int, ...]:
         return ()
@@ -213,7 +216,7 @@ class Star(Lemma):
         c, leaves = self.center, self.leaves  # a leaf equal to c makes no edge of K
         return (
             len(set(leaves)) == len(leaves) >= 3
-            and delta_value(chi) == 0
+            and _exact(chi)[1][0] == 0
             and build_kchi(chi).labels.keys() == {tuple(sorted((c, l))) for l in leaves}
         )
 
@@ -242,7 +245,7 @@ class DisjointLeaves(Lemma):
             nbrs.get(u) == [a]
             and nbrs.get(w) == [b]
             and not {u, a} & {w, b}
-            and delta_value(chi) == 0
+            and _exact(chi)[1][0] == 0
         )
 
     def named(self) -> tuple[int, ...]:
@@ -276,7 +279,8 @@ class Triangle(Lemma):
             and not set(p) & set(q)
             and len(tri) == len(self.triangle) == 3
             and set(p) <= tri <= set(p) | set(q)
-            and swing_value(chi, self.triangle) == self.value != 0
+            and _equals(self.value, _swing_pair(chi, swing_set(self.triangle, chi.n)))
+            and self.value != 0
         )
 
     def named(self) -> tuple[int, ...]:
@@ -350,9 +354,8 @@ def _complete_perm(named: tuple[int, ...], n: int) -> Perm:
 def classify(chi: Character) -> Classification:
     n = chi.n
 
-    delta = delta_value(chi)
-    if delta != 0:
-        return Classification(ZeroSum(delta), n)
+    if _exact(chi)[1][0] != 0:
+        return Classification(ZeroSum(delta_value(chi)), n)
 
     g = build_kchi(chi)
     if not g.labels:
@@ -388,13 +391,13 @@ def classify(chi: Character) -> Classification:
     if pair is None:
         raise InternalError("4-vertex non-star graph must contain disjoint edges")
     for tri in combinations(support, 3):
-        value = swing_value(chi, tri)
-        if value != 0:
+        x, d = _swing_pair(chi, tri)
+        if x != 0:
             # the edge inside the triangle comes first; the other edge
             # holds the one support vertex the triangle misses
             p, q = pair
             inner, outer = (q, p) if set(q) <= set(tri) else (p, q)
-            return Classification(Triangle((inner, outer), tri, value), n)
+            return Classification(Triangle((inner, outer), tri, Fraction(x, d)), n)
 
     return _on_circle_or_fail(chi, CircleId(P4, support))
 

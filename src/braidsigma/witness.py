@@ -35,29 +35,29 @@ sorted into swing sets only for the coverage; a member that is not a
 swing set of 1..n gives nothing.
 
 Only survival reads the character, so it alone runs for every character,
-and it reads Delta and row sums, not a relabeled copy.  The swing on J
+on its cached integer pairs, not on a relabeled copy.  The swing on J
 after relabeling by perm is the swing on perm^-1(J) before it: J of all
 n strands gives the cached Delta, J of all strands but m gives Delta
 minus the row sum at perm^-1(m) (the weights on the edges of K_chi at
-that strand), J of two strands reads its one weight from the support,
-and any other J sums its own pairs.
+that strand), J of two strands is nonzero when its pair is in the
+support, and any other J sums its own pairs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 from .characters import (
     Character,
     Edge,
     SwingSet,
-    _exact_sum,
-    delta_value,
+    _exact,
+    _pair_sum,
+    _swing_pair,
     permute,  # unused here; bench/tracing.py rebinds this name
     swing_set,
-    swing_value,
 )
 from .chargraph import build_kchi
 from .classify import RECOVERY_FACTORIZATIONS, Classification, Factorization, WitnessData
@@ -320,8 +320,13 @@ def _shape_checks(
     members = _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
     ungenerated = tuple(_ungenerated(n, i_sets, factorizations, members))
-    # a table factorization's ``added`` is sorted and holds all its strands
-    table_ok = all(f in _TABLE_FACTORIZATIONS and f.added[-1] <= n for f in factorizations)
+    # a table factorization's ``added`` is sorted and holds all its strands,
+    # which are ints: a float or a bool strand compares equal to one
+    table_ok = all(
+        f in _TABLE_FACTORIZATIONS and f.added[-1] <= n
+        and {int}.issuperset(map(type, chain(f.added, f.recovers, *f.factors)))
+        for f in factorizations
+    )
     return connected, uncovered, ungenerated, table_ok
 
 
@@ -333,22 +338,23 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a bijection on 1..{n}, got {perm}")
     preimage = {p: i for i, p in enumerate(perm, 1)}
+    pairs, (x, d) = _exact(chi)
     failures = []
     for j in pkg.j_sets:
         a = swing_set(j, n)
         if len(a) == n:
-            value = delta_value(chi)
+            vanishes = x == 0
         elif len(a) == n - 1:
             # Delta minus the row sum at the missing strand, read off K_chi
             v, g = preimage[n * (n + 1) // 2 - sum(a)], build_kchi(chi)
-            row = _exact_sum(g.labels[(v, k) if v < k else (k, v)] for k in g.nbrs.get(v, ()))
-            value = delta_value(chi) - row
+            y, dy = _pair_sum(pairs[(v, k) if v < k else (k, v)] for k in g.nbrs.get(v, ()))
+            vanishes = x * dy == y * d
         elif len(a) == 2:
             p, q = preimage[a[0]], preimage[a[1]]
-            value = chi.weight(p, q)
+            vanishes = ((p, q) if p < q else (q, p)) not in pairs
         else:
-            value = swing_value(chi, [preimage[x] for x in a])
-        if value == 0:
+            vanishes = _swing_pair(chi, sorted(preimage[s] for s in a))[0] == 0
+        if vanishes:
             failures.append(j)
     return failures
 

@@ -13,7 +13,7 @@ from braidsigma.characters import (
     Character,
     CharacterFormatError,
     ZeroCharacterError,
-    _exact_sum,
+    _pair_sum,
     _parse_weight,
     all_edges,
     character_from_json,
@@ -486,11 +486,16 @@ def _reference_sum(values):
 @example([Fraction(-3, 7)])
 @example([Fraction(1, 2), Fraction(1, 2)])
 @example([Fraction(1, 3), Fraction(-1, 3), Fraction(2, 6)])
-def test_exact_sum_is_the_fraction_sum(values):
-    got = _exact_sum(values)
-    assert type(got) is Fraction and got == _reference_sum(values)
-    # mixed integers too: K_chi lookups may hand in a plain 0
-    assert _exact_sum([*values, 0, 5]) == _reference_sum(values) + 5
+def test_pair_sum_is_the_fraction_sum(values):
+    def pair_sum(vs):
+        x, d = _pair_sum((v.numerator, v.denominator) for v in vs)
+        assert type(x) is int and type(d) is int and d > 0
+        return Fraction(x, d)
+
+    assert pair_sum(values) == _reference_sum(values)
+    # ints too, as a support may hold them, and a plain zero pair
+    assert _pair_sum([(0, 1)]) == (0, 1)
+    assert pair_sum([*values, 0, 5]) == _reference_sum(values) + 5
 
 
 def _primes(count):
@@ -503,7 +508,7 @@ def _primes(count):
     return found
 
 
-def test_exact_sum_over_distinct_prime_denominators():
+def test_pair_sum_over_distinct_prime_denominators():
     # n = 64 with a distinct prime denominator on each of the 2,016 pairs:
     # the lcm has about 25,000 bits, and the pairwise merge keeps the time
     # within a small factor of Fraction's own sum (it is faster in fact)
@@ -515,12 +520,58 @@ def test_exact_sum_over_distinct_prime_denominators():
               for p in _primes(len(pairs))]
     assert len(set(v.denominator for v in values)) == 2016
     want = _reference_sum(values)
-    assert _exact_sum(values) == want
+    as_pairs = [(v.numerator, v.denominator) for v in values]
+    assert Fraction(*_pair_sum(as_pairs)) == want
     chi = Character(64, dict(zip(pairs, values)))
     assert delta_value(chi) == want
-    new = min(timeit.repeat(lambda: _exact_sum(values), number=1, repeat=5))
+    new = min(timeit.repeat(lambda: _pair_sum(as_pairs), number=1, repeat=5))
     old = min(timeit.repeat(lambda: _reference_sum(values), number=1, repeat=5))
     assert new < 3 * old + 0.05, (new, old)
+
+
+def test_certify_path_over_distinct_prime_denominators(monkeypatch):
+    # n = 64 with Delta = 0: +-1/p on consecutive pairs, a distinct prime p
+    # to each two pairs, so every sum meets up to 1,008 denominators.  The
+    # dense character is a disjoint triple; the star (center 1) makes the
+    # witness sum rows, and one flipped sign makes Delta nonzero.  Every
+    # case must cost within 3x the same support spelled +-k/q, q one prime
+    # above every k, which has as many distinct spellings to parse; the
+    # weight memo is off, so neither run reads spellings the other kept.
+    import timeit
+
+    from braidsigma.circles import locate_circle
+    from braidsigma.classify import classify, verify_certificate
+    from braidsigma.witness import build_witness_for, verify_witness
+
+    monkeypatch.setattr(characters, "_weight_memo", {})
+    monkeypatch.setattr(characters, "_WEIGHT_MEMO_SIZE", 0)
+    n = 64
+    dense = all_edges(n)
+    star = [(1, j) for j in range(2, n)]
+    primes = _primes(len(dense) // 2)
+
+    def text(edges, spell, flip=False):
+        signs = [(-1) ** k for k in range(len(edges))]
+        signs[0] *= -1 if flip else 1
+        spelled = {e: spell(s, k // 2) for k, (e, s) in enumerate(zip(edges, signs))}
+        return json.dumps({"n": n, "weights": {f"{i}-{j}": spelled.get((i, j), "0")
+                                               for i, j in all_edges(n)}})
+
+    def certify(text):
+        chi = character_from_json(text)
+        cls = classify(chi)
+        assert verify_certificate(cls, chi) and locate_circle(chi) is None
+        assert verify_witness(build_witness_for(cls, chi), chi).ok
+        return cls.certificate.kind
+
+    for edges, flip, kind in ((dense, False, "disjoint_triple"), (star, False, "star"),
+                              (dense, True, "zero_sum")):
+        distinct = text(edges, lambda s, k: f"{s}/{primes[k]}", flip)
+        single = text(edges, lambda s, k: f"{s * (k + 1)}/{primes[-1]}", flip)
+        assert certify(distinct) == certify(single) == kind
+        new = min(timeit.repeat(lambda: certify(distinct), number=1, repeat=5))
+        old = min(timeit.repeat(lambda: certify(single), number=1, repeat=5))
+        assert new < 3 * old, (kind, new, old)
 
 
 class TestParserBuiltCharacter:

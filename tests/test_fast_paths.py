@@ -19,6 +19,7 @@ from braidsigma import witness
 from braidsigma.characters import (
     Character,
     CharacterFormatError,
+    _exact,
     character_from_json,
     character_from_json_dict,
     delta_value,
@@ -533,11 +534,13 @@ class TestCachedFacts:
                 chi = dense(n, weights)
                 g = build_kchi(chi)
                 assert build_kchi(chi) is g
-                assert delta_value(chi) is delta_value(chi)
+                # Delta is summed once, into the cached pair
+                assert _exact(chi)[1] is _exact(chi)[1]
                 fresh = character_from_json(json.dumps(character_to_json_dict(chi)))
                 assert g.labels.keys() == build_kchi(fresh).labels.keys() == {e for e, v in weights.items() if v}
                 assert g.labels == build_kchi(fresh).labels
                 assert delta_value(chi) == delta_value(fresh) == sum(weights.values())
+                assert _exact(chi)[0] == _exact(fresh)[0]
 
     def test_wrong_delta_rejected_after_classify(self):
         chi = sparse(5, {(1, 2): 3, (2, 5): Fraction(-1, 2)})

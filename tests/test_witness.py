@@ -388,3 +388,27 @@ class TestWordLevel:
         moved = pkg._replace(factorizations=RECOVERY_FACTORIZATIONS[5])
         report = verify_witness(moved, chi)
         assert not report.table_factorizations and report.failures()[-1] == TABLE_LINE
+
+    def test_float_strands_are_not_table_factorizations(self):
+        # a float strand equals its int and hashes like it, so a table test
+        # by value alone took these for the table's; the report must name
+        # the factorizations, not only the pairs they then fail to give
+        n, weights, lemma = self.CASES[0]
+        chi = sparse(n, weights)
+        pkg = build_witness_for(classify(chi), chi)
+        assert (n, pkg.lemma) == (5, "disjoint_pair")
+
+        def floats(f, part):
+            changed = {
+                "added": tuple(map(float, f.added)),
+                "factors": tuple(tuple(map(float, x)) for x in f.factors),
+                "recovers": tuple(map(float, f.recovers)),
+            }
+            return f._replace(**{k: v for k, v in changed.items() if k in part})
+
+        for part in (("added", "factors", "recovers"), ("added",), ("factors",), ("recovers",)):
+            spelled = tuple(floats(f, part) for f in pkg.factorizations)
+            assert spelled == pkg.factorizations
+            report = verify_witness(pkg._replace(factorizations=spelled), chi)
+            assert not report.table_factorizations and TABLE_LINE in report.failures()
+        assert verify_witness(pkg, chi).ok
