@@ -141,13 +141,18 @@ class Character(Record):
 
 
 def _pair_sum(pairs: Iterable[Pair]) -> Pair:
-    """Sum of pairs as one unreduced pair (x, d), d > 0.  Numerators are
-    summed per denominator, then the nonzero sums merged two at a time over
-    the lcm of their denominators, oldest first: a balanced tree, so k
-    distinct denominators cost about log2 k rounds."""
+    """Sum of pairs as one unreduced pair (x, d), d > 0 (``_merged``)."""
     by_denominator: dict[int, int] = {}
     for x, d in pairs:
         by_denominator[d] = by_denominator.get(d, 0) + x
+    return _merged(by_denominator)
+
+
+def _merged(by_denominator: dict[int, int]) -> Pair:
+    """The sum of x/d over the items d: x, as an unreduced pair.  The
+    nonzero terms are merged two at a time over the lcm of their
+    denominators, oldest first: a balanced tree, so k distinct
+    denominators cost about log2 k rounds."""
     terms = [(d, x) for d, x in by_denominator.items() if x]
     for i in range(0, 2 * len(terms) - 2, 2):
         (d1, x1), (d2, x2) = terms[i], terms[i + 1]
@@ -162,7 +167,7 @@ def _exact(chi: Character) -> tuple[dict[Edge, Pair], Pair]:
     Delta as a pair: set by the parser, else derived once and cached."""
     d = chi.__dict__
     if "_pairs" not in d:
-        pairs = d["_pairs"] = {e: (v.numerator, v.denominator) for e, v in chi.support.items()}
+        pairs = d["_pairs"] = {e: v.as_integer_ratio() for e, v in chi.support.items()}
         d["_delta"] = _pair_sum(pairs.values())
     return d["_pairs"], d["_delta"]
 
@@ -313,7 +318,7 @@ def character_from_json_dict(data: dict) -> Character:
         entry = parsed.get(val)
         if entry is None:
             value, nonzero = _weight_entry(key, val)
-            entry = parsed[val] = (value, (value.numerator, value.denominator) if nonzero else None)
+            entry = parsed[val] = (value, value.as_integer_ratio() if nonzero else None)
         value, pair = entry
         if pair:
             support[e] = value
@@ -337,8 +342,7 @@ def character_from_json_dict(data: dict) -> Character:
     # nonzero values entered the support, so the constructor's check of
     # the same facts is not run again
     chi = Character.__new__(Character)
-    delta_pair = _pair_sum((x, d) for d, x in delta.items())
-    chi.__dict__.update(n=n, support=support, _pairs=pairs, _delta=delta_pair)
+    chi.__dict__.update(n=n, support=support, _pairs=pairs, _delta=_merged(delta))
     return chi
 
 
