@@ -23,11 +23,11 @@ characters and a cached UTF-8 copy; its tuple 56; the Fraction 48 and
 its two integers 40 each) and the dict's table under 37,000 (26,032 on
 3.11), so the memo never holds more than 1024 * 517 + 37,000 = 566,408
 bytes.  Sums (Delta, swing values, row sums) run on each value's
-(numerator, denominator), read once per spelling; ``_pair_sum`` returns an
+(numerator, denominator), cached on the character: ``_pair_sum`` returns an
 unreduced pair, so a zero test reads its numerator and an equality
 cross-multiplies.  The parser keeps only the nonzero values and has proved
-their pairs, so it skips the constructor's check of them, and it sums Delta
-in the pass that fills the support (``_exact`` for any other character).
+their pairs, so it skips the constructor's check of them; it reads each
+spelling's pair once and sums Delta in the pass that fills the support.
 """
 
 from __future__ import annotations
@@ -141,7 +141,8 @@ class Character(Record):
 
 
 def _pair_sum(pairs: Iterable[Pair]) -> Pair:
-    """Sum of pairs as one unreduced pair (x, d), d > 0 (``_merged``)."""
+    """Sum of pairs as one unreduced pair (x, d), d > 0: the numerators
+    summed per denominator, then ``_merged``."""
     by_denominator: dict[int, int] = {}
     for x, d in pairs:
         by_denominator[d] = by_denominator.get(d, 0) + x

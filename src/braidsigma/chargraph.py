@@ -114,12 +114,11 @@ def _disjoint(e: Edge, f: Edge) -> bool:
 
 
 def _first_disjoint_from(
-    edges: Sequence[Edge], k: int, degree: Callable[[int], int] | None = None
+    edges: Sequence[Edge], k: int, degree: Callable[[int], int]
 ) -> tuple[Edge, ...] | None:
-    """For sorted ``edges``, ``degree(v)`` edges at v (counted here if not
-    given): the first edge e disjoint from at least k others, followed by
-    the k smallest of them; None if there is none."""
-    degree = degree or Counter(v for e in edges for v in e).__getitem__
+    """For sorted ``edges``, ``degree(v)`` of them at v: the first edge e
+    disjoint from at least k others, followed by the k smallest of them;
+    None if there is none."""
     for e in edges:
         a, b = e
         if len(edges) - degree(a) - degree(b) + 1 >= k:
@@ -149,7 +148,7 @@ def find_disjoint_triple(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
     if size == 3:
         for idx, (a, b) in enumerate(edges):
             later = [f for f in edges[idx + 1:] if a not in f and b not in f]
-            pair = _first_disjoint_from(later, 1)
+            pair = _first_disjoint_from(later, 1, Counter(v for e in later for v in e).__getitem__)
             if pair is not None:
                 return ((a, b), *pair)
         raise InternalError("a matching of size 3 must contain a disjoint triple")
