@@ -24,28 +24,32 @@ The edge searches run in O(E) for E edges, after sorting.  Edge (a, b) is
 disjoint from exactly E - deg a - deg b + 1 edges, so one degree count
 finds the first edge disjoint from k others.  Disjoint triples use the
 matching kernel (Cygan et al., *Parameterized Algorithms*, 2015, ch. 2).
-Take a greedy maximal matching M in edge order.
+Take a greedy matching M in edge order, stopped at its third edge.
 
+- |M| = 3: M is the least triple, found in one O(E) scan.  An edge t1
+  starts no triple only when the later edges that miss it form a star or
+  a triangle.  M's first edge is the first edge of all, and it starts
+  one: M's other two edges come after it and miss it.  Its second edge t2 is the first
+  that misses t1, so it is the least one: an earlier partner would have
+  been taken first.  Its third is the first edge that misses both.
 - |M| <= 2: every edge meets the <= 4 vertices C = V(M).  The least
   triple uses only edges inside C and, for each c in C, the 3 smallest
   edges from c to outside C.  Exchange argument: if the least triple has
-  (c, x) with x outside C, its other two edges each meet C, so they block
-  at most two outside vertices; one of c's 3 smallest outside edges is
-  then free and replaces (c, x) by a smaller edge.
-- |M| >= 3: a triple exists; let T = (t1, t2, t3) be the least one and
-  e < t1 an edge.  The first vertex of e lies on no edge of T but
-  possibly t1, and its second vertex on at most one.  Unless e starts at
-  t1's first vertex and ends on t2 or t3, e misses two edges of T and
-  forms a smaller triple with them.  So at most 4 edges precede t1, and
-  scanning the edges in order for t1 stops after at most 5.
+  (c, x) with x outside C, its other two edges each meet C, so they
+  block at most two outside vertices; one of c's 3 smallest outside
+  edges is then free and replaces (c, x) by a smaller edge.  This kernel
+  of at most 18 edges is built in one pass and searched in the order of
+  its triples: for each t1, the later edges that miss it, and for each
+  t2 among those, the first later one that misses t2.  Here t1 need not
+  be the first edge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 
 from .characters import Character, Edge, InternalError
 from .record import Record
@@ -109,19 +113,13 @@ def build_kchi(chi: Character) -> CharGraph:
     return g
 
 
-def _disjoint(e: Edge, f: Edge) -> bool:
-    return not (set(e) & set(f))
-
-
-def _first_disjoint_from(
-    edges: Sequence[Edge], k: int, degree: Callable[[int], int]
-) -> tuple[Edge, ...] | None:
-    """For sorted ``edges``, ``degree(v)`` of them at v: the first edge e
-    disjoint from at least k others, followed by the k smallest of them;
-    None if there is none."""
+def _first_disjoint_from(g: CharGraph, k: int) -> tuple[Edge, ...] | None:
+    """The first edge e of K_chi disjoint from at least k others, followed
+    by the k smallest of them; None if there is none."""
+    edges, nbrs = g.order, g.nbrs
     for e in edges:
         a, b = e
-        if len(edges) - degree(a) - degree(b) + 1 >= k:
+        if len(edges) - len(nbrs[a]) - len(nbrs[b]) + 1 >= k:
             away = (f for f in edges if a not in f and b not in f)
             return (e, *islice(away, k))
     return None
@@ -130,28 +128,22 @@ def _first_disjoint_from(
 def find_edge_disjoint_from_two(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
     """Lexicographically least triple (e; f, g) with e disjoint from both
     f and g, f < g.  None if no edge is disjoint from two others."""
-    return _first_disjoint_from(g.order, 2, lambda v: len(g.nbrs[v]))
+    return _first_disjoint_from(g, 2)
 
 
 def find_disjoint_triple(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
     """Lexicographically least triple of pairwise disjoint edges, if any
-    (the matching kernel of the module docstring)."""
+    (the greedy matching, or the search of its kernel, of the module
+    docstring)."""
     edges = g.order
     matched: set[int] = set()
-    size = 0
+    matching = []
     for a, b in edges:
         if a not in matched and b not in matched:
             matched.update((a, b))
-            size += 1
-            if size == 3:
-                break
-    if size == 3:
-        for idx, (a, b) in enumerate(edges):
-            later = [f for f in edges[idx + 1:] if a not in f and b not in f]
-            pair = _first_disjoint_from(later, 1, Counter(v for e in later for v in e).__getitem__)
-            if pair is not None:
-                return ((a, b), *pair)
-        raise InternalError("a matching of size 3 must contain a disjoint triple")
+            matching.append((a, b))
+            if len(matching) == 3:
+                return tuple(matching)
     outside: Counter[int] = Counter()
     kernel = []
     for a, b in edges:
@@ -162,9 +154,12 @@ def find_disjoint_triple(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
             if outside[c] < 3:
                 outside[c] += 1
                 kernel.append((a, b))
-    for e, f, h in combinations(kernel, 3):
-        if _disjoint(e, f) and _disjoint(e, h) and _disjoint(f, h):
-            return (e, f, h)
+    for k, (a, b) in enumerate(kernel):
+        away = [f for f in kernel[k + 1:] if a not in f and b not in f]
+        for m, (c, d) in enumerate(away):
+            for h in away[m + 1:]:
+                if c not in h and d not in h:
+                    return ((a, b), (c, d), h)
     return None
 
 
@@ -172,7 +167,7 @@ def find_disjoint_pair(g: CharGraph) -> tuple[Edge, Edge] | None:
     """Lexicographically least pair of disjoint edges, if any: the first
     edge with a disjoint partner, and its smallest one (every partner of
     that edge has a partner itself, so it comes later)."""
-    return _first_disjoint_from(g.order, 1, lambda v: len(g.nbrs[v]))
+    return _first_disjoint_from(g, 1)
 
 
 def shape_classify(g: CharGraph) -> ShapeClass:

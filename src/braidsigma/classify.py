@@ -9,12 +9,13 @@ Earlier stages win when several lemmas apply, so certificates are
 deterministic.
 
 Lemma table.  Each certificate class states its lemma once: its fields
-(the JSON keys), ``check`` (what ``verify_certificate`` re-checks),
-``named`` (the strands that get the normal-form indices 1, 2, ... in
-order) and ``witness`` (the lemma's J, I and factorizations in normal
-form).  The derived ``perm`` sends the k-th named strand to k and the
-other strands, in increasing order, to the indices after the named ones.
-K is the support graph K_chi, edges are unordered, Delta is the total sum.
+(the JSON keys), ``check`` (what ``verify_certificate`` re-checks; a
+strand that is not an int fails it), ``named`` (the strands that get the
+normal-form indices 1, 2, ... in order) and ``witness`` (the lemma's J, I
+and factorizations in normal form).  The derived ``perm`` sends the k-th
+named strand to k and the other strands, in increasing order, to the
+indices after the named ones.  K is the support graph K_chi, edges are
+unordered, Delta is the total sum.
 
   kind             fields                   check                             1 2 3 ...
   zero_sum         delta                    delta = Delta != 0                identity
@@ -114,9 +115,14 @@ def _has_edges(g: CharGraph, *pairs: Edge) -> bool:
     return all(tuple(sorted(p)) in g.labels for p in pairs)
 
 
+def _ints(*strands: object) -> bool:
+    """Are the strands ints?  A bool or a float would compare equal to one."""
+    return {int}.issuperset(map(type, strands))
+
+
 def _are_pairs(edges: tuple, k: int) -> bool:
-    """Are ``edges`` k pairs?  A ``check`` asks before it unpacks them."""
-    return len(edges) == k and all(len(e) == 2 for e in edges)
+    """Are ``edges`` k pairs of ints?  A ``check`` asks before it unpacks them."""
+    return len(edges) == k and all(len(e) == 2 and _ints(*e) for e in edges)
 
 
 def _hinge(f: Edge, h: Edge) -> int | None:
@@ -159,7 +165,7 @@ class DisjointTriple(Lemma):
         self.__dict__["edges"] = edges
 
     def check(self, chi: Character) -> bool:
-        disjoint = len(self.edges) == 3 and len({v for e in self.edges for v in e}) == 6
+        disjoint = _are_pairs(self.edges, 3) and len({v for e in self.edges for v in e}) == 6
         return disjoint and _has_edges(build_kchi(chi), *self.edges)
 
     def named(self) -> tuple[int, ...]:
@@ -180,7 +186,7 @@ class DisjointPair(Lemma):
         d["others"] = others  # the two edges share exactly one vertex
 
     def check(self, chi: Character) -> bool:
-        if not _are_pairs(self.others, 2):
+        if not _are_pairs((self.edge, *self.others), 3):
             return False
         f, h = self.others
         g = build_kchi(chi)
@@ -215,7 +221,8 @@ class Star(Lemma):
     def check(self, chi: Character) -> bool:
         c, leaves = self.center, self.leaves  # a leaf equal to c makes no edge of K
         return (
-            len(set(leaves)) == len(leaves) >= 3
+            _ints(c, *leaves)
+            and len(set(leaves)) == len(leaves) >= 3
             and _exact(chi)[1][0] == 0
             and build_kchi(chi).labels.keys() == {tuple(sorted((c, l))) for l in leaves}
         )
@@ -270,7 +277,7 @@ class Triangle(Lemma):
         d["value"] = value  # nonzero swing value of the triangle
 
     def check(self, chi: Character) -> bool:
-        if not _are_pairs(self.edges, 2):
+        if not (_are_pairs(self.edges, 2) and _ints(*self.triangle)):
             return False
         p, q = self.edges
         tri = set(self.triangle)

@@ -21,7 +21,8 @@ domination, generation and the factorizations) runs once per (lemma, n)
 in ``_lemma_shape``, the one cache here, and travels with the package
 ``build_witness_for`` makes, outside its fields.  Any other package
 (from ``WitnessPackage``, ``_replace`` or JSON) is checked in full on
-every call, so no package from outside reaches the cache.
+every call, so no package from outside reaches the cache.  The JSON dict
+holds the package's own tuples, which ``json.dumps`` writes as arrays.
 
 Each of those checks costs about one pass over I, whose members are
 almost all pairs of strands.  A pair {a, b} commutes with a swing set S
@@ -35,12 +36,14 @@ sorted into swing sets only for the coverage; a member that is not a
 swing set of 1..n gives nothing.
 
 Only survival reads the character, so it alone runs for every character,
-on its cached integer pairs, not on a relabeled copy.  The swing on J
-after relabeling by perm is the swing on perm^-1(J) before it: J of all
-n strands gives the cached Delta, J of all strands but m gives Delta
-minus the row sum at perm^-1(m) (the weights on the edges of K_chi at
-that strand), J of two strands is nonzero when its pair is in the
-support, and any other J sums its own pairs.
+on its cached integer pairs, not on a relabeled copy.  It checks the perm
+every time, but a built package's J only once per shape, in
+``_lemma_shape``.  The swing on J after relabeling by perm is the swing
+on perm^-1(J) before it: J of all n strands gives the cached Delta, J of
+all strands but m gives Delta minus the row sum at perm^-1(m) (the
+weights on the edges of K_chi at that strand), J of two strands is
+nonzero when its pair is in the support, and any other J sums its own
+pairs.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from itertools import accumulate, chain, combinations
 from .characters import (
     Character,
     Edge,
+    InternalError,
     SwingSet,
     _exact,
     _pair_sum,
@@ -251,8 +255,14 @@ _TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() f
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _lemma_shape(lemma: type, n: int) -> tuple[WitnessData, tuple]:
-    """A lemma's (J, I, factorizations) at n and their ``_shape_checks``."""
+    """A lemma's (J, I, factorizations) at n and their ``_shape_checks``;
+    survival takes a built package's J as it is, a swing set checked here."""
     data = lemma.witness(n)
+    try:
+        for j in data[0]:
+            swing_set(j, n)
+    except (ValueError, IndexError) as exc:
+        raise InternalError(f"{lemma.kind} at n = {n}: {exc}") from exc
     return data, _shape_checks(n, *data)
 
 
@@ -339,9 +349,10 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
         raise ValueError(f"perm must be a bijection on 1..{n}, got {perm}")
     preimage = {p: i for i, p in enumerate(perm, 1)}
     pairs, (x, d) = _exact(chi)
+    built = "_checks" in pkg.__dict__  # its J passed swing_set in _lemma_shape
     failures = []
     for j in pkg.j_sets:
-        a = swing_set(j, n)
+        a = j if built else swing_set(j, n)
         if len(a) == n:
             vanishes = x == 0
         elif len(a) == n - 1:
@@ -379,17 +390,14 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
 
 
 def witness_to_json_dict(pkg: WitnessPackage) -> dict:
+    """The package's own tuples under their JSON names (module docstring)."""
     return {
         "lemma": pkg.lemma,
-        "perm": list(pkg.perm),
-        "J": [list(j) for j in pkg.j_sets],
-        "I": [list(i) for i in pkg.i_sets],
+        "perm": pkg.perm,
+        "J": pkg.j_sets,
+        "I": pkg.i_sets,
         "factorizations": [
-            {
-                "added": list(f.added),
-                "factors": [list(x) for x in f.factors],
-                "recovers": list(f.recovers),
-            }
+            {"added": f.added, "factors": f.factors, "recovers": f.recovers}
             for f in pkg.factorizations
         ],
     }

@@ -33,6 +33,51 @@ from conftest import (
 )
 
 
+# a character of each lemma but zero_sum, its certificate and the perm it
+# derives: each perm sends the certificate's named vertices to their
+# indices in the lemma's normal form and the other strands, in order, to
+# the rest; none is the identity
+DERIVED_PERMS = [
+    (
+        6,
+        {(1, 4): 1, (2, 6): 1, (3, 5): -2},
+        DisjointTriple(((1, 4), (2, 6), (3, 5))),
+        (1, 3, 5, 2, 6, 4),
+    ),
+    (
+        5,
+        {(2, 5): 1, (1, 3): 2, (3, 4): -3},
+        DisjointPair((2, 5), ((1, 3), (3, 4))),
+        (3, 1, 4, 5, 2),
+    ),
+    (
+        6,
+        {(1, 3): 1, (2, 3): 1, (3, 5): 1, (3, 6): -3},
+        Star(3, (1, 2, 5, 6)),
+        (1, 2, 4, 5, 3, 6),
+    ),
+    (6, {(2, 5): 1, (4, 6): -1}, DisjointLeaves(((2, 5), (4, 6))), (5, 1, 6, 3, 2, 4)),
+    (
+        5,
+        {(2, 3): -1, (2, 4): 1, (2, 5): -1, (3, 5): 1},
+        Triangle(((3, 5), (2, 4)), (2, 3, 5), Fraction(-1)),
+        (5, 3, 1, 4, 2),
+    ),
+]
+
+
+def respellings(value, spell):
+    """Each copy of the nested tuple of strands ``value`` with one strand v
+    replaced by spell(v), where that is not None."""
+    if not isinstance(value, tuple):
+        return [] if spell(value) is None else [spell(value)]
+    return [
+        value[:k] + (s,) + value[k + 1:]
+        for k, part in enumerate(value)
+        for s in respellings(part, spell)
+    ]
+
+
 class TestPipelineStages:
     def test_zero_sum(self, chi0):
         cls = classify(chi0)
@@ -184,39 +229,7 @@ class TestCertificates:
 
 
 class TestDerivedPerm:
-    # each perm sends the certificate's named vertices to their indices in
-    # the lemma's normal form and the other strands, in order, to the rest;
-    # none is the identity
-    @pytest.mark.parametrize(
-        "n, weights, cert, perm",
-        [
-            (
-                6,
-                {(1, 4): 1, (2, 6): 1, (3, 5): -2},
-                DisjointTriple(((1, 4), (2, 6), (3, 5))),
-                (1, 3, 5, 2, 6, 4),
-            ),
-            (
-                5,
-                {(2, 5): 1, (1, 3): 2, (3, 4): -3},
-                DisjointPair((2, 5), ((1, 3), (3, 4))),
-                (3, 1, 4, 5, 2),
-            ),
-            (
-                6,
-                {(1, 3): 1, (2, 3): 1, (3, 5): 1, (3, 6): -3},
-                Star(3, (1, 2, 5, 6)),
-                (1, 2, 4, 5, 3, 6),
-            ),
-            (6, {(2, 5): 1, (4, 6): -1}, DisjointLeaves(((2, 5), (4, 6))), (5, 1, 6, 3, 2, 4)),
-            (
-                5,
-                {(2, 3): -1, (2, 4): 1, (2, 5): -1, (3, 5): 1},
-                Triangle(((3, 5), (2, 4)), (2, 3, 5), Fraction(-1)),
-                (5, 3, 1, 4, 2),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("n, weights, cert, perm", DERIVED_PERMS)
     def test_perm_follows_from_fields(self, n, weights, cert, perm):
         chi = sparse(n, weights)
         cls = classify(chi)
@@ -303,6 +316,36 @@ class TestCertificateRejection:
         assert verify_certificate(Classification(cert, 6), chi)
         bad = cert._replace(**extra)
         assert not verify_certificate(Classification(bad, 6), chi)
+
+    # the same strands spelled as floats: (1.0, 2.0) equals and hashes like
+    # (1, 2), so only a type check tells them apart
+    def test_float_disjoint_triple_is_refused(self):
+        chi = sparse(6, {(1, 2): 1, (3, 4): 1, (5, 6): -2})
+        assert verify_certificate(Classification(DisjointTriple(((1, 2), (3, 4), (5, 6))), 6), chi)
+        cls = Classification(DisjointTriple(((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))), 6)
+        assert not verify_certificate(cls, chi)
+
+    def test_float_triangle_is_refused_not_raised(self):
+        chi = sparse(4, {(1, 2): 1, (1, 3): 1, (2, 3): 1, (3, 4): -3})
+        good = classify(chi)
+        assert good.certificate == Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(3))
+        bad = Triangle(((1.0, 2.0), (3.0, 4.0)), (1.0, 2.0, 3.0), Fraction(3))
+        assert not verify_certificate(Classification(bad, 4), chi)
+
+    # every strand of every lemma's certificate in turn, spelled as a float,
+    # and each strand 1 spelled as True
+    @pytest.mark.parametrize("n, weights, cert, perm", DERIVED_PERMS)
+    @pytest.mark.parametrize(
+        "spell", [float, lambda v: True if v == 1 else None], ids=["float", "bool"]
+    )
+    def test_each_strand_must_be_an_int(self, n, weights, cert, perm, spell):
+        chi = sparse(n, weights)
+        assert verify_certificate(Classification(cert, n), chi)
+        for name in cert._fields:
+            if name != "value":
+                for value in respellings(getattr(cert, name), spell):
+                    bad = cert._replace(**{name: value})
+                    assert not verify_certificate(Classification(bad, n), chi), bad
 
     def test_strand_count_must_match(self, chi0):
         cls = classify(chi0)

@@ -140,6 +140,71 @@ class TestDisjointSearches:
             assert_searches_agree(n, relabel(edges, perm))
 
 
+    def test_seeded_families_reach_both_branches(self):
+        # a greedy matching in edge order that reaches three edges is the
+        # least triple; one that stops at two leaves a kernel to search,
+        # where the least triple need not start at the first edge
+        rng = random.Random(640)
+        reached = Counter()
+        for _ in range(60):
+            for family in (two_stars, k4_with_pendants, first_edge_starts_none):
+                n = rng.randint(6, 40)
+                edges = family(rng, n)
+                if rng.random() < 0.5:
+                    perm = list(range(1, n + 1))
+                    rng.shuffle(perm)
+                    edges = relabel(edges, perm)
+                assert_searches_agree(n, edges)
+                triple = brute_triple(edges)
+                reached[family.__name__, greedy_matching_size(edges), triple is not None] += 1
+                if triple is not None and triple[0] != min(edges):
+                    reached["t1 after the first edge"] += 1
+        assert reached["two_stars", 2, False] > 10
+        assert reached["k4_with_pendants", 2, True] > 10
+        assert reached["k4_with_pendants", 3, True] > 10
+        assert reached["first_edge_starts_none", 2, True] > 10
+        assert reached["t1 after the first edge"] > 10
+
+
+def greedy_matching_size(edges, stop=3):
+    matched = set()
+    for a, b in sorted(edges):
+        if len(matched) < 2 * stop and a not in matched and b not in matched:
+            matched |= {a, b}
+    return len(matched) // 2
+
+
+def two_stars(rng, n):
+    """Centers 1 and 2 on shared leaves, with or without the edge 1-2:
+    every edge meets the centers, so there is no disjoint triple."""
+    leaves = rng.sample(range(3, n + 1), rng.randint(2, min(n - 2, 16)))
+    edges = [(c, v) for c in (1, 2) for v in leaves]
+    return edges + [(1, 2)] * (rng.random() < 0.5)
+
+
+def k4_with_pendants(rng, n):
+    """K4 on 1..4 with three or more pendant edges at each vertex: when
+    the matching stops at two edges, the kernel has all 6 + 12 edges."""
+    edges = {(a, b) for a in range(1, 5) for b in range(a + 1, 5)}
+    for c in range(1, 5):
+        for v in rng.sample(range(5, n + 1), min(n - 4, rng.randint(3, 6))):
+            edges.add((c, v))
+    return sorted(edges)
+
+
+def first_edge_starts_none(rng, n):
+    """The edge 1-2, then a star at 3 or the triangle 345 among the edges
+    that miss it, and edges at 1 and at 2: 1-2 starts no triple."""
+    if rng.random() < 0.5:
+        edges = {(3, v) for v in rng.sample(range(4, n + 1), rng.randint(1, n - 3))}
+    else:
+        edges = {(3, 4), (3, 5), (4, 5)}
+    for c in (1, 2):
+        for v in rng.sample(range(3, n + 1), rng.randint(1, 3)):
+            edges.add((c, v))
+    return sorted(edges | {(1, 2)})
+
+
 # -- locate_circle ---------------------------------------------------------
 
 

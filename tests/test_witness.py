@@ -6,7 +6,7 @@ import pytest
 
 from braidsigma import planar, witness, words
 from braidsigma.cli import main
-from braidsigma.characters import all_edges, permute, swing_value
+from braidsigma.characters import InternalError, all_edges, permute, swing_value
 from braidsigma.classify import RECOVERY_FACTORIZATIONS, SIGMA1, Factorization, classify
 from braidsigma.witness import (
     WitnessPackage,
@@ -296,8 +296,107 @@ class TestVerifyWitness:
         pkg = build_witness_for(classify(chi0), chi0)
         data = witness_to_json_dict(pkg)
         assert data["lemma"] == "zero_sum"
-        assert data["J"] == [[1, 2, 3, 4]]
+        assert data["J"] == ((1, 2, 3, 4),)
         assert len(data["I"]) == 6
+        assert data["I"] is pkg.i_sets  # the package's own tuple, not a copy
+
+    def test_built_j_is_checked_once_per_shape(self, monkeypatch):
+        chi = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi), chi)
+        calls = []
+        swing_set = witness.swing_set
+        monkeypatch.setattr(witness, "swing_set", lambda a, n: calls.append(a) or swing_set(a, n))
+        assert verify_witness(pkg, chi).ok
+        assert calls == []
+        # a package from outside has its J checked on every call
+        assert verify_witness(pkg._replace(), chi).ok
+        assert calls[: len(pkg.j_sets)] == list(pkg.j_sets)
+
+    def test_a_bad_table_j_is_an_internal_error(self):
+        class Repeated:  # a lemma whose J repeats a strand
+            kind = "repeated"
+
+            @staticmethod
+            def witness(n):
+                return ((1, 1),), tuple(all_edges(n)), ()
+
+        with pytest.raises(InternalError, match="repeated at n = 4"):
+            witness._lemma_shape(Repeated, 4)
+
+
+def reference_json_dict(pkg):
+    """The witness dict with every member copied into a list."""
+    return {
+        "lemma": pkg.lemma,
+        "perm": list(pkg.perm),
+        "J": [list(j) for j in pkg.j_sets],
+        "I": [list(i) for i in pkg.i_sets],
+        "factorizations": [
+            {
+                "added": list(f.added),
+                "factors": [list(x) for x in f.factors],
+                "recovers": list(f.recovers),
+            }
+            for f in pkg.factorizations
+        ],
+    }
+
+
+# one support per lemma, with the n it needs at least
+LEMMA_SUPPORTS = {
+    "zero_sum": (4, {(1, 2): 1}),
+    "disjoint_triple": (6, {(1, 2): 1, (3, 4): 1, (5, 6): -2}),
+    "disjoint_pair": (5, {(1, 2): 1, (3, 4): 1, (4, 5): -2}),
+    "star": (4, {(1, 2): 1, (1, 3): 1, (1, 4): -2}),
+    "disjoint_leaves": (4, {(1, 2): 1, (2, 3): -2, (3, 4): 1}),
+    "triangle": (4, {(1, 2): 1, (1, 3): 1, (2, 3): 1, (3, 4): -3}),
+}
+
+
+def relabeled_package(lemma, n):
+    """The built package of the lemma's support at n, its strands shuffled
+    so that the perm is not the identity."""
+    _, support = LEMMA_SUPPORTS[lemma]
+    labels = list(range(1, n + 1))
+    random.Random(f"{lemma}:{n}").shuffle(labels)
+    chi = sparse(n, {(labels[i - 1], labels[j - 1]): w for (i, j), w in support.items()})
+    pkg = build_witness_for(classify(chi), chi)
+    assert pkg.lemma == lemma
+    return pkg
+
+
+def dumped(data):
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+class TestWitnessJson:
+    """The dict holds the package's own tuples; ``json.dumps`` must print
+    it byte for byte as the same dict with every member a list."""
+
+    @pytest.mark.parametrize("n", [*range(4, 13), 64])
+    def test_every_lemma_prints_as_lists(self, n):
+        for lemma, (least, _) in LEMMA_SUPPORTS.items():
+            if n >= least:
+                pkg = relabeled_package(lemma, n)
+                assert dumped(witness_to_json_dict(pkg)) == dumped(reference_json_dict(pkg))
+
+    def test_disjoint_pair_at_n256_prints_as_lists(self):
+        pkg = relabeled_package("disjoint_pair", 256)
+        assert pkg.factorizations and pkg.perm != tuple(range(1, 257))
+        assert dumped(witness_to_json_dict(pkg)) == dumped(reference_json_dict(pkg))
+
+    def test_a_package_of_lists_prints_as_before(self):
+        pkg = relabeled_package("triangle", 7)
+        listed = reference_json_dict(pkg)
+        as_lists = WitnessPackage(
+            pkg.lemma,
+            listed["perm"],
+            listed["J"],
+            listed["I"],
+            [Factorization(list(f.added), [list(x) for x in f.factors], list(f.recovers))
+             for f in pkg.factorizations],
+        )
+        assert dumped(witness_to_json_dict(as_lists)) == dumped(listed)
 
 
 class TestWordLevel:
