@@ -180,9 +180,9 @@ def _swing_pair(chi: Character, a: SwingSet) -> Pair:
 
 
 def _equals(value: object, pair: Pair) -> bool:
-    """Is ``value`` an int or a Fraction equal to the pair's rational?"""
+    """Is ``value`` an int or a Fraction (not a bool) equal to the pair's rational?"""
     x, d = pair
-    return isinstance(value, (int, Fraction)) and value.numerator * d == x * value.denominator
+    return type(value) in (int, Fraction) and value.numerator * d == x * value.denominator
 
 
 def swing_value(chi: Character, a: Iterable[int]) -> Fraction:

@@ -347,6 +347,16 @@ class TestCertificateRejection:
                     bad = cert._replace(**{name: value})
                     assert not verify_certificate(Classification(bad, n), chi), bad
 
+    # a bool equals 0 or 1, but is no exact value: it would print as true
+    def test_bool_values_are_refused(self):
+        chi = sparse(2, {(1, 2): 1})
+        assert verify_certificate(Classification(ZeroSum(1), 2), chi)
+        assert not verify_certificate(Classification(ZeroSum(True), 2), chi)
+        chi = sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
+        tri = Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(1))
+        assert verify_certificate(Classification(tri, 6), chi)
+        assert not verify_certificate(Classification(tri._replace(value=True), 6), chi)
+
     def test_strand_count_must_match(self, chi0):
         cls = classify(chi0)
         assert verify_certificate(cls, chi0)
