@@ -28,10 +28,11 @@ Take a greedy matching M in edge order, stopped at its third edge.
 
 - |M| = 3: M is the least triple, found in one O(E) scan.  An edge t1
   starts no triple only when the later edges that miss it form a star or
-  a triangle.  M's first edge is the first edge of all, and it starts
-  one: M's other two edges come after it and miss it.  Its second edge t2 is the first
-  that misses t1, so it is the least one: an earlier partner would have
-  been taken first.  Its third is the first edge that misses both.
+  a triangle.  M's first edge t1 is the first edge of all, and it starts
+  one: M's other two edges come after it and miss it.  M's second edge
+  t2 is the first that misses t1, so it is the least one: an earlier
+  partner would have been taken first.  M's third edge is the first
+  that misses both.
 - |M| <= 2: every edge meets the <= 4 vertices C = V(M).  The least
   triple uses only edges inside C and, for each c in C, the 3 smallest
   edges from c to outside C.  Exchange argument: if the least triple has
@@ -132,9 +133,8 @@ def find_edge_disjoint_from_two(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
 
 
 def find_disjoint_triple(g: CharGraph) -> tuple[Edge, Edge, Edge] | None:
-    """Lexicographically least triple of pairwise disjoint edges, if any
-    (the greedy matching, or the search of its kernel, of the module
-    docstring)."""
+    """Lexicographically least triple of pairwise disjoint edges, if any:
+    the greedy matching or a triple of its kernel (module docstring)."""
     edges = g.order
     matched: set[int] = set()
     matching = []
