@@ -139,7 +139,6 @@ class TestDisjointSearches:
             rng.shuffle(perm)
             assert_searches_agree(n, relabel(edges, perm))
 
-
     def test_seeded_families_reach_both_branches(self):
         # a greedy matching in edge order that reaches three edges is the
         # least triple; one that stops at two leaves a kernel to search,
@@ -166,10 +165,11 @@ class TestDisjointSearches:
         assert reached["t1 after the first edge"] > 10
 
 
-def greedy_matching_size(edges, stop=3):
+def greedy_matching_size(edges):
+    """Edges of the greedy matching in edge order, stopped at three."""
     matched = set()
     for a, b in sorted(edges):
-        if len(matched) < 2 * stop and a not in matched and b not in matched:
+        if len(matched) < 6 and a not in matched and b not in matched:
             matched |= {a, b}
     return len(matched) // 2
 
@@ -183,8 +183,9 @@ def two_stars(rng, n):
 
 
 def k4_with_pendants(rng, n):
-    """K4 on 1..4 with three or more pendant edges at each vertex: when
-    the matching stops at two edges, the kernel has all 6 + 12 edges."""
+    """K4 on 1..4 with 3 to 6 pendant edges at each vertex (fewer when n
+    is small): when the matching stops at two edges, the kernel has
+    6 + 12 edges."""
     edges = {(a, b) for a in range(1, 5) for b in range(a + 1, 5)}
     for c in range(1, 5):
         for v in rng.sample(range(5, n + 1), min(n - 4, rng.randint(3, 6))):

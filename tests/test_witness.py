@@ -388,14 +388,10 @@ class TestWitnessJson:
     def test_a_package_of_lists_prints_as_before(self):
         pkg = relabeled_package("triangle", 7)
         listed = reference_json_dict(pkg)
-        as_lists = WitnessPackage(
-            pkg.lemma,
-            listed["perm"],
-            listed["J"],
-            listed["I"],
-            [Factorization(list(f.added), [list(x) for x in f.factors], list(f.recovers))
-             for f in pkg.factorizations],
-        )
+        facts = [
+            Factorization(f["added"], f["factors"], f["recovers"]) for f in listed["factorizations"]
+        ]
+        as_lists = WitnessPackage(pkg.lemma, listed["perm"], listed["J"], listed["I"], facts)
         assert dumped(witness_to_json_dict(as_lists)) == dumped(listed)
 
 
