@@ -7,27 +7,31 @@ and exact sums over it), so we store its support: each unordered pair
 All arithmetic is exact (``fractions.Fraction``); every zero-test below
 is therefore decidable.
 
-Fraction's own machinery stays off the per-character path.  The JSON
-parser reads a weight in a plain form, [+-]digits or [+-]digits/digits in
-ASCII, with int(); any other spelling goes to Fraction's parser after the
-exponent bound below.  Each distinct spelling is parsed once per
-character, and once per process if ``_weight_memo`` keeps it: the memo
-maps a spelling that parsed to its value and whether that is nonzero.  A
-spelling that fails is never kept, so it fails again, naming its key, in
-every character that holds it.  The memo keeps only exact ``str``
-spellings of at most _WEIGHT_MEMO_LENGTH = 32 characters without an
-exponent, whose values have at most 32 digits above and below the line,
-and only the first _WEIGHT_MEMO_SIZE = 1024 of them.  On 64-bit CPython
-an entry holds at most 517 bytes (the spelling 333, as 32 four-byte
-characters and a cached UTF-8 copy; its tuple 56; the Fraction 48 and
-its two integers 40 each) and the dict's table under 37,000 (26,032 on
-3.11), so the memo never holds more than 1024 * 517 + 37,000 = 566,408
-bytes.  Sums (Delta, swing values, row sums) run on each value's
-(numerator, denominator), cached on the character: ``_pair_sum`` returns an
-unreduced pair, so a zero test reads its numerator and an equality
-cross-multiplies.  The parser keeps only the nonzero values and has proved
-their pairs, so it skips the constructor's check of them; it reads each
-spelling's pair once and sums Delta in the pass that fills the support.
+Fraction's own machinery stays off the per-character path.  A document
+followed by nothing but JSON whitespace (space, tab, LF, CR: RFC 8259
+section 2) is read by ``JSONDecoder.raw_decode``; any other text goes to
+``json.loads``, which names its errors as before.  Keys that are the
+canonical list "1-2", "1-3", ... in ``all_edges`` order are zipped against
+the pairs (both built once per n); other keys are split and checked one by
+one.  A plain weight, [+-]digits or [+-]digits/digits in ASCII, is read
+with int(), any other after the exponent bound below by Fraction.  Each
+distinct spelling is parsed once per character, and once per process if
+``_weight_memo`` keeps it: the memo maps a spelling that parsed to its
+value and the value's (numerator, denominator), None for 0, so a kept
+spelling costs one lookup.  A spelling that fails is never kept, so it
+fails again, naming its key, in every character that holds it.  The memo
+keeps only exact ``str`` spellings of at most _WEIGHT_MEMO_LENGTH = 32
+characters without an exponent, whose values have at most 32 digits above
+and below the line, and only the first _WEIGHT_MEMO_SIZE = 1024 of them.
+On 64-bit CPython an entry holds at most 573 bytes (the spelling 333, as 32
+four-byte characters and a cached UTF-8 copy; its tuple 56; the Fraction 48
+and its two integers 40 each; the pair's tuple 56, holding those integers)
+and the dict's table under 37,000 (26,032 on 3.11), so the memo never holds
+more than 1024 * 573 + 37,000 = 623,752 bytes.  Sums (Delta, swing values,
+row sums) run on the values' pairs, cached on the character: ``_pair_sum``
+returns an unreduced pair, so a zero test reads its numerator and an
+equality cross-multiplies.  The parser keeps only nonzero values, skips the
+constructor's check of what it has proved, and sums Delta as it reads.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import lcm
 
 from .record import Record
@@ -76,12 +80,10 @@ def all_edges(n: int) -> list[Edge]:
 
 
 @lru_cache(maxsize=32)
-def _canonical_keys(n: int) -> dict[str, Edge]:
-    """The canonical JSON key "i-j" (i < j) of each pair of 1..n mapped to
-    the pair, built once per n and only read.  Callers ask only with an
-    input of C(n,2) entries at hand, so a table is never larger than an
-    input already seen."""
-    return {f"{i}-{j}": (i, j) for i, j in all_edges(n)}
+def _canonical_keys(n: int) -> tuple[list[str], list[Edge]]:
+    """The keys "i-j" (i < j) of the pairs of 1..n, and the pairs, in
+    ``all_edges`` order; asked for only with an input of C(n,2) keys."""
+    return [f"{i}-{j}" for i, j in combinations(map(str, range(1, n + 1)), 2)], all_edges(n)
 
 
 def swing_set(members: Iterable[int], n: int) -> SwingSet:
@@ -150,10 +152,13 @@ def _pair_sum(pairs: Iterable[Pair]) -> Pair:
 
 
 def _merged(by_denominator: dict[int, int]) -> Pair:
-    """The sum of x/d over the items d: x, as an unreduced pair.  The
-    nonzero terms are merged two at a time over the lcm of their
-    denominators, oldest first: a balanced tree, so k distinct
-    denominators cost about log2 k rounds."""
+    """The sum of x/d over the items d: x, as an unreduced pair.  One
+    denominator's pair is returned as it is; more nonzero terms are merged
+    two at a time over the lcm of their denominators, oldest first: a
+    balanced tree, so k distinct denominators cost about log2 k rounds."""
+    if len(by_denominator) == 1:
+        [(d, x)] = by_denominator.items()
+        return x, d
     terms = [(d, x) for d, x in by_denominator.items() if x]
     for i in range(0, 2 * len(terms) - 2, 2):
         (d1, x1), (d2, x2) = terms[i], terms[i + 1]
@@ -225,7 +230,8 @@ MAX_EXPONENT = 4300
 
 _WEIGHT_MEMO_SIZE = 1024
 _WEIGHT_MEMO_LENGTH = 32
-_weight_memo: dict[str, tuple[Fraction, bool]] = {}
+_weight_memo: dict[str, tuple[Fraction, Pair | None]] = {}
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_weight(key: str, val: str | int) -> Fraction:
@@ -258,16 +264,20 @@ def _parse_weight(key: str, val: str | int) -> Fraction:
         raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc
 
 
-def _weight_entry(key: str, val: str | int) -> tuple[Fraction, bool]:
-    """(value, value != 0) of one JSON weight, read from ``_weight_memo``
-    or parsed and then kept there when the module docstring allows."""
-    kept = type(val) is str and len(val) <= _WEIGHT_MEMO_LENGTH
-    if kept and (entry := _weight_memo.get(val)) is not None:
-        return entry
-    value = _parse_weight(key, val)
-    entry = (value, value != 0)
-    if kept and len(_weight_memo) < _WEIGHT_MEMO_SIZE and "e" not in val.lower():
-        _weight_memo[val] = entry
+def _weight_entry(key: str, val: object, parsed: dict) -> tuple[Fraction, Pair | None]:
+    """(value, its pair or None for 0) of a weight ``_weight_memo`` lacks:
+    from ``parsed``, or parsed and kept in the memo or else in ``parsed``."""
+    # strings first, the common case; then ints, but not bools
+    if not isinstance(val, str) and (isinstance(val, bool) or not isinstance(val, int)):
+        raise CharacterFormatError(
+            f"weight for key {key!r} must be a string or an integer, got {val!r}"
+        )
+    entry = parsed.get(val)
+    if entry is None:
+        value = _parse_weight(key, val)
+        entry = (value, value.as_integer_ratio() if value else None)
+        kept = type(val) is str and len(val) <= _WEIGHT_MEMO_LENGTH and "e" not in val.lower()
+        (_weight_memo if kept and len(_weight_memo) < _WEIGHT_MEMO_SIZE else parsed)[val] = entry
     return entry
 
 
@@ -285,20 +295,15 @@ def character_from_json_dict(data: dict) -> Character:
     if not isinstance(raw, dict):
         raise CharacterFormatError("'weights' must be an object")
     expected = n * (n - 1) // 2
+    # keys that are the canonical list, in its order, name its pairs in
+    # that order, all distinct and in range; any other key is checked
+    fast = len(raw) == expected and list(raw) == (canonical := _canonical_keys(n))[0]
+    seen: set[Edge] = set()  # the pairs of the checked keys
     support = {}
     pairs, delta = {}, {}  # the support as pairs; Delta's numerators per denominator
-    # each distinct raw value is looked up once, and in the process-wide
-    # memo only when this dict misses; pairs with equal values share one
-    # (immutable) Fraction and its pair, None for a zero value
-    parsed: dict[str | int, tuple[Fraction, Pair | None]] = {}
-    # a canonical key "i-j" (i < j) is one lookup; any other key ("2-1",
-    # "01-2", "x") is parsed and range-checked
-    canonical = _canonical_keys(n) if len(raw) == expected else {}
-    # distinct canonical keys name distinct pairs; only other input needs
-    # the set of pairs read so far to find a pair named twice
-    seen: set[Edge] | None = None if canonical and raw.keys() <= canonical.keys() else set()
-    for key, val in raw.items():
-        e = canonical.get(key)
+    parsed: dict = {}
+    memo = _weight_memo.get
+    for (key, val), e in zip(raw.items(), canonical[1] if fast else repeat(None)):
         if e is None:
             try:
                 i_s, j_s = key.split("-")
@@ -307,19 +312,14 @@ def character_from_json_dict(data: dict) -> Character:
                 raise CharacterFormatError(f"bad weight key {key!r}") from exc
             if not (1 <= e[0] and e[1] <= n):
                 raise CharacterFormatError(f"weight key {key!r} out of range for n={n}")
-        if seen is not None:
             if e in seen:
                 raise CharacterFormatError(f"duplicate weight key {key!r}")
             seen.add(e)
-        # strings first, the common case; then ints, but not bools
-        if not isinstance(val, str) and (isinstance(val, bool) or not isinstance(val, int)):
-            raise CharacterFormatError(
-                f"weight for key {key!r} must be a string or an integer, got {val!r}"
-            )
-        entry = parsed.get(val)
+        # a str subclass may equal a kept spelling, but its own methods
+        # decide what it reads as, so it takes the parser
+        entry = memo(val) if type(val) is str else None
         if entry is None:
-            value, nonzero = _weight_entry(key, val)
-            entry = parsed[val] = (value, value.as_integer_ratio() if nonzero else None)
+            entry = _weight_entry(key, val, parsed)
         value, pair = entry
         if pair:
             support[e] = value
@@ -336,9 +336,7 @@ def character_from_json_dict(data: dict) -> Character:
         shown = [f"{i}-{j}" for i, j in islice(absent, MISSING_KEYS_SHOWN)]
         count = expected - len(raw)
         more = ", ..." if count > len(shown) else ""
-        raise CharacterFormatError(
-            f"missing weight keys ({count} of {expected}): {shown}{more}"
-        )
+        raise CharacterFormatError(f"missing weight keys ({count} of {expected}): {shown}{more}")
     # the keys are now proved to be exactly the pairs of 1..n, and only
     # nonzero values entered the support, so the constructor's check of
     # the same facts is not run again
@@ -348,8 +346,15 @@ def character_from_json_dict(data: dict) -> Character:
 
 
 def character_from_json(text: str) -> Character:
+    """The character of a JSON text, read as the module docstring says."""
     try:
-        data = json.loads(text)
+        try:
+            data, end = _raw_decode(text)
+            whole = not text[end:].strip(" \t\n\r")  # RFC 8259 whitespace only
+        except (ValueError, RecursionError, TypeError):
+            whole = False
+        if not whole:
+            data = json.loads(text)
     # a ValueError is also an int past Python's digit limit; RecursionError, nesting too deep
     except (ValueError, RecursionError) as exc:
         raise CharacterFormatError(f"invalid JSON: {exc}") from exc

@@ -426,22 +426,17 @@ def verify_certificate(cls: Classification, chi: Character) -> bool:
 # -- JSON ------------------------------------------------------------------
 
 
-def _json_value(v):
-    """Fractions as exact strings; tuples of ints or of edges as lists."""
-    if isinstance(v, tuple):
-        return [list(x) if isinstance(x, tuple) else x for x in v]
-    return str(v) if isinstance(v, Fraction) else v
-
-
 def classification_to_json_dict(cls: Classification) -> dict:
-    """Each certificate field under its own name, then the derived perm;
-    a circle certificate prints its circle as "id" and has no perm."""
+    """Each certificate field under its own name (a tuple as it is, which
+    ``json.dumps`` writes as an array; a Fraction as a string), then the
+    derived perm; a circle certificate prints its circle as "id", no perm."""
     cert = cls.certificate
     if isinstance(cert, CircleMembership):
         body: dict = {"kind": cert.kind, "id": cert.circle.to_json_dict()}
     else:
         body = {"kind": cert.kind}
         for name in cert._fields:
-            body[name] = _json_value(getattr(cert, name))
-        body["perm"] = list(cls.perm)
+            v = getattr(cert, name)
+            body[name] = str(v) if isinstance(v, Fraction) else v
+        body["perm"] = cls.perm
     return {"verdict": cls.verdict, "certificate": body}

@@ -652,6 +652,67 @@ def test_parser_returns_a_character_or_refuses_the_input(data):
     assert Character(chi.n, dict(chi.support)) == chi
 
 
+def through_loads(text):
+    """The character of ``text`` read by ``json.loads``, as
+    ``character_from_json`` read every text before its ``raw_decode``
+    entry."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise CharacterFormatError(f"invalid JSON: {exc}") from exc
+    return character_from_json_dict(data)
+
+
+def text_outcome(parse, text):
+    """The character, its Delta and repr, or the type and message of what
+    ``parse`` raised for ``text``."""
+    try:
+        chi = parse(text)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    return (chi, delta_value(chi), repr(chi))
+
+
+JSON_SPACE = st.text(st.sampled_from(" \t\n\r"), max_size=3)
+# whitespace to Python's str methods, or a BOM, but not to RFC 8259
+OTHER_SPACE = st.text(st.sampled_from(" \t\n\x0b\x0c\xa0\u2028\ufeff"), min_size=1, max_size=3)
+JUNK = st.sampled_from(["x", "{}", "[", "]", "}", ",", "1", '"', "\x00", "//"]) | st.text(max_size=3)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(2, 4).flatmap(near_valid), CHARACTER_LIKE, JSON_VALUES).map(json.dumps),
+    JSON_SPACE | OTHER_SPACE,
+    JSON_SPACE | OTHER_SPACE | JUNK,
+)
+@example('{"n": 2, "weights": {"1-2": "1"}}', "", " \r\n\t")
+@example('{"n": 2, "weights": {"1-2": "1"}}', "\ufeff", "")
+@example('{"n": 2, "weights": {"1-2": "1"}}', "\x0c", "")
+@example('{"n": 2, "weights": {"1-2": "1"}}', "", " x")
+@example('{"n": 2, "weights": {"1-2": "1"}}', "", "\x0b")
+@example("[" * 100_000, "", "")
+@example('{"n": 2, "weights": {"1-2": %s}}' % ("7" * 5000), "", "")
+def test_the_json_entry_reads_what_json_loads_reads(document, before, after):
+    text = before + document + after
+    assert text_outcome(character_from_json, text) == text_outcome(through_loads, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"n": 2, "weights": {"1-2": "1"}}', bytearray(b'{"n": 2, "weights": {}}'), None, 12],
+    ids=["bytes", "bytearray", "None", "int"],
+)
+def test_other_types_go_to_json_loads(text):
+    assert text_outcome(character_from_json, text) == text_outcome(through_loads, text)
+
+
+def respell(key, rng):
+    """``key`` as it is, or spelled j-i or 0i-j: the same pair, though not
+    the canonical key."""
+    i, j = key.split("-")
+    return rng.choice([key, f"{j}-{i}", f"0{i}-{j}"])
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     st.integers(2, 7).flatmap(
@@ -666,21 +727,45 @@ def test_parser_returns_a_character_or_refuses_the_input(data):
                 min_size=n * (n - 1) // 2,
                 max_size=n * (n - 1) // 2,
             ),
+            # at most one weight the parser refuses, at a drawn place
+            st.none() | st.tuples(st.integers(0, 20), st.sampled_from(["x", "1/0", "1e9999", 1.5, True])),
             st.randoms(use_true_random=False),
         )
     )
 )
 def test_parser_keeps_exactly_the_nonzero_pairs(case):
-    n, values, rng = case
+    n, values, bad, rng = case
     pairs = all_edges(n)
-    keys = [f"{i}-{j}" if rng.random() < 0.8 else f"{j}-{i}" for i, j in pairs]
+    values = list(values)
+    if bad is not None:
+        place = bad[0] % len(values)
+        values[place] = bad[1]
+    keys = [f"{i}-{j}" for i, j in pairs]
+    want = parse_outcome({"n": n, "weights": dict(zip(keys, values))})
+    if bad is None:
+        exact = {e: Fraction(str(v)) for e, v in zip(pairs, values)}
+        chi = want[0]
+        assert chi.support == {e: v for e, v in exact.items() if v != 0}
+        for (i, j), v in exact.items():
+            assert chi.weight(i, j) == v and chi.weight(j, i) == v
+    else:
+        assert want[0] == "refused" and repr(keys[place]) in want[1]
+    # the same weights in another key order, or with some keys spelled j-i
+    # or 0i-j, go through the reader that checks each key: the same
+    # character, or the same refusal naming the key as that input spells it
     order = list(range(len(pairs)))
     rng.shuffle(order)
-    chi = character_from_json_dict({"n": n, "weights": {keys[k]: values[k] for k in order}})
-    exact = {e: Fraction(str(v)) for e, v in zip(pairs, values)}
-    assert chi.support == {e: v for e, v in exact.items() if v != 0}
-    for (i, j), v in exact.items():
-        assert chi.weight(i, j) == v and chi.weight(j, i) == v
+    spelled = [respell(key, rng) for key in keys]
+    for kept_order, names in ((False, keys), (True, spelled), (False, spelled)):
+        ks = range(len(pairs)) if kept_order else order
+        got = parse_outcome({"n": n, "weights": {names[k]: values[k] for k in ks}})
+        if bad is not None:
+            assert got == ("refused", want[1].replace(repr(keys[place]), repr(names[place])))
+            continue
+        assert got[:2] == want[:2]
+        # the repr lists the support in the input's order
+        chi = got[0] if kept_order else Character(n, dict(sorted(got[0].support.items())))
+        assert repr(chi) == want[2]
 
 
 # -- the process-wide memo of weight spellings -------------------------------
@@ -795,6 +880,12 @@ class TestWeightMemo:
         held = sys.getsizeof(memo) + sum(
             sys.getsizeof(key) + sys.getsizeof(entry) + sys.getsizeof(entry[0])
             + sys.getsizeof(entry[0].numerator) + sys.getsizeof(entry[0].denominator)
+            + sys.getsizeof(entry[1])  # the pair's integers are the Fraction's own
             for key, entry in memo.items()
         )
-        assert held <= 566_408  # the module docstring's bound, under 1 MB
+        assert all(entry[1] == entry[0].as_integer_ratio() for entry in memo.values())
+        assert all(
+            entry[1][0] is entry[0].numerator and entry[1][1] is entry[0].denominator
+            for entry in memo.values()
+        )
+        assert held <= 623_752  # the module docstring's bound, under 1 MB

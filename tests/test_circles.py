@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidsigma.characters import (
     ZeroCharacterError,
@@ -80,6 +82,34 @@ class TestEnumerate:
     def test_json_round_trip(self):
         for cid in enumerate_circles(6):
             assert CircleId.from_json_dict(json.loads(json.dumps(cid.to_json_dict()))) == cid
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=7), inner, max_size=3),
+    max_leaves=10,
+)
+# ids near a valid one, so that most reach the checks of the kind and strands
+NEAR_IDS = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["P3", "P4", "P5", "p3", ""]) | JSON_VALUES,
+        "support": st.lists(st.integers(-1, 9) | JSON_VALUES, max_size=5) | JSON_VALUES,
+    }
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(NEAR_IDS, JSON_VALUES).map(lambda v: json.loads(json.dumps(v))))
+@example({"kind": "P4", "support": [1, 2, 3, 4], "extra": None})
+@example({"kind": "P3", "support": [[1], [2], [3]]})
+@example({"kind": "P3", "support": [3, 2, 1]})
+def test_any_json_value_is_an_id_or_a_value_error(value):
+    try:
+        cid = CircleId.from_json_dict(value)
+    except ValueError:
+        return
+    assert type(cid) is CircleId
+    assert CircleId.from_json_dict(cid.to_json_dict()) == cid
 
 
 class TestP3Membership:

@@ -215,7 +215,7 @@ class TestCertificates:
             "certificate": {
                 "kind": "zero_sum",
                 "delta": "-3",
-                "perm": [1, 2, 3, 4],
+                "perm": (1, 2, 3, 4),
             },
         }
 
@@ -235,7 +235,7 @@ class TestDerivedPerm:
         cls = classify(chi)
         assert cls.certificate == cert
         assert cls.perm == perm
-        assert classification_to_json_dict(cls)["certificate"]["perm"] == list(perm)
+        assert classification_to_json_dict(cls)["certificate"]["perm"] == perm
         assert verify_certificate(cls, chi)
         assert verify_witness(build_witness_for(cls, chi), chi).ok
 

@@ -430,6 +430,32 @@ def test_any_file_exits_0_or_2(tmp_path, data):
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=6),
+        st.integers(-3, 12).map(str),
+        st.sampled_from([" 5 ", "+4", "٣", "1_0", "0x5", "5.0", "1e1", "--3", "-h", "7" * 5000, "99"]),
+    )
+)
+@example("")
+@example("--n")
+def test_any_circles_n_exits_0_or_2(text):
+    # whatever text follows --n, the answer is the circle list or one
+    # error line: never an internal error (3), never an exception out of main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["circles", "--n", text])
+    assert code in (EXIT_OK, EXIT_INPUT_ERROR), (text, err.getvalue())
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        n = int(text)
+        assert len(json.loads(out.getvalue())) == comb(n, 3) + comb(n, 4)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 # a UTF-8 file whose one non-ASCII weight is ARABIC-INDIC DIGIT ONE
 ARABIC_ONE_JSON = '{"n": 3, "weights": {"1-2": "\u0661", "1-3": "1", "2-3": "-2"}}'
 
