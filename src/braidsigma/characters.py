@@ -303,7 +303,7 @@ def character_from_json_dict(data: dict) -> Character:
     pairs, delta = {}, {}  # the support as pairs; Delta's numerators per denominator
     parsed: dict = {}
     memo = _weight_memo.get
-    for (key, val), e in zip(raw.items(), canonical[1] if fast else repeat(None)):
+    for key, val, e in zip(raw, raw.values(), canonical[1] if fast else repeat(None)):
         if e is None:
             try:
                 i_s, j_s = key.split("-")
