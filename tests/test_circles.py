@@ -87,9 +87,20 @@ class TestEnumerate:
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=7), inner, max_size=3),
-    max_leaves=10,
+    max_leaves=6,
 )
-# ids near a valid one, so that most reach the checks of the kind and strands
+# valid ids, and ids near a valid one, so that most reach the checks of the
+# kind and strands
+VALID_IDS = st.sampled_from([("P3", 3), ("P4", 4)]).flatmap(
+    lambda kind_size: st.fixed_dictionaries(
+        {
+            "kind": st.just(kind_size[0]),
+            "support": st.lists(
+                st.integers(1, 9), min_size=kind_size[1], max_size=kind_size[1], unique=True
+            ).map(sorted),
+        }
+    )
+)
 NEAR_IDS = st.fixed_dictionaries(
     {
         "kind": st.sampled_from(["P3", "P4", "P5", "p3", ""]) | JSON_VALUES,
@@ -98,8 +109,8 @@ NEAR_IDS = st.fixed_dictionaries(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.one_of(NEAR_IDS, JSON_VALUES).map(lambda v: json.loads(json.dumps(v))))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(VALID_IDS, NEAR_IDS, JSON_VALUES).map(lambda v: json.loads(json.dumps(v))))
 @example({"kind": "P4", "support": [1, 2, 3, 4], "extra": None})
 @example({"kind": "P3", "support": [[1], [2], [3]]})
 @example({"kind": "P3", "support": [3, 2, 1]})
