@@ -2,10 +2,10 @@
 
 A character of P_n is determined freely by its values on the standard
 generators S_ij, and every test here reads only the nonzero ones (K_chi
-and exact sums over it), so we store its support: each unordered pair
-{i, j} of strand indices with a nonzero value, mapped to that rational.
-All arithmetic is exact (``fractions.Fraction``); every zero-test below
-is therefore decidable.
+and exact sums over it), so we store its support, each weight once: each
+unordered pair {i, j} of strand indices with a nonzero value, mapped to
+that rational.  All arithmetic is exact (``fractions.Fraction``); every
+zero-test below is therefore decidable.
 
 Fraction's own machinery stays off the per-character path.  A document
 followed by nothing but JSON whitespace (space, tab, LF, CR: RFC 8259
@@ -28,10 +28,10 @@ four-byte characters and a cached UTF-8 copy; its tuple 56; the Fraction 48
 and its two integers 40 each; the pair's tuple 56, holding those integers)
 and the dict's table under 37,000 (26,032 on 3.11), so the memo never holds
 more than 1024 * 573 + 37,000 = 623,752 bytes.  Sums (Delta, swing values,
-row sums) run on the values' pairs, cached on the character: ``_pair_sum``
-returns an unreduced pair, so a zero test reads its numerator and an
-equality cross-multiplies.  The parser keeps only nonzero values, skips the
-constructor's check of what it has proved, and sums Delta as it reads.
+row sums) add ``as_integer_ratio()`` pairs (``_pair_sum``) into an unreduced
+pair, so a zero test reads its numerator and an equality cross-multiplies.
+The parser keeps only nonzero values, skips the constructor's check of what
+it has proved, and sums Delta as it reads; ``_delta`` sums any other's.
 """
 
 from __future__ import annotations
@@ -107,12 +107,12 @@ class Character(Record):
     every other pair has weight 0.
 
     Instances are immutable values; all operations on them are pure.  Two
-    derived facts are cached on the instance, outside its fields:
-    ``_exact`` (the support's values and Delta as integer pairs) and
-    ``chargraph.build_kchi`` (K_chi, labeled by the support itself).  So
-    ``support`` must never be mutated after construction.  The constructor
-    refuses a pair out of range, a zero value and a value that is not an
-    int or a Fraction (a float, say, is not exact), in O(|support|).  The
+    derived facts are cached on the instance, outside its fields: ``_delta``
+    (Delta as an integer pair) and ``chargraph.build_kchi`` (K_chi, labeled
+    by the support itself), so ``support`` must never be mutated.  The
+    constructor refuses a pair that is not two int strands in range (a bool
+    or a float compares equal to an int), a zero value and a value that is
+    not an int or a Fraction (a float is not exact), in O(|support|).  The
     hash is over ``n`` and the support's items, so it agrees with ``==``.
     """
 
@@ -125,8 +125,10 @@ class Character(Record):
         if n < 2:
             raise CharacterFormatError(f"need n >= 2, got n={n}")
         for e, v in support.items():
-            if not (len(e) == 2 and 1 <= e[0] < e[1] <= n):
-                raise CharacterFormatError(f"pair {e} is not (i, j) with 1 <= i < j <= {n}")
+            if not (len(e) == 2 and type(e[0]) is int is type(e[1]) and 1 <= e[0] < e[1] <= n):
+                raise CharacterFormatError(
+                    f"pair {e} is not (i, j) with 1 <= i < j <= {n}, i and j ints"
+                )
             if type(v) is bool or not isinstance(v, (int, Fraction)):
                 raise CharacterFormatError(f"pair {e} has weight {v!r}, not an int or a Fraction")
             if v == 0:
@@ -168,20 +170,17 @@ def _merged(by_denominator: dict[int, int]) -> Pair:
     return x, d
 
 
-def _exact(chi: Character) -> tuple[dict[Edge, Pair], Pair]:
-    """The support's values as (numerator, denominator) in lowest terms, and
-    Delta as a pair: set by the parser, else derived once and cached."""
+def _delta(chi: Character) -> Pair:
+    """Delta as an unreduced pair, cached: set by the parser, else summed once."""
     d = chi.__dict__
-    if "_pairs" not in d:
-        pairs = d["_pairs"] = {e: v.as_integer_ratio() for e, v in chi.support.items()}
-        d["_delta"] = _pair_sum(pairs.values())
-    return d["_pairs"], d["_delta"]
+    if "_delta" not in d:
+        d["_delta"] = _pair_sum(v.as_integer_ratio() for v in chi.support.values())
+    return d["_delta"]
 
 
 def _swing_pair(chi: Character, a: SwingSet) -> Pair:
     """The swing on the sorted strands ``a`` as an unreduced pair."""
-    pairs = _exact(chi)[0]
-    return _pair_sum(pairs.get(e, (0, 1)) for e in combinations(a, 2))
+    return _pair_sum(v.as_integer_ratio() for v in map(chi.support.get, combinations(a, 2)) if v)
 
 
 def _equals(value: object, pair: Pair) -> bool:
@@ -197,7 +196,13 @@ def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
 
 def delta_value(chi: Character) -> Fraction:
     """Value on the central full twist: sum of all edge weights."""
-    return Fraction(*_exact(chi)[1])
+    return Fraction(*_delta(chi))
+
+
+def _check_perm(perm: Sequence[int], n: int) -> None:
+    """Refuse with ValueError a perm that is not a bijection on 1..n of ints."""
+    if not {int}.issuperset(map(type, perm)) or sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"perm must be a bijection on 1..{n} of ints, got {perm}")
 
 
 def permute(chi: Character, perm: Sequence[int]) -> Character:
@@ -205,8 +210,7 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
     input weight on {i, j}.  ``perm[i-1]`` is the image of ``i``.  Only
     the support is relabeled."""
     n = chi.n
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a bijection on 1..{n}, got {perm}")
+    _check_perm(perm, n)
     image = (0, *perm)
     out = {}
     for (i, j), v in chi.support.items():
@@ -300,7 +304,7 @@ def character_from_json_dict(data: dict) -> Character:
     fast = len(raw) == expected and list(raw) == (canonical := _canonical_keys(n))[0]
     seen: set[Edge] = set()  # the pairs of the checked keys
     support = {}
-    pairs, delta = {}, {}  # the support as pairs; Delta's numerators per denominator
+    delta = {}  # Delta's numerators per denominator
     parsed: dict = {}
     memo = _weight_memo.get
     for key, val, e in zip(raw, raw.values(), canonical[1] if fast else repeat(None)):
@@ -323,7 +327,6 @@ def character_from_json_dict(data: dict) -> Character:
         value, pair = entry
         if pair:
             support[e] = value
-            pairs[e] = pair
             x, d = pair
             delta[d] = delta.get(d, 0) + x
     # each key named a distinct pair in range, so fewer keys than pairs
@@ -341,7 +344,7 @@ def character_from_json_dict(data: dict) -> Character:
     # nonzero values entered the support, so the constructor's check of
     # the same facts is not run again
     chi = Character.__new__(Character)
-    chi.__dict__.update(n=n, support=support, _pairs=pairs, _delta=_merged(delta))
+    chi.__dict__.update(n=n, support=support, _delta=_merged(delta))
     return chi
 
 

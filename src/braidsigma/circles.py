@@ -23,7 +23,7 @@ Every circle point has Delta = 0, so a character with Delta != 0 is on none.
 
 from __future__ import annotations
 
-from .characters import Character, ZeroCharacterError, _exact
+from .characters import Character, ZeroCharacterError, _delta
 from .chargraph import build_kchi
 from .record import Record
 
@@ -90,10 +90,10 @@ def on_circle(chi: Character, cid: CircleId) -> bool:
     if g.nbrs.keys() != set(cid.support):
         return False
     # the support is the circle's, so Delta is the P3 triangle sum, and twice
-    # the P4 matching sum when opposite weights agree (module docstring); the
-    # cached pairs are in lowest terms, so equal weights are equal pairs
-    w, (delta, _) = _exact(chi)
-    return delta == 0 and (
+    # the P4 matching sum when opposite weights agree (module docstring); an
+    # int and a Fraction compare exactly, so equal weights are equal values
+    w = chi.support
+    return _delta(chi)[0] == 0 and (
         cid.kind == P3 or all(w.get(e1) == w.get(e2) for e1, e2 in matchings_of(cid.support))
     )
 
@@ -104,7 +104,7 @@ def locate_circle(chi: Character) -> CircleId | None:
     Every circle point has Delta = 0, and by the support lemma the only
     candidate is the circle over supp(chi), read off the cached K_chi: P3
     if it has 3 vertices, P4 if it has 4 (module docstring)."""
-    if _exact(chi)[1][0] != 0:
+    if _delta(chi)[0] != 0:
         return None
     g = build_kchi(chi)
     if not g.nbrs:

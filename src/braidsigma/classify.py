@@ -41,8 +41,8 @@ from .characters import (
     InternalError,
     SwingSet,
     ZeroCharacterError,
+    _delta,
     _equals,
-    _exact,
     _swing_pair,
     all_edges,
     delta_value,
@@ -120,7 +120,7 @@ def _ints(*strands: object) -> bool:
     return {int}.issuperset(map(type, strands))
 
 
-def _are_pairs(edges: tuple, k: int) -> bool:
+def _are_edges(edges: tuple, k: int) -> bool:
     """Are ``edges`` k pairs of ints?  A ``check`` asks before it unpacks them."""
     return len(edges) == k and all(len(e) == 2 and _ints(*e) for e in edges)
 
@@ -147,7 +147,7 @@ class ZeroSum(Lemma):
         self.__dict__["delta"] = delta
 
     def check(self, chi: Character) -> bool:
-        return _equals(self.delta, _exact(chi)[1]) and self.delta != 0
+        return _equals(self.delta, _delta(chi)) and self.delta != 0
 
     def named(self) -> tuple[int, ...]:
         return ()
@@ -165,7 +165,7 @@ class DisjointTriple(Lemma):
         self.__dict__["edges"] = edges
 
     def check(self, chi: Character) -> bool:
-        disjoint = _are_pairs(self.edges, 3) and len({v for e in self.edges for v in e}) == 6
+        disjoint = _are_edges(self.edges, 3) and len({v for e in self.edges for v in e}) == 6
         return disjoint and _has_edges(build_kchi(chi), *self.edges)
 
     def named(self) -> tuple[int, ...]:
@@ -186,7 +186,7 @@ class DisjointPair(Lemma):
         d["others"] = others  # the two edges share exactly one vertex
 
     def check(self, chi: Character) -> bool:
-        if not _are_pairs((self.edge, *self.others), 3):
+        if not _are_edges((self.edge, *self.others), 3):
             return False
         f, h = self.others
         g = build_kchi(chi)
@@ -223,7 +223,7 @@ class Star(Lemma):
         return (
             _ints(c, *leaves)
             and len(set(leaves)) == len(leaves) >= 3
-            and _exact(chi)[1][0] == 0
+            and _delta(chi)[0] == 0
             and build_kchi(chi).labels.keys() == {tuple(sorted((c, l))) for l in leaves}
         )
 
@@ -244,7 +244,7 @@ class DisjointLeaves(Lemma):
         self.__dict__["leaf_edges"] = leaf_edges  # (leaf, neighbor) order within each edge
 
     def check(self, chi: Character) -> bool:
-        if not _are_pairs(self.leaf_edges, 2):
+        if not _are_edges(self.leaf_edges, 2):
             return False
         (u, a), (w, b) = self.leaf_edges
         nbrs = build_kchi(chi).nbrs  # nbrs[u] == [a] puts u-a in K
@@ -252,7 +252,7 @@ class DisjointLeaves(Lemma):
             nbrs.get(u) == [a]
             and nbrs.get(w) == [b]
             and not {u, a} & {w, b}
-            and _exact(chi)[1][0] == 0
+            and _delta(chi)[0] == 0
         )
 
     def named(self) -> tuple[int, ...]:
@@ -277,7 +277,7 @@ class Triangle(Lemma):
         d["value"] = value  # nonzero swing value of the triangle
 
     def check(self, chi: Character) -> bool:
-        if not (_are_pairs(self.edges, 2) and _ints(*self.triangle)):
+        if not (_are_edges(self.edges, 2) and _ints(*self.triangle)):
             return False
         p, q = self.edges
         tri = set(self.triangle)
@@ -361,7 +361,7 @@ def _complete_perm(named: tuple[int, ...], n: int) -> Perm:
 def classify(chi: Character) -> Classification:
     n = chi.n
 
-    if _exact(chi)[1][0] != 0:
+    if _delta(chi)[0] != 0:
         return Classification(ZeroSum(delta_value(chi)), n)
 
     g = build_kchi(chi)

@@ -69,23 +69,24 @@ def _deferred(name: str) -> Callable[[SimpleNamespace], bool]:
 
 HELP_FLAGS = ("-h", "--help")
 
-# Each command: its handler, a one-line help, its options and its switches.
-# An option is (flag, attribute, converter, required, help) and takes one
-# value, as ``--flag VALUE`` (a VALUE starting with ``--`` is taken for a
-# missing value, as argparse does) or ``--flag=VALUE``; the last one wins.
-# A switch is (flag, attribute, help) and reads True when given.
+# Each command: its handler, a one-line help and its options.  An option is
+# (flag, attribute, converter, required, help).  With a converter it takes
+# one value, as ``--flag VALUE`` (a VALUE starting with ``--`` is taken for
+# a missing value, as argparse does) or ``--flag=VALUE``; the last one wins.
+# With None it is a switch, given as ``--flag`` alone, and reads True.
 COMMANDS = {
     "classify": (
         cmd_classify,
         "classify a character from JSON",
-        [("--in", "infile", str, True, "JSON path, or - for stdin")],
-        [("--witness", "witness", "attach a verified witness package")],
+        [
+            ("--in", "infile", str, True, "JSON path, or - for stdin"),
+            ("--witness", "witness", None, False, "attach a verified witness package"),
+        ],
     ),
     "circles": (
         _deferred("cmd_circles"),
         "list the complement circles for P_n",
         [("--n", "n", int, True, "number of strands, 2 to 70")],
-        [],
     ),
     "graph": (
         _deferred("cmd_graph"),
@@ -94,10 +95,9 @@ COMMANDS = {
             ("--in", "infile", str, True, "JSON path, or - for stdin"),
             ("--dot", "dot", str, False, "output path (stdout if omitted)"),
         ],
-        [],
     ),
-    "verify": (_deferred("cmd_verify"), "run the word-engine identity suite", [], []),
-    "oracle": (_deferred("cmd_oracle"), "prove the star-or-small fact for every n", [], []),
+    "verify": (_deferred("cmd_verify"), "run the word-engine identity suite", []),
+    "oracle": (_deferred("cmd_oracle"), "prove the star-or-small fact for every n", []),
 }
 
 
@@ -119,21 +119,20 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], bool], SimpleNa
         return _help, SimpleNamespace(command=None)
     if name not in COMMANDS:
         raise InputError(f"invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
-    handler, _, options, switches = COMMANDS[name]
+    handler, _, options = COMMANDS[name]
     takes = {flag: (attr, convert) for flag, attr, convert, _, _ in options}
-    sets = {flag: attr for flag, attr, _ in switches}
-    args = SimpleNamespace(
-        **{attr: None for attr, _ in takes.values()}, **dict.fromkeys(sets.values(), False)
-    )
+    args = SimpleNamespace(**{attr: None if convert else False for attr, convert in takes.values()})
     unknown = []
     for token in tokens:
         if token in HELP_FLAGS:
             return _help, SimpleNamespace(command=name)
         flag, eq, value = token.partition("=")
-        if token in sets:
-            setattr(args, sets[token], True)
-        elif flag in takes:
-            attr, convert = takes[flag]
+        attr, convert = takes.get(flag, (None, None))
+        if attr is None or (convert is None and eq):
+            unknown.append(token)
+        elif convert is None:
+            setattr(args, attr, True)
+        else:
             if not eq:
                 value = next(tokens, None)
                 if value is None or value.startswith("--"):
@@ -142,8 +141,6 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], bool], SimpleNa
                 setattr(args, attr, convert(value))
             except ValueError:
                 raise InputError(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
-        else:
-            unknown.append(token)
     missing = [flag for flag, attr, _, req, _ in options if req and getattr(args, attr) is None]
     if missing:
         raise InputError(f"the following arguments are required: {', '.join(missing)}")

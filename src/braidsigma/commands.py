@@ -167,15 +167,12 @@ def help_text(name: str | None, table: dict) -> str:
         heading, rows = "commands:", [(command, spec[1]) for command, spec in table.items()]
         tail = ["", "run 'braidsigma COMMAND -h' for the options of a command"]
     else:
-        _, about, options, switches = table[name]
+        _, about, options = table[name]
         words, rows = [name, "[-h]"], [("-h, --help", "show this help and exit")]
-        for flag, attr, _, required, text in options:
-            word = f"{flag} {attr.upper()}"
+        for flag, attr, convert, required, text in options:
+            word = f"{flag} {attr.upper()}" if convert else flag
             words.append(word if required else f"[{word}]")
             rows.append((word, text))
-        for flag, _, text in switches:
-            words.append(f"[{flag}]")
-            rows.append((flag, text))
         usage, heading, tail = " ".join(words), "options:", []
     width = max(len(left) for left, _ in rows)
     lines = [f"usage: braidsigma {usage}", "", about, "", heading]

@@ -36,8 +36,8 @@ sorted into swing sets only for the coverage; a member that is not a
 swing set of 1..n gives nothing.
 
 Only survival reads the character, so it alone runs for every character,
-on its cached integer pairs, not on a relabeled copy.  It checks the perm
-every time, but a built package's J only once per shape, in
+on its support and cached Delta, not on a relabeled copy.  It checks the
+perm every time, but a built package's J only once per shape, in
 ``_lemma_shape``.  The swing on J after relabeling by perm is the swing
 on perm^-1(J) before it: J of all n strands gives the cached Delta, J of
 all strands but m gives Delta minus the row sum at perm^-1(m) (the
@@ -57,7 +57,8 @@ from .characters import (
     Edge,
     InternalError,
     SwingSet,
-    _exact,
+    _check_perm,
+    _delta,
     _pair_sum,
     _swing_pair,
     permute,  # unused here; bench/tracing.py rebinds this name
@@ -344,11 +345,9 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
     """The members of J whose swing vanishes on the character relabeled by
     the package's perm, found without relabeling (module docstring)."""
     n = chi.n
-    perm = pkg.perm
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a bijection on 1..{n}, got {perm}")
-    preimage = {p: i for i, p in enumerate(perm, 1)}
-    pairs, (x, d) = _exact(chi)
+    _check_perm(pkg.perm, n)
+    preimage = {p: i for i, p in enumerate(pkg.perm, 1)}
+    w, (x, d) = chi.support, _delta(chi)
     built = "_checks" in pkg.__dict__  # its J passed swing_set in _lemma_shape
     failures = []
     for j in pkg.j_sets:
@@ -358,11 +357,12 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
         elif len(a) == n - 1:
             # Delta minus the row sum at the missing strand, read off K_chi
             v, g = preimage[n * (n + 1) // 2 - sum(a)], build_kchi(chi)
-            y, dy = _pair_sum(pairs[(v, k) if v < k else (k, v)] for k in g.nbrs.get(v, ()))
+            row = g.nbrs.get(v, ())
+            y, dy = _pair_sum(w[(v, k) if v < k else (k, v)].as_integer_ratio() for k in row)
             vanishes = x * dy == y * d
         elif len(a) == 2:
             p, q = preimage[a[0]], preimage[a[1]]
-            vanishes = ((p, q) if p < q else (q, p)) not in pairs
+            vanishes = ((p, q) if p < q else (q, p)) not in w
         else:
             vanishes = _swing_pair(chi, sorted(preimage[s] for s in a))[0] == 0
         if vanishes:
@@ -374,8 +374,8 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     only a package from ``build_witness_for`` brings its shape's checks.
     A malformed package raises: ValueError for a perm that is not a
-    bijection on 1..n or a member of J that is not a swing set of int
-    strands, IndexError for a member of J out of range.  The conditions
+    bijection on 1..n of ints or a member of J that is not a swing set of
+    int strands, IndexError for a member of J out of range.  The conditions
     that a well-formed package fails are reported, never raised."""
     survival_failures = _survival_failures(pkg, chi)
     # survival proved len(perm) == chi.n, the n a built package's checks ran at

@@ -64,8 +64,12 @@ def test_dense_needs_every_pair(weights, message):
         ({(1, 2): 1, (3, 4): 1}, r"pair \(3, 4\) is not"),
         ({(0, 1): 1}, r"pair \(0, 1\) is not"),
         ({(1, 2): 1, (1, 3): Fraction(0)}, r"pair \(1, 3\) has weight 0"),
+        # each equals (1, 2), but a certificate would print it as it is
+        ({(1.0, 2.0): 1, (2, 3): -1}, r"pair \(1.0, 2.0\) is not .* ints"),
+        ({(True, 2): 1}, r"pair \(True, 2\) is not"),
+        ({(1, 2.0): 1}, r"pair \(1, 2.0\) is not"),
     ],
-    ids=["reversed", "past-n", "below-1", "zero-value"],
+    ids=["reversed", "past-n", "below-1", "zero-value", "float", "bool", "one-float"],
 )
 def test_constructor_takes_only_a_support(support, message):
     with pytest.raises(CharacterFormatError, match=message):
@@ -182,6 +186,11 @@ class TestPermute:
     def test_rejects_non_bijection(self, chi0):
         with pytest.raises(ValueError):
             permute(chi0, (1, 1, 3, 4))
+
+    @pytest.mark.parametrize("perm", [(True, 2, 3, 4), (1.0, 2, 3, 4), (2, 1, 3, 4.0)])
+    def test_rejects_strands_that_are_not_ints(self, chi0, perm):
+        with pytest.raises(ValueError, match="bijection on 1..4 of ints"):
+            permute(chi0, perm)
 
 
 class TestPullbackPhi:
@@ -520,11 +529,11 @@ def test_pair_sum_over_distinct_prime_denominators():
               for p in _primes(len(pairs))]
     assert len(set(v.denominator for v in values)) == 2016
     want = _reference_sum(values)
-    as_pairs = [(v.numerator, v.denominator) for v in values]
-    assert Fraction(*_pair_sum(as_pairs)) == want
+    ratios = [(v.numerator, v.denominator) for v in values]
+    assert Fraction(*_pair_sum(ratios)) == want
     chi = Character(64, dict(zip(pairs, values)))
     assert delta_value(chi) == want
-    new = min(timeit.repeat(lambda: _pair_sum(as_pairs), number=1, repeat=5))
+    new = min(timeit.repeat(lambda: _pair_sum(ratios), number=1, repeat=5))
     old = min(timeit.repeat(lambda: _reference_sum(values), number=1, repeat=5))
     assert new < 3 * old + 0.05, (new, old)
 

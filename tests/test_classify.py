@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -361,3 +362,50 @@ class TestCertificateRejection:
         cls = classify(chi0)
         assert verify_certificate(cls, chi0)
         assert not verify_certificate(cls._replace(n=chi0.n + 1), chi0)
+
+
+def small_support_character(n, rng):
+    """A character with integer weights on a few random pairs of at most
+    seven strands: Delta is forced to 0 half of the time, and a fifth are
+    circle points, so every kind that n admits turns up."""
+    strands = rng.sample(range(1, n + 1), rng.randint(3, min(n, 7)))
+    if rng.random() < 0.2:
+        kind = "P4" if len(strands) > 3 and rng.random() < 0.5 else "P3"
+        support = tuple(sorted(strands[:3 if kind == "P3" else 4]))
+        return sample_circle(CircleId(kind, support), (rng.randint(-4, 4), rng.randint(1, 4)), n)
+    pairs = [(a, b) for a in strands for b in strands if a < b]
+    p = rng.choice([0.3, 0.6, 1.0])
+    weights = {e: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for e in pairs if rng.random() < p}
+    if weights and rng.random() < 0.5:
+        last = next(iter(weights))
+        weights[last] -= sum(weights.values())
+    return sparse(n, weights)
+
+
+class TestIntTwins:
+    """A support of int values is the same character as its Fraction twin,
+    whichever the exact sums read."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_int_support_certifies_as_its_fraction_twin(self, n):
+        rng = random.Random(800 + n)
+        kinds = set()
+        for _ in range(800):
+            chi = small_support_character(n, rng)
+            if chi.is_zero():
+                continue
+            twin = type(chi)(n, {e: int(v) for e, v in chi.support.items()})
+            assert twin == chi and {type(v) for v in twin.support.values()} == {int}
+            outcomes = []
+            for c in (chi, twin):
+                cls = classify(c)
+                pkg = build_witness_for(cls, c) if cls.verdict == SIGMA1 else None
+                text = json.dumps(classification_to_json_dict(cls), sort_keys=True)
+                outcomes.append((text, locate_circle(c), pkg and verify_witness(pkg, c).ok))
+            assert outcomes[0] == outcomes[1], chi
+            assert outcomes[0][2] is not False
+            kinds.add(classify(chi).certificate.kind)
+        lemmas = {"zero_sum", "star", "disjoint_leaves", "triangle", "circle"}
+        lemmas |= {"disjoint_pair"} if n >= 5 else set()
+        lemmas |= {"disjoint_triple"} if n >= 6 else set()
+        assert kinds == lemmas

@@ -815,10 +815,10 @@ class TestParser:
         usage = top.splitlines()[0]
         assert usage.startswith("usage: braidsigma")
         assert all(name in usage and f"  {name}  " in top for name in cli.COMMANDS)
-        for name, (_, about, options, switches) in cli.COMMANDS.items():
+        for name, (_, about, options) in cli.COMMANDS.items():
             # help wins wherever it stands, as with argparse
             for argv in ([name, flag], [name, "--bogus", flag]):
                 assert main(argv) == EXIT_OK
                 text = capsys.readouterr().out
                 assert text.startswith(f"usage: braidsigma {name} [-h]") and about in text
-                assert all(option[0] in text for option in options + switches)
+                assert all(option[0] in text for option in options)

@@ -19,7 +19,7 @@ from braidsigma import witness
 from braidsigma.characters import (
     Character,
     CharacterFormatError,
-    _exact,
+    _delta,
     character_from_json,
     character_from_json_dict,
     delta_value,
@@ -107,9 +107,9 @@ def assert_searches_agree(n, edges):
 
 class TestDisjointSearches:
     def test_every_subgraph_of_k5(self):
-        all_pairs = pairs(5)
-        for mask in range(1 << len(all_pairs)):
-            edges = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
+        every_pair = pairs(5)
+        for mask in range(1 << len(every_pair)):
+            edges = [p for k, p in enumerate(every_pair) if mask >> k & 1]
             assert_searches_agree(5, edges)
 
     def test_random_graphs(self):
@@ -601,12 +601,12 @@ class TestCachedFacts:
                 g = build_kchi(chi)
                 assert build_kchi(chi) is g
                 # Delta is summed once, into the cached pair
-                assert _exact(chi)[1] is _exact(chi)[1]
+                assert _delta(chi) is _delta(chi)
                 fresh = character_from_json(json.dumps(character_to_json_dict(chi)))
                 assert g.labels.keys() == build_kchi(fresh).labels.keys() == {e for e, v in weights.items() if v}
                 assert g.labels == build_kchi(fresh).labels
                 assert delta_value(chi) == delta_value(fresh) == sum(weights.values())
-                assert _exact(chi)[0] == _exact(fresh)[0]
+                assert chi.support == fresh.support
 
     def test_wrong_delta_rejected_after_classify(self):
         chi = sparse(5, {(1, 2): 3, (2, 5): Fraction(-1, 2)})

@@ -161,6 +161,15 @@ class TestVerifyWitness:
         with pytest.raises(ValueError, match="strands must be ints"):
             verify_witness(pkg._replace(j_sets=j_sets), chi0)
 
+    # (True, 2, 3, 4) sorts equal to (1, 2, 3, 4), and once passed as ok
+    # to print as [true, 2, 3, 4]; permute refuses the same perms
+    @pytest.mark.parametrize("perm", [(True, 2, 3, 4), (1.0, 2.0, 3.0, 4.0)])
+    def test_perm_strands_that_are_not_ints_are_refused(self, chi0, perm):
+        pkg = build_witness_for(classify(chi0), chi0)
+        assert verify_witness(pkg, chi0).ok
+        with pytest.raises(ValueError, match="bijection on 1..4 of ints"):
+            verify_witness(pkg._replace(perm=perm), chi0)
+
     @pytest.mark.parametrize("degenerate", [(3, 3), (1, 9), (0, 2)])
     def test_degenerate_members_add_nothing_to_the_rank(self, degenerate):
         chi = sparse(4, {(1, 2): 1, (3, 4): 2})
