@@ -13,10 +13,9 @@ section 2) is read by ``JSONDecoder.raw_decode``; any other text goes to
 ``json.loads``, which names its errors as before.  Keys that are the
 canonical list "1-2", "1-3", ... in ``all_edges`` order are zipped against
 the pairs (both built once per n); other keys are split and checked one by
-one.  A plain weight, [+-]digits or [+-]digits/digits in ASCII, is read
-with int(), any other after the exponent bound below by Fraction.  Each
-distinct spelling is parsed once per character, and once per process if
-``_weight_memo`` keeps it: the memo maps a spelling that parsed to its
+one.  Every weight is read by Fraction, after the exponent bound below.
+Each distinct spelling is parsed once per character, and once per process
+if ``_weight_memo`` keeps it: the memo maps a spelling that parsed to its
 value and the value's (numerator, denominator), None for 0, so a kept
 spelling costs one lookup.  A spelling that fails is never kept, so it
 fails again, naming its key, in every character that holds it.  The memo
@@ -86,12 +85,24 @@ def _canonical_keys(n: int) -> tuple[list[str], list[Edge]]:
     return [f"{i}-{j}" for i, j in combinations(map(str, range(1, n + 1)), 2)], all_edges(n)
 
 
+def _int_strands(strands: object) -> bool:
+    """Is ``strands`` a tuple, list or range of ints (by type: a bool or a
+    float compares equal to one)?  Never raises; every strand check uses it."""
+    return isinstance(strands, (tuple, list, range)) and {int}.issuperset(map(type, strands))
+
+
+def _is_pair(e: object, n: int) -> bool:
+    """Is ``e`` a pair (i, j) of int strands with 1 <= i < j <= n?  Never raises."""
+    return _int_strands(e) and len(e) == 2 and 1 <= e[0] < e[1] <= n
+
+
 def swing_set(members: Iterable[int], n: int) -> SwingSet:
-    """Validate and normalize a swing index set: int strands (bools
-    refused), distinct, in range, size >= 2."""
-    a = tuple(sorted(members))
-    if not {int}.issuperset(map(type, a)):  # a bool or a float compares equal to an int
-        raise ValueError(f"swing set strands must be ints, got {a}")
+    """Validate and normalize a swing index set: any iterable of int
+    strands (bools refused), distinct, in range, size >= 2."""
+    a = tuple(members) if isinstance(members, Iterable) else members
+    if not _int_strands(a):
+        raise ValueError(f"swing set strands must be ints, got {a!r}")
+    a = tuple(sorted(a))
     if len(a) < 2:
         raise ValueError(f"swing set needs at least 2 indices, got {a}")
     if len(set(a)) != len(a):
@@ -110,10 +121,10 @@ class Character(Record):
     derived facts are cached on the instance, outside its fields: ``_delta``
     (Delta as an integer pair) and ``chargraph.build_kchi`` (K_chi, labeled
     by the support itself), so ``support`` must never be mutated.  The
-    constructor refuses a pair that is not two int strands in range (a bool
-    or a float compares equal to an int), a zero value and a value that is
-    not an int or a Fraction (a float is not exact), in O(|support|).  The
-    hash is over ``n`` and the support's items, so it agrees with ``==``.
+    constructor refuses an ``n`` that is not an int >= 2, a key that
+    ``_is_pair`` refuses, a zero value and a value that is not an int or a
+    Fraction (a float is not exact), in O(|support|).  The hash is over
+    ``n`` and the support's items, so it agrees with ``==``.
     """
 
     _fields = ("n", "support")
@@ -122,10 +133,10 @@ class Character(Record):
         d = self.__dict__
         d["n"] = n
         d["support"] = support
-        if n < 2:
-            raise CharacterFormatError(f"need n >= 2, got n={n}")
+        if type(n) is not int or n < 2:
+            raise CharacterFormatError(f"need an int n >= 2, got n={n!r}")
         for e, v in support.items():
-            if not (len(e) == 2 and type(e[0]) is int is type(e[1]) and 1 <= e[0] < e[1] <= n):
+            if not _is_pair(e, n):
                 raise CharacterFormatError(
                     f"pair {e} is not (i, j) with 1 <= i < j <= {n}, i and j ints"
                 )
@@ -201,7 +212,7 @@ def delta_value(chi: Character) -> Fraction:
 
 def _check_perm(perm: Sequence[int], n: int) -> None:
     """Refuse with ValueError a perm that is not a bijection on 1..n of ints."""
-    if not {int}.issuperset(map(type, perm)) or sorted(perm) != list(range(1, n + 1)):
+    if not _int_strands(perm) or sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm must be a bijection on 1..{n} of ints, got {perm}")
 
 
@@ -253,16 +264,6 @@ def _parse_weight(key: str, val: str | int) -> Fraction:
                     "in absolute value"
                 )
     try:
-        if isinstance(val, str) and val.isascii():
-            # the plain spellings [+-]digits and [+-]digits/digits are read
-            # by int(), which refuses what Fraction refuses: more digits
-            # than Python's limit (ValueError), a zero denominator below
-            num, slash, den = val.partition("/")
-            if (num[1:] if num[:1] in "+-" else num).isdigit():
-                if not slash:
-                    return Fraction(int(num))
-                if den.isdigit():
-                    return Fraction(int(num), int(den))
         return Fraction(val)
     except (ValueError, ZeroDivisionError) as exc:
         raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc

@@ -23,7 +23,7 @@ Every circle point has Delta = 0, so a character with Delta != 0 is on none.
 
 from __future__ import annotations
 
-from .characters import Character, ZeroCharacterError, _delta
+from .characters import Character, ZeroCharacterError, _delta, _int_strands
 from .chargraph import build_kchi
 from .record import Record
 
@@ -45,15 +45,8 @@ class CircleId(Record):
         if size is None:
             raise ValueError(f"circle kind must be P3 or P4, got {kind!r}")
         s = support
-        if (
-            len(s) != size
-            or any(type(v) is not int for v in s)
-            or tuple(sorted(set(s))) != s
-            or s[0] < 1
-        ):
-            raise ValueError(
-                f"{kind} circle needs {size} increasing int strands >= 1, got {s}"
-            )
+        if not (_int_strands(s) and len(s) == size and tuple(sorted(set(s))) == s and s[0] >= 1):
+            raise ValueError(f"{kind} circle needs {size} increasing int strands >= 1, got {s}")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "support": list(self.support)}

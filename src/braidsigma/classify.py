@@ -9,13 +9,13 @@ Earlier stages win when several lemmas apply, so certificates are
 deterministic.
 
 Lemma table.  Each certificate class states its lemma once: its fields
-(the JSON keys), ``check`` (what ``verify_certificate`` re-checks; a
-strand that is not an int fails it), ``named`` (the strands that get the
-normal-form indices 1, 2, ... in order) and ``witness`` (the lemma's J, I
-and factorizations in normal form).  The derived ``perm`` sends the k-th
-named strand to k and the other strands, in increasing order, to the
-indices after the named ones.  K is the support graph K_chi, edges are
-unordered, Delta is the total sum.
+(the JSON keys), ``check`` (what ``verify_certificate`` re-checks; any
+value but the row's int strands fails it, and none raises), ``named``
+(the strands that get the normal-form indices 1, 2, ... in order) and
+``witness`` (the lemma's J, I and factorizations in normal form).  The
+derived ``perm`` sends the k-th named strand to k and the other strands,
+in increasing order, to the indices after the named ones.  K is the
+support graph K_chi, edges are unordered, Delta is the total sum.
 
   kind             fields                   check                             1 2 3 ...
   zero_sum         delta                    delta = Delta != 0                identity
@@ -43,6 +43,7 @@ from .characters import (
     ZeroCharacterError,
     _delta,
     _equals,
+    _int_strands,
     _swing_pair,
     all_edges,
     delta_value,
@@ -115,14 +116,10 @@ def _has_edges(g: CharGraph, *pairs: Edge) -> bool:
     return all(tuple(sorted(p)) in g.labels for p in pairs)
 
 
-def _ints(*strands: object) -> bool:
-    """Are the strands ints?  A bool or a float would compare equal to one."""
-    return {int}.issuperset(map(type, strands))
-
-
-def _are_edges(edges: tuple, k: int) -> bool:
-    """Are ``edges`` k pairs of ints?  A ``check`` asks before it unpacks them."""
-    return len(edges) == k and all(len(e) == 2 and _ints(*e) for e in edges)
+def _are_edges(edges: object, k: int) -> bool:
+    """Are ``edges`` a tuple or list of k pairs of int strands?"""
+    pairs = edges if isinstance(edges, (tuple, list)) else ()
+    return len(pairs) == k and all(_int_strands(e) and len(e) == 2 for e in pairs)
 
 
 def _hinge(f: Edge, h: Edge) -> int | None:
@@ -186,7 +183,7 @@ class DisjointPair(Lemma):
         d["others"] = others  # the two edges share exactly one vertex
 
     def check(self, chi: Character) -> bool:
-        if not _are_edges((self.edge, *self.others), 3):
+        if not (_are_edges((self.edge,), 1) and _are_edges(self.others, 2)):
             return False
         f, h = self.others
         g = build_kchi(chi)
@@ -221,7 +218,7 @@ class Star(Lemma):
     def check(self, chi: Character) -> bool:
         c, leaves = self.center, self.leaves  # a leaf equal to c makes no edge of K
         return (
-            _ints(c, *leaves)
+            _int_strands((c,)) and _int_strands(leaves)
             and len(set(leaves)) == len(leaves) >= 3
             and _delta(chi)[0] == 0
             and build_kchi(chi).labels.keys() == {tuple(sorted((c, l))) for l in leaves}
@@ -277,7 +274,7 @@ class Triangle(Lemma):
         d["value"] = value  # nonzero swing value of the triangle
 
     def check(self, chi: Character) -> bool:
-        if not (_are_edges(self.edges, 2) and _ints(*self.triangle)):
+        if not (_are_edges(self.edges, 2) and _int_strands(self.triangle)):
             return False
         p, q = self.edges
         tri = set(self.triangle)
@@ -310,7 +307,7 @@ class CircleMembership(Record):
         self.__dict__["circle"] = circle
 
     def check(self, chi: Character) -> bool:
-        return on_circle(chi, self.circle)
+        return isinstance(self.circle, CircleId) and on_circle(chi, self.circle)
 
     @staticmethod
     def witness(n: int) -> WitnessData:

@@ -32,8 +32,9 @@ in the pair only when it is the pair).  So domination tests a pair by two
 lookups in a membership array of S and one difference of its prefix
 counts, built once per member of J.  I is split once per shape into its
 pairs of 1..n and its other members, which take the predicate and are
-sorted into swing sets only for the coverage; a member that is not a
-swing set of 1..n gives nothing.
+sorted into swing sets only for the coverage.  A list member (as from
+JSON) counts as its tuple; a member not of int strands is dominated by
+none, and one not a swing set of 1..n gives nothing.
 
 Only survival reads the character, so it alone runs for every character,
 on its support and cached Delta, not on a relabeled copy.  It checks the
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 
 from .characters import (
     Character,
@@ -59,6 +60,8 @@ from .characters import (
     SwingSet,
     _check_perm,
     _delta,
+    _int_strands,
+    _is_pair,
     _pair_sum,
     _swing_pair,
     permute,  # unused here; bench/tracing.py rebinds this name
@@ -147,7 +150,10 @@ class WitnessReport(Record):
 def commutes_predicate(a: Sequence[int], b: Sequence[int]) -> bool:
     """Sufficient commutation test for swing generators S_A, S_B with the
     points in convex position: nested sets commute, and so do disjoint sets
-    whose convex hulls do not cross (no cyclic interleaving of labels)."""
+    whose convex hulls do not cross (no cyclic interleaving of labels).  A
+    set that is not a collection of int strands commutes with nothing."""
+    if not (_int_strands(a) and _int_strands(b)):
+        return False
     sa, sb = set(a), set(b)
     if sa <= sb or sb <= sa:
         return True
@@ -180,11 +186,6 @@ def is_connected(adj: list[set[int]]) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == len(adj)
-
-
-def _is_pair(a: Sequence, n: int) -> bool:
-    """Is ``a`` a pair (i, j) of strands with 1 <= i < j <= n?"""
-    return len(a) == 2 and type(a[0]) is int is type(a[1]) and 0 < a[0] < a[1] <= n
 
 
 Members = tuple[list, list]
@@ -270,10 +271,19 @@ def _lemma_shape(lemma: type, n: int) -> tuple[WitnessData, tuple]:
 # -- verification ----------------------------------------------------------
 
 
+def _strand_tuples(f: object) -> Factorization | None:
+    """``f`` with tuples for its strand collections if it is a Factorization
+    of int strands, else None: no pair given, no table factorization."""
+    if isinstance(f, Factorization) and isinstance(f.factors, (tuple, list)):
+        if all(map(_int_strands, (f.added, f.recovers, *f.factors))):
+            return Factorization(tuple(f.added), tuple(map(tuple, f.factors)), tuple(f.recovers))
+    return None
+
+
 def _ungenerated(
     n: int,
     i_sets: Sequence[SwingSet],
-    factorizations: Sequence[Factorization],
+    factorizations: Sequence[Factorization | None],
     members: Members | None = None,
 ) -> list[Edge]:
     """The pairs of 1..n that I does not give, in order: a pair is given
@@ -281,26 +291,27 @@ def _ungenerated(
     factorization, taken in order, whose ``added`` is a member of I, which
     names ``recovers`` exactly once among its factors, and whose other
     factors are members of I or pairs given earlier.  Members are compared
-    as sorted swing sets of 1..n; any other member gives nothing.
+    as sorted swing sets of 1..n; any other member, or a factorization
+    given as None (``_strand_tuples``), gives nothing.
     ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
 
-    def swing_set_of(a: Sequence) -> SwingSet | None:
+    def swing_set_of(a: object) -> SwingSet | None:
         try:
             return swing_set(a, n)
-        except (ValueError, IndexError, TypeError):  # TypeError: strands that do not sort
+        except (ValueError, IndexError):
             return None
 
-    def swing(a: Sequence) -> SwingSet | None:
+    def swing(a: SwingSet) -> SwingSet | None:
         return a if _is_pair(a, n) else swing_set_of(a)
 
     pair_members, other_members = members or _split_members(i_sets, n)
-    pairs: set[Edge] = set(pair_members)  # the members of I: its pairs, its other swing sets
+    pairs: set[Edge] = set(map(tuple, pair_members))  # I's pairs, then its other swing sets
     others: set[SwingSet] = set()
     for a in other_members:
         if (s := swing_set_of(a)) is not None:
             (pairs if len(s) == 2 else others).add(s)
     recovered: set[Edge] = set()
-    for fact in factorizations:
+    for fact in filter(None, factorizations):
         pair, factors = swing(fact.recovers), [swing(f) for f in fact.factors]
         added = swing(fact.added)
         if (
@@ -330,14 +341,10 @@ def _shape_checks(
     connected = is_connected(commuting_graph(j_sets))
     members = _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
-    ungenerated = tuple(_ungenerated(n, i_sets, factorizations, members))
-    # a table factorization's ``added`` is sorted and holds all its strands,
-    # which are ints: a float or a bool strand compares equal to one
-    table_ok = all(
-        f in _TABLE_FACTORIZATIONS and f.added[-1] <= n
-        and {int}.issuperset(map(type, chain(f.added, f.recovers, *f.factors)))
-        for f in factorizations
-    )
+    facts = [_strand_tuples(f) for f in factorizations]
+    ungenerated = tuple(_ungenerated(n, i_sets, facts, members))
+    # a table factorization's ``added`` is sorted and holds all its strands
+    table_ok = all(f in _TABLE_FACTORIZATIONS and f.added[-1] <= n for f in facts)
     return connected, uncovered, ungenerated, table_ok
 
 

@@ -68,12 +68,23 @@ def test_dense_needs_every_pair(weights, message):
         ({(1.0, 2.0): 1, (2, 3): -1}, r"pair \(1.0, 2.0\) is not .* ints"),
         ({(True, 2): 1}, r"pair \(True, 2\) is not"),
         ({(1, 2.0): 1}, r"pair \(1, 2.0\) is not"),
+        ({5: 1}, r"pair 5 is not"),
+        ({"ab": 1}, r"pair ab is not"),
     ],
-    ids=["reversed", "past-n", "below-1", "zero-value", "float", "bool", "one-float"],
+    ids=[
+        "reversed", "past-n", "below-1", "zero-value", "float", "bool", "one-float", "int", "str"
+    ],
 )
 def test_constructor_takes_only_a_support(support, message):
     with pytest.raises(CharacterFormatError, match=message):
         Character(3, support)
+
+
+# 4.0 == 4, but a witness built at n = 4.0 would not build
+@pytest.mark.parametrize("n", [4.0, True, "4", None, 1])
+def test_constructor_takes_only_an_int_n_of_two_or_more(n):
+    with pytest.raises(CharacterFormatError, match=re.escape(f"need an int n >= 2, got n={n!r}")):
+        Character(n, {(1, 2): 1})
 
 
 @pytest.mark.parametrize("build", [dense, sparse])
@@ -136,6 +147,15 @@ class TestSwingValue:
         with pytest.raises(IndexError):
             swing_value(chi0, (1, 2, 5))
 
+    @pytest.mark.parametrize("members", [5, ("a", 1)])
+    def test_strands_that_are_not_ints_are_a_value_error(self, chi0, members):
+        with pytest.raises(ValueError, match="strands must be ints"):
+            swing_value(chi0, members)
+
+    def test_any_iterable_of_strands(self, chi0):
+        shapes = [(2, 3, 4), [4, 2, 3], {2, 3, 4}, range(2, 5), iter([3, 4, 2])]
+        assert [swing_value(chi0, a) for a in shapes] == [-4] * 5
+
     def test_additive_over_sum(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -183,11 +203,19 @@ class TestPermute:
             via_one = permute(chi, compose_perms(sigma, tau))
             assert via_two == via_one
 
+    def test_a_tuple_a_list_and_a_range_give_one_character(self, chi0):
+        perms = [(4, 3, 2, 1), [4, 3, 2, 1], range(4, 0, -1)]
+        images = [permute(chi0, perm) for perm in perms]
+        assert images[0] == images[1] == images[2] and images[0].weight(3, 4) == chi0.weight(1, 2)
+        assert permute(chi0, range(1, 5)) == chi0
+
     def test_rejects_non_bijection(self, chi0):
         with pytest.raises(ValueError):
             permute(chi0, (1, 1, 3, 4))
 
-    @pytest.mark.parametrize("perm", [(True, 2, 3, 4), (1.0, 2, 3, 4), (2, 1, 3, 4.0)])
+    @pytest.mark.parametrize(
+        "perm", [(True, 2, 3, 4), (1.0, 2, 3, 4), (2, 1, 3, 4.0), 5, None, "1234", (1, 2, 3, "4")]
+    )
     def test_rejects_strands_that_are_not_ints(self, chi0, perm):
         with pytest.raises(ValueError, match="bijection on 1..4 of ints"):
             permute(chi0, perm)
@@ -256,7 +284,8 @@ class TestSwingSet:
             swing_set([1, 9], 5)
 
     @pytest.mark.parametrize(
-        "members", [(1.0, 2.0, 3.0, 4.0), (True, 2.0, 3, 4), (1, 2.0), (True, 2)]
+        "members",
+        [(1.0, 2.0, 3.0, 4.0), (True, 2.0, 3, 4), (1, 2.0), (True, 2), 5, None, ("a", 1), [[1, 2]]],
     )
     def test_strands_that_are_not_ints_are_refused(self, members):
         # 1.0 == 1 and True == 1, so range and distinctness alone pass them
@@ -870,6 +899,20 @@ class TestWeightMemo:
         chi = character_from_json_dict({"n": 3, "weights": weights})
         assert chi.support == {(1, 2): int(kept), (1, 3): int(long), (2, 3): 10**30}
         assert list(memo) == [kept]
+
+    # spellings the memo does not keep: an exponent, one character past its
+    # length, a JSON integer; each is parsed once per character all the same
+    @pytest.mark.parametrize("spelling", ["1e4300", "1" * 33, 7])
+    def test_a_spelling_not_kept_is_parsed_once_per_character(self, memo, monkeypatch, spelling):
+        calls = []
+        parse = characters._parse_weight
+        monkeypatch.setattr(characters, "_parse_weight", lambda k, v: calls.append(k) or parse(k, v))
+        n = 64
+        keys = [f"{i}-{j}" for i, j in all_edges(n)]
+        chi = character_from_json_dict({"n": n, "weights": dict.fromkeys(keys, spelling)})
+        assert calls == ["1-2"] and memo == {}
+        value = Fraction(spelling) if isinstance(spelling, str) else spelling
+        assert set(chi.support.values()) == {value} and len(chi.support) == len(keys)
 
     def test_the_full_memo_is_within_its_stated_worst_case(self, memo):
         # distinct spellings of four-byte digits, with about as many digits in

@@ -52,13 +52,17 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             CircleId.from_json_dict({"kind": kind, "support": list(support)})
 
-    # strands are ints: strings, floats and bools are refused, also from JSON
-    @pytest.mark.parametrize("support", [("a", "b", "c"), (1.0, 2.0, 3.0), (True, 2, 3)])
+    # strands are ints: strings, floats and bools are refused, also from
+    # JSON, and so is a support that is no collection of strands
+    @pytest.mark.parametrize(
+        "support", [("a", "b", "c"), (1.0, 2.0, 3.0), (True, 2, 3), 5, None, "123"]
+    )
     def test_strands_that_are_not_ints_are_refused(self, support):
         with pytest.raises(ValueError):
             CircleId("P3", support)
+        listed = list(support) if isinstance(support, tuple) else support
         with pytest.raises(ValueError):
-            CircleId.from_json_dict({"kind": "P3", "support": list(support)})
+            CircleId.from_json_dict({"kind": "P3", "support": listed})
 
     # a badly shaped id is refused with ValueError too, not TypeError or KeyError
     @pytest.mark.parametrize(

@@ -348,6 +348,25 @@ class TestCertificateRejection:
                     bad = cert._replace(**{name: value})
                     assert not verify_certificate(Classification(bad, n), chi), bad
 
+    # every field of every kind holding a value that is not what the row
+    # names: verify_certificate must return False, not raise unpacking it
+    @pytest.mark.parametrize(
+        "n, weights, cert",
+        [case[:3] for case in DERIVED_PERMS]
+        + [
+            (4, {(1, 2): Fraction(3, 2)}, ZeroSum(Fraction(3, 2))),
+            (4, {(1, 4): 1, (2, 4): -1}, CircleMembership(CircleId("P3", (1, 2, 4)))),
+        ],
+        ids=lambda case: getattr(case, "kind", ""),
+    )
+    @pytest.mark.parametrize("value", [5, None, "ab", (5,), ((1, 2), 5), [1.0, 2.0]])
+    def test_any_other_value_of_a_field_is_refused(self, n, weights, cert, value):
+        chi = sparse(n, weights)
+        assert verify_certificate(Classification(cert, n), chi)
+        for name in cert._fields:
+            bad = cert._replace(**{name: value})
+            assert verify_certificate(Classification(bad, n), chi) is False, bad
+
     # a bool equals 0 or 1, but is no exact value: it would print as true
     def test_bool_values_are_refused(self):
         chi = sparse(2, {(1, 2): 1})

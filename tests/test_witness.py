@@ -1,15 +1,32 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidsigma import planar, witness, words
 from braidsigma.cli import main
-from braidsigma.characters import InternalError, all_edges, permute, swing_value
-from braidsigma.classify import RECOVERY_FACTORIZATIONS, SIGMA1, Factorization, classify
+from braidsigma.characters import (
+    InternalError,
+    all_edges,
+    character_from_json,
+    permute,
+    swing_value,
+)
+from braidsigma.classify import (
+    RECOVERY_FACTORIZATIONS,
+    SIGMA1,
+    Classification,
+    Factorization,
+    classify,
+    verify_certificate,
+)
 from braidsigma.witness import (
     WitnessPackage,
+    WitnessReport,
     build_witness_for,
     commuting_graph,
     dominates,
@@ -18,6 +35,8 @@ from braidsigma.witness import (
     witness_to_json_dict,
 )
 from conftest import character_to_json_dict, random_nonzero_character, sparse
+from test_circles import JSON_VALUES
+from test_lift_oracle import _bench_corpus
 
 TABLE_LINE = "a factorization is not one of the lemma table's on strands 1..n"
 
@@ -152,7 +171,9 @@ class TestVerifyWitness:
         assert report.survival_failures == [(1, 3)]
         assert not report.ok
 
-    @pytest.mark.parametrize("j_sets", [((1.0, 2.0, 3.0, 4.0),), ((True, 2.0, 3, 4),)])
+    @pytest.mark.parametrize(
+        "j_sets", [((1.0, 2.0, 3.0, 4.0),), ((True, 2.0, 3, 4),), (5,), (None,), (("a", 1),)]
+    )
     def test_strands_that_are_not_ints_are_refused(self, chi0, j_sets):
         # chi0 is zero_sum at n = 4; a J member of all four strands spelled
         # as floats or a bool once passed every condition
@@ -163,14 +184,15 @@ class TestVerifyWitness:
 
     # (True, 2, 3, 4) sorts equal to (1, 2, 3, 4), and once passed as ok
     # to print as [true, 2, 3, 4]; permute refuses the same perms
-    @pytest.mark.parametrize("perm", [(True, 2, 3, 4), (1.0, 2.0, 3.0, 4.0)])
+    @pytest.mark.parametrize("perm", [(True, 2, 3, 4), (1.0, 2.0, 3.0, 4.0), 5, None])
     def test_perm_strands_that_are_not_ints_are_refused(self, chi0, perm):
         pkg = build_witness_for(classify(chi0), chi0)
         assert verify_witness(pkg, chi0).ok
         with pytest.raises(ValueError, match="bijection on 1..4 of ints"):
             verify_witness(pkg._replace(perm=perm), chi0)
 
-    @pytest.mark.parametrize("degenerate", [(3, 3), (1, 9), (0, 2)])
+    # the last three hold no int strands: J dominates none of them
+    @pytest.mark.parametrize("degenerate", [(3, 3), (1, 9), (0, 2), 5, None, ["a", 1]])
     def test_degenerate_members_add_nothing_to_the_rank(self, degenerate):
         chi = sparse(4, {(1, 2): 1, (3, 4): 2})
         pkg = build_witness_for(classify(chi), chi)
@@ -181,6 +203,8 @@ class TestVerifyWitness:
         assert report.ungenerated == [(1, 2)] and not report.ok
         if degenerate == (3, 3):  # {3} lies in J's one member, so only generation fails
             assert report.uncovered == [] and report.connected
+        if not isinstance(degenerate, tuple):
+            assert report.uncovered == [degenerate]
 
     # J dominates I and the abelianized I has full rank in each case below,
     # but a pair of 1..n is not given
@@ -362,13 +386,18 @@ LEMMA_SUPPORTS = {
 }
 
 
-def relabeled_package(lemma, n):
-    """The built package of the lemma's support at n, its strands shuffled
-    so that the perm is not the identity."""
+def relabeled_character(lemma, n):
+    """The lemma's support at n, its strands shuffled."""
     _, support = LEMMA_SUPPORTS[lemma]
     labels = list(range(1, n + 1))
     random.Random(f"{lemma}:{n}").shuffle(labels)
-    chi = sparse(n, {(labels[i - 1], labels[j - 1]): w for (i, j), w in support.items()})
+    return sparse(n, {(labels[i - 1], labels[j - 1]): w for (i, j), w in support.items()})
+
+
+def relabeled_package(lemma, n):
+    """The built package of ``relabeled_character``, whose perm is not the
+    identity."""
+    chi = relabeled_character(lemma, n)
     pkg = build_witness_for(classify(chi), chi)
     assert pkg.lemma == lemma
     return pkg
@@ -402,6 +431,20 @@ class TestWitnessJson:
         ]
         as_lists = WitnessPackage(pkg.lemma, listed["perm"], listed["J"], listed["I"], facts)
         assert dumped(witness_to_json_dict(as_lists)) == dumped(listed)
+
+    # the shape json.loads gives: every member and factorization a list
+    @pytest.mark.parametrize("lemma", sorted(LEMMA_SUPPORTS))
+    def test_a_package_of_lists_verifies_as_its_tuples(self, lemma):
+        pkg, chi = relabeled_package(lemma, 7), relabeled_character(lemma, 7)
+        listed = json.loads(json.dumps(witness_to_json_dict(pkg)))
+        facts = [Factorization(**f) for f in listed["factorizations"]]
+        as_lists = WitnessPackage(pkg.lemma, listed["perm"], listed["J"], listed["I"], facts)
+        assert verify_witness(pkg, chi).ok and verify_witness(as_lists, chi).ok
+        # the same failures as the tuples' when I loses a member
+        for k in (0, len(pkg.i_sets) - 1):
+            fewer = pkg._replace(i_sets=pkg.i_sets[:k] + pkg.i_sets[k + 1:])
+            fewer_lists = as_lists._replace(i_sets=listed["I"][:k] + listed["I"][k + 1:])
+            assert verify_witness(fewer_lists, chi).failures() == verify_witness(fewer, chi).failures()
 
 
 class TestWordLevel:
@@ -516,3 +559,58 @@ class TestWordLevel:
             report = verify_witness(pkg._replace(factorizations=spelled), chi)
             assert not report.table_factorizations and TABLE_LINE in report.failures()
         assert verify_witness(pkg, chi).ok
+
+
+# -- any JSON value where a certificate or a witness holds strands -------------
+
+
+@lru_cache(maxsize=1)
+def stratified_cases():
+    """The first character of each certificate kind in the seed-1
+    ``stratified`` corpus: (character, classification, witness or None)."""
+    cases = {}
+    for item in _bench_corpus().stratified(1):
+        chi = character_from_json(item.text)
+        cls = classify(chi)
+        if cls.certificate.kind not in cases:
+            pkg = build_witness_for(cls, chi) if cls.verdict == SIGMA1 else None
+            cases[cls.certificate.kind] = (chi, cls, pkg)
+    return cases
+
+
+# JSON values, and lists of small ints, which are often real strands
+STRAND_VALUES = JSON_VALUES | st.integers(0, 9) | st.lists(st.integers(0, 9), max_size=4)
+
+
+def replaced(values, k, value):
+    return (*values[:k], value, *values[k + 1:])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_any_json_value_is_judged_not_raised(data):
+    # one certificate field, one member of I or one factorization (or one of
+    # its fields) of a seed-1 case holds any JSON value
+    cases = stratified_cases()
+    assert len(cases) == 7
+    chi, cls, pkg = cases[data.draw(st.sampled_from(sorted(cases)), label="kind")]
+    places = ["certificate", *(["I"] if pkg else [])]
+    places += ["factorization"] if pkg and pkg.factorizations else []
+    place = data.draw(st.sampled_from(places), label="place")
+    value = data.draw(STRAND_VALUES, label="value")
+    if place == "certificate":
+        cert = cls.certificate
+        name = data.draw(st.sampled_from(cert._fields), label="field")
+        bad = Classification(cert._replace(**{name: value}), cls.n)
+        assert verify_certificate(bad, chi) in (True, False)
+        return
+    if place == "I":
+        k = data.draw(st.integers(0, len(pkg.i_sets) - 1), label="member")
+        bad = pkg._replace(i_sets=replaced(pkg.i_sets, k, value))
+    else:
+        k = data.draw(st.integers(0, len(pkg.factorizations) - 1), label="factorization")
+        name = data.draw(st.sampled_from([None, *Factorization._fields]), label="field")
+        f = pkg.factorizations[k]
+        fact = value if name is None else f._replace(**{name: value})
+        bad = pkg._replace(factorizations=replaced(pkg.factorizations, k, fact))
+    assert isinstance(verify_witness(bad, chi), WitnessReport)
