@@ -12,10 +12,12 @@ Lemma table.  Each certificate class states its lemma once: its fields
 (the JSON keys), ``check`` (what ``verify_certificate`` re-checks; any
 value but the row's int strands fails it, and none raises), ``named``
 (the strands that get the normal-form indices 1, 2, ... in order) and
-``witness`` (the lemma's J, I and factorizations in normal form).  The
-derived ``perm`` sends the k-th named strand to k and the other strands,
-in increasing order, to the indices after the named ones.  K is the
-support graph K_chi, edges are unordered, Delta is the total sum.
+``witness`` (the lemma's J and recovery factorizations in normal form).
+Every row's I is the pairs of 1..n but each factorization's ``recovers``,
+then each one's ``added``, built in ``witness._lemma_shape``.  The derived
+``perm`` sends the k-th named strand to k and the other strands, in
+increasing order, to the indices after the named ones.  K is the support
+graph K_chi, edges are unordered, Delta is the total sum.
 
   kind             fields                   check                             1 2 3 ...
   zero_sum         delta                    delta = Delta != 0                identity
@@ -45,7 +47,6 @@ from .characters import (
     _equals,
     _int_strands,
     _swing_pair,
-    all_edges,
     delta_value,
     swing_set,
 )
@@ -80,7 +81,7 @@ class Factorization(Record):
         d["recovers"] = recovers
 
 
-WitnessData = tuple[tuple[SwingSet, ...], tuple[SwingSet, ...], tuple[Factorization, ...]]
+WitnessData = tuple[tuple[SwingSet, ...], tuple[Factorization, ...]]  # J, factorizations
 
 
 def _complement(i: int, n: int) -> SwingSet:
@@ -94,22 +95,13 @@ def _recovery(k: int) -> tuple[Factorization, ...]:
     return tuple(Factorization(t, tuple(combinations(t, 2)), (a, 4)) for a, t in triples)
 
 
-# The recovery factorizations of the lemma table, keyed by the vertex k of
-# ``_recovering``: (1, 4, 5) and (2, 4, 5) for disjoint_pair, (1, 3, 4) and
+# The recovery factorizations of the lemma table, keyed by the vertex k
+# each triple adds: (1, 4, 5) and (2, 4, 5) for disjoint_pair, (1, 3, 4) and
 # (2, 3, 4) for triangle.  They lie on strands 1..5 and do not depend on n;
 # ``braidsigma verify`` proves each in P_5 (``commands.cmd_verify`` says why
 # that settles every n), so witness verification does not repeat them, and
 # accepts no other factorization.
 RECOVERY_FACTORIZATIONS = {5: _recovery(5), 3: _recovery(3)}
-
-
-def _recovering(k: int, n: int) -> tuple[tuple[SwingSet, ...], tuple[Factorization, ...]]:
-    """I and its factorizations for the lemmas that drop (1, 4) and (2, 4)
-    from the standard pairs and recover each from the triple it spans
-    with vertex k."""
-    facts = RECOVERY_FACTORIZATIONS[k]
-    i_sets = tuple(p for p in all_edges(n) if p not in ((1, 4), (2, 4)))
-    return i_sets + tuple(f.added for f in facts), facts
 
 
 def _has_edges(g: CharGraph, *pairs: Edge) -> bool:
@@ -151,7 +143,7 @@ class ZeroSum(Lemma):
 
     @staticmethod
     def witness(n: int) -> WitnessData:
-        return (tuple(range(1, n + 1)),), tuple(all_edges(n)), ()
+        return (tuple(range(1, n + 1)),), ()
 
 
 class DisjointTriple(Lemma):
@@ -170,7 +162,7 @@ class DisjointTriple(Lemma):
 
     @staticmethod
     def witness(n: int) -> WitnessData:
-        return ((1, 2), (3, 4), (5, 6)), tuple(all_edges(n)), ()
+        return ((1, 2), (3, 4), (5, 6)), ()
 
 
 class DisjointPair(Lemma):
@@ -203,7 +195,7 @@ class DisjointPair(Lemma):
 
     @staticmethod
     def witness(n: int) -> WitnessData:
-        return ((1, 2), (3, 4), (4, 5)), *_recovering(5, n)
+        return ((1, 2), (3, 4), (4, 5)), RECOVERY_FACTORIZATIONS[5]
 
 
 class Star(Lemma):
@@ -229,8 +221,7 @@ class Star(Lemma):
 
     @staticmethod
     def witness(n: int) -> WitnessData:
-        co = [_complement(i, n) for i in (1, 2, 3)]
-        return ((1, 4), (2, 4), (3, 4), *co), tuple(all_edges(n)), ()
+        return ((1, 4), (2, 4), (3, 4), _complement(1, n), _complement(2, n), _complement(3, n)), ()
 
 
 class DisjointLeaves(Lemma):
@@ -257,8 +248,7 @@ class DisjointLeaves(Lemma):
 
     @staticmethod
     def witness(n: int) -> WitnessData:
-        co1, co3 = _complement(1, n), _complement(3, n)
-        return ((1, 2), (3, 4), (1, 2, 3), co1, co3), tuple(all_edges(n)), ()
+        return ((1, 2), (3, 4), (1, 2, 3), _complement(1, n), _complement(3, n)), ()
 
 
 class Triangle(Lemma):
@@ -295,7 +285,7 @@ class Triangle(Lemma):
 
     @staticmethod
     def witness(n: int) -> WitnessData:
-        return ((1, 2), (1, 2, 3), (3, 4)), *_recovering(3, n)
+        return ((1, 2), (1, 2, 3), (3, 4)), RECOVERY_FACTORIZATIONS[3]
 
 
 class CircleMembership(Record):
@@ -416,8 +406,10 @@ def _on_circle_or_fail(chi: Character, cid: CircleId) -> Classification:
 
 def verify_certificate(cls: Classification, chi: Character) -> bool:
     """Re-check every numeric claim a certificate makes about the character;
-    the verdict is the certificate's own."""
-    return cls.n == chi.n and cls.certificate.check(chi)
+    the verdict is the certificate's own.  Anything but a Lemma or a
+    CircleMembership in the certificate's place fails."""
+    cert = cls.certificate
+    return cls.n == chi.n and isinstance(cert, Certificate) and cert.check(chi)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -1,40 +1,40 @@
 """Executable witnesses for the reduction lemmas.
 
 Each invariant-side certificate is backed by a package (J, I) in the
-lemma's normal-form coordinates; the certificate's class in ``classify``
-states J, I and the recovery factorizations.  J survives under the
-relabeled character, the commuting graph C(J) is connected, J dominates
-I, and I generates the group.  Generation is checked by covering the
-standard generators, the pairs of 1..n: a pair is given when it is a
-member of I, or when it is the ``recovers`` of a factorization, taken in
-order, whose ``added`` is a member of I, which names ``recovers`` exactly
-once among its factors, and whose other factors are members of I or
-pairs given earlier.  A package may carry only the factorizations of the
-lemma table (``classify.RECOVERY_FACTORIZATIONS``) whose strands lie in
-1..n: each is an identity of every such P_n, as ``braidsigma verify``
-proves once, so no word is checked here.  Any other factorization is a
-reported failure.
+lemma's normal-form coordinates: the certificate's class in ``classify``
+states J and the recovery factorizations, and ``_lemma_shape`` derives I
+from them.  J survives under the relabeled character, the commuting graph
+C(J) is connected, J dominates I, and I generates the group.  Generation
+is checked by covering the standard generators, the pairs of 1..n: a pair
+is given when it is a member of I, or when it is the ``recovers`` of a
+factorization, taken in order, whose ``added`` is a member of I, which
+names ``recovers`` exactly once among its factors, and whose other factors
+are members of I or pairs given earlier.  A package may carry only the
+factorizations of the lemma table (``classify.RECOVERY_FACTORIZATIONS``)
+whose strands lie in 1..n: each is an identity of every such P_n, as
+``braidsigma verify`` proves once, so no word is checked here.  Any other
+factorization is a reported failure.
 
 J and I are fixed by the lemma and n, not by the character, so every
-check that reads only them and the factorizations (C(J) connectivity,
-domination, generation and the factorizations) runs once per (lemma, n)
-in ``_lemma_shape``, the one cache here, and travels with the package
-``build_witness_for`` makes, outside its fields.  Any other package
-(from ``WitnessPackage``, ``_replace`` or JSON) is checked in full on
-every call, so no package from outside reaches the cache.  The JSON dict
-holds the package's own tuples, which ``json.dumps`` writes as arrays.
+check that reads only them and the factorizations runs once per (lemma,
+n) in ``_lemma_shape``, the one cache here, and travels with the package
+``build_witness_for`` makes, outside its fields.  Any other package (from
+``WitnessPackage``, ``_replace`` or JSON) is checked in full on every
+call, so none reaches the cache.  The JSON dict holds the package's own
+tuples, which ``json.dumps`` writes as arrays.
 
 Each of those checks costs about one pass over I, whose members are
 almost all pairs of strands.  A pair {a, b} commutes with a swing set S
-(``commutes_predicate``) when it lies in S, or when it misses S and
-the number of S's strands strictly between a and b is 0 or |S| (S lies
-in the pair only when it is the pair).  So domination tests a pair by two
-lookups in a membership array of S and one difference of its prefix
-counts, built once per member of J.  I is split once per shape into its
-pairs of 1..n and its other members, which take the predicate and are
-sorted into swing sets only for the coverage.  A list member (as from
-JSON) counts as its tuple; a member not of int strands is dominated by
-none, and one not a swing set of 1..n gives nothing.
+(``commutes_predicate``) when it lies in S, or when it misses S and the
+number of S's strands strictly between a and b is 0 or |S| (S lies in the
+pair only when it is the pair).  So domination tests a pair by two lookups
+in a membership array of S and one difference of its prefix counts, built
+once per member of J.  I is split into its pairs of 1..n and its other
+members, which take the predicate and are sorted into swing sets only for
+the coverage.  ``_lemma_shape`` knows the split of the I it builds; only
+an I from outside is split by a type scan.  A list member (as from JSON)
+counts as its tuple; a member not of int strands is dominated by none,
+and one not a swing set of 1..n gives nothing.
 
 Only survival reads the character, so it alone runs for every character,
 on its support and cached Delta, not on a relabeled copy.  It checks the
@@ -68,7 +68,7 @@ from .characters import (
     swing_set,
 )
 from .chargraph import build_kchi
-from .classify import RECOVERY_FACTORIZATIONS, Classification, Factorization, WitnessData
+from .classify import RECOVERY_FACTORIZATIONS, Classification, Factorization
 from .record import Record
 from .words import braid_aut  # unused here; bench/tracing.py rebinds this name
 
@@ -240,9 +240,8 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
     """Instantiate the (J, I, factorizations) data of the proof backing the
     classification's certificate, in its normal-form coordinates, at the n
     of its perm, with the shape's checks outside the package's fields."""
-    cert = cls.certificate
-    (j_sets, i_sets, factorizations), checks = _lemma_shape(type(cert), cls.n)
-    pkg = WitnessPackage(cert.kind, cls.perm, j_sets, i_sets, factorizations)
+    data, checks = _lemma_shape(type(cls.certificate), cls.n)
+    pkg = WitnessPackage(cls.certificate.kind, cls.perm, *data)
     pkg.__dict__["_checks"] = checks
     return pkg
 
@@ -256,16 +255,20 @@ _TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() f
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _lemma_shape(lemma: type, n: int) -> tuple[WitnessData, tuple]:
-    """A lemma's (J, I, factorizations) at n and their ``_shape_checks``;
-    survival takes a built package's J as it is, a swing set checked here."""
-    data = lemma.witness(n)
+def _lemma_shape(lemma: type, n: int) -> tuple[tuple, tuple]:
+    """A lemma's (J, I, factorizations) at n, I by the table's rule with its
+    split known, and their ``_shape_checks``; J's swing sets checked here."""
+    j_sets, factorizations = lemma.witness(n)
     try:
-        for j in data[0]:
+        for j in j_sets:
             swing_set(j, n)
     except (ValueError, IndexError) as exc:
         raise InternalError(f"{lemma.kind} at n = {n}: {exc}") from exc
-    return data, _shape_checks(n, *data)
+    recovered = {f.recovers for f in factorizations}
+    pairs = [p for p in combinations(range(1, n + 1), 2) if p not in recovered]
+    added = [f.added for f in factorizations]
+    data = j_sets, (*pairs, *added), factorizations
+    return data, _shape_checks(n, *data, members=(pairs, added))
 
 
 # -- verification ----------------------------------------------------------
@@ -334,12 +337,14 @@ def _shape_checks(
     j_sets: tuple[SwingSet, ...],
     i_sets: tuple[SwingSet, ...],
     factorizations: tuple[Factorization, ...],
+    members: Members | None = None,
 ) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool]:
     """The checks that read no character: (C(J) connected, the members of
     I that J does not dominate, the pairs that I does not give, every
-    factorization one of the lemma table's on strands 1..n)."""
+    factorization one of the lemma table's on strands 1..n); ``members``
+    is ``_split_members(i_sets, n)``, if the caller has it."""
     connected = is_connected(commuting_graph(j_sets))
-    members = _split_members(i_sets, n)
+    members = members or _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
     facts = [_strand_tuples(f) for f in factorizations]
     ungenerated = tuple(_ungenerated(n, i_sets, facts, members))
@@ -380,10 +385,12 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
 def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     only a package from ``build_witness_for`` brings its shape's checks.
-    A malformed package raises: ValueError for a perm that is not a
-    bijection on 1..n of ints or a member of J that is not a swing set of
-    int strands, IndexError for a member of J out of range.  The conditions
-    that a well-formed package fails are reported, never raised."""
+    A malformed package raises ValueError (J, I or the factorizations not a
+    tuple or list, a perm not a bijection on 1..n of ints, a member of J not
+    a swing set of int strands) or IndexError (a member of J out of range);
+    a well-formed package's failures are reported, never raised."""
+    if not all(isinstance(x, (tuple, list)) for x in (pkg.j_sets, pkg.i_sets, pkg.factorizations)):
+        raise ValueError("J, I and the factorizations must each be a tuple or list")
     survival_failures = _survival_failures(pkg, chi)
     # survival proved len(perm) == chi.n, the n a built package's checks ran at
     connected, uncovered, ungenerated, table_ok = pkg.__dict__.get("_checks") or _shape_checks(

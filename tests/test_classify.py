@@ -382,6 +382,12 @@ class TestCertificateRejection:
         assert verify_certificate(cls, chi0)
         assert not verify_certificate(cls._replace(n=chi0.n + 1), chi0)
 
+    # anything but a lemma or a circle where the certificate goes fails
+    # the check and raises nothing
+    @pytest.mark.parametrize("cert", [5, None, "zero_sum", {"kind": "zero_sum"}])
+    def test_a_certificate_that_is_no_row_fails(self, chi0, cert):
+        assert verify_certificate(Classification(cert, chi0.n), chi0) is False
+
 
 def small_support_character(n, rng):
     """A character with integer weights on a few random pairs of at most

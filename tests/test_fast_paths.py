@@ -50,6 +50,7 @@ from braidsigma.witness import (
     WitnessPackage,
     WitnessReport,
     _shape_checks,
+    _split_members,
     _ungenerated,
     build_witness_for,
     commutes_predicate,
@@ -401,17 +402,12 @@ def recovering_package(rng, n):
 class TestCoverage:
     def test_lemma_shapes_generate(self):
         for n in range(4, 10):
-            for lemma in LEMMAS:
-                j_sets, i_sets, facts = lemma.witness(n)
-                if max(v for j in j_sets for v in j) <= n:
-                    assert _ungenerated(n, i_sets, facts) == [], (n, lemma)
+            for lemma, (j_sets, i_sets, facts) in table_shapes(n):
+                assert _ungenerated(n, i_sets, facts) == [], (n, lemma)
 
     def test_each_dropped_member_names_the_pairs_it_gave(self):
         for n in range(4, 10):
-            for lemma in LEMMAS:
-                j_sets, i_sets, facts = lemma.witness(n)
-                if max(v for j in j_sets for v in j) > n:
-                    continue
+            for lemma, (j_sets, i_sets, facts) in table_shapes(n):
                 for k, dropped in enumerate(i_sets):
                     # the member itself, if a pair, and every pair recovered
                     # through it; no table factorization needs another
@@ -422,8 +418,9 @@ class TestCoverage:
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_cold_coverage(self, n):
-        for lemma in LEMMAS:
-            _, i_sets, facts = lemma.witness(n)
+        shapes = list(table_shapes(n))
+        assert len(shapes) == len(LEMMAS)
+        for _, (_, i_sets, facts) in shapes:
             assert _ungenerated(n, i_sets, facts) == []
 
     def test_random_packages_against_in_order_closure(self):
@@ -493,10 +490,7 @@ class TestDomination:
         # strands 1..6 leave some members uncovered
         extra = pairs(n) + list(combinations(range(1, min(n, 6) + 1), 3))
         uncovered = 0
-        for lemma in LEMMAS:
-            j_sets, i_sets, _ = lemma.witness(n)
-            if max(v for j in j_sets for v in j) > n:
-                continue
+        for _, (j_sets, i_sets, _) in table_shapes(n):
             assert dominates(j_sets, i_sets, n) == dominates_reference(j_sets, i_sets) == []
             want = dominates_reference(j_sets, extra)
             assert dominates(j_sets, extra, n) == want
@@ -505,10 +499,7 @@ class TestDomination:
 
     def test_hostile_members(self):
         for n in (4, 6, 9):
-            for lemma in LEMMAS:
-                j_sets, i_sets, _ = lemma.witness(n)
-                if max(v for j in j_sets for v in j) > n:
-                    continue
+            for _, (j_sets, i_sets, _) in table_shapes(n):
                 for members in (hostile(n), [*hostile(n)[::-1], *i_sets, *hostile(n)]):
                     assert dominates(j_sets, members, n) == dominates_reference(j_sets, members)
             # a member of J out of order is still a swing set
@@ -531,9 +522,9 @@ class TestDomination:
 
     def test_cold_shape_checks_at_n256(self):
         n = 256
-        for lemma in LEMMAS:
-            j_sets, i_sets, _ = lemma.witness(n)
-            facts = lemma.witness(n)[2]
+        shapes = list(table_shapes(n))
+        assert len(shapes) == len(LEMMAS)
+        for _, (j_sets, i_sets, facts) in shapes:
             assert _shape_checks(n, j_sets, i_sets, facts) == (True, (), (), True)
 
     def test_each_member_is_sorted_once_per_shape(self, monkeypatch):
@@ -548,12 +539,49 @@ class TestDomination:
 
         monkeypatch.setattr(witness, "_is_pair", counting)
         for n in (6, 16):
-            for lemma in LEMMAS:
-                j_sets, i_sets, facts = lemma.witness(n)
+            for lemma, (j_sets, i_sets, facts) in table_shapes(n):
                 calls.clear()
                 assert _shape_checks(n, j_sets, i_sets, facts)[1:3] == ((), ())
                 in_facts = Counter(a for f in facts for a in (f.recovers, *f.factors, f.added))
                 assert calls == Counter(i_sets) + in_facts, (n, lemma)
+
+    def test_a_cold_shape_scans_no_member_of_its_i(self, monkeypatch):
+        # _lemma_shape builds I with its split known: the only sets it
+        # sorts are each factorization's own, never I's members
+        calls = Counter()
+        is_pair = witness._is_pair
+
+        def counting(a, n):
+            calls[a] += 1
+            return is_pair(a, n)
+
+        monkeypatch.setattr(witness, "_is_pair", counting)
+        for n in (6, 16, 64):
+            for lemma in LEMMAS:
+                calls.clear()
+                (_, i_sets, facts), checks = witness._lemma_shape.__wrapped__(lemma, n)
+                assert checks == (True, (), (), True)
+                in_facts = Counter(a for f in facts for a in (f.recovers, *f.factors, f.added))
+                assert calls == in_facts, (n, lemma)
+
+    @pytest.mark.parametrize("n", [*range(4, 17), 64, 256])
+    def test_the_split_passed_is_the_split_of_the_printed_i(self, n, monkeypatch):
+        passed = []
+        shape_checks = witness._shape_checks
+
+        def recording(n, j_sets, i_sets, factorizations, members=None):
+            passed.append(members)
+            return shape_checks(n, j_sets, i_sets, factorizations, members)
+
+        monkeypatch.setattr(witness, "_shape_checks", recording)
+        for lemma, _ in table_shapes(n):
+            passed.clear()
+            (j_sets, i_sets, facts), checks = witness._lemma_shape.__wrapped__(lemma, n)
+            (members,) = passed
+            printed = json.loads(json.dumps(i_sets))
+            assert members == _split_members(i_sets, n)
+            assert [list(map(list, part)) for part in members] == list(_split_members(printed, n))
+            assert checks == shape_checks(n, j_sets, i_sets, facts) == (True, (), (), True)
 
     def test_pairs_never_reach_the_predicate(self, monkeypatch):
         asked = []
@@ -564,8 +592,7 @@ class TestDomination:
 
         monkeypatch.setattr(witness, "commutes_predicate", counting)
         for n in (6, 16, 64):
-            for lemma in LEMMAS:
-                j_sets, i_sets, _ = lemma.witness(n)
+            for _, (j_sets, i_sets, _) in table_shapes(n):
                 assert dominates(j_sets, i_sets, n) == []
         # only the two recovering triples of disjoint_pair and triangle
         assert asked and all(len(a) == 3 for a in asked)
@@ -692,6 +719,14 @@ class TestParsedSupport:
 LEMMAS = (ZeroSum, DisjointTriple, DisjointPair, Star, DisjointLeaves, Triangle)
 
 
+def table_shapes(n):
+    """Each lemma whose J lies on strands 1..n, with its (J, I,
+    factorizations) at n as ``_lemma_shape`` builds them."""
+    for lemma in LEMMAS:
+        if max(v for j in lemma.witness(n)[0] for v in j) <= n:
+            yield lemma, witness._lemma_shape(lemma, n)[0]
+
+
 def survival_reference(pkg, chi):
     relabeled = permute(chi, pkg.perm)
     return [j for j in pkg.j_sets if swing_value(relabeled, j) == 0]
@@ -726,8 +761,7 @@ class TestSurvival:
         rng = random.Random(43)
         seen = Counter()
         for n in range(3, 11):
-            shapes = [lemma.witness(n) for lemma in LEMMAS]
-            shapes = [s for s in shapes if max(v for j in s[0] for v in j) <= n]
+            shapes = [shape for _, shape in table_shapes(n)]
             for trial in range(30):
                 chi = sparse_character(rng, n)
                 if trial % 2:  # the support handed over by the parse

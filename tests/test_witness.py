@@ -351,10 +351,35 @@ class TestVerifyWitness:
 
             @staticmethod
             def witness(n):
-                return ((1, 1),), tuple(all_edges(n)), ()
+                return ((1, 1),), ()
 
         with pytest.raises(InternalError, match="repeated at n = 4"):
             witness._lemma_shape(Repeated, 4)
+
+    def test_the_derived_split_is_checked_not_trusted(self):
+        # disjoint_triple's J with disjoint_pair's factorizations: I is built
+        # with its split known, and the triples it adds meet every member
+        # of J without nesting, so J dominates neither
+        class Undominated:
+            kind = "undominated"
+
+            @staticmethod
+            def witness(n):
+                return ((1, 2), (3, 4), (5, 6)), RECOVERY_FACTORIZATIONS[5]
+
+        (j_sets, i_sets, facts), checks = witness._lemma_shape(Undominated, 6)
+        assert i_sets[-2:] == ((1, 4, 5), (2, 4, 5))
+        assert checks == (True, ((1, 4, 5), (2, 4, 5)), (), True)
+        assert checks == witness._shape_checks(6, j_sets, i_sets, facts)
+
+    @pytest.mark.parametrize("field", ["j_sets", "i_sets", "factorizations"])
+    @pytest.mark.parametrize("value", [None, 5, "(1, 2)", {"J": [[1, 2]]}])
+    def test_a_field_that_is_no_list_is_a_malformed_package(self, field, value):
+        chi = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert verify_witness(pkg, chi).ok
+        with pytest.raises(ValueError, match="must each be a tuple or list"):
+            verify_witness(pkg._replace(**{field: value}), chi)
 
 
 def reference_json_dict(pkg):
