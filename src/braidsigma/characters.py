@@ -127,8 +127,6 @@ class Character(Record):
     ``n`` and the support's items, so it agrees with ``==``.
     """
 
-    _fields = ("n", "support")
-
     def __init__(self, n: int, support: Mapping[Edge, Fraction]) -> None:
         d = self.__dict__
         d["n"] = n

@@ -65,8 +65,6 @@ class CharGraph(Record):
     ``set(nbrs)`` is the support and ``len(nbrs[v])`` the degree of v; the
     lists must not be mutated."""
 
-    _fields = ("n", "labels")
-
     def __init__(self, n: int, labels: Mapping[Edge, Fraction]) -> None:
         order = tuple(sorted(labels))
         nbrs: dict[int, list[int]] = {}
@@ -87,8 +85,6 @@ class ShapeClass(Record):
     (the star-or-small fact of the module docstring leaves no other).
     A graph that is both a star and within 4 vertices reports "star".
     """
-
-    _fields = ("kind", "center", "leaves", "witness")
 
     def __init__(
         self,

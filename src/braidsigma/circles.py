@@ -35,8 +35,6 @@ class CircleId(Record):
     """The circle over a 3-set (P3) or a 4-set (P4) of strands, given as
     strictly increasing ints >= 1 (bools refused)."""
 
-    _fields = ("kind", "support")
-
     def __init__(self, kind: str, support: tuple[int, ...]) -> None:
         d = self.__dict__
         d["kind"] = kind

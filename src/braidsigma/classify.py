@@ -9,10 +9,11 @@ Earlier stages win when several lemmas apply, so certificates are
 deterministic.
 
 Lemma table.  Each certificate class states its lemma once: its fields
-(the JSON keys), ``check`` (what ``verify_certificate`` re-checks; any
-value but the row's int strands fails it, and none raises), ``named``
-(the strands that get the normal-form indices 1, 2, ... in order) and
-``witness`` (the lemma's J and recovery factorizations in normal form).
+(its constructor's parameters, the JSON keys), ``check`` (what
+``verify_certificate`` re-checks; any value but the row's int strands
+fails it, and none raises), ``named`` (the strands that get the
+normal-form indices 1, 2, ... in order) and ``witness`` (the lemma's J
+and recovery factorizations in normal form).
 Every row's I is the pairs of 1..n but each factorization's ``recovers``,
 then each one's ``added``, built in ``witness._lemma_shape``.  The derived
 ``perm`` sends the k-th named strand to k and the other strands, in
@@ -72,8 +73,6 @@ class Factorization(Record):
     of the swings on ``factors``, so the pair ``recovers`` (dropped from the
     standard generating set) is expressible from the rest."""
 
-    _fields = ("added", "factors", "recovers")
-
     def __init__(self, added: SwingSet, factors: tuple[SwingSet, ...], recovers: Edge) -> None:
         d = self.__dict__
         d["added"] = added
@@ -122,15 +121,14 @@ def _hinge(f: Edge, h: Edge) -> int | None:
 
 class Lemma(Record):
     """An invariant-side certificate; each subclass is one row of the
-    module docstring's table, its ``_fields`` the row's fields.  ``named``
-    assumes ``check`` holds."""
+    module docstring's table, its constructor's parameters (so its
+    ``_fields``) the row's fields.  ``named`` assumes ``check`` holds."""
 
     verdict = SIGMA1
 
 
 class ZeroSum(Lemma):
     kind = "zero_sum"
-    _fields = ("delta",)
 
     def __init__(self, delta: Fraction) -> None:
         self.__dict__["delta"] = delta
@@ -148,7 +146,6 @@ class ZeroSum(Lemma):
 
 class DisjointTriple(Lemma):
     kind = "disjoint_triple"
-    _fields = ("edges",)
 
     def __init__(self, edges: tuple[Edge, Edge, Edge]) -> None:
         self.__dict__["edges"] = edges
@@ -167,7 +164,6 @@ class DisjointTriple(Lemma):
 
 class DisjointPair(Lemma):
     kind = "disjoint_pair"
-    _fields = ("edge", "others")
 
     def __init__(self, edge: Edge, others: tuple[Edge, Edge]) -> None:
         d = self.__dict__
@@ -200,7 +196,6 @@ class DisjointPair(Lemma):
 
 class Star(Lemma):
     kind = "star"
-    _fields = ("center", "leaves")
 
     def __init__(self, center: int, leaves: tuple[int, ...]) -> None:
         d = self.__dict__
@@ -226,7 +221,6 @@ class Star(Lemma):
 
 class DisjointLeaves(Lemma):
     kind = "disjoint_leaves"
-    _fields = ("leaf_edges",)
 
     def __init__(self, leaf_edges: tuple[Edge, Edge]) -> None:
         self.__dict__["leaf_edges"] = leaf_edges  # (leaf, neighbor) order within each edge
@@ -253,7 +247,6 @@ class DisjointLeaves(Lemma):
 
 class Triangle(Lemma):
     kind = "triangle"
-    _fields = ("edges", "triangle", "value")
 
     def __init__(
         self, edges: tuple[Edge, Edge], triangle: tuple[int, int, int], value: Fraction
@@ -291,17 +284,12 @@ class Triangle(Lemma):
 class CircleMembership(Record):
     kind = "circle"
     verdict = COMPLEMENT
-    _fields = ("circle",)
 
     def __init__(self, circle: CircleId) -> None:
         self.__dict__["circle"] = circle
 
     def check(self, chi: Character) -> bool:
         return isinstance(self.circle, CircleId) and on_circle(chi, self.circle)
-
-    @staticmethod
-    def witness(n: int) -> WitnessData:
-        raise ValueError("complement certificates carry no invariant-side witness")
 
 
 # not typing.Union, whose cache would keep each re-imported copy of the package alive
@@ -311,8 +299,6 @@ Certificate = Lemma | CircleMembership
 class Classification(Record):
     """A certificate for a character on n strands.  The verdict is the
     certificate's own: SIGMA1 for a lemma, COMPLEMENT for a circle."""
-
-    _fields = ("certificate", "n")
 
     def __init__(self, certificate: Certificate, n: int) -> None:
         d = self.__dict__

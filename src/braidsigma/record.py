@@ -1,12 +1,14 @@
 """Immutable value records, the base of the package's value classes.
 
-A subclass names its fields in ``_fields`` and writes its own
-``__init__``, which stores each field through ``self.__dict__`` and then
-checks the values.  From ``_fields`` alone the base gives equality (same
-class, equal fields), hashing, a dataclass-style repr and ``_replace``,
-and it refuses to assign or delete attributes.  Entries of ``__dict__``
-that are not fields (values a class derives or caches) take no part in
-equality, hashing or repr.
+A subclass writes its own ``__init__``, which stores each field through
+``self.__dict__`` and then checks the values.  The fields are that
+constructor's parameters after ``self``, in order; the base reads them
+into ``_fields`` once, when the class is made, and a subclass without its
+own ``__init__`` keeps its parent's.  From ``_fields`` alone the base
+gives equality (same class, equal fields), hashing, a dataclass-style
+repr and ``_replace``, and it refuses to assign or delete attributes.
+Entries of ``__dict__`` that are not fields (values a class derives or
+caches) take no part in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ from __future__ import annotations
 
 class Record:
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def _values(self) -> tuple:
         d = self.__dict__

@@ -68,14 +68,12 @@ from .characters import (
     swing_set,
 )
 from .chargraph import build_kchi
-from .classify import RECOVERY_FACTORIZATIONS, Classification, Factorization
+from .classify import RECOVERY_FACTORIZATIONS, Classification, Factorization, Lemma
 from .record import Record
 from .words import braid_aut  # unused here; bench/tracing.py rebinds this name
 
 
 class WitnessPackage(Record):
-    _fields = ("lemma", "perm", "j_sets", "i_sets", "factorizations")
-
     def __init__(
         self,
         lemma: str,
@@ -100,14 +98,6 @@ class WitnessReport(Record):
     lists are the report's own: the members of J whose swing vanishes, the
     members of I that J does not dominate, and the pairs of 1..n that I
     does not give (the module docstring's coverage)."""
-
-    _fields = (
-        "survival_failures",
-        "connected",
-        "uncovered",
-        "ungenerated",
-        "table_factorizations",
-    )
 
     def __init__(
         self,
@@ -240,6 +230,8 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
     """Instantiate the (J, I, factorizations) data of the proof backing the
     classification's certificate, in its normal-form coordinates, at the n
     of its perm, with the shape's checks outside the package's fields."""
+    if not isinstance(cls.certificate, Lemma):
+        raise ValueError("complement certificates carry no invariant-side witness")
     data, checks = _lemma_shape(type(cls.certificate), cls.n)
     pkg = WitnessPackage(cls.certificate.kind, cls.perm, *data)
     pkg.__dict__["_checks"] = checks
@@ -382,13 +374,19 @@ def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:
     return failures
 
 
+_LEMMA_KINDS = tuple(row.kind for row in Lemma.__subclasses__())
+
+
 def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     """Check all four conditions of the connectivity-and-domination lemma;
     only a package from ``build_witness_for`` brings its shape's checks.
-    A malformed package raises ValueError (J, I or the factorizations not a
-    tuple or list, a perm not a bijection on 1..n of ints, a member of J not
-    a swing set of int strands) or IndexError (a member of J out of range);
-    a well-formed package's failures are reported, never raised."""
+    A malformed package raises ValueError (a lemma not the kind of a lemma
+    row, J, I or the factorizations not a tuple or list, a perm not a
+    bijection on 1..n of ints, a member of J not a swing set of int strands)
+    or IndexError (a member of J out of range); a well-formed package's
+    failures are reported, never raised."""
+    if pkg.lemma not in _LEMMA_KINDS:  # a tuple, so an unhashable lemma is refused too
+        raise ValueError(f"lemma must be the kind of a lemma row, got {pkg.lemma!r}")
     if not all(isinstance(x, (tuple, list)) for x in (pkg.j_sets, pkg.i_sets, pkg.factorizations)):
         raise ValueError("J, I and the factorizations must each be a tuple or list")
     survival_failures = _survival_failures(pkg, chi)

@@ -83,8 +83,6 @@ class BraidWord(Record):
     """Word in the Artin generators sigma_1..sigma_{n-1}; letter k stands
     for sigma_k and -k for its inverse."""
 
-    _fields = ("n", "letters")
-
     def __init__(self, n: int, letters: Word) -> None:
         d = self.__dict__
         d["n"] = n

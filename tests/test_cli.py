@@ -298,12 +298,13 @@ def test_classify_leaves_out_argparse_and_the_identity_suite(chi0_file):
     # argparse costs a one-shot process about 9 ms (with gettext and locale);
     # the word-engine identities are for ``verify`` only, and the other
     # commands and the help text are compiled only when they run; without
-    # site, nothing else loads typing, so the package must not either
+    # site, nothing else loads typing, so the package must not either; a
+    # record reads its fields from its constructor's code, not by inspect
     code = (
         "import sys\n"
         "from braidsigma.cli import main\n"
         "code = main(['classify', '--witness', '--in', sys.argv[1]])\n"
-        "unwanted = {'argparse', 'gettext', 'dataclasses', 'typing',\n"
+        "unwanted = {'argparse', 'gettext', 'dataclasses', 'inspect', 'typing',\n"
         "            'braidsigma.planar', 'braidsigma.commands'}\n"
         "print(code, sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
     )

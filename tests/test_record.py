@@ -10,8 +10,6 @@ from braidsigma.record import Record
 
 
 class Point(Record):
-    _fields = ("x", "y")
-
     def __init__(self, x, y):
         d = self.__dict__
         d["x"] = x
@@ -22,7 +20,32 @@ class Marked(Point):
     pass
 
 
+class Box(Record):
+    def __init__(self, width, height, depth):
+        d = self.__dict__
+        d["width"] = width
+        d["height"] = height
+        d["depth"] = depth
+        d["volume"] = width * height * depth  # derived, not a field
+
+
 class TestRecord:
+    def test_fields_are_the_constructor_parameters(self):
+        assert Box._fields == ("width", "height", "depth")
+        box = Box(1, 2, 3)
+        assert box == Box(1, 2, 3) and hash(box) == hash(Box(1, 2, 3))
+        for other in (Box(9, 2, 3), Box(1, 9, 3), Box(1, 2, 9)):
+            assert box != other
+        assert repr(box) == "Box(width=1, height=2, depth=3)"
+        moved = box._replace(depth=4)
+        assert moved == Box(1, 2, 4) and moved.volume == 8
+        assert box == Box(1, 2, 3)
+
+    def test_a_subclass_without_a_constructor_keeps_its_parents_fields(self):
+        assert Point._fields == Marked._fields == ("x", "y")
+        assert Marked(1, 2) != Marked(1, 3)
+        assert repr(Marked(1, 2)) == "Marked(x=1, y=2)"
+
     def test_fields_cannot_be_assigned_or_deleted(self):
         cid = CircleId("P3", (1, 2, 3))
         with pytest.raises(AttributeError):

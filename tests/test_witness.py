@@ -21,6 +21,7 @@ from braidsigma.classify import (
     SIGMA1,
     Classification,
     Factorization,
+    Lemma,
     classify,
     verify_certificate,
 )
@@ -143,10 +144,18 @@ class TestBuildWitness:
         assert verify_witness(pkg, chi).ok
 
     def test_circle_certificate_rejected(self):
-        chi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
-        cls = classify(chi)
-        with pytest.raises(ValueError):
-            build_witness_for(cls, chi)
+        # a P3 and a P4 point, each refused before the shape cache is asked
+        for n, weights, kind in [
+            (3, {(1, 2): 1, (1, 3): 1, (2, 3): -2}, "P3"),
+            (5, {(1, 2): 1, (3, 4): 1, (1, 3): 1, (2, 4): 1, (1, 4): -2, (2, 3): -2}, "P4"),
+        ]:
+            chi = sparse(n, weights)
+            cls = classify(chi)
+            assert cls.certificate.circle.kind == kind
+            before = witness._lemma_shape.cache_info()
+            with pytest.raises(ValueError, match="carry no invariant-side witness"):
+                build_witness_for(cls, chi)
+            assert witness._lemma_shape.cache_info() == before
 
 
 class TestVerifyWitness:
@@ -430,6 +439,23 @@ def relabeled_package(lemma, n):
 
 def dumped(data):
     return json.dumps(data, indent=2, sort_keys=True)
+
+
+class TestPackageLemma:
+    @pytest.mark.parametrize("lemma", [5, None, "nope", "circle", ["zero_sum"]])
+    def test_a_lemma_that_is_no_row_kind_is_a_malformed_package(self, lemma):
+        chi = sparse(5, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == "disjoint_pair" and verify_witness(pkg, chi).ok
+        with pytest.raises(ValueError, match="the kind of a lemma row"):
+            verify_witness(pkg._replace(lemma=lemma), chi)
+
+    @pytest.mark.parametrize("lemma", sorted(LEMMA_SUPPORTS))
+    def test_each_kind_verifies_on_its_own_package(self, lemma):
+        assert lemma in {row.kind for row in Lemma.__subclasses__()}
+        pkg, chi = relabeled_package(lemma, 7), relabeled_character(lemma, 7)
+        assert verify_witness(pkg, chi).ok
+        assert verify_witness(WitnessPackage(*map(pkg.__dict__.get, pkg._fields)), chi).ok
 
 
 class TestWitnessJson:
