@@ -121,7 +121,8 @@ class Character(Record):
     derived facts are cached on the instance, outside its fields: ``_delta``
     (Delta as an integer pair) and ``chargraph.build_kchi`` (K_chi, labeled
     by the support itself), so ``support`` must never be mutated.  The
-    constructor refuses an ``n`` that is not an int >= 2, a key that
+    constructor refuses an ``n`` that is not an int >= 2, a ``support``
+    that is not a Mapping, a key that
     ``_is_pair`` refuses, a zero value and a value that is not an int or a
     Fraction (a float is not exact), in O(|support|).  The hash is over
     ``n`` and the support's items, so it agrees with ``==``.
@@ -133,6 +134,8 @@ class Character(Record):
         d["support"] = support
         if type(n) is not int or n < 2:
             raise CharacterFormatError(f"need an int n >= 2, got n={n!r}")
+        if not isinstance(support, Mapping):
+            raise CharacterFormatError(f"support must be a mapping, got {type(support).__name__}")
         for e, v in support.items():
             if not _is_pair(e, n):
                 raise CharacterFormatError(

@@ -59,7 +59,7 @@ from .chargraph import (
     find_edge_disjoint_from_two,  # unused here; bench/tracing.py rebinds this name
     shape_classify,
 )
-from .circles import P3, P4, CircleId, on_circle
+from .circles import CircleId, locate_circle, on_circle
 from .record import Record
 
 SIGMA1 = "sigma1"
@@ -353,41 +353,30 @@ def classify(chi: Character) -> Classification:
         return Classification(Star(shape.center, shape.leaves), n)
 
     support = tuple(sorted(g.nbrs))
-    if len(support) <= 3:
-        # delta = 0 rules out a single edge, so the support is a full 3-set
-        # (a two-edge star or a zero-sum triangle): a P3-circle point.
-        if len(support) != 3:
-            raise InternalError(f"zero-sum support {support} is not a 3-set")
-        return _on_circle_or_fail(chi, CircleId(P3, support))
+    if len(support) == 4:
+        leaf_edges = [(v, g.nbrs[v][0]) for v in support if len(g.nbrs[v]) == 1]
+        for eu, ew in combinations(leaf_edges, 2):
+            if not set(eu) & set(ew):
+                return Classification(DisjointLeaves((eu, ew)), n)
 
-    if len(support) != 4:
-        raise InternalError(f"small support {support} is not a 4-set")
-    leaf_edges = [(v, g.nbrs[v][0]) for v in support if len(g.nbrs[v]) == 1]
-    for eu, ew in combinations(leaf_edges, 2):
-        if not set(eu) & set(ew):
-            return Classification(DisjointLeaves((eu, ew)), n)
+        pair = find_disjoint_pair(g)
+        if pair is None:
+            raise InternalError("4-vertex non-star graph must contain disjoint edges")
+        for tri in combinations(support, 3):
+            x, d = _swing_pair(chi, tri)
+            if x != 0:
+                # the edge inside the triangle comes first; the other edge
+                # holds the one support vertex the triangle misses
+                p, q = pair
+                inner, outer = (q, p) if set(q) <= set(tri) else (p, q)
+                return Classification(Triangle((inner, outer), tri, Fraction(x, d)), n)
 
-    pair = find_disjoint_pair(g)
-    if pair is None:
-        raise InternalError("4-vertex non-star graph must contain disjoint edges")
-    for tri in combinations(support, 3):
-        x, d = _swing_pair(chi, tri)
-        if x != 0:
-            # the edge inside the triangle comes first; the other edge
-            # holds the one support vertex the triangle misses
-            p, q = pair
-            inner, outer = (q, p) if set(q) <= set(tri) else (p, q)
-            return Classification(Triangle((inner, outer), tri, Fraction(x, d)), n)
-
-    return _on_circle_or_fail(chi, CircleId(P4, support))
-
-
-def _on_circle_or_fail(chi: Character, cid: CircleId) -> Classification:
-    """The complement verdict for a character the pipeline has placed on
-    ``cid``; a character that is not on it is an internal fault."""
-    if not on_circle(chi, cid):
-        raise InternalError(f"pipeline placed the character on {cid}, which misses it")
-    return Classification(CircleMembership(cid), chi.n)
+    # no lemma holds, so the character is on the circle over its support
+    # (the support lemma of ``circles``), which must hold it
+    cid = locate_circle(chi)
+    if cid is None:
+        raise InternalError(f"no lemma holds and no circle over {support} holds the character")
+    return Classification(CircleMembership(cid), n)
 
 
 def verify_certificate(cls: Classification, chi: Character) -> bool:

@@ -5,15 +5,15 @@ lemma's normal-form coordinates: the certificate's class in ``classify``
 states J and the recovery factorizations, and ``_lemma_shape`` derives I
 from them.  J survives under the relabeled character, the commuting graph
 C(J) is connected, J dominates I, and I generates the group.  Generation
-is checked by covering the standard generators, the pairs of 1..n: a pair
-is given when it is a member of I, or when it is the ``recovers`` of a
-factorization, taken in order, whose ``added`` is a member of I, which
-names ``recovers`` exactly once among its factors, and whose other factors
-are members of I or pairs given earlier.  A package may carry only the
-factorizations of the lemma table (``classify.RECOVERY_FACTORIZATIONS``)
-whose strands lie in 1..n: each is an identity of every such P_n, as
-``braidsigma verify`` proves once, so no word is checked here.  Any other
-factorization is a reported failure.
+is checked by covering the standard generators, the pairs of 1..n, through
+proved identities alone: the factorizations of the lemma table
+(``classify.RECOVERY_FACTORIZATIONS``) whose strands lie in 1..n, each an
+identity of every such P_n, as ``braidsigma verify`` proves once, so no
+word is checked here.  A pair is given when it is a member of I, or when
+it is the ``recovers`` of such a factorization, taken in order, whose
+``added`` is a member of I and whose other factors are members of I or
+pairs given earlier.  Any other factorization gives nothing and is a
+reported failure.
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them and the factorizations runs once per (lemma,
@@ -268,7 +268,7 @@ def _lemma_shape(lemma: type, n: int) -> tuple[tuple, tuple]:
 
 def _strand_tuples(f: object) -> Factorization | None:
     """``f`` with tuples for its strand collections if it is a Factorization
-    of int strands, else None: no pair given, no table factorization."""
+    of int strands, else None, which is no table factorization."""
     if isinstance(f, Factorization) and isinstance(f.factors, (tuple, list)):
         if all(map(_int_strands, (f.added, f.recovers, *f.factors))):
             return Factorization(tuple(f.added), tuple(map(tuple, f.factors)), tuple(f.recovers))
@@ -278,50 +278,33 @@ def _strand_tuples(f: object) -> Factorization | None:
 def _ungenerated(
     n: int,
     i_sets: Sequence[SwingSet],
-    factorizations: Sequence[Factorization | None],
+    factorizations: Sequence[Factorization],
     members: Members | None = None,
 ) -> list[Edge]:
     """The pairs of 1..n that I does not give, in order: a pair is given
-    when it is a member of I, or when it is the ``recovers`` of a
-    factorization, taken in order, whose ``added`` is a member of I, which
-    names ``recovers`` exactly once among its factors, and whose other
-    factors are members of I or pairs given earlier.  Members are compared
-    as sorted swing sets of 1..n; any other member, or a factorization
-    given as None (``_strand_tuples``), gives nothing.
+    when it is a member of I, or when it is the ``recovers`` of a table
+    factorization, taken in order, whose ``added`` is a member of I and
+    whose other factors are members of I or pairs given earlier.  Every
+    factorization must be a table factorization on strands 1..n, whose
+    ``added`` is a sorted triple and whose factors are that triple's
+    pairs, so none is normalized here.  I's members are compared as sorted
+    swing sets of 1..n; any other member gives nothing.
     ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
-
-    def swing_set_of(a: object) -> SwingSet | None:
-        try:
-            return swing_set(a, n)
-        except (ValueError, IndexError):
-            return None
-
-    def swing(a: SwingSet) -> SwingSet | None:
-        return a if _is_pair(a, n) else swing_set_of(a)
-
     pair_members, other_members = members or _split_members(i_sets, n)
-    pairs: set[Edge] = set(map(tuple, pair_members))  # I's pairs, then its other swing sets
-    others: set[SwingSet] = set()
+    given: set[Edge] = set(map(tuple, pair_members))  # I's pairs, then recovered ones
+    swings: set[SwingSet] = set()  # I's larger swing sets
     for a in other_members:
-        if (s := swing_set_of(a)) is not None:
-            (pairs if len(s) == 2 else others).add(s)
-    recovered: set[Edge] = set()
-    for fact in filter(None, factorizations):
-        pair, factors = swing(fact.recovers), [swing(f) for f in fact.factors]
-        added = swing(fact.added)
-        if (
-            pair is not None
-            and len(pair) == 2
-            and (added in pairs or added in others)
-            and factors.count(pair) == 1
-            and all(f == pair or f in pairs or f in others or f in recovered for f in factors)
-        ):
-            recovered.add(pair)
-    recovered -= pairs
-    if len(pairs) + len(recovered) == n * (n - 1) // 2:
+        try:
+            s = swing_set(a, n)
+        except (ValueError, IndexError):
+            continue
+        (given if len(s) == 2 else swings).add(s)
+    for f in factorizations:
+        if f.added in swings and all(p in given for p in f.factors if p != f.recovers):
+            given.add(f.recovers)
+    if len(given) == n * (n - 1) // 2:
         return []
-    everything = combinations(range(1, n + 1), 2)
-    return [p for p in everything if p not in pairs and p not in recovered]
+    return [p for p in combinations(range(1, n + 1), 2) if p not in given]
 
 
 def _shape_checks(
@@ -332,17 +315,18 @@ def _shape_checks(
     members: Members | None = None,
 ) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool]:
     """The checks that read no character: (C(J) connected, the members of
-    I that J does not dominate, the pairs that I does not give, every
-    factorization one of the lemma table's on strands 1..n); ``members``
-    is ``_split_members(i_sets, n)``, if the caller has it."""
+    I that J does not dominate, the pairs that I does not give through the
+    table factorizations, every factorization one of the lemma table's on
+    strands 1..n); ``members`` is ``_split_members(i_sets, n)``, if the
+    caller has it."""
     connected = is_connected(commuting_graph(j_sets))
     members = members or _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
     facts = [_strand_tuples(f) for f in factorizations]
-    ungenerated = tuple(_ungenerated(n, i_sets, facts, members))
     # a table factorization's ``added`` is sorted and holds all its strands
-    table_ok = all(f in _TABLE_FACTORIZATIONS and f.added[-1] <= n for f in facts)
-    return connected, uncovered, ungenerated, table_ok
+    table = [f for f in facts if f in _TABLE_FACTORIZATIONS and f.added[-1] <= n]
+    ungenerated = tuple(_ungenerated(n, i_sets, table, members))
+    return connected, uncovered, ungenerated, len(table) == len(facts)
 
 
 def _survival_failures(pkg: WitnessPackage, chi: Character) -> list[SwingSet]:

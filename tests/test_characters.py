@@ -70,9 +70,13 @@ def test_dense_needs_every_pair(weights, message):
         ({(1, 2.0): 1}, r"pair \(1, 2.0\) is not"),
         ({5: 1}, r"pair 5 is not"),
         ({"ab": 1}, r"pair ab is not"),
+        # pairs and weights, but not as a mapping
+        ([((1, 2), 1)], r"support must be a mapping, got list"),
+        (None, r"support must be a mapping, got NoneType"),
     ],
     ids=[
-        "reversed", "past-n", "below-1", "zero-value", "float", "bool", "one-float", "int", "str"
+        "reversed", "past-n", "below-1", "zero-value", "float", "bool", "one-float", "int", "str",
+        "list", "none",
     ],
 )
 def test_constructor_takes_only_a_support(support, message):

@@ -1,10 +1,11 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from braidsigma.characters import ZeroCharacterError, permute
+from braidsigma.characters import InternalError, ZeroCharacterError, permute
 from braidsigma.circles import CircleId, locate_circle
 from braidsigma.classify import (
     COMPLEMENT,
@@ -157,6 +158,22 @@ class TestPipelineStages:
     def test_zero_character_rejected(self):
         with pytest.raises(ZeroCharacterError):
             classify(zero_character(4))
+
+    # a character that reaches the circle tail but lies on no circle is a
+    # fault of the pipeline, not of the input
+    @pytest.mark.parametrize(
+        "chi",
+        [
+            sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2}),
+            dense(4, {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): -3, (2, 3): -3}),
+        ],
+        ids=["P3", "P4"],
+    )
+    def test_a_missed_circle_is_an_internal_error(self, chi, monkeypatch):
+        # ``braidsigma.classify`` is the function; its module is reached here
+        monkeypatch.setattr(sys.modules[classify.__module__], "locate_circle", lambda chi: None)
+        with pytest.raises(InternalError, match="no circle over"):
+            classify(chi)
 
 
 class TestAgreementWithCircles:

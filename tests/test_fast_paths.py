@@ -34,6 +34,7 @@ from braidsigma.chargraph import (
 )
 from braidsigma.circles import locate_circle, on_circle
 from braidsigma.classify import (
+    RECOVERY_FACTORIZATIONS,
     Classification,
     DisjointLeaves,
     DisjointPair,
@@ -353,50 +354,55 @@ def closure_reference(n, i_sets, factorizations):
     return [p for p in pairs(n) if p not in given]
 
 
-def random_package(rng, n):
-    """I: some pairs of 1..n, in either order and some twice, some larger
-    swing sets and some degenerate members; factorizations: swing sets
-    factored into their pairs in a random order, some with a factor
-    swapped, dropped or repeated, each recovering one of its factors or a
-    random pair."""
-    members = rng.sample(pairs(n), rng.randint(0, len(pairs(n))))
-    members = [p[::-1] if rng.random() < 0.1 else p for p in members] * rng.randint(1, 2)
-    added = [tuple(rng.sample(range(1, n + 1), rng.randint(2, n))) for _ in range(4)]
-    members += rng.sample(added, rng.randint(0, 4))
-    for _ in range(rng.randint(0, 2)):
-        members.append(rng.choice([(2, 2), (0, 1), (1, n + 1), (1, 1, 2), (1,), (n, 0, 1)]))
+# The lemma table's recovery factorizations, written out: the swing on each
+# triple is the product of its pairs in this order, and recovers the pair
+# of strand 1 or 2 with strand 4.
+TABLE = (
+    Factorization((1, 4, 5), ((1, 4), (1, 5), (4, 5)), (1, 4)),
+    Factorization((2, 4, 5), ((2, 4), (2, 5), (4, 5)), (2, 4)),
+    Factorization((1, 3, 4), ((1, 3), (1, 4), (3, 4)), (1, 4)),
+    Factorization((2, 3, 4), ((2, 3), (2, 4), (3, 4)), (2, 4)),
+)
+
+
+def on_table(f, n):
+    """Is ``f``, read with tuples, one of TABLE with its strands in 1..n?"""
+    read = Factorization(tuple(f.added), tuple(map(tuple, f.factors)), tuple(f.recovers))
+    return read in TABLE and max(read.added) <= n
+
+
+def table_package(rng, n):
+    """I: the pairs of 1..n but (1, 4), (2, 4) and maybe one more, some
+    reversed or given twice, some of TABLE's triples, rotated or not, and
+    maybe a degenerate member; factorizations: TABLE's (those past n at
+    n < 5), some as lists (as from JSON) or repeated, in half the packages
+    mixed with copies whose factors are rotated or reordered or whose
+    ``added`` is rotated."""
+    dropped = {(1, 4), (2, 4), *rng.sample(pairs(n), rng.random() < 0.3)}
+    members = [p[::-1] if rng.random() < 0.1 else p for p in pairs(n) if p not in dropped]
+    for t in (f.added for f in TABLE if rng.random() < 0.8):
+        k = rng.randrange(3)
+        members.append(t[k:] + t[:k])
+    if rng.random() < 0.2:
+        members += rng.sample(members, 2)
+    if rng.random() < 0.1:
+        members.append(rng.choice([(2, 2), (0, 1), (1, n + 1), (1, 1, 2), (1,)]))
     rng.shuffle(members)
-    facts = []
-    for a in added:
-        factors = list(combinations(sorted(a), 2))
-        rng.shuffle(factors)
-        change = rng.random()
-        if change < 0.1:
-            factors[0] = rng.choice(added)
-        elif change < 0.2:
-            factors.pop()
+    facts, mixed = [], rng.random() < 0.5
+    for _ in range(rng.randint(0, 6)):
+        f, change = rng.choice(TABLE), rng.random()
+        if change < 0.15 and facts:
+            f = rng.choice(facts)
         elif change < 0.3:
-            factors.append(factors[0])
-        recovers = rng.choice(factors) if factors and rng.random() < 0.8 else rng.choice(pairs(n))
-        facts.append(Factorization(a, tuple(factors), recovers))
+            f = Factorization(list(f.added), [list(x) for x in f.factors], list(f.recovers))
+        elif mixed and change < 0.45:
+            f = f._replace(factors=f.factors[1:] + f.factors[:1])
+        elif mixed and change < 0.6:
+            f = f._replace(factors=f.factors[::-1])
+        elif mixed and change < 0.7:
+            f = f._replace(added=f.added[1:] + f.added[:1])
+        facts.append(f)
     return tuple(members), tuple(facts)
-
-
-def recovering_package(rng, n):
-    """All pairs of 1..n but a few, each of those recovered from a swing
-    set through it, factored into its pairs; in a random order, so a
-    factorization may need a pair that only a later one gives."""
-    dropped = rng.sample(pairs(n), rng.randint(1, 3))
-    i_sets = [p for p in pairs(n) if p not in dropped]
-    facts = []
-    for p in dropped:
-        added = tuple(sorted({*p, *rng.sample(range(1, n + 1), rng.randint(1, 2))}))
-        factors = list(combinations(added, 2))
-        rng.shuffle(factors)
-        i_sets.append(added)
-        facts.append(Factorization(added, tuple(factors), p))
-    rng.shuffle(facts)
-    return tuple(i_sets), tuple(facts)
 
 
 class TestCoverage:
@@ -424,33 +430,42 @@ class TestCoverage:
             assert _ungenerated(n, i_sets, facts) == []
 
     def test_random_packages_against_in_order_closure(self):
+        # coverage is the closure over the table factorizations alone, and
+        # any other factorization fails the package
+        assert set(TABLE) == {f for fs in RECOVERY_FACTORIZATIONS.values() for f in fs}
         rng = random.Random(17)
         seen = Counter()
-        for k in range(600):
+        for _ in range(600):
             n = rng.randint(3, 7)
-            i_sets, facts = (random_package if k % 2 else recovering_package)(rng, n)
-            want = closure_reference(n, i_sets, facts)
-            assert _ungenerated(n, i_sets, facts) == want, (n, i_sets, facts)
-            recovered = len(closure_reference(n, i_sets, ())) - len(want)
-            seen["recovered"] += recovered
-            seen["gave nothing"] += len(facts) - recovered
+            i_sets, facts = table_package(rng, n)
+            table = [f for f in facts if on_table(f, n)]
+            want = closure_reference(n, i_sets, table)
+            checks = _shape_checks(n, (), i_sets, facts)
+            assert checks[2:] == (tuple(want), len(table) == len(facts)), (n, i_sets, facts)
+            strands = tuple(range(1, n + 1))
+            pkg = WitnessPackage("zero_sum", strands, (strands,), i_sets, facts)
+            report = verify_witness(pkg, sparse(n, {(1, 2): 1}))
+            assert report.ungenerated == want
+            assert report.ok == (not want and not report.uncovered and len(table) == len(facts))
+            seen["recovered"] += len(closure_reference(n, i_sets, ())) > len(want)
+            seen["refused"] += len(table) < len(facts)
+            seen["past n"] += any(max(f.added) > n for f in facts)
             seen["generated"] += not want
-        assert len(seen) == 3 and min(seen.values()) > 100, seen
+            seen["ok"] += report.ok
+        assert len(seen) == 5 and min(seen.values()) > 30, seen
 
     def test_accepted_packages_have_full_abelian_rank(self):
-        # coverage and the abelian identities imply full rank, so no package
-        # the rank check refused is accepted: check it on near-complete I
+        # coverage through the table's identities, each an abelian identity,
+        # implies full rank, so no package the rank check refused is accepted
+        assert all(abelian_identity(f, 5) for f in TABLE)
         rng = random.Random(19)
         seen = Counter()
         for _ in range(300):
-            n = rng.randint(3, 6)
-            i_sets, facts = recovering_package(rng, n)
-            if rng.random() < 0.3:  # a factor of one swapped for a set in I
-                f = rng.choice(facts)
-                swapped = f._replace(factors=(*f.factors[:-1], rng.choice(i_sets)))
-                facts = tuple(swapped if g is f else g for g in facts)
-            accepted = not _ungenerated(n, i_sets, facts)
-            if accepted and all(abelian_identity(f, n) for f in facts):
+            n = rng.randint(4, 7)
+            i_sets, facts = table_package(rng, n)
+            facts = tuple(f for f in facts if on_table(f, n))
+            accepted = not _shape_checks(n, (), i_sets, facts)[2]
+            if accepted:
                 vectors = [abelianized_reference(a, n) for a in i_sets]
                 assert dense_rank(vectors, pairs(n)) == len(pairs(n)), (n, i_sets, facts)
             seen[accepted] += 1
@@ -529,7 +544,7 @@ class TestDomination:
 
     def test_each_member_is_sorted_once_per_shape(self, monkeypatch):
         # I is split into its pairs and its other members once, for both
-        # domination and coverage; each factorization sorts its own sets
+        # domination and coverage; no factorization member is sorted
         calls = Counter()
         is_pair = witness._is_pair
 
@@ -542,12 +557,11 @@ class TestDomination:
             for lemma, (j_sets, i_sets, facts) in table_shapes(n):
                 calls.clear()
                 assert _shape_checks(n, j_sets, i_sets, facts)[1:3] == ((), ())
-                in_facts = Counter(a for f in facts for a in (f.recovers, *f.factors, f.added))
-                assert calls == Counter(i_sets) + in_facts, (n, lemma)
+                assert calls == Counter(i_sets), (n, lemma)
 
     def test_a_cold_shape_scans_no_member_of_its_i(self, monkeypatch):
-        # _lemma_shape builds I with its split known: the only sets it
-        # sorts are each factorization's own, never I's members
+        # _lemma_shape builds I with its split known, and coverage reads
+        # table factorizations as they are: no set goes through _is_pair
         calls = Counter()
         is_pair = witness._is_pair
 
@@ -561,8 +575,7 @@ class TestDomination:
                 calls.clear()
                 (_, i_sets, facts), checks = witness._lemma_shape.__wrapped__(lemma, n)
                 assert checks == (True, (), (), True)
-                in_facts = Counter(a for f in facts for a in (f.recovers, *f.factors, f.added))
-                assert calls == in_facts, (n, lemma)
+                assert calls == Counter(), (n, lemma)
 
     @pytest.mark.parametrize("n", [*range(4, 17), 64, 256])
     def test_the_split_passed_is_the_split_of_the_printed_i(self, n, monkeypatch):
