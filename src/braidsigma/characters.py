@@ -211,6 +211,16 @@ def delta_value(chi: Character) -> Fraction:
     return Fraction(*_delta(chi))
 
 
+def _printed(value: Fraction, name: str) -> str:
+    """``str(value)``; past Python's integer-string limit, the one reason
+    that fails, an InputError naming ``name``."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = f"more than {sys.get_int_max_str_digits()} digits, Python's integer-string limit"
+        raise InputError(f"{name} has a numerator or denominator of {limit}") from None
+
+
 def _check_perm(perm: Sequence[int], n: int) -> None:
     """Refuse with ValueError a perm that is not a bijection on 1..n of ints."""
     if not _int_strands(perm) or sorted(perm) != list(range(1, n + 1)):

@@ -47,6 +47,7 @@ from .characters import (
     _delta,
     _equals,
     _int_strands,
+    _printed,
     _swing_pair,
     delta_value,
     swing_set,
@@ -392,8 +393,8 @@ def verify_certificate(cls: Classification, chi: Character) -> bool:
 
 def classification_to_json_dict(cls: Classification) -> dict:
     """Each certificate field under its own name (a tuple as it is, which
-    ``json.dumps`` writes as an array; a Fraction as a string), then the
-    derived perm; a circle certificate prints its circle as "id", no perm."""
+    ``json.dumps`` writes as an array; a Fraction as a string, ``_printed``),
+    then the derived perm; a circle certificate prints its circle as "id", no perm."""
     cert = cls.certificate
     if isinstance(cert, CircleMembership):
         body: dict = {"kind": cert.kind, "id": cert.circle.to_json_dict()}
@@ -401,6 +402,6 @@ def classification_to_json_dict(cls: Classification) -> dict:
         body = {"kind": cert.kind}
         for name in cert._fields:
             v = getattr(cert, name)
-            body[name] = str(v) if isinstance(v, Fraction) else v
+            body[name] = _printed(v, name) if isinstance(v, Fraction) else v
         body["perm"] = cls.perm
     return {"verdict": cls.verdict, "certificate": body}

@@ -18,7 +18,7 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import Edge, InputError, character_from_json, read_text
+from .characters import Edge, InputError, _printed, character_from_json, read_text
 from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
 from .classify import RECOVERY_FACTORIZATIONS
@@ -62,14 +62,15 @@ def cmd_circles(args: SimpleNamespace) -> bool:
 
 
 def to_dot(g: CharGraph) -> str:
-    """DOT export: vertices v1..vn, edges labeled by their rational weight,
-    isolated vertices dotted."""
+    """DOT export: vertices v1..vn, edges labeled by their rational weight
+    (``_printed``), isolated vertices dotted."""
     lines = ["graph kchi {"]
     for v in range(1, g.n + 1):
         attr = "" if v in g.nbrs else " [style=dotted]"
         lines.append(f"  v{v}{attr};")
     for i, j in g.order:
-        lines.append(f'  v{i} -- v{j} [label="{g.labels[(i, j)]}"];')
+        label = _printed(g.labels[(i, j)], f"the weight of edge {i}-{j}")
+        lines.append(f'  v{i} -- v{j} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

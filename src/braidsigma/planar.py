@@ -46,11 +46,7 @@ def _products_equal(words: Sequence[BraidWord]) -> bool:
 
 
 def _cyclic_triple_words(i: int, j: int, k: int, n: int) -> list[BraidWord]:
-    p, q, r = (
-        standard_pure_word(i, j, n),
-        standard_pure_word(i, k, n),
-        standard_pure_word(j, k, n),
-    )
+    p, q, r = (standard_pure_word(a, b, n) for a, b in ((i, j), (i, k), (j, k)))
     return [p * q * r, q * r * p, r * p * q]
 
 
@@ -113,12 +109,10 @@ def _eval_letters(words: Mapping[str, BraidWord], letters: str, n: int) -> Braid
 def verify_planar_presentation(words: Mapping[str, BraidWord]) -> dict[str, bool]:
     """Check candidate words for the planar generators a..f of P_4 against
     all nine planar relations; returns a per-relation report."""
-    report = {}
-    for name, lhs, rhs in PLANAR_RELATIONS:
-        report[name] = braid_aut(_eval_letters(words, lhs, 4)) == braid_aut(
-            _eval_letters(words, rhs, 4)
-        )
-    return report
+    return {
+        name: _products_equal([_eval_letters(words, side, 4) for side in (lhs, rhs)])
+        for name, lhs, rhs in PLANAR_RELATIONS
+    }
 
 
 def verify_rho() -> bool:
@@ -129,14 +123,11 @@ def verify_rho() -> bool:
         "b": standard_pure_word(1, 3, 3),
         "c": standard_pure_word(2, 3, 3),
     }
-    for _, lhs, rhs in PLANAR_RELATIONS:
-        lhs_img = "".join(RHO_IMAGE[ch] for ch in lhs)
-        rhs_img = "".join(RHO_IMAGE[ch] for ch in rhs)
-        if braid_aut(_eval_letters(p3_words, lhs_img, 3)) != braid_aut(
-            _eval_letters(p3_words, rhs_img, 3)
-        ):
-            return False
-    return True
+    rho = str.maketrans(RHO_IMAGE)
+    return all(
+        _products_equal([_eval_letters(p3_words, side.translate(rho), 3) for side in (lhs, rhs)])
+        for _, lhs, rhs in PLANAR_RELATIONS
+    )
 
 
 # -- the recovery factorizations -------------------------------------------

@@ -10,10 +10,10 @@ proved identities alone: the factorizations of the lemma table
 (``classify.RECOVERY_FACTORIZATIONS``) whose strands lie in 1..n, each an
 identity of every such P_n, as ``braidsigma verify`` proves once, so no
 word is checked here.  A pair is given when it is a member of I, or when
-it is the ``recovers`` of such a factorization, taken in order, whose
-``added`` is a member of I and whose other factors are members of I or
-pairs given earlier.  Any other factorization gives nothing and is a
-reported failure.
+it is the ``recovers`` of such a factorization whose ``added`` and other
+two factors are members of I.  No table factorization has another's
+``recovers`` among its other factors, so no recovered pair is read
+back.  Any other factorization gives nothing and is a reported failure.
 
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them and the factorizations runs once per (lemma,
@@ -281,14 +281,11 @@ def _ungenerated(
     factorizations: Sequence[Factorization],
     members: Members | None = None,
 ) -> list[Edge]:
-    """The pairs of 1..n that I does not give, in order: a pair is given
-    when it is a member of I, or when it is the ``recovers`` of a table
-    factorization, taken in order, whose ``added`` is a member of I and
-    whose other factors are members of I or pairs given earlier.  Every
-    factorization must be a table factorization on strands 1..n, whose
-    ``added`` is a sorted triple and whose factors are that triple's
-    pairs, so none is normalized here.  I's members are compared as sorted
-    swing sets of 1..n; any other member gives nothing.
+    """The pairs of 1..n, in order, that I does not give by the module
+    docstring's rule.  Every factorization must be a table factorization
+    on strands 1..n, whose ``added`` is a sorted triple and whose factors
+    are that triple's pairs, so none is normalized here; I's members are
+    read as sorted swing sets of 1..n.
     ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
     pair_members, other_members = members or _split_members(i_sets, n)
     given: set[Edge] = set(map(tuple, pair_members))  # I's pairs, then recovered ones
@@ -299,9 +296,8 @@ def _ungenerated(
         except (ValueError, IndexError):
             continue
         (given if len(s) == 2 else swings).add(s)
-    for f in factorizations:
-        if f.added in swings and all(p in given for p in f.factors if p != f.recovers):
-            given.add(f.recovers)
+    used = [f for f in factorizations if f.added in swings and given >= {*f.factors} - {f.recovers}]
+    given.update(f.recovers for f in used)  # ``used`` was read from I's members alone
     if len(given) == n * (n - 1) // 2:
         return []
     return [p for p in combinations(range(1, n + 1), 2) if p not in given]

@@ -5,7 +5,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from itertools import combinations, islice
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import braidsigma
 from braidsigma import cli, commands, planar, witness
-from braidsigma.characters import InternalError, delta_value
+from braidsigma.characters import MAX_EXPONENT, InternalError, delta_value
 from braidsigma.classify import Classification, Star, ZeroSum
 from braidsigma.cli import (
     EXIT_INPUT_ERROR,
@@ -262,6 +263,74 @@ def test_huge_exponent_fails_fast(tmp_path):
     assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
     assert "exponent" in proc.stderr and "'1-2'" in proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+# Python's cap on the digits of an integer string; 0 or absent: no cap
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer-string digit limit")
+
+
+def full_weights(n, weights):
+    """Every key "i-j" of 1..n, with the weight of ``weights`` or "0"."""
+    pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+    return {f"{i}-{j}": weights.get((i, j), "0") for i, j in pairs}
+
+
+def refused_past_the_digit_limit(args, name, capsys):
+    """Does the command exit 2 with one error line naming ``name`` and the
+    limit, and print nothing else?"""
+    assert main(args) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: {name} has a numerator or denominator of more than {DIGIT_LIMIT} digits, "
+        "Python's integer-string limit\n"
+    )
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "command, weights, name",
+    [
+        # 10**limit has one digit more than the limit
+        ("classify", {(1, 2): "1e{limit}"}, "delta"),
+        ("classify", {(1, 2): "1e-{limit}"}, "delta"),
+        # each weight prints, but their sum has limit + 1 digits
+        ("classify", {(1, 2): "9e{below}", (3, 4): "9e{below}"}, "delta"),
+        # Delta = 0 on a 4-set support with a nonzero triangle: the value
+        (
+            "classify",
+            {(1, 2): "1e{limit}", (3, 4): "-1e{limit}", (1, 3): "1", (2, 3): "-1"},
+            "value",
+        ),
+        ("graph", {(1, 2): "1e{limit}"}, "the weight of edge 1-2"),
+    ],
+    ids=["classify-1e+limit", "classify-1e-limit", "classify-sum", "classify-triangle", "graph"],
+)
+def test_a_value_past_the_digit_limit_is_an_input_error(command, weights, name, tmp_path, capsys):
+    if DIGIT_LIMIT > MAX_EXPONENT:
+        pytest.skip("the parser refuses an exponent past MAX_EXPONENT first")
+    spelled = {e: w.format(limit=DIGIT_LIMIT, below=DIGIT_LIMIT - 1) for e, w in weights.items()}
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"n": 4, "weights": full_weights(4, spelled)}))
+    refused_past_the_digit_limit([command, "--in", str(path)], name, capsys)
+
+
+@needs_digit_limit
+def test_a_delta_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # 1/p over 2,016 distinct 7-digit primes: every weight prints, but
+    # Delta's denominator is their product, about 12,100 digits
+    n, lo = 64, 10**6
+    edges = list(combinations(range(1, n + 1), 2))
+    odd = range(lo + 1, 2 * lo, 2)
+    primes = (p for p in odd if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+    primes = list(islice(primes, len(edges)))
+    if sum(len(str(p)) - 1 for p in primes) <= DIGIT_LIMIT:
+        pytest.skip("Delta's denominator is within the digit limit")
+    weights = {e: f"1/{p}" for e, p in zip(edges, primes)}
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({"n": n, "weights": full_weights(n, weights)}))
+    refused_past_the_digit_limit(["classify", "--in", str(path)], "delta", capsys)
 
 
 def test_invariants_survive_python_O():

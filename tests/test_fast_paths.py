@@ -330,16 +330,18 @@ def abelianized_reference(a, n):
     return {p: 1 for p in combinations(sorted(a), 2)} if ok else {}
 
 
-def closure_reference(n, i_sets, factorizations):
-    """The pairs of 1..n not given by I closed under the factorizations in
-    order: each may give its ``recovers`` from ``added`` in I and its other
-    factors in I or given before it."""
+def members_reference(n, i_sets, factorizations):
+    """The pairs of 1..n not given by I's members alone: a member, read as
+    a sorted set of distinct strands of 1..n, gives itself if a pair, and a
+    factorization gives its ``recovers`` when its ``added`` and its factors
+    other than one copy of ``recovers`` are all members.  No recovered pair
+    is read back, so the order of the factorizations cannot matter."""
 
     def swing(a):
         return tuple(sorted(a)) if abelianized_reference(a, n) else None
 
     members = {swing(a) for a in i_sets} - {None}
-    given = {m for m in members if len(m) == 2}
+    recovered = set()
     for f in factorizations:
         pair, factors = swing(f.recovers), [swing(x) for x in f.factors]
         others = [x for x in factors if x != pair]
@@ -348,10 +350,10 @@ def closure_reference(n, i_sets, factorizations):
             and len(pair) == 2
             and swing(f.added) in members
             and len(others) == len(factors) - 1
-            and all(x in members or x in given for x in others)
+            and all(x in members for x in others)
         ):
-            given.add(pair)
-    return [p for p in pairs(n) if p not in given]
+            recovered.add(pair)
+    return [p for p in pairs(n) if p not in members and p not in recovered]
 
 
 # The lemma table's recovery factorizations, written out: the swing on each
@@ -429,9 +431,9 @@ class TestCoverage:
         for _, (_, i_sets, facts) in shapes:
             assert _ungenerated(n, i_sets, facts) == []
 
-    def test_random_packages_against_in_order_closure(self):
-        # coverage is the closure over the table factorizations alone, and
-        # any other factorization fails the package
+    def test_random_packages_against_the_members_reference(self):
+        # coverage reads I's members and the table factorizations alone, in
+        # any order, and any other factorization fails the package
         assert set(TABLE) == {f for fs in RECOVERY_FACTORIZATIONS.values() for f in fs}
         rng = random.Random(17)
         seen = Counter()
@@ -439,15 +441,16 @@ class TestCoverage:
             n = rng.randint(3, 7)
             i_sets, facts = table_package(rng, n)
             table = [f for f in facts if on_table(f, n)]
-            want = closure_reference(n, i_sets, table)
+            want = members_reference(n, i_sets, table)
             checks = _shape_checks(n, (), i_sets, facts)
             assert checks[2:] == (tuple(want), len(table) == len(facts)), (n, i_sets, facts)
+            assert _shape_checks(n, (), i_sets, facts[::-1])[2:] == checks[2:]
             strands = tuple(range(1, n + 1))
             pkg = WitnessPackage("zero_sum", strands, (strands,), i_sets, facts)
             report = verify_witness(pkg, sparse(n, {(1, 2): 1}))
             assert report.ungenerated == want
             assert report.ok == (not want and not report.uncovered and len(table) == len(facts))
-            seen["recovered"] += len(closure_reference(n, i_sets, ())) > len(want)
+            seen["recovered"] += len(members_reference(n, i_sets, ())) > len(want)
             seen["refused"] += len(table) < len(facts)
             seen["past n"] += any(max(f.added) > n for f in facts)
             seen["generated"] += not want

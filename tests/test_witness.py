@@ -237,24 +237,30 @@ class TestVerifyWitness:
         report = verify_witness(pkg._replace(factorizations=facts), chi)
         assert report.ungenerated == [(1, 4), (2, 4)] and not report.ok
 
-    def test_factorizations_are_taken_in_order(self):
-        # (1, 4) from (1, 2, 4) needs (2, 4), which only the second
-        # factorization gives; both are identities of P_4, but only the
-        # second is one of the lemma table's, so a package with both fails,
-        # and in either order the first gives nothing
+    def test_no_table_factorization_reads_another_recovered_pair(self):
+        # why coverage may read I's members alone, in any order: no
+        # recovered pair is another factorization's other factor
+        table = [f for fs in RECOVERY_FACTORIZATIONS.values() for f in fs]
+        for f in table:
+            for g in table:
+                assert g.recovers not in set(f.factors) - {f.recovers}, (f, g)
+
+    def test_factorization_order_does_not_matter(self):
+        # (1, 4) from (1, 2, 4) needs (2, 4), which I lacks and only the
+        # second factorization recovers; both are identities of P_4, but
+        # only the second is one of the lemma table's, and no recovered
+        # pair is read back, so in either order the first gives nothing
         n, weights, _ = self.RECOVERING[1]
         chi = sparse(n, weights)
         pkg = build_witness_for(classify(chi), chi)
         i_sets = tuple(a for a in pkg.i_sets if a != (1, 3, 4)) + ((1, 2, 4),)
         f1 = Factorization((1, 2, 4), ((1, 2), (1, 4), (2, 4)), (1, 4))
         f2 = Factorization((2, 3, 4), ((2, 3), (2, 4), (3, 4)), (2, 4))
-        assert witness._ungenerated(n, i_sets, (f1, f2)) == [(1, 4)]
-        assert witness._ungenerated(n, i_sets, (f2, f1)) == []
-        report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=(f1, f2)), chi)
-        assert report.ungenerated == [(1, 4)] and TABLE_LINE in report.failures()
-        assert not report.table_factorizations and not report.ok
-        report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=(f2, f1)), chi)
-        assert report.failures() == [NOT_14_LINE, TABLE_LINE]
+        for facts in ((f1, f2), (f2, f1)):
+            assert witness._ungenerated(n, i_sets, facts) == [(1, 4)]
+            report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=facts), chi)
+            assert report.failures() == [NOT_14_LINE, TABLE_LINE]
+            assert not report.table_factorizations and not report.ok
 
     def test_a_factorization_must_recover_a_pair_of_its_own(self):
         # I gives every pair, so the coverage passes the factorization over;
