@@ -211,14 +211,15 @@ def delta_value(chi: Character) -> Fraction:
     return Fraction(*_delta(chi))
 
 
-def _printed(value: Fraction, name: str) -> str:
+def _printed(value: Fraction | int, name: str) -> str:
     """``str(value)``; past Python's integer-string limit, the one reason
     that fails, an InputError naming ``name``."""
     try:
         return str(value)
     except ValueError:
+        part = "a numerator or denominator of " if isinstance(value, Fraction) else ""
         limit = f"more than {sys.get_int_max_str_digits()} digits, Python's integer-string limit"
-        raise InputError(f"{name} has a numerator or denominator of {limit}") from None
+        raise InputError(f"{name} has {part}{limit}") from None
 
 
 def _check_perm(perm: Sequence[int], n: int) -> None:
@@ -351,7 +352,8 @@ def character_from_json_dict(data: dict) -> Character:
         shown = [f"{i}-{j}" for i, j in islice(absent, MISSING_KEYS_SHOWN)]
         count = expected - len(raw)
         more = ", ..." if count > len(shown) else ""
-        raise CharacterFormatError(f"missing weight keys ({count} of {expected}): {shown}{more}")
+        total = _printed(expected, "the number of weight keys for this n")  # count is no larger
+        raise CharacterFormatError(f"missing weight keys ({count} of {total}): {shown}{more}")
     # the keys are now proved to be exactly the pairs of 1..n, and only
     # nonzero values entered the support, so the constructor's check of
     # the same facts is not run again

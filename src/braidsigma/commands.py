@@ -44,7 +44,8 @@ def cmd_circles(args: SimpleNamespace) -> bool:
         raise InputError(f"need n >= 2, got {n}")
     count = comb(n, 3) + comb(n, 4)
     if count > MAX_CIRCLES:
-        raise InputError(f"n = {n} gives {count} circles, more than the {MAX_CIRCLES} allowed")
+        count_text = _printed(count, "the number of circles for this n")
+        raise InputError(f"n = {n} gives {count_text} circles, more than the {MAX_CIRCLES} allowed")
     # the bytes of json.dumps(enumerate_circles(n)) plus a newline, without
     # holding the list: each circle is formatted from its strands, in the
     # order of enumerate_circles, and written CIRCLES_PER_WRITE at a time
@@ -78,7 +79,7 @@ def to_dot(g: CharGraph) -> str:
 def cmd_graph(args: SimpleNamespace) -> bool:
     chi = character_from_json(read_text(args.infile))
     dot = to_dot(build_kchi(chi))
-    if args.dot:
+    if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as f:
                 f.write(dot)

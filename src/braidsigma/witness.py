@@ -29,12 +29,23 @@ almost all pairs of strands.  A pair {a, b} commutes with a swing set S
 number of S's strands strictly between a and b is 0 or |S| (S lies in the
 pair only when it is the pair).  So domination tests a pair by two lookups
 in a membership array of S and one difference of its prefix counts, built
-once per member of J.  I is split into its pairs of 1..n and its other
-members, which take the predicate and are sorted into swing sets only for
-the coverage.  ``_lemma_shape`` knows the split of the I it builds; only
-an I from outside is split by a type scan.  A list member (as from JSON)
-counts as its tuple; a member not of int strands is dominated by none,
-and one not a swing set of 1..n gives nothing.
+once per member of J.  ``_shape_checks`` splits I once into its pairs of
+1..n and its other members, which take the predicate and are sorted into
+swing sets only for the coverage.  A list member (as from JSON) counts as
+its tuple; a member not of int strands is dominated by none, and one not
+a swing set of 1..n gives nothing.
+
+Above n = CARRIED_FROM = 8, a table shape carries the checks of its shape
+at 8.  Every member S of a row's J lies on strands <= 6, is {1..n}, or is
+{1..n} minus a strand <= 3, so a pair {a < b} with b > 6 commutes with S
+as (a, 7) does if a <= 6 and as (7, 8) does if not: it lies in S unless a
+is the strand S lacks, or it meets S in a, or it misses S with S's strands
+above a between its ends.  8 is the least n with both stand-ins, and the
+members of J commute with each other alike at every n >= 8.  Every pair
+with an endpoint above 6 is in I, and the factorizations, with the pairs
+they recover and the triples they add, lie on strands <= 5.  So C(J),
+domination and coverage come out at n as at 8; a pair past 6 that J does
+not dominate at 8 would stand for every pair of its kind.
 
 Only survival reads the character, so it alone runs for every character,
 on its support and cached Delta, not on a relabeled copy.  It checks the
@@ -192,19 +203,16 @@ def _split_members(i_sets: Sequence[SwingSet], n: int) -> Members:
 
 
 def dominates(
-    j_sets: Sequence[SwingSet],
-    i_sets: Sequence[SwingSet],
-    n: int,
-    members: Members | None = None,
+    j_sets: Sequence[SwingSet], i_sets: Sequence[SwingSet], n: int, members: Members
 ) -> list[SwingSet]:
     """The elements of I that commute (predicate) with no element of J, so
     J dominates I exactly when the list is empty.  A pair of 1..n is tested
     against each swing set S of J by the lookups of the module docstring:
     ``inside`` marks S's strands and ``before[x]`` counts those <= x.
     Every member of J must be a swing set of 1..n, as survival, which
-    ``verify_witness`` runs first, proves of a package's J.
-    ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
-    pairs, others = members or _split_members(i_sets, n)
+    ``verify_witness`` runs first, proves of a package's J.  ``members``
+    is I's ``_split_members``."""
+    pairs, others = members
     for j in j_sets:
         size, inside = len(j), [0] * (n + 1)
         for v in j:
@@ -241,6 +249,9 @@ def build_witness_for(cls: Classification, chi: Character) -> WitnessPackage:
 # entries of the shape cache: far more than the (lemma, n) shapes a run meets
 _SHAPE_CACHE_SIZE = 256
 
+# the largest n whose table shapes are checked in full (module docstring)
+CARRIED_FROM = 8
+
 # the only factorizations a package may carry: each holds in every P_n
 # that has its strands (``commands.cmd_verify``)
 _TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() for f in fs)
@@ -248,8 +259,9 @@ _TABLE_FACTORIZATIONS = frozenset(f for fs in RECOVERY_FACTORIZATIONS.values() f
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _lemma_shape(lemma: type, n: int) -> tuple[tuple, tuple]:
-    """A lemma's (J, I, factorizations) at n, I by the table's rule with its
-    split known, and their ``_shape_checks``; J's swing sets checked here."""
+    """A lemma's (J, I, factorizations) at n, I by the table's rule, and
+    their ``_shape_checks``, carried from n = CARRIED_FROM above it (module
+    docstring); J's swing sets checked here."""
     j_sets, factorizations = lemma.witness(n)
     try:
         for j in j_sets:
@@ -257,10 +269,11 @@ def _lemma_shape(lemma: type, n: int) -> tuple[tuple, tuple]:
     except (ValueError, IndexError) as exc:
         raise InternalError(f"{lemma.kind} at n = {n}: {exc}") from exc
     recovered = {f.recovers for f in factorizations}
-    pairs = [p for p in combinations(range(1, n + 1), 2) if p not in recovered]
-    added = [f.added for f in factorizations]
-    data = j_sets, (*pairs, *added), factorizations
-    return data, _shape_checks(n, *data, members=(pairs, added))
+    pairs = (p for p in combinations(range(1, n + 1), 2) if p not in recovered)
+    data = j_sets, (*pairs, *(f.added for f in factorizations)), factorizations
+    if n > CARRIED_FROM:
+        return data, _lemma_shape(lemma, CARRIED_FROM)[1]
+    return data, _shape_checks(n, *data)
 
 
 # -- verification ----------------------------------------------------------
@@ -275,19 +288,13 @@ def _strand_tuples(f: object) -> Factorization | None:
     return None
 
 
-def _ungenerated(
-    n: int,
-    i_sets: Sequence[SwingSet],
-    factorizations: Sequence[Factorization],
-    members: Members | None = None,
-) -> list[Edge]:
-    """The pairs of 1..n, in order, that I does not give by the module
-    docstring's rule.  Every factorization must be a table factorization
-    on strands 1..n, whose ``added`` is a sorted triple and whose factors
-    are that triple's pairs, so none is normalized here; I's members are
-    read as sorted swing sets of 1..n.
-    ``members`` is ``_split_members(i_sets, n)``, if the caller has it."""
-    pair_members, other_members = members or _split_members(i_sets, n)
+def _ungenerated(n: int, members: Members, factorizations: Sequence[Factorization]) -> list[Edge]:
+    """The pairs of 1..n, in order, that I, split into ``members``, does
+    not give by the module docstring's rule.  Every factorization must be a
+    table factorization on strands 1..n, whose ``added`` is a sorted triple
+    and whose factors are that triple's pairs, so none is normalized here;
+    I's members are read as sorted swing sets of 1..n."""
+    pair_members, other_members = members
     given: set[Edge] = set(map(tuple, pair_members))  # I's pairs, then recovered ones
     swings: set[SwingSet] = set()  # I's larger swing sets
     for a in other_members:
@@ -308,20 +315,18 @@ def _shape_checks(
     j_sets: tuple[SwingSet, ...],
     i_sets: tuple[SwingSet, ...],
     factorizations: tuple[Factorization, ...],
-    members: Members | None = None,
 ) -> tuple[bool, tuple[SwingSet, ...], tuple[Edge, ...], bool]:
     """The checks that read no character: (C(J) connected, the members of
     I that J does not dominate, the pairs that I does not give through the
     table factorizations, every factorization one of the lemma table's on
-    strands 1..n); ``members`` is ``_split_members(i_sets, n)``, if the
-    caller has it."""
+    strands 1..n); the one place that splits I."""
     connected = is_connected(commuting_graph(j_sets))
-    members = members or _split_members(i_sets, n)
+    members = _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
     facts = [_strand_tuples(f) for f in factorizations]
     # a table factorization's ``added`` is sorted and holds all its strands
     table = [f for f in facts if f in _TABLE_FACTORIZATIONS and f.added[-1] <= n]
-    ungenerated = tuple(_ungenerated(n, i_sets, table, members))
+    ungenerated = tuple(_ungenerated(n, members, table))
     return connected, uncovered, ungenerated, len(table) == len(facts)
 
 

@@ -12,6 +12,7 @@ from braidsigma.characters import (
     swing_set,
 )
 from braidsigma.circles import P3, CircleId, matchings_of
+from braidsigma.witness import _split_members, dominates
 
 # -- building characters -------------------------------------------------------
 #
@@ -178,3 +179,8 @@ def braid_perm(w) -> tuple[int, ...]:
 
 def is_pure(w) -> bool:
     return braid_perm(w) == tuple(range(1, w.n + 1))
+
+
+def undominated(j_sets, i_sets, n: int) -> list:
+    """``witness.dominates`` on I's own split, as ``_shape_checks`` hands it."""
+    return dominates(j_sets, i_sets, n, _split_members(i_sets, n))

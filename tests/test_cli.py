@@ -421,9 +421,10 @@ def test_closed_stdin_is_an_input_error():
             ["graph", "--in", "{chi}", "--dot", "{tmp}/absent/x.dot"],
             "cannot write {tmp}/absent/x.dot: No such file or directory",
         ),
+        (["graph", "--in", "{chi}", "--dot", ""], "cannot write : No such file or directory"),
         (["circles", "--n", "1"], "need n >= 2, got 1"),
     ],
-    ids=["missing-in", "directory-in", "dot-in-missing-directory", "circles-n-1"],
+    ids=["missing-in", "directory-in", "dot-in-missing-directory", "dot-empty", "circles-n-1"],
 )
 def test_graph_and_circles_input_errors_in_a_child(args, message, chi0_file, tmp_path):
     def fill(text):
@@ -483,6 +484,9 @@ def json_bytes(value) -> bytes:
 )
 @example(b'{"n": 2, "weights": {"1-2": ' + b"7" * 5000 + b"}}")
 @example(b"\xff")
+# C(n, 2) has more digits than Python's integer-string limit
+@example(b'{"n": 1' + b"0" * 2200 + b', "weights": {}}')
+@example(b'{"n": 1' + b"0" * 2200 + b', "weights": {"1-2": "1"}}')
 def test_any_file_exits_0_or_2(tmp_path, data):
     # whatever the file holds, the answer is a result or one error line:
     # never an internal error (3), never an exception out of main
@@ -510,6 +514,7 @@ def test_any_file_exits_0_or_2(tmp_path, data):
 )
 @example("")
 @example("--n")
+@example("1" + "0" * 1200)  # C(n, 3) + C(n, 4) past the integer-string limit
 def test_any_circles_n_exits_0_or_2(text):
     # whatever text follows --n, the answer is the circle list or one
     # error line: never an internal error (3), never an exception out of main

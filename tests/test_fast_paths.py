@@ -40,6 +40,7 @@ from braidsigma.classify import (
     DisjointPair,
     DisjointTriple,
     Factorization,
+    Lemma,
     Star,
     Triangle,
     ZeroSum,
@@ -55,7 +56,6 @@ from braidsigma.witness import (
     _ungenerated,
     build_witness_for,
     commutes_predicate,
-    dominates,
     verify_witness,
 )
 from conftest import (
@@ -64,6 +64,7 @@ from conftest import (
     random_perm,
     scale,
     sparse,
+    undominated,
     zero_character,
 )
 
@@ -411,7 +412,7 @@ class TestCoverage:
     def test_lemma_shapes_generate(self):
         for n in range(4, 10):
             for lemma, (j_sets, i_sets, facts) in table_shapes(n):
-                assert _ungenerated(n, i_sets, facts) == [], (n, lemma)
+                assert _ungenerated(n, _split_members(i_sets, n), facts) == [], (n, lemma)
 
     def test_each_dropped_member_names_the_pairs_it_gave(self):
         for n in range(4, 10):
@@ -421,7 +422,7 @@ class TestCoverage:
                     # through it; no table factorization needs another
                     want = {dropped} if len(dropped) == 2 else set()
                     want |= {f.recovers for f in facts if dropped in (f.added, *f.factors)}
-                    rest = i_sets[:k] + i_sets[k + 1 :]
+                    rest = _split_members(i_sets[:k] + i_sets[k + 1 :], n)
                     assert _ungenerated(n, rest, facts) == sorted(want), (n, lemma, dropped)
 
     @pytest.mark.parametrize("n", [64, 256])
@@ -429,7 +430,7 @@ class TestCoverage:
         shapes = list(table_shapes(n))
         assert len(shapes) == len(LEMMAS)
         for _, (_, i_sets, facts) in shapes:
-            assert _ungenerated(n, i_sets, facts) == []
+            assert _ungenerated(n, _split_members(i_sets, n), facts) == []
 
     def test_random_packages_against_the_members_reference(self):
         # coverage reads I's members and the table factorizations alone, in
@@ -500,7 +501,7 @@ class TestDomination:
         for n in range(2, 10):
             for k in range(2, n + 1):
                 for s in combinations(range(1, n + 1), k):
-                    assert dominates([s], pairs(n), n) == dominates_reference([s], pairs(n)), s
+                    assert undominated([s], pairs(n), n) == dominates_reference([s], pairs(n)), s
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 16, 33, 64])
     def test_lemma_shapes(self, n):
@@ -509,9 +510,9 @@ class TestDomination:
         extra = pairs(n) + list(combinations(range(1, min(n, 6) + 1), 3))
         uncovered = 0
         for _, (j_sets, i_sets, _) in table_shapes(n):
-            assert dominates(j_sets, i_sets, n) == dominates_reference(j_sets, i_sets) == []
+            assert undominated(j_sets, i_sets, n) == dominates_reference(j_sets, i_sets) == []
             want = dominates_reference(j_sets, extra)
-            assert dominates(j_sets, extra, n) == want
+            assert undominated(j_sets, extra, n) == want
             uncovered += len(want)
         assert uncovered > 0
 
@@ -519,10 +520,10 @@ class TestDomination:
         for n in (4, 6, 9):
             for _, (j_sets, i_sets, _) in table_shapes(n):
                 for members in (hostile(n), [*hostile(n)[::-1], *i_sets, *hostile(n)]):
-                    assert dominates(j_sets, members, n) == dominates_reference(j_sets, members)
+                    assert undominated(j_sets, members, n) == dominates_reference(j_sets, members)
             # a member of J out of order is still a swing set
             members = pairs(n) + hostile(n)
-            assert dominates([(3, 1)], members, n) == dominates_reference([(3, 1)], members)
+            assert undominated([(3, 1)], members, n) == dominates_reference([(3, 1)], members)
 
     def test_j_of_other_members_never_reaches_domination(self):
         # survival runs first and refuses a J that is not made of swing
@@ -563,8 +564,10 @@ class TestDomination:
                 assert calls == Counter(i_sets), (n, lemma)
 
     def test_a_cold_shape_scans_no_member_of_its_i(self, monkeypatch):
-        # _lemma_shape builds I with its split known, and coverage reads
-        # table factorizations as they are: no set goes through _is_pair
+        # above CARRIED_FROM a cold shape carries the checks of its shape at
+        # 8, cached here first, so no member of its own I goes through _is_pair
+        for lemma in LEMMAS:
+            witness._lemma_shape(lemma, witness.CARRIED_FROM)
         calls = Counter()
         is_pair = witness._is_pair
 
@@ -573,31 +576,59 @@ class TestDomination:
             return is_pair(a, n)
 
         monkeypatch.setattr(witness, "_is_pair", counting)
-        for n in (6, 16, 64):
+        for n in (16, 64):
             for lemma in LEMMAS:
                 calls.clear()
-                (_, i_sets, facts), checks = witness._lemma_shape.__wrapped__(lemma, n)
+                _, checks = witness._lemma_shape.__wrapped__(lemma, n)
                 assert checks == (True, (), (), True)
                 assert calls == Counter(), (n, lemma)
 
     @pytest.mark.parametrize("n", [*range(4, 17), 64, 256])
     def test_the_split_passed_is_the_split_of_the_printed_i(self, n, monkeypatch):
+        # _shape_checks splits I once and hands that split to domination
+        # and coverage; I read back from its JSON splits the same way
         passed = []
-        shape_checks = witness._shape_checks
+        dominates, ungenerated = witness.dominates, witness._ungenerated
 
-        def recording(n, j_sets, i_sets, factorizations, members=None):
+        def dominating(j_sets, i_sets, n, members):
             passed.append(members)
-            return shape_checks(n, j_sets, i_sets, factorizations, members)
+            return dominates(j_sets, i_sets, n, members)
 
-        monkeypatch.setattr(witness, "_shape_checks", recording)
-        for lemma, _ in table_shapes(n):
+        def covering(n, members, factorizations):
+            passed.append(members)
+            return ungenerated(n, members, factorizations)
+
+        monkeypatch.setattr(witness, "dominates", dominating)
+        monkeypatch.setattr(witness, "_ungenerated", covering)
+        for lemma, (j_sets, i_sets, facts) in table_shapes(n):
             passed.clear()
-            (j_sets, i_sets, facts), checks = witness._lemma_shape.__wrapped__(lemma, n)
-            (members,) = passed
+            assert _shape_checks(n, j_sets, i_sets, facts) == (True, (), (), True)
+            members, again = passed
             printed = json.loads(json.dumps(i_sets))
-            assert members == _split_members(i_sets, n)
+            assert members is again and members == _split_members(i_sets, n), (n, lemma)
             assert [list(map(list, part)) for part in members] == list(_split_members(printed, n))
-            assert checks == shape_checks(n, j_sets, i_sets, facts) == (True, (), (), True)
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 64, 256])
+    def test_carried_checks_equal_the_full_check(self, n):
+        # every lemma from its smallest n: the checks _lemma_shape gives,
+        # carried from n = 8 above it, are those of the full check at n
+        for lemma, data in table_shapes(n):
+            checks = witness._lemma_shape(lemma, n)[1]
+            assert checks == _shape_checks(n, *data) == (True, (), (), True), (n, lemma)
+
+    @pytest.mark.parametrize("n", [*range(9, 17), 64])
+    def test_every_row_keeps_the_premise_of_the_carried_checks(self, n):
+        # the module docstring's premise, so a row that breaks it fails
+        # here instead of inheriting the answer at n = 8
+        assert set(LEMMAS) == set(Lemma.__subclasses__())
+        strands = set(range(1, n + 1))
+        wide = [strands, *(strands - {m} for m in (1, 2, 3))]
+        for lemma in LEMMAS:
+            j_sets, facts = lemma.witness(n)
+            for j in j_sets:
+                assert max(j) <= 6 or set(j) in wide, (n, lemma, j)
+            for f in facts:
+                assert max(max(s) for s in (f.added, f.recovers, *f.factors)) <= 5, (n, lemma, f)
 
     def test_pairs_never_reach_the_predicate(self, monkeypatch):
         asked = []
@@ -609,7 +640,7 @@ class TestDomination:
         monkeypatch.setattr(witness, "commutes_predicate", counting)
         for n in (6, 16, 64):
             for _, (j_sets, i_sets, _) in table_shapes(n):
-                assert dominates(j_sets, i_sets, n) == []
+                assert undominated(j_sets, i_sets, n) == []
         # only the two recovering triples of disjoint_pair and triangle
         assert asked and all(len(a) == 3 for a in asked)
 

@@ -30,12 +30,11 @@ from braidsigma.witness import (
     WitnessReport,
     build_witness_for,
     commuting_graph,
-    dominates,
     is_connected,
     verify_witness,
     witness_to_json_dict,
 )
-from conftest import character_to_json_dict, random_nonzero_character, sparse
+from conftest import character_to_json_dict, random_nonzero_character, sparse, undominated
 from test_circles import JSON_VALUES
 from test_lift_oracle import _bench_corpus
 
@@ -73,24 +72,24 @@ class TestCommutingGraph:
 class TestDominates:
     def test_disjoint_triple_data(self):
         j_sets = [(1, 2), (3, 4), (5, 6)]
-        assert dominates(j_sets, all_edges(6), 6) == []
+        assert undominated(j_sets, all_edges(6), 6) == []
 
     def test_disjoint_pair_data(self):
         j_sets = [(1, 2), (3, 4), (4, 5)]
         i_sets = [p for p in all_edges(5) if p not in ((1, 4), (2, 4))]
         i_sets += [(1, 4, 5), (2, 4, 5)]
-        assert dominates(j_sets, i_sets, 5) == []
+        assert undominated(j_sets, i_sets, 5) == []
 
     def test_uncovered_reported(self):
-        assert dominates([(1, 2)], [(1, 3)], 3) == [(1, 3)]
+        assert undominated([(1, 2)], [(1, 3)], 3) == [(1, 3)]
 
     def test_monotone_in_j(self):
         rng = random.Random(71)
         i_sets = all_edges(6)
         for _ in range(20):
             j_sets = [tuple(sorted(rng.sample(range(1, 7), 2))) for _ in range(2)]
-            before = dominates(j_sets, i_sets, 6)
-            after = dominates(j_sets + [(1, 2, 3)], i_sets, 6)
+            before = undominated(j_sets, i_sets, 6)
+            after = undominated(j_sets + [(1, 2, 3)], i_sets, 6)
             assert set(after) <= set(before)
 
 
@@ -257,7 +256,8 @@ class TestVerifyWitness:
         f1 = Factorization((1, 2, 4), ((1, 2), (1, 4), (2, 4)), (1, 4))
         f2 = Factorization((2, 3, 4), ((2, 3), (2, 4), (3, 4)), (2, 4))
         for facts in ((f1, f2), (f2, f1)):
-            assert witness._ungenerated(n, i_sets, facts) == [(1, 4)]
+            split = witness._split_members(i_sets, n)
+            assert witness._ungenerated(n, split, facts) == [(1, 4)]
             report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=facts), chi)
             assert report.failures() == [NOT_14_LINE, TABLE_LINE]
             assert not report.table_factorizations and not report.ok
@@ -374,10 +374,11 @@ class TestVerifyWitness:
         with pytest.raises(InternalError, match="repeated at n = 4"):
             witness._lemma_shape(Repeated, 4)
 
-    def test_the_derived_split_is_checked_not_trusted(self):
-        # disjoint_triple's J with disjoint_pair's factorizations: I is built
-        # with its split known, and the triples it adds meet every member
-        # of J without nesting, so J dominates neither
+    @pytest.mark.parametrize("n", [6, 9, 16, 64])
+    def test_the_derived_split_is_checked_not_trusted(self, n):
+        # disjoint_triple's J with disjoint_pair's factorizations: the
+        # triples I adds meet every member of J without nesting, so J
+        # dominates neither, at n = 8 and so in the checks carried above it
         class Undominated:
             kind = "undominated"
 
@@ -385,10 +386,37 @@ class TestVerifyWitness:
             def witness(n):
                 return ((1, 2), (3, 4), (5, 6)), RECOVERY_FACTORIZATIONS[5]
 
-        (j_sets, i_sets, facts), checks = witness._lemma_shape(Undominated, 6)
+        (j_sets, i_sets, facts), checks = witness._lemma_shape(Undominated, n)
         assert i_sets[-2:] == ((1, 4, 5), (2, 4, 5))
         assert checks == (True, ((1, 4, 5), (2, 4, 5)), (), True)
-        assert checks == witness._shape_checks(6, j_sets, i_sets, facts)
+        assert checks == witness._shape_checks(n, j_sets, i_sets, facts)
+
+    def test_a_changed_member_of_a_carried_shape_is_checked_in_full(self, monkeypatch):
+        # the shape at n = 64 carries its checks from n = 8; a copy made by
+        # _replace is checked in full at 64, and its report names the member
+        n = 64
+        chi = sparse(n, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == "disjoint_pair" and verify_witness(pkg, chi).ok
+        ran = []
+        shape_checks = witness._shape_checks
+
+        def recording(n, *data):
+            ran.append(n)
+            return shape_checks(n, *data)
+
+        monkeypatch.setattr(witness, "_shape_checks", recording)
+
+        # (7, 64) is given by itself alone; (7, 65) gives nothing
+        i_sets = tuple((7, n + 1) if a == (7, n) else a for a in pkg.i_sets)
+        report = verify_witness(pkg._replace(i_sets=i_sets), chi)
+        assert report.failures() == [f"pairs of 1..n that I does not give (1): [(7, {n})]"]
+
+        # (4, 64) carries no weight, so its swing vanishes
+        j_sets = ((1, 2), (3, 4), (4, n))
+        report = verify_witness(pkg._replace(j_sets=j_sets), chi)
+        assert report.survival_failures == [(4, n)] and not report.ok
+        assert ran == [n, n]
 
     @pytest.mark.parametrize("field", ["j_sets", "i_sets", "factorizations"])
     @pytest.mark.parametrize("value", [None, 5, "(1, 2)", {"J": [[1, 2]]}])
