@@ -7,10 +7,8 @@ unordered pair {i, j} of strand indices with a nonzero value, mapped to
 that rational.  All arithmetic is exact (``fractions.Fraction``); every
 zero-test below is therefore decidable.
 
-Fraction's own machinery stays off the per-character path.  A document
-followed by nothing but JSON whitespace (space, tab, LF, CR: RFC 8259
-section 2) is read by ``JSONDecoder.raw_decode``; any other text goes to
-``json.loads``, which names its errors as before.  Keys that are the
+Fraction's own machinery stays off the per-character path.  The text is
+read by ``json.loads``, which names its errors.  Keys that are the
 canonical list "1-2", "1-3", ... in ``all_edges`` order are zipped against
 the pairs (both built once per n); other keys are split and checked one by
 one.  Every weight is read by Fraction, after the exponent bound below.
@@ -253,12 +251,17 @@ def permute(chi: Character, perm: Sequence[int]) -> Character:
 # the digits of an integer string (sys.int_info.default_max_str_digits).
 
 MISSING_KEYS_SHOWN = 10
+COUNT_DIGITS = 30
 MAX_EXPONENT = 4300
 
 _WEIGHT_MEMO_SIZE = 1024
 _WEIGHT_MEMO_LENGTH = 32
 _weight_memo: dict[str, tuple[Fraction, Pair | None]] = {}
-_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _count_text(count: int) -> str:
+    """``count`` in full below 10**COUNT_DIGITS, else a fixed form that stays short."""
+    return str(count) if count < 10**COUNT_DIGITS else f"10**{COUNT_DIGITS} or more"
 
 
 def _parse_weight(key: str, val: str | int) -> Fraction:
@@ -352,8 +355,8 @@ def character_from_json_dict(data: dict) -> Character:
         shown = [f"{i}-{j}" for i, j in islice(absent, MISSING_KEYS_SHOWN)]
         count = expected - len(raw)
         more = ", ..." if count > len(shown) else ""
-        total = _printed(expected, "the number of weight keys for this n")  # count is no larger
-        raise CharacterFormatError(f"missing weight keys ({count} of {total}): {shown}{more}")
+        counts = f"{_count_text(count)} of {_count_text(expected)}"
+        raise CharacterFormatError(f"missing weight keys ({counts}): {shown}{more}")
     # the keys are now proved to be exactly the pairs of 1..n, and only
     # nonzero values entered the support, so the constructor's check of
     # the same facts is not run again
@@ -365,13 +368,7 @@ def character_from_json_dict(data: dict) -> Character:
 def character_from_json(text: str) -> Character:
     """The character of a JSON text, read as the module docstring says."""
     try:
-        try:
-            data, end = _raw_decode(text)
-            whole = not text[end:].strip(" \t\n\r")  # RFC 8259 whitespace only
-        except (ValueError, RecursionError, TypeError):
-            whole = False
-        if not whole:
-            data = json.loads(text)
+        data = json.loads(text)
     # a ValueError is also an int past Python's digit limit; RecursionError, nesting too deep
     except (ValueError, RecursionError) as exc:
         raise CharacterFormatError(f"invalid JSON: {exc}") from exc

@@ -52,7 +52,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice
 
-from .characters import Character, Edge, InternalError
+from .characters import Character, Edge
 from .record import Record
 
 
@@ -76,28 +76,6 @@ class CharGraph(Record):
         d["labels"] = labels
         d["order"] = order
         d["nbrs"] = nbrs
-
-
-class ShapeClass(Record):
-    """Structure tag for a support graph.
-
-    kind is one of "empty", "star", "small_k4", "has_disjoint_from_two"
-    (the star-or-small fact of the module docstring leaves no other).
-    A graph that is both a star and within 4 vertices reports "star".
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        center: int | None = None,
-        leaves: tuple[int, ...] = (),
-        witness: tuple[Edge, Edge, Edge] | None = None,
-    ) -> None:
-        d = self.__dict__
-        d["kind"] = kind
-        d["center"] = center
-        d["leaves"] = leaves
-        d["witness"] = witness
 
 
 def build_kchi(chi: Character) -> CharGraph:
@@ -166,17 +144,8 @@ def find_disjoint_pair(g: CharGraph) -> tuple[Edge, Edge] | None:
     return _first_disjoint_from(g, 1)
 
 
-def shape_classify(g: CharGraph) -> ShapeClass:
-    witness = find_edge_disjoint_from_two(g)
-    if witness is not None:
-        return ShapeClass(kind="has_disjoint_from_two", witness=witness)
-    if not g.order:
-        return ShapeClass(kind="empty")
-    # a star's center lies on every edge, the first one too, so its degree
-    # is the edge count; a single edge reports its smaller endpoint
-    center = next((v for v in g.order[0] if len(g.nbrs[v]) == len(g.order)), None)
-    if center is not None:
-        return ShapeClass(kind="star", center=center, leaves=tuple(g.nbrs[center]))
-    if len(g.nbrs) > 4:
-        raise InternalError("a graph with no edge disjoint from two others is a star or small")
-    return ShapeClass(kind="small_k4")
+def shape_classify(g: CharGraph) -> int | None:
+    """The center of K_chi if it is a star, else None (the empty graph
+    too).  A star's center lies on every edge, the first one too, so its
+    degree is the edge count; a single edge reports its smaller endpoint."""
+    return next((v for e in g.order[:1] for v in e if len(g.nbrs[v]) == len(g.order)), None)

@@ -57,7 +57,7 @@ from .chargraph import (
     build_kchi,
     find_disjoint_pair,
     find_disjoint_triple,
-    find_edge_disjoint_from_two,  # unused here; bench/tracing.py rebinds this name
+    find_edge_disjoint_from_two,
     shape_classify,
 )
 from .circles import CircleId, locate_circle, on_circle
@@ -341,19 +341,22 @@ def classify(chi: Character) -> Classification:
     g = build_kchi(chi)
     if not g.labels:
         raise ZeroCharacterError("the zero character has no class on the sphere")
-    shape = shape_classify(g)
 
-    if shape.kind == "has_disjoint_from_two":
+    witness = find_edge_disjoint_from_two(g)
+    if witness is not None:
         triple = find_disjoint_triple(g)
         if triple is not None:
             return Classification(DisjointTriple(triple), n)
-        e, f, h = shape.witness
+        e, f, h = witness
         return Classification(DisjointPair(e, (f, h)), n)
 
-    if shape.kind == "star" and len(shape.leaves) >= 3:
-        return Classification(Star(shape.center, shape.leaves), n)
+    center = shape_classify(g)
+    if center is not None and len(g.nbrs[center]) >= 3:
+        return Classification(Star(center, tuple(g.nbrs[center])), n)
 
     support = tuple(sorted(g.nbrs))
+    if len(support) > 4:
+        raise InternalError("a graph with no edge disjoint from two others is a star or small")
     if len(support) == 4:
         leaf_edges = [(v, g.nbrs[v][0]) for v in support if len(g.nbrs[v]) == 1]
         for eu, ew in combinations(leaf_edges, 2):

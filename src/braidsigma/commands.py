@@ -18,7 +18,7 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import Edge, InputError, _printed, character_from_json, read_text
+from .characters import Edge, InputError, _count_text, _printed, character_from_json, read_text
 from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
 from .classify import RECOVERY_FACTORIZATIONS
@@ -44,8 +44,8 @@ def cmd_circles(args: SimpleNamespace) -> bool:
         raise InputError(f"need n >= 2, got {n}")
     count = comb(n, 3) + comb(n, 4)
     if count > MAX_CIRCLES:
-        count_text = _printed(count, "the number of circles for this n")
-        raise InputError(f"n = {n} gives {count_text} circles, more than the {MAX_CIRCLES} allowed")
+        counts = f"n = {_count_text(n)} gives {_count_text(count)} circles"
+        raise InputError(f"{counts}, more than the {MAX_CIRCLES} allowed")
     # the bytes of json.dumps(enumerate_circles(n)) plus a newline, without
     # holding the list: each circle is formatted from its strands, in the
     # order of enumerate_circles, and written CIRCLES_PER_WRITE at a time

@@ -29,11 +29,15 @@ almost all pairs of strands.  A pair {a, b} commutes with a swing set S
 number of S's strands strictly between a and b is 0 or |S| (S lies in the
 pair only when it is the pair).  So domination tests a pair by two lookups
 in a membership array of S and one difference of its prefix counts, built
-once per member of J.  ``_shape_checks`` splits I once into its pairs of
-1..n and its other members, which take the predicate and are sorted into
-swing sets only for the coverage.  A list member (as from JSON) counts as
-its tuple; a member not of int strands is dominated by none, and one not
-a swing set of 1..n gives nothing.
+once per member of J.  The tests check the predicate on every two swing
+sets at n <= 5 against ``planar.commute_wordlevel``, so every commutation
+a table witness reads at n <= 5 is checked at word level; above that, its
+soundness for points in convex position is cited.  ``_shape_checks``
+splits I once into its pairs of 1..n and its other members, which take
+the predicate and are sorted into swing sets only for the coverage.  A
+list member (as from JSON) counts as its tuple; a member not of int
+strands is dominated by none, and one not a swing set of 1..n gives
+nothing.
 
 Above n = CARRIED_FROM = 8, a table shape carries the checks of its shape
 at 8.  Every member S of a row's J lies on strands <= 6, is {1..n}, or is

@@ -6,7 +6,6 @@ from typing import Optional
 
 import pytest
 
-from braidsigma import chargraph
 from braidsigma.characters import Character, InternalError, swing_value
 from braidsigma.chargraph import (
     build_kchi,
@@ -102,42 +101,27 @@ class TestDisjointSearches:
 
 class TestShapeClassify:
     def test_path_is_small(self):
-        shape = shape_classify(graph_of(4, [(1, 2), (2, 3), (3, 4)]))
-        assert shape.kind == "small_k4"
+        assert shape_classify(graph_of(4, [(1, 2), (2, 3), (3, 4)])) is None
 
     def test_star(self):
-        shape = shape_classify(graph_of(5, [(1, 5), (2, 5), (3, 5), (4, 5)]))
-        assert shape.kind == "star"
-        assert shape.center == 5
-        assert shape.leaves == (1, 2, 3, 4)
+        assert shape_classify(graph_of(5, [(1, 5), (2, 5), (3, 5), (4, 5)])) == 5
 
     def test_disjoint_edges(self):
-        shape = shape_classify(graph_of(6, [(1, 2), (3, 4), (5, 6)]))
-        assert shape.kind == "has_disjoint_from_two"
+        assert shape_classify(graph_of(6, [(1, 2), (3, 4), (5, 6)])) is None
 
     def test_empty(self):
-        assert shape_classify(build_kchi(zero_character(3))).kind == "empty"
+        assert shape_classify(build_kchi(zero_character(3))) is None
 
     def test_four_cycle(self):
         g = graph_of(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         assert find_edge_disjoint_from_two(g) is None
-        assert shape_classify(g).kind == "small_k4"
+        assert shape_classify(g) is None
 
     def test_single_edge_is_a_star_at_its_smaller_end(self):
-        shape = shape_classify(graph_of(5, [(2, 5)]))
-        assert (shape.kind, shape.center, shape.leaves) == ("star", 2, (5,))
+        assert shape_classify(graph_of(5, [(2, 5)])) == 2
 
     def test_two_edge_star_prefers_star(self):
-        shape = shape_classify(graph_of(4, [(1, 2), (1, 3)]))
-        assert shape.kind == "star"
-        assert shape.center == 1
-
-    def test_other_shape_is_an_internal_error(self, monkeypatch):
-        # a 5-vertex path has edges disjoint from two others; hiding them
-        # leaves a shape the star-or-small fact rules out
-        monkeypatch.setattr(chargraph, "find_edge_disjoint_from_two", lambda g: None)
-        with pytest.raises(InternalError):
-            shape_classify(graph_of(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+        assert shape_classify(graph_of(4, [(1, 2), (1, 3)])) == 1
 
 
 def star_or_small(edges):

@@ -175,6 +175,15 @@ class TestPipelineStages:
         with pytest.raises(InternalError, match="no circle over"):
             classify(chi)
 
+    def test_other_shape_is_an_internal_error(self, monkeypatch):
+        # a zero-sum 5-vertex path has edges disjoint from two others;
+        # hiding them leaves a shape the star-or-small fact rules out
+        module = sys.modules[classify.__module__]
+        monkeypatch.setattr(module, "find_edge_disjoint_from_two", lambda g: None)
+        chi = sparse(5, {(1, 2): 1, (2, 3): -1, (3, 4): 1, (4, 5): -1})
+        with pytest.raises(InternalError, match="star or small"):
+            classify(chi)
+
 
 class TestAgreementWithCircles:
     def test_random_corpus(self):

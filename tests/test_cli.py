@@ -484,12 +484,16 @@ def json_bytes(value) -> bytes:
 )
 @example(b'{"n": 2, "weights": {"1-2": ' + b"7" * 5000 + b"}}")
 @example(b"\xff")
+# C(n, 2) has 4,201 digits, just under Python's integer-string limit
+@example(b'{"n": 1' + b"0" * 2100 + b', "weights": {}}')
+@example(b'{"n": 1' + b"0" * 2100 + b', "weights": {"1-2": "1"}}')
 # C(n, 2) has more digits than Python's integer-string limit
 @example(b'{"n": 1' + b"0" * 2200 + b', "weights": {}}')
 @example(b'{"n": 1' + b"0" * 2200 + b', "weights": {"1-2": "1"}}')
 def test_any_file_exits_0_or_2(tmp_path, data):
-    # whatever the file holds, the answer is a result or one error line:
-    # never an internal error (3), never an exception out of main
+    # whatever the file holds, the answer is a result or one short error
+    # line: never an internal error (3), never an exception out of main,
+    # never a count printed in full however large n is
     path = tmp_path / "in.json"
     path.write_bytes(data)
     for argv in (["classify", "--witness", "--in", str(path)], ["graph", "--in", str(path)]):
@@ -502,6 +506,7 @@ def test_any_file_exits_0_or_2(tmp_path, data):
         else:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert len(err.getvalue().encode()) < 300, (argv, err.getvalue()[:300])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -517,7 +522,8 @@ def test_any_file_exits_0_or_2(tmp_path, data):
 @example("1" + "0" * 1200)  # C(n, 3) + C(n, 4) past the integer-string limit
 def test_any_circles_n_exits_0_or_2(text):
     # whatever text follows --n, the answer is the circle list or one
-    # error line: never an internal error (3), never an exception out of main
+    # error line: never an internal error (3), never an exception out of
+    # main; a line over 300 bytes only quotes the text back
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["circles", "--n", text])
@@ -529,6 +535,8 @@ def test_any_circles_n_exits_0_or_2(text):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        line = err.getvalue()
+        assert len(line.encode()) < 300 or repr(text) in line, line[:300]
 
 
 # a UTF-8 file whose one non-ASCII weight is ARABIC-INDIC DIGIT ONE
