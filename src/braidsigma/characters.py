@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, repeat
@@ -99,14 +99,14 @@ def swing_set(members: Iterable[int], n: int) -> SwingSet:
     strands (bools refused), distinct, in range, size >= 2."""
     a = tuple(members) if isinstance(members, Iterable) else members
     if not _int_strands(a):
-        raise ValueError(f"swing set strands must be ints, got {a!r}")
+        raise ValueError(f"swing set strands must be ints, got {_quoted(a)}")
     a = tuple(sorted(a))
     if len(a) < 2:
         raise ValueError(f"swing set needs at least 2 indices, got {a}")
     if len(set(a)) != len(a):
-        raise ValueError(f"swing set has repeated indices: {a}")
+        raise ValueError(f"swing set has repeated indices: {_quoted(a, str)}")
     if a[0] < 1 or a[-1] > n:
-        raise IndexError(f"swing set {a} out of range 1..{n}")
+        raise IndexError(f"swing set {_quoted(a, str)} out of range 1..{n}")
     return a
 
 
@@ -131,16 +131,18 @@ class Character(Record):
         d["n"] = n
         d["support"] = support
         if type(n) is not int or n < 2:
-            raise CharacterFormatError(f"need an int n >= 2, got n={n!r}")
+            raise CharacterFormatError(f"need an int n >= 2, got n={_quoted(n)}")
         if not isinstance(support, Mapping):
             raise CharacterFormatError(f"support must be a mapping, got {type(support).__name__}")
         for e, v in support.items():
-            if not _is_pair(e, n):
+            if type(e) is not tuple or not _is_pair(e, n):
                 raise CharacterFormatError(
-                    f"pair {e} is not (i, j) with 1 <= i < j <= {n}, i and j ints"
+                    f"pair {_quoted(e, str)} is not (i, j) with 1 <= i < j <= {n}, i and j ints"
                 )
             if type(v) is bool or not isinstance(v, (int, Fraction)):
-                raise CharacterFormatError(f"pair {e} has weight {v!r}, not an int or a Fraction")
+                raise CharacterFormatError(
+                    f"pair {e} has weight {_quoted(v)}, not an int or a Fraction"
+                )
             if v == 0:
                 raise CharacterFormatError(f"pair {e} has weight 0, so it is not in the support")
 
@@ -220,10 +222,25 @@ def _printed(value: Fraction | int, name: str) -> str:
         raise InputError(f"{name} has {part}{limit}") from None
 
 
+QUOTE_WIDTH = 20
+
+
+def _quoted(value: object, render: Callable[[object], str] = repr) -> str:
+    """``render(value)`` as an error message quotes a value from outside:
+    in full up to QUOTE_WIDTH characters, else its start and its length,
+    so a message holding two stays under 300 bytes.  A value that holds an
+    int past Python's integer-string limit, or nests too deep, is named."""
+    try:
+        text = render(value)
+    except (ValueError, RecursionError):
+        return "a value too large to print"
+    return text if len(text) <= QUOTE_WIDTH else f"{text[:QUOTE_WIDTH]}... ({len(text)} characters)"
+
+
 def _check_perm(perm: Sequence[int], n: int) -> None:
     """Refuse with ValueError a perm that is not a bijection on 1..n of ints."""
     if not _int_strands(perm) or sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a bijection on 1..{n} of ints, got {perm}")
+        raise ValueError(f"perm must be a bijection on 1..{n} of ints, got {_quoted(perm, str)}")
 
 
 def permute(chi: Character, perm: Sequence[int]) -> Character:
@@ -275,13 +292,13 @@ def _parse_weight(key: str, val: str | int) -> Fraction:
                 exponent = 0
             if abs(exponent) > MAX_EXPONENT:
                 raise CharacterFormatError(
-                    f"exponent of weight for key {key!r} exceeds {MAX_EXPONENT} "
+                    f"exponent of weight for key {_quoted(key)} exceeds {MAX_EXPONENT} "
                     "in absolute value"
                 )
     try:
         return Fraction(val)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CharacterFormatError(f"bad rational {val!r} for key {key!r}") from exc
+        raise CharacterFormatError(f"bad rational {_quoted(val)} for key {_quoted(key)}") from exc
 
 
 def _weight_entry(key: str, val: object, parsed: dict) -> tuple[Fraction, Pair | None]:
@@ -290,7 +307,7 @@ def _weight_entry(key: str, val: object, parsed: dict) -> tuple[Fraction, Pair |
     # strings first, the common case; then ints, but not bools
     if not isinstance(val, str) and (isinstance(val, bool) or not isinstance(val, int)):
         raise CharacterFormatError(
-            f"weight for key {key!r} must be a string or an integer, got {val!r}"
+            f"weight for key {_quoted(key)} must be a string or an integer, got {_quoted(val)}"
         )
     entry = parsed.get(val)
     if entry is None:
@@ -310,7 +327,7 @@ def character_from_json_dict(data: dict) -> Character:
         raise CharacterFormatError("missing key 'weights'")
     n = data["n"]
     if not isinstance(n, int) or n < 2:
-        raise CharacterFormatError(f"'n' must be an integer >= 2, got {n!r}")
+        raise CharacterFormatError(f"'n' must be an integer >= 2, got {_quoted(n)}")
     raw = data["weights"]
     if not isinstance(raw, dict):
         raise CharacterFormatError("'weights' must be an object")
@@ -329,11 +346,12 @@ def character_from_json_dict(data: dict) -> Character:
                 i_s, j_s = key.split("-")
                 e = edge(int(i_s), int(j_s))
             except (ValueError, AttributeError) as exc:
-                raise CharacterFormatError(f"bad weight key {key!r}") from exc
+                raise CharacterFormatError(f"bad weight key {_quoted(key)}") from exc
             if not (1 <= e[0] and e[1] <= n):
-                raise CharacterFormatError(f"weight key {key!r} out of range for n={n}")
+                out = f"out of range for n={_quoted(n)}"
+                raise CharacterFormatError(f"weight key {_quoted(key)} {out}")
             if e in seen:
-                raise CharacterFormatError(f"duplicate weight key {key!r}")
+                raise CharacterFormatError(f"duplicate weight key {_quoted(key)}")
             seen.add(e)
         # a str subclass may equal a kept spelling, but its own methods
         # decide what it reads as, so it takes the parser

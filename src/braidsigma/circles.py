@@ -23,7 +23,7 @@ Every circle point has Delta = 0, so a character with Delta != 0 is on none.
 
 from __future__ import annotations
 
-from .characters import Character, ZeroCharacterError, _delta, _int_strands
+from .characters import Character, ZeroCharacterError, _delta, _int_strands, _quoted
 from .chargraph import build_kchi
 from .record import Record
 
@@ -41,10 +41,11 @@ class CircleId(Record):
         d["support"] = support
         size = {P3: 3, P4: 4}.get(kind) if isinstance(kind, str) else None
         if size is None:
-            raise ValueError(f"circle kind must be P3 or P4, got {kind!r}")
+            raise ValueError(f"circle kind must be P3 or P4, got {_quoted(kind)}")
         s = support
         if not (_int_strands(s) and len(s) == size and tuple(sorted(set(s))) == s and s[0] >= 1):
-            raise ValueError(f"{kind} circle needs {size} increasing int strands >= 1, got {s}")
+            strands = f"{size} increasing int strands >= 1"
+            raise ValueError(f"{kind} circle needs {strands}, got {_quoted(s, str)}")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "support": list(self.support)}

@@ -28,7 +28,7 @@ import sys
 from collections.abc import Callable
 from types import SimpleNamespace
 
-from .characters import InputError, InternalError, character_from_json, read_text
+from .characters import InputError, InternalError, _quoted, character_from_json, read_text
 from .classify import classification_to_json_dict, classify, verify_certificate
 from .witness import build_witness_for, verify_witness, witness_to_json_dict
 
@@ -118,7 +118,7 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], bool], SimpleNa
     if name in HELP_FLAGS:
         return _help, SimpleNamespace(command=None)
     if name not in COMMANDS:
-        raise InputError(f"invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
+        raise InputError(f"invalid choice: {_quoted(name)} (choose from {', '.join(COMMANDS)})")
     handler, _, options = COMMANDS[name]
     takes = {flag: (attr, convert) for flag, attr, convert, _, _ in options}
     args = SimpleNamespace(**{attr: None if convert else False for attr, convert in takes.values()})
@@ -140,12 +140,13 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], bool], SimpleNa
             try:
                 setattr(args, attr, convert(value))
             except ValueError:
-                raise InputError(f"argument {flag}: invalid {convert.__name__} value: {value!r}")
+                value = _quoted(value)
+                raise InputError(f"argument {flag}: invalid {convert.__name__} value: {value}")
     missing = [flag for flag, attr, _, req, _ in options if req and getattr(args, attr) is None]
     if missing:
         raise InputError(f"the following arguments are required: {', '.join(missing)}")
     if unknown:
-        raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
+        raise InputError(f"unrecognized arguments: {_quoted(' '.join(unknown), str)}")
     return handler, args
 
 

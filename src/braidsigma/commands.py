@@ -18,7 +18,8 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import Edge, InputError, _count_text, _printed, character_from_json, read_text
+from .characters import Edge, InputError, _count_text, _printed, _quoted
+from .characters import character_from_json, read_text
 from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
 from .classify import RECOVERY_FACTORIZATIONS
@@ -41,7 +42,7 @@ def enumerate_circles(n: int) -> list[CircleId]:
 def cmd_circles(args: SimpleNamespace) -> bool:
     n = args.n
     if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {_quoted(n)}")
     count = comb(n, 3) + comb(n, 4)
     if count > MAX_CIRCLES:
         counts = f"n = {_count_text(n)} gives {_count_text(count)} circles"

@@ -22,18 +22,8 @@ from .words import BraidWord, braid_aut, standard_pure_word, swing_word
 
 # -- word-level commutation ------------------------------------------------
 
-WORD_ENGINE_MAX_STRANDS = 6
-
-
-class BudgetExceededError(ValueError):
-    """Raised when a word-level operation exceeds the strand budget."""
-
 
 def commute_wordlevel(u: BraidWord, v: BraidWord) -> bool:
-    if u.n != v.n:
-        raise ValueError("strand count mismatch")
-    if u.n > WORD_ENGINE_MAX_STRANDS:
-        raise BudgetExceededError(f"word engine capped at {WORD_ENGINE_MAX_STRANDS} strands")
     return braid_aut(u * v) == braid_aut(v * u)
 
 

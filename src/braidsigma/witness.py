@@ -29,15 +29,16 @@ almost all pairs of strands.  A pair {a, b} commutes with a swing set S
 number of S's strands strictly between a and b is 0 or |S| (S lies in the
 pair only when it is the pair).  So domination tests a pair by two lookups
 in a membership array of S and one difference of its prefix counts, built
-once per member of J.  The tests check the predicate on every two swing
-sets at n <= 5 against ``planar.commute_wordlevel``, so every commutation
-a table witness reads at n <= 5 is checked at word level; above that, its
-soundness for points in convex position is cited.  ``_shape_checks``
-splits I once into its pairs of 1..n and its other members, which take
-the predicate and are sorted into swing sets only for the coverage.  A
-list member (as from JSON) counts as its tuple; a member not of int
-strands is dominated by none, and one not a swing set of 1..n gives
-nothing.
+once per member of J, and C(J) is one search over the predicate from J's
+first member.  The word engine checks the predicate on every two swing
+sets at n <= 7 in the tests and at n = 8 in CI, so every commutation a
+table shape reads at n <= 8 is checked at word level.  The carried checks
+below reason about the predicate, so above n = 8 its soundness for points
+in convex position is cited.  ``_shape_checks`` splits I once into its
+pairs of 1..n and its other members, which take the predicate and are
+sorted into swing sets only for the coverage.  A list member (as from
+JSON) counts as its tuple; a member not of int strands is dominated by
+none, and one not a swing set of 1..n gives nothing.
 
 Above n = CARRIED_FROM = 8, a table shape carries the checks of its shape
 at 8.  Every member S of a row's J lies on strands <= 6, is {1..n}, or is
@@ -78,6 +79,7 @@ from .characters import (
     _int_strands,
     _is_pair,
     _pair_sum,
+    _quoted,
     _swing_pair,
     permute,  # unused here; bench/tracing.py rebinds this name
     swing_set,
@@ -169,28 +171,16 @@ def commutes_predicate(a: Sequence[int], b: Sequence[int]) -> bool:
     return crossings == 2
 
 
-def commuting_graph(j_sets: Sequence[SwingSet]) -> list[set[int]]:
-    """Adjacency sets of C(J): vertices are positions in J, edges join
-    distinct members that the commutation predicate accepts."""
-    adj: list[set[int]] = [set() for _ in j_sets]
-    for a, b in combinations(range(len(j_sets)), 2):
-        if commutes_predicate(j_sets[a], j_sets[b]):
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
-def is_connected(adj: list[set[int]]) -> bool:
-    if not adj:
-        return True
-    seen = {0}
-    stack = [0]
+def _connected(j_sets: Sequence[SwingSet]) -> bool:
+    """Is C(J) connected: does a search from J's first member, along the
+    pairs that ``commutes_predicate`` accepts, reach every member?"""
+    stack, left = list(j_sets[:1]), list(j_sets[1:])
     while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(adj)
+        a, unreached = stack.pop(), []
+        for b in left:
+            (stack if commutes_predicate(a, b) else unreached).append(b)
+        left = unreached
+    return not left
 
 
 Members = tuple[list, list]
@@ -324,7 +314,7 @@ def _shape_checks(
     I that J does not dominate, the pairs that I does not give through the
     table factorizations, every factorization one of the lemma table's on
     strands 1..n); the one place that splits I."""
-    connected = is_connected(commuting_graph(j_sets))
+    connected = _connected(j_sets)
     members = _split_members(i_sets, n)
     uncovered = tuple(dominates(j_sets, i_sets, n, members))
     facts = [_strand_tuples(f) for f in factorizations]
@@ -375,7 +365,7 @@ def verify_witness(pkg: WitnessPackage, chi: Character) -> WitnessReport:
     or IndexError (a member of J out of range); a well-formed package's
     failures are reported, never raised."""
     if pkg.lemma not in _LEMMA_KINDS:  # a tuple, so an unhashable lemma is refused too
-        raise ValueError(f"lemma must be the kind of a lemma row, got {pkg.lemma!r}")
+        raise ValueError(f"lemma must be the kind of a lemma row, got {_quoted(pkg.lemma)}")
     if not all(isinstance(x, (tuple, list)) for x in (pkg.j_sets, pkg.i_sets, pkg.factorizations)):
         raise ValueError("J, I and the factorizations must each be a tuple or list")
     survival_failures = _survival_failures(pkg, chi)

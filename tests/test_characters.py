@@ -15,6 +15,7 @@ from braidsigma.characters import (
     ZeroCharacterError,
     _pair_sum,
     _parse_weight,
+    _quoted,
     all_edges,
     character_from_json,
     character_from_json_dict,
@@ -70,13 +71,15 @@ def test_dense_needs_every_pair(weights, message):
         ({(1, 2.0): 1}, r"pair \(1, 2.0\) is not"),
         ({5: 1}, r"pair 5 is not"),
         ({"ab": 1}, r"pair ab is not"),
+        # equal to no tuple, so its weight would read as 0
+        ({range(1, 3): 1, (2, 3): -1}, r"pair range\(1, 3\) is not"),
         # pairs and weights, but not as a mapping
         ([((1, 2), 1)], r"support must be a mapping, got list"),
         (None, r"support must be a mapping, got NoneType"),
     ],
     ids=[
         "reversed", "past-n", "below-1", "zero-value", "float", "bool", "one-float", "int", "str",
-        "list", "none",
+        "range", "list", "none",
     ],
 )
 def test_constructor_takes_only_a_support(support, message):
@@ -89,6 +92,21 @@ def test_constructor_takes_only_a_support(support, message):
 def test_constructor_takes_only_an_int_n_of_two_or_more(n):
     with pytest.raises(CharacterFormatError, match=re.escape(f"need an int n >= 2, got n={n!r}")):
         Character(n, {(1, 2): 1})
+
+
+def test_quoted_values_stay_short():
+    # an error message quotes a value from outside in full up to
+    # QUOTE_WIDTH characters, else by its start and its length; never raises
+    assert _quoted("1-2") == "'1-2'" and _quoted("--a --b", str) == "--a --b"
+    assert _quoted("x" * 30) == "'xxxxxxxxxxxxxxxxxxx... (32 characters)"
+    # an int past Python's integer-string limit, or nesting too deep
+    too_large = "a value too large to print"
+    nested = []
+    for _ in range(10**5):
+        nested = [nested]
+    assert _quoted(10**5000) == _quoted([1, 10**5000]) == _quoted(nested) == too_large
+    with pytest.raises(CharacterFormatError, match=f"got n={too_large}$"):
+        Character(-(10**5000), {(1, 2): 1})
 
 
 @pytest.mark.parametrize("build", [dense, sparse])
@@ -446,17 +464,20 @@ WEIGHT_PIECES = ["0", "1", "7", "-", "+", "/", ".", "e", "E", "_", " ", "\t",
 )
 def test_too_many_digits_is_a_bad_rational(digits, tmp_path, capsys):
     # int() refuses more digits than Python's limit with ValueError, as
-    # Fraction's parser does; both are a bad rational, exit 2, not exit 3
+    # Fraction's parser does; both are a bad rational, exit 2, not exit 3,
+    # quoted by their start and length
     text = json.dumps({"n": 2, "weights": {"1-2": digits}})
     with pytest.raises(CharacterFormatError) as exc:
         character_from_json(text)
-    assert str(exc.value) == f"bad rational {digits!r} for key '1-2'"
+    quoted = f"{digits!r}"[:20] + f"... ({len(digits) + 2} characters)"
+    assert _quoted(digits) == quoted
+    assert str(exc.value) == f"bad rational {quoted} for key '1-2'"
     path = tmp_path / "digits.json"
     path.write_text(text)
     assert main(["classify", "--in", str(path)]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: bad rational {digits!r} for key '1-2'\n"
+    assert captured.err == f"error: bad rational {quoted} for key '1-2'\n"
 
 
 @pytest.mark.parametrize(
@@ -509,7 +530,7 @@ def test_parse_weight_agrees_with_fraction(text):
         if "exponent" in str(exc):  # refused before Fraction could expand it
             assert "e" in text.lower()
             return
-        assert str(exc) == f"bad rational {text!r} for key '1-2'"
+        assert str(exc) == f"bad rational {_quoted(text)} for key '1-2'"
         with pytest.raises((ValueError, ZeroDivisionError)):
             Fraction(text)
         return

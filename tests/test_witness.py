@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,9 @@ from braidsigma.classify import (
 from braidsigma.witness import (
     WitnessPackage,
     WitnessReport,
+    _connected,
     build_witness_for,
-    commuting_graph,
-    is_connected,
+    commutes_predicate,
     verify_witness,
     witness_to_json_dict,
 )
@@ -44,29 +45,38 @@ NOT_14_LINE = "pairs of 1..n that I does not give (1): [(1, 4)]"
 
 
 class TestCommutingGraph:
+    # C(J) joins two members of J that the predicate accepts; ``_connected``
+    # searches it from J's first member
     def test_triangle(self):
-        adj = commuting_graph([(1, 2), (3, 4), (5, 6)])
-        assert adj == [{1, 2}, {0, 2}, {0, 1}]
+        j_sets = [(1, 2), (3, 4), (5, 6)]
+        assert all(commutes_predicate(a, b) for a, b in combinations(j_sets, 2))
+        assert _connected(j_sets)
 
     def test_path(self):
-        adj = commuting_graph([(1, 2), (3, 4), (4, 5)])
-        assert adj[0] == {1, 2}
-        assert adj[1] == {0}
-        assert adj[2] == {0}
+        assert commutes_predicate((1, 2), (3, 4))
+        assert commutes_predicate((1, 2), (4, 5))
+        assert not commutes_predicate((3, 4), (4, 5))
+        # joined only through (1, 2), whichever member the search starts from
+        assert _connected([(1, 2), (3, 4), (4, 5)])
+        assert _connected([(3, 4), (4, 5), (1, 2)])
 
     def test_star_hexagon(self):
         n = 5
         comp = lambda i: tuple(k for k in range(1, n + 1) if k != i)
         j_sets = [(1, 4), (2, 4), (3, 4), comp(1), comp(2), comp(3)]
-        adj = commuting_graph(j_sets)
         # hexagon S14 - S_A2 - S34 - S_A1 - S24 - S_A3 - S14
         cycle = [0, 4, 2, 3, 1, 5]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            assert b in adj[a]
+            assert commutes_predicate(j_sets[a], j_sets[b])
+        assert _connected(j_sets)
 
     def test_connectivity(self):
-        assert is_connected(commuting_graph([(1, 2), (3, 4), (4, 5)]))
-        assert not is_connected(commuting_graph([(1, 2), (2, 3)]))
+        assert not _connected([(1, 2), (2, 3)])
+        assert not _connected([(1, 2), (3, 4), (2, 3)])
+        # no member, or one, is a connected graph
+        assert _connected([])
+        assert _connected([(1, 2)])
+        assert _connected(((1, 2),))
 
 
 class TestDominates:

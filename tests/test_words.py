@@ -14,13 +14,13 @@ from braidsigma.words import (
     swing_word,
 )
 from braidsigma.planar import (
-    BudgetExceededError,
     commute_wordlevel,
     verify_p3_relation,
     verify_rho,
     verify_swing_factorizations,
 )
-from braidsigma.witness import commutes_predicate
+from braidsigma.classify import Lemma
+from braidsigma.witness import _lemma_shape, commutes_predicate
 from conftest import braid_perm, is_pure
 
 
@@ -44,6 +44,35 @@ def random_word(n: int, rng: random.Random, max_len: int = 12) -> BraidWord:
 
 def is_reduced(w) -> bool:
     return all(x != -y for x, y in zip(w, w[1:]))
+
+
+def every_two_swing_sets(n: int) -> list:
+    """Every two distinct swing sets of size >= 2 on strands 1..n."""
+    strands = range(1, n + 1)
+    sets = [a for k in range(2, n + 1) for a in combinations(strands, k)]
+    return list(combinations(sets, 2))
+
+
+def images_commute(u, v) -> bool:
+    """Do the braids with images u and v commute?  The images of uv are
+    those of u with each letter replaced by its image under v (the
+    ``words`` convention), and those of vu likewise."""
+    apply = words._apply_images
+    return tuple(apply(v, x) for x in u) == tuple(apply(u, x) for x in v)
+
+
+def predicate_mismatches(n: int, pairs) -> list:
+    """The pairs (A, B) of swing sets at n on which ``commutes_predicate``
+    and the word engine disagree; each swing word's images are computed
+    once, with ``braid_aut``, and composed by ``images_commute``."""
+    images = {}
+    for a, b in pairs:
+        for s in (a, b):
+            if s not in images:
+                images[s] = braid_aut(swing_word(s, n))
+    return [
+        (a, b) for a, b in pairs if images_commute(images[a], images[b]) != commutes_predicate(a, b)
+    ]
 
 
 class TestArtinAction:
@@ -165,23 +194,31 @@ class TestWordLevelCommutation:
         )
 
     def test_matches_predicate_exhaustively(self):
-        # every two pairs of strands at n <= 6, and every two swing sets
-        # of size >= 2 at n <= 5 (6 + 55 + 325 at n = 3, 4, 5): nested sets
-        # too, which no two pairs are
-        inputs = [(n, list(combinations(range(1, n + 1), 2))) for n in range(2, 7)]
-        for n in range(2, 6):
-            strands = range(1, n + 1)
-            inputs.append((n, [a for k in range(2, n + 1) for a in combinations(strands, k)]))
-        for n, sets in inputs:
-            for a, b in combinations(sets, 2):
-                word_level = commute_wordlevel(swing_word(a, n), swing_word(b, n))
-                assert word_level == commutes_predicate(a, b), (n, a, b)
+        # every two swing sets of size >= 2 at n <= 7, nested sets too,
+        # which no two pairs are (6 + 55 + 325 + 1,596 + 7,140 pairs at
+        # n = 3..7); at n = 5 the composed images agree with the engine's
+        for a, b in every_two_swing_sets(5):
+            u, v = braid_aut(swing_word(a, 5)), braid_aut(swing_word(b, 5))
+            assert images_commute(u, v) == commute_wordlevel(swing_word(a, 5), swing_word(b, 5))
+        for n in range(3, 8):
+            assert predicate_mismatches(n, every_two_swing_sets(n)) == [], n
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            commute_wordlevel(
-                standard_pure_word(1, 2, 7), standard_pure_word(3, 4, 7)
-            )
+    def test_matches_predicate_on_table_shapes_at_8(self):
+        # every commutation a table shape reads at n = 8, the base the
+        # larger shapes carry from: J x J for C(J), J x I for domination
+        pairs = set()
+        for row in Lemma.__subclasses__():
+            (j_sets, i_sets, _), _ = _lemma_shape(row, 8)
+            reads = [*combinations(j_sets, 2), *((j, i) for j in j_sets for i in i_sets)]
+            pairs.update(tuple(sorted(p)) for p in reads if p[0] != p[1])
+        assert len(pairs) == 304
+        assert predicate_mismatches(8, sorted(pairs)) == []
+
+    def test_eight_strands(self):
+        # the engine has no strand cap: it runs at n = 8, the base of the
+        # carried shape checks
+        assert commute_wordlevel(standard_pure_word(1, 2, 8), standard_pure_word(3, 4, 8))
+        assert not commute_wordlevel(standard_pure_word(1, 3, 8), standard_pure_word(2, 8, 8))
 
 
 class TestIdentitySuite:
