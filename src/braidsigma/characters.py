@@ -223,18 +223,20 @@ def _printed(value: Fraction | int, name: str) -> str:
 
 
 QUOTE_WIDTH = 20
+PATH_WIDTH = 200
 
 
-def _quoted(value: object, render: Callable[[object], str] = repr) -> str:
+def _quoted(value: object, render: Callable[[object], str] = repr, width: int = QUOTE_WIDTH) -> str:
     """``render(value)`` as an error message quotes a value from outside:
-    in full up to QUOTE_WIDTH characters, else its start and its length,
-    so a message holding two stays under 300 bytes.  A value that holds an
-    int past Python's integer-string limit, or nests too deep, is named."""
+    in full up to ``width`` characters, else its start and its length, so
+    a message holding two values, or one file path quoted to PATH_WIDTH,
+    stays under 300 bytes.  A value that holds an int past Python's
+    integer-string limit, or nests too deep, is named."""
     try:
         text = render(value)
     except (ValueError, RecursionError):
         return "a value too large to print"
-    return text if len(text) <= QUOTE_WIDTH else f"{text[:QUOTE_WIDTH]}... ({len(text)} characters)"
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 
 def _check_perm(perm: Sequence[int], n: int) -> None:
@@ -407,8 +409,9 @@ def read_text(path: str) -> str:
                 data = f.read()
         return data.decode("utf-8")
     except FileNotFoundError:
-        raise CharacterFormatError(f"no such file: {path}") from None
+        raise CharacterFormatError(f"no such file: {_quoted(path, str, PATH_WIDTH)}") from None
     except OSError as exc:
-        raise CharacterFormatError(f"cannot read {path}: {exc.strerror}") from None
+        shown = _quoted(path, str, PATH_WIDTH)
+        raise CharacterFormatError(f"cannot read {shown}: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise CharacterFormatError(f"{path} is not UTF-8 text") from None
+        raise CharacterFormatError(f"{_quoted(path, str, PATH_WIDTH)} is not UTF-8 text") from None

@@ -18,7 +18,7 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import Edge, InputError, _count_text, _printed, _quoted
+from .characters import PATH_WIDTH, Edge, InputError, _count_text, _printed, _quoted
 from .characters import character_from_json, read_text
 from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
@@ -85,18 +85,21 @@ def cmd_graph(args: SimpleNamespace) -> bool:
             with open(args.dot, "w", encoding="utf-8") as f:
                 f.write(dot)
         except OSError as exc:
-            raise InputError(f"cannot write {args.dot}: {exc.strerror}") from None
+            shown = _quoted(args.dot, str, PATH_WIDTH)
+            raise InputError(f"cannot write {shown}: {exc.strerror}") from None
     else:
         print(dot, end="")
     return True
 
 
 def cmd_verify(args: SimpleNamespace) -> bool:
-    """The word-engine identity suite, one line per identity.  Its last
-    lines prove the four recovery factorizations of the lemma table for
-    every n, so witness verification need not check them again.  Each lies
-    on strands 1..5, so its words use only sigma_1..sigma_4, which fix
-    x_6..x_n: its images in F_n are those in F_5 with the other letters
+    """The word-engine identity suite, one line per identity, each stated
+    once in ``planar``: ``factorization_holds`` the swing identity, and
+    ``verify_planar_presentation`` the relations, rho's on its P_3 words.
+    The last four lines prove the recovery factorizations of the lemma
+    table for every n, so witness verification need not check them again.
+    Each lies on strands 1..5, so its words use only sigma_1..sigma_4, which
+    fix x_6..x_n: its images in F_n are those in F_5 with the other letters
     fixed, and an identity of P_5, checked here in every cyclic rotation of
     the product, holds in every P_n."""
     # only this command loads the identity suite

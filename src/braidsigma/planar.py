@@ -4,18 +4,28 @@ presentation of P_4 (generators a..f, nine relations, and rho onto P_3),
 and the recovery factorizations of the lemma table.  Only that command
 imports this module.
 
+Each identity is stated once.  ``factorization_holds`` is the one
+statement that a swing is the product of its factors' swings in every
+cyclic order: the triple swing factorizations and the P_3 relation
+abc = bca = cab are its records for a triple t, whose factors are t's
+three pairs and which recovers t's first pair.
+
 The planar generators live at a different basepoint than the standard
 one, so some of them are conjugates of standard pair generators: a, b,
 c, d and f are the standard pair generators on {1,2}, {1,3}, {2,3},
 {3,4} and {1,4}, and e is the one on {2,4} conjugated by sigma_2^2.
-``verify_planar_presentation`` checks words against all nine relations
-in the word engine, and ``verify_rho`` checks that identifying the
-disjoint-edge pairs a,d; b,e; c,f sends every relation to one of P_3.
+``verify_planar_presentation`` is the one relation check: it checks
+words against all nine relations in P_n for the n of the words.
+``verify_rho`` is that check on the P_3 words that identifying the
+disjoint-edge pairs a,d; b,e; c,f assigns to a..f.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
+from functools import reduce
+from itertools import combinations
+from operator import mul
 
 from .classify import Factorization
 from .words import BraidWord, braid_aut, standard_pure_word, swing_word
@@ -30,36 +40,25 @@ def commute_wordlevel(u: BraidWord, v: BraidWord) -> bool:
 # -- the P_3 identities ----------------------------------------------------
 
 
-def _products_equal(words: Sequence[BraidWord]) -> bool:
-    auts = [braid_aut(w) for w in words]
-    return all(h == auts[0] for h in auts[1:])
-
-
-def _cyclic_triple_words(i: int, j: int, k: int, n: int) -> list[BraidWord]:
-    p, q, r = (standard_pure_word(a, b, n) for a, b in ((i, j), (i, k), (j, k)))
-    return [p * q * r, q * r * p, r * p * q]
+def _triple_holds(t: tuple[int, int, int], n: int) -> bool:
+    """The swing on the triple t is the product of its three pairs in
+    every cyclic order, in P_n."""
+    return factorization_holds(Factorization(t, tuple(combinations(t, 2)), t[:2]), n)
 
 
 def verify_p3_relation() -> bool:
     """abc = bca = cab for a=S12, b=S13, c=S23 in P_3, and the product is
     central (commutes with a and b)."""
-    a = standard_pure_word(1, 2, 3)
-    b = standard_pure_word(1, 3, 3)
-    c = standard_pure_word(2, 3, 3)
-    if not _products_equal([a * b * c, b * c * a, c * a * b]):
-        return False
-    delta = a * b * c
-    return commute_wordlevel(delta, a) and commute_wordlevel(delta, b)
+    delta = swing_word((1, 2, 3), 3)
+    return _triple_holds((1, 2, 3), 3) and all(
+        commute_wordlevel(delta, standard_pure_word(1, j, 3)) for j in (2, 3)
+    )
 
 
 def verify_swing_factorizations() -> bool:
     """The three cyclic pair factorizations of a triple swing coincide, for
     every contiguous triple with up to 5 strands."""
-    for n in (3, 4, 5):
-        for i in range(1, n - 1):
-            if not _products_equal(_cyclic_triple_words(i, i + 1, i + 2, n)):
-                return False
-    return True
+    return all(_triple_holds((i, i + 1, i + 2), n) for n in (3, 4, 5) for i in range(1, n - 1))
 
 
 # -- the planar presentation of P_4 ----------------------------------------
@@ -89,35 +88,26 @@ def planar_words() -> dict[str, BraidWord]:
     return {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f}
 
 
-def _eval_letters(words: Mapping[str, BraidWord], letters: str, n: int) -> BraidWord:
-    out = BraidWord(n, ())
-    for ch in letters:
-        out = out * words[ch]
-    return out
+def _eval_letters(words: Mapping[str, BraidWord], letters: str) -> BraidWord:
+    return reduce(mul, [words[ch] for ch in letters])
 
 
 def verify_planar_presentation(words: Mapping[str, BraidWord]) -> dict[str, bool]:
-    """Check candidate words for the planar generators a..f of P_4 against
-    all nine planar relations; returns a per-relation report."""
+    """Check candidate words for the planar generators a..f against all
+    nine planar relations, in P_n for the n of the words; returns a
+    per-relation report."""
     return {
-        name: _products_equal([_eval_letters(words, side, 4) for side in (lhs, rhs)])
+        name: braid_aut(_eval_letters(words, lhs)) == braid_aut(_eval_letters(words, rhs))
         for name, lhs, rhs in PLANAR_RELATIONS
     }
 
 
 def verify_rho() -> bool:
-    """Substituting the disjoint-edge identification a,d -> a; b,e -> b;
-    c,f -> c into every planar relation yields an identity of P_3."""
-    p3_words = {
-        "a": standard_pure_word(1, 2, 3),
-        "b": standard_pure_word(1, 3, 3),
-        "c": standard_pure_word(2, 3, 3),
-    }
-    rho = str.maketrans(RHO_IMAGE)
-    return all(
-        _products_equal([_eval_letters(p3_words, side.translate(rho), 3) for side in (lhs, rhs)])
-        for _, lhs, rhs in PLANAR_RELATIONS
-    )
+    """The P_3 words that the disjoint-edge identification a,d -> a;
+    b,e -> b; c,f -> c assigns to a..f, with a=S12, b=S13, c=S23, satisfy
+    every planar relation."""
+    p3 = {x: standard_pure_word(*p, 3) for x, p in zip("abc", combinations((1, 2, 3), 2))}
+    return all(verify_planar_presentation({x: p3[y] for x, y in RHO_IMAGE.items()}).values())
 
 
 # -- the recovery factorizations -------------------------------------------
@@ -129,12 +119,7 @@ def factorization_holds(fact: Factorization, n: int) -> bool:
     each rotation keeps the identity from holding merely by the definition
     of the swing word."""
     target = braid_aut(swing_word(fact.added, n))
-    factors = list(fact.factors)
-    for shift in range(len(factors)):
-        rotated = factors[shift:] + factors[:shift]
-        prod = swing_word(rotated[0], n)
-        for f in rotated[1:]:
-            prod = prod * swing_word(f, n)
-        if braid_aut(prod) != target:
-            return False
-    return True
+    words = [swing_word(f, n) for f in fact.factors]
+    return all(
+        braid_aut(reduce(mul, words[k:] + words[:k])) == target for k in range(len(words))
+    )

@@ -133,18 +133,22 @@ class WitnessReport(Record):
 
     def failures(self) -> list[str]:
         """One line naming each condition that fails, with the length and
-        the first FAILURES_SHOWN members of a failing list; empty when all
-        hold."""
+        the first FAILURES_SHOWN members of a failing list, each quoted as
+        ``_quoted`` does, so a line stays short and never raises; empty when
+        all hold."""
         lines = []
-        k = FAILURES_SHOWN
+
+        def shown(s: list) -> str:
+            return f"({len(s)}): [{', '.join(_quoted(m) for m in s[:FAILURES_SHOWN])}]"
+
         if s := self.survival_failures:
-            lines.append(f"members of J whose swing vanishes ({len(s)}): {s[:k]}")
+            lines.append(f"members of J whose swing vanishes {shown(s)}")
         if not self.connected:
             lines.append("the commuting graph C(J) is not connected")
         if s := self.uncovered:
-            lines.append(f"members of I that J does not dominate ({len(s)}): {s[:k]}")
+            lines.append(f"members of I that J does not dominate {shown(s)}")
         if s := self.ungenerated:
-            lines.append(f"pairs of 1..n that I does not give ({len(s)}): {s[:k]}")
+            lines.append(f"pairs of 1..n that I does not give {shown(s)}")
         if not self.table_factorizations:
             lines.append("a factorization is not one of the lemma table's on strands 1..n")
         return lines

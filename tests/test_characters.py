@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from braidsigma import characters
 from braidsigma.characters import (
+    PATH_WIDTH,
     Character,
     CharacterFormatError,
     ZeroCharacterError,
@@ -99,6 +100,10 @@ def test_quoted_values_stay_short():
     # QUOTE_WIDTH characters, else by its start and its length; never raises
     assert _quoted("1-2") == "'1-2'" and _quoted("--a --b", str) == "--a --b"
     assert _quoted("x" * 30) == "'xxxxxxxxxxxxxxxxxxx... (32 characters)"
+    # a file path is quoted the same way, up to PATH_WIDTH characters
+    path = "p" * PATH_WIDTH
+    assert _quoted(path, str, PATH_WIDTH) == path
+    assert _quoted(path + "q", str, PATH_WIDTH) == f"{path}... ({PATH_WIDTH + 1} characters)"
     # an int past Python's integer-string limit, or nesting too deep
     too_large = "a value too large to print"
     nested = []
@@ -320,6 +325,10 @@ class TestJson:
         text = json.dumps(character_to_json_dict(chi0))
         assert character_from_json(text) == chi0
 
+    def test_missing_weights_is_error(self):
+        with pytest.raises(CharacterFormatError, match="missing key 'weights'"):
+            character_from_json_dict({"n": 3})
+
     def test_missing_key_is_error(self):
         data = character_to_json_dict(zero_character(3))
         del data["weights"]["1-3"]
@@ -439,6 +448,7 @@ class TestJson:
         st.tuples(st.integers(0, 5), st.fractions(max_denominator=20)), max_size=15
     )
 )
+@settings(derandomize=True, max_examples=100, deadline=None)
 def test_character_arithmetic_is_exact(entries):
     # sums of weights over any index set stay in lowest-terms rationals
     chi = zero_character(6)

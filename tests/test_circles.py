@@ -31,6 +31,10 @@ class TestEnumerate:
         assert len(enumerate_circles(4)) == 5
         assert len(enumerate_circles(6)) == 35
 
+    def test_n_below_two_is_refused(self):
+        with pytest.raises(ValueError, match="need n >= 2, got 1"):
+            enumerate_circles(1)
+
     def test_order(self):
         ids = enumerate_circles(4)
         assert ids[0] == CircleId("P3", (1, 2, 3))
@@ -186,6 +190,10 @@ class TestLocate:
     def test_nonzero_delta_misses_all(self, chi0):
         assert delta_value(chi0) != 0
         assert locate_circle(chi0) is None
+
+    def test_zero_character_is_refused(self):
+        with pytest.raises(ZeroCharacterError, match="undefined for the zero character"):
+            locate_circle(zero_character(4))
 
 
 class TestSample:

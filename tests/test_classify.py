@@ -20,6 +20,7 @@ from braidsigma.classify import (
     ZeroSum,
     classification_to_json_dict,
     classify,
+    _complete_perm,
     verify_certificate,
 )
 from braidsigma.witness import build_witness_for, verify_witness
@@ -183,6 +184,22 @@ class TestPipelineStages:
         chi = sparse(5, {(1, 2): 1, (2, 3): -1, (3, 4): 1, (4, 5): -1})
         with pytest.raises(InternalError, match="star or small"):
             classify(chi)
+
+    def test_a_four_vertex_shape_without_disjoint_edges_is_an_internal_error(self, monkeypatch):
+        # a zero-sum triangle with a pendant edge has one leaf, so it reaches
+        # the disjoint-pair search, which hiding leaves no pair to find
+        monkeypatch.setattr(sys.modules[classify.__module__], "find_disjoint_pair", lambda g: None)
+        chi = sparse(4, {(1, 2): 1, (1, 3): 1, (2, 3): 1, (3, 4): -3})
+        with pytest.raises(InternalError, match="must contain disjoint edges"):
+            classify(chi)
+
+    def test_others_sharing_no_vertex_name_no_strands(self):
+        with pytest.raises(InternalError, match="do not share exactly one vertex"):
+            DisjointPair((5, 6), ((1, 2), (3, 4))).named()
+
+    def test_a_repeated_named_strand_completes_no_perm(self):
+        with pytest.raises(InternalError, match="repeat"):
+            _complete_perm((1, 2, 1), 4)
 
 
 class TestAgreementWithCircles:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import braidsigma
 from braidsigma import cli, commands, planar, witness
-from braidsigma.characters import MAX_EXPONENT, InternalError, delta_value
+from braidsigma.characters import MAX_EXPONENT, PATH_WIDTH, InternalError, delta_value
 from braidsigma.classify import Classification, Star, ZeroSum
 from braidsigma.cli import (
     EXIT_INPUT_ERROR,
@@ -435,6 +435,28 @@ def test_graph_and_circles_input_errors_in_a_child(args, message, chi0_file, tmp
     assert proc.stderr == f"error: {fill(message)}\n"
 
 
+LONG_PATH = "a" * 20000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--in", LONG_PATH],
+        ["classify", "--in", f"/nonexistent/{LONG_PATH}"],
+        ["graph", "--in", "{chi}", "--dot", LONG_PATH],
+    ],
+    ids=["in", "in-under-a-missing-directory", "dot"],
+)
+def test_a_long_path_prints_its_start_and_its_length(args, chi0_file):
+    # a path is quoted in full up to PATH_WIDTH characters, else by its
+    # start and its length, so the line stays short whatever the path
+    proc = run_child(["-m", "braidsigma.cli", *(a.replace("{chi}", chi0_file) for a in args)])
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, ""), proc.stderr[:300]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr.encode()) < 300
+    assert f"{args[-1][:PATH_WIDTH]}... ({len(args[-1])} characters)" in proc.stderr
+
+
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -703,13 +725,45 @@ class TestGraph:
         assert "v1 -- v2" in text
 
 
+# the bytes ``braidsigma verify`` prints: names, order and alignment
+VERIFY_OUTPUT = (
+    "triple swing factorizations               pass\n"
+    "P3 relation abc=bca=cab, central product  pass\n"
+    "rho images of planar relations            pass\n"
+    "planar relation abc=bca                   pass\n"
+    "planar relation bca=cab                   pass\n"
+    "planar relation ad=da                     pass\n"
+    "planar relation cde=dec                   pass\n"
+    "planar relation dec=ecd                   pass\n"
+    "planar relation be=eb                     pass\n"
+    "planar relation bfd=fdb                   pass\n"
+    "planar relation fdb=dbf                   pass\n"
+    "planar relation cf=fc                     pass\n"
+    "recovery factorization (1, 4, 5)          pass\n"
+    "recovery factorization (2, 4, 5)          pass\n"
+    "recovery factorization (1, 3, 4)          pass\n"
+    "recovery factorization (2, 3, 4)          pass\n"
+)
+
+
 class TestVerify:
     def test_suite_passes(self, capsys):
         assert main(["verify"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "pass" in out
-        assert "FAIL" not in out
-        assert "planar relation abc=bca" in out
+        assert capsys.readouterr().out == VERIFY_OUTPUT
+
+    def test_the_triple_swing_lines_are_factorization_records(self, capsys, monkeypatch):
+        # the triple swing lines and the P3 line check the swing on a triple
+        # through factorization_holds alone, so refusing the swing on (1, 2, 3)
+        # in P_3 fails both and nothing else
+        holds = planar.factorization_holds
+
+        def refusing_p3(fact, n):
+            return (fact.added, n) != ((1, 2, 3), 3) and holds(fact, n)
+
+        monkeypatch.setattr(planar, "factorization_holds", refusing_p3)
+        assert main(["verify"]) == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.endswith("  FAIL")] == lines[:2]
 
     def test_recovery_factorizations_are_proved(self, capsys, monkeypatch):
         assert main(["verify"]) == EXIT_OK

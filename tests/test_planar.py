@@ -1,4 +1,7 @@
-from braidsigma.planar import planar_words, verify_planar_presentation
+from itertools import combinations
+
+from braidsigma import planar
+from braidsigma.planar import RHO_IMAGE, planar_words, verify_planar_presentation
 from braidsigma.words import braid_aut, standard_pure_word
 from conftest import is_pure
 
@@ -52,3 +55,28 @@ class TestCommittedWordList:
         report = verify_planar_presentation(words)
         assert not (report["cde=dec"] and report["dec=ecd"])
 
+
+
+class TestRho:
+    def rho_words(self):
+        """The P_3 words rho assigns to a..f, with a=S12, b=S13, c=S23."""
+        p3 = {x: standard_pure_word(*p, 3) for x, p in zip("abc", combinations((1, 2, 3), 2))}
+        return p3, {x: p3[y] for x, y in RHO_IMAGE.items()}
+
+    def test_rho_words_satisfy_every_relation_in_p3(self):
+        # the relation check reads the strand count from its words
+        p3, words = self.rho_words()
+        assert all(verify_planar_presentation(words).values())
+        # d sent to b instead of a breaks ad=da: S12 and S13 do not commute
+        assert not verify_planar_presentation({**words, "d": p3["b"]})["ad=da"]
+
+    def test_verify_rho_is_the_presentation_check(self, monkeypatch):
+        seen = []
+        check = planar.verify_planar_presentation
+
+        def recording(words):
+            seen.append(words)
+            return check(words)
+
+        monkeypatch.setattr(planar, "verify_planar_presentation", recording)
+        assert planar.verify_rho() and seen == [self.rho_words()[1]]

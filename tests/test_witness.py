@@ -292,6 +292,21 @@ class TestVerifyWitness:
             f"pairs of 1..n that I does not give (10): {list(all_edges(5))[:8]}"
         ]
 
+    @pytest.mark.parametrize(
+        "member", [(1, *range(6, 3001)), (1, 10**5000)], ids=["long", "past-the-digit-limit"]
+    )
+    def test_a_listed_member_is_quoted_short(self, member):
+        # a member prints as ``_quoted`` quotes it: a long one by its start
+        # and its length, one past Python's integer-string limit by name
+        chi = sparse(5, {(1, 2): 1})
+        pkg = build_witness_for(classify(chi), chi)
+        assert pkg.lemma == "zero_sum"
+        report = verify_witness(pkg._replace(i_sets=(*pkg.i_sets, member)), chi)
+        assert report.uncovered == [member] and report.ok is False
+        (line,) = report.failures()
+        assert line.startswith("members of I that J does not dominate (1): [")
+        assert len(line.encode()) < 500
+
     def test_disconnected_j_detected(self):
         chi = sparse(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
         pkg = WitnessPackage("zero_sum", (1, 2, 3), ((1, 2), (2, 3)), tuple(all_edges(3)))

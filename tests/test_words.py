@@ -160,6 +160,14 @@ class TestStandardPureWords:
     def test_sigma_not_pure(self):
         assert braid_perm(BraidWord(3, (1,))) == (2, 1, 3)
 
+    def test_a_letter_out_of_range_is_refused(self):
+        with pytest.raises(ValueError, match="letter 3 out of range for 3 strands"):
+            BraidWord(3, (3,))
+
+    def test_a_pair_that_is_no_pair_of_strands_is_refused(self):
+        with pytest.raises(ValueError, match=r"need 1 <= i < j <= n, got \(2, 2\)"):
+            standard_pure_word(2, 2, 3)
+
 
 class TestCommutesPredicate:
     def test_arc_separated(self):
