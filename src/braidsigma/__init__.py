@@ -9,7 +9,6 @@ from .characters import (
     character_from_json,
     delta_value,
     permute,
-    swing_value,
 )
 from .chargraph import build_kchi, shape_classify
 from .circles import CircleId, locate_circle
@@ -32,7 +31,6 @@ __all__ = [
     "locate_circle",
     "permute",
     "shape_classify",
-    "swing_value",
     "verify_certificate",
     "verify_witness",
 ]

@@ -119,11 +119,10 @@ class Character(Record):
     derived facts are cached on the instance, outside its fields: ``_delta``
     (Delta as an integer pair) and ``chargraph.build_kchi`` (K_chi, labeled
     by the support itself), so ``support`` must never be mutated.  The
-    constructor refuses an ``n`` that is not an int >= 2, a ``support``
-    that is not a Mapping, a key that
-    ``_is_pair`` refuses, a zero value and a value that is not an int or a
-    Fraction (a float is not exact), in O(|support|).  The hash is over
-    ``n`` and the support's items, so it agrees with ``==``.
+    constructor refuses, in O(|support|), an ``n`` that is not an int >= 2,
+    a ``support`` that is not a Mapping, a key that ``_is_pair`` refuses, a
+    zero value and a value that is not an int or a Fraction (a float is not
+    exact).  The hash is over ``n`` and the support's items, as ``==`` is.
     """
 
     def __init__(self, n: int, support: Mapping[Edge, Fraction]) -> None:
@@ -148,12 +147,6 @@ class Character(Record):
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.support.items())))
-
-    def weight(self, i: int, j: int) -> Fraction:
-        return self.support.get(edge(i, j), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.support
 
 
 def _pair_sum(pairs: Iterable[Pair]) -> Pair:
@@ -201,11 +194,6 @@ def _equals(value: object, pair: Pair) -> bool:
     return type(value) in (int, Fraction) and value.numerator * d == x * value.denominator
 
 
-def swing_value(chi: Character, a: Iterable[int]) -> Fraction:
-    """Value of the character on S_A: the sum of weights over pairs inside A."""
-    return Fraction(*_swing_pair(chi, swing_set(a, chi.n)))
-
-
 def delta_value(chi: Character) -> Fraction:
     """Value on the central full twist: sum of all edge weights."""
     return Fraction(*_delta(chi))
@@ -227,16 +215,22 @@ PATH_WIDTH = 200
 
 
 def _quoted(value: object, render: Callable[[object], str] = repr, width: int = QUOTE_WIDTH) -> str:
-    """``render(value)`` as an error message quotes a value from outside:
-    in full up to ``width`` characters, else its start and its length, so
-    a message holding two values, or one file path quoted to PATH_WIDTH,
-    stays under 300 bytes.  A value that holds an int past Python's
-    integer-string limit, or nests too deep, is named."""
+    """``render(value)`` as an error line quotes a value from outside (a
+    count with ``str`` and COUNT_DIGITS): in full if its UTF-8 fits in
+    ``width`` bytes, else the start that fits and its length, unprintable
+    characters escaped as by ``repr``, so the line stays one line under 300
+    bytes.  A value too large or too deep to render is named."""
     try:
         text = render(value)
     except (ValueError, RecursionError):
         return "a value too large to print"
-    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
+    shown = ""
+    for c in text:
+        c = c if c.isprintable() else repr(c)[1:-1]
+        if (width := width - len(c.encode())) < 0:
+            return f"{shown}... ({len(text)} characters)"
+        shown += c
+    return shown
 
 
 def _check_perm(perm: Sequence[int], n: int) -> None:
@@ -276,11 +270,6 @@ MAX_EXPONENT = 4300
 _WEIGHT_MEMO_SIZE = 1024
 _WEIGHT_MEMO_LENGTH = 32
 _weight_memo: dict[str, tuple[Fraction, Pair | None]] = {}
-
-
-def _count_text(count: int) -> str:
-    """``count`` in full below 10**COUNT_DIGITS, else a fixed form that stays short."""
-    return str(count) if count < 10**COUNT_DIGITS else f"10**{COUNT_DIGITS} or more"
 
 
 def _parse_weight(key: str, val: str | int) -> Fraction:
@@ -375,7 +364,7 @@ def character_from_json_dict(data: dict) -> Character:
         shown = [f"{i}-{j}" for i, j in islice(absent, MISSING_KEYS_SHOWN)]
         count = expected - len(raw)
         more = ", ..." if count > len(shown) else ""
-        counts = f"{_count_text(count)} of {_count_text(expected)}"
+        counts = f"{_quoted(count, str, COUNT_DIGITS)} of {_quoted(expected, str, COUNT_DIGITS)}"
         raise CharacterFormatError(f"missing weight keys ({counts}): {shown}{more}")
     # the keys are now proved to be exactly the pairs of 1..n, and only
     # nonzero values entered the support, so the constructor's check of

@@ -18,7 +18,7 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import PATH_WIDTH, Edge, InputError, _count_text, _printed, _quoted
+from .characters import COUNT_DIGITS, PATH_WIDTH, Edge, InputError, _printed, _quoted
 from .characters import character_from_json, read_text
 from .chargraph import CharGraph, build_kchi
 from .circles import P3, P4, CircleId
@@ -45,8 +45,8 @@ def cmd_circles(args: SimpleNamespace) -> bool:
         raise InputError(f"need n >= 2, got {_quoted(n)}")
     count = comb(n, 3) + comb(n, 4)
     if count > MAX_CIRCLES:
-        counts = f"n = {_count_text(n)} gives {_count_text(count)} circles"
-        raise InputError(f"{counts}, more than the {MAX_CIRCLES} allowed")
+        counts = f"n = {_quoted(n, str, COUNT_DIGITS)} gives {_quoted(count, str, COUNT_DIGITS)}"
+        raise InputError(f"{counts} circles, more than the {MAX_CIRCLES} allowed")
     # the bytes of json.dumps(enumerate_circles(n)) plus a newline, without
     # holding the list: each circle is formatted from its strands, in the
     # order of enumerate_circles, and written CIRCLES_PER_WRITE at a time

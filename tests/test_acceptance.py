@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from braidsigma.characters import permute, swing_value
+from braidsigma.characters import permute
 from braidsigma.circles import CircleId, locate_circle, on_circle
 from braidsigma.classify import COMPLEMENT, SIGMA1, ZeroSum, classify
 from braidsigma.commands import enumerate_circles, oracle_star_or_small
@@ -25,7 +25,7 @@ from braidsigma.planar import (
 )
 from braidsigma.witness import build_witness_for, commutes_predicate, verify_witness
 from braidsigma.words import BraidWord, braid_aut, standard_pure_word
-from conftest import dense, random_nonzero_character, random_perm, scale
+from conftest import dense, random_nonzero_character, random_perm, scale, swing
 
 GRID_VALUES = range(-2, 3)
 PAIRS4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -61,9 +61,9 @@ def test_figure_character_swings_and_verdict(chi0, capsys):
     cls = classify(chi0)
     elapsed = time.perf_counter() - start
     ok = (
-        swing_value(chi0, (1, 2, 4)) == -1
-        and swing_value(chi0, (1, 2, 3)) == 0
-        and swing_value(chi0, (1, 2, 3, 4)) == -3
+        swing(chi0, (1, 2, 4)) == -1
+        and swing(chi0, (1, 2, 3)) == 0
+        and swing(chi0, (1, 2, 3, 4)) == -3
         and cls.verdict == SIGMA1
         and isinstance(cls.certificate, ZeroSum)
         and elapsed < 0.001
@@ -122,16 +122,17 @@ def test_triple_sums(capsys):
         chi = dense(
             4, {(1, 2): x, (3, 4): x, (1, 3): y, (2, 4): y, (1, 4): z, (2, 3): z}
         )
-        ok = ok and all(swing_value(chi, t) == 0 for t in triangles)
+        ok = ok and all(swing(chi, t) == 0 for t in triangles)
         ok = ok and on_circle(chi, cid)
         built += 1
     converse = True
     for chi in grid_characters():
-        if all(swing_value(chi, t) == 0 for t in triangles):
+        if all(swing(chi, t) == 0 for t in triangles):
+            w = chi.support.get
             converse = converse and (
-                chi.weight(1, 2) == chi.weight(3, 4)
-                and chi.weight(1, 3) == chi.weight(2, 4)
-                and chi.weight(1, 4) == chi.weight(2, 3)
+                w((1, 2), 0) == w((3, 4), 0)
+                and w((1, 3), 0) == w((2, 4), 0)
+                and w((1, 4), 0) == w((2, 3), 0)
             )
     ok = ok and converse
     report(capsys, "triple sums: 1000 zero-sum reconstructions + grid converse", ok)

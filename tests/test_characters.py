@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from braidsigma import characters
 from braidsigma.characters import (
+    COUNT_DIGITS,
     PATH_WIDTH,
     Character,
     CharacterFormatError,
@@ -17,13 +19,13 @@ from braidsigma.characters import (
     _pair_sum,
     _parse_weight,
     _quoted,
+    _swing_pair,
     all_edges,
     character_from_json,
     character_from_json_dict,
     delta_value,
     permute,
     swing_set,
-    swing_value,
 )
 from braidsigma.cli import EXIT_INPUT_ERROR, main
 from conftest import (
@@ -36,6 +38,7 @@ from conftest import (
     random_perm,
     scale,
     sparse,
+    swing,
     zero_character,
 )
 
@@ -97,10 +100,10 @@ def test_constructor_takes_only_an_int_n_of_two_or_more(n):
 
 def test_quoted_values_stay_short():
     # an error message quotes a value from outside in full up to
-    # QUOTE_WIDTH characters, else by its start and its length; never raises
+    # QUOTE_WIDTH bytes, else by its start and its length; never raises
     assert _quoted("1-2") == "'1-2'" and _quoted("--a --b", str) == "--a --b"
     assert _quoted("x" * 30) == "'xxxxxxxxxxxxxxxxxxx... (32 characters)"
-    # a file path is quoted the same way, up to PATH_WIDTH characters
+    # a file path is quoted the same way, up to PATH_WIDTH bytes
     path = "p" * PATH_WIDTH
     assert _quoted(path, str, PATH_WIDTH) == path
     assert _quoted(path + "q", str, PATH_WIDTH) == f"{path}... ({PATH_WIDTH + 1} characters)"
@@ -112,6 +115,31 @@ def test_quoted_values_stay_short():
     assert _quoted(10**5000) == _quoted([1, 10**5000]) == _quoted(nested) == too_large
     with pytest.raises(CharacterFormatError, match=f"got n={too_large}$"):
         Character(-(10**5000), {(1, 2): 1})
+
+
+def test_quoted_text_is_one_printable_line_of_bounded_bytes():
+    # what is not printable shows as repr escapes it, so no value can end
+    # the line it is quoted in
+    assert _quoted("x\nerror: forged", str) == "x\\nerror: forged"
+    assert _quoted("a\u2028b\x1bc\udcff", str) == "a\\u2028b\\x1bc\\udcff"
+    # the width is in bytes of UTF-8, and an escape is shown whole or not at all
+    assert _quoted("é" * 30, str) == "é" * 10 + "... (30 characters)"
+    assert _quoted("\n" * 30, str) == "\\n" * 10 + "... (30 characters)"
+    assert _quoted("ab\x1b", str, 4) == "ab... (3 characters)"
+    assert _quoted("ab\x1b", str, 6) == "ab\\x1b"
+
+
+def test_a_count_of_ten_to_the_thirty_or_more_prints_its_start_and_its_length():
+    assert COUNT_DIGITS == 30
+    assert _quoted(10**30 - 1, str, COUNT_DIGITS) == "9" * 30
+    assert _quoted(10**30, str, COUNT_DIGITS) == "1" + "0" * 29 + "... (31 characters)"
+    big = 12345 * 10**40
+    assert _quoted(big, str, COUNT_DIGITS) == f"{str(big)[:30]}... (45 characters)"
+    # as the missing-keys line prints them: C(10**16, 2) has 32 digits
+    count = str(comb(10**16, 2))[:30] + "... (32 characters)"
+    with pytest.raises(CharacterFormatError) as exc:
+        character_from_json_dict({"n": 10**16, "weights": {}})
+    assert str(exc.value).startswith(f"missing weight keys ({count} of {count}): ['1-2', ")
 
 
 @pytest.mark.parametrize("build", [dense, sparse])
@@ -127,7 +155,7 @@ def test_dense_and_sparse_keep_only_nonzero_values():
     full = dense(3, {(2, 1): "1/2", (1, 3): 0, (3, 2): Fraction(0, 5)})
     part = sparse(3, {(1, 2): Fraction(1, 2), (2, 3): "0"})
     assert full.support == part.support == {(1, 2): Fraction(1, 2)}
-    assert full == part and full.weight(1, 3) == 0 and full.weight(3, 1) == 0
+    assert full == part and (1, 3) not in full.support
 
 
 def test_equal_characters_hash_equal():
@@ -154,34 +182,31 @@ def test_dense_and_sparse_refuse_inexact_values(build, value):
 def test_constructor_takes_only_ints_and_fractions(value):
     with pytest.raises(CharacterFormatError, match=re.escape(f"pair (1, 3) has weight {value!r}")):
         Character(3, {(1, 2): 1, (1, 3): value})
-    assert Character(3, {(1, 2): 1, (1, 3): Fraction(1, 2)}).weight(1, 3) == Fraction(1, 2)
+    assert Character(3, {(1, 2): 1, (1, 3): Fraction(1, 2)}).support[(1, 3)] == Fraction(1, 2)
 
 
 def test_scale_refuses_a_float():
     chi = sparse(3, {(1, 2): 1})
     with pytest.raises(CharacterFormatError, match="scale factor is 0.1"):
         scale(chi, 0.1)
-    assert scale(chi, "1/10").weight(1, 2) == Fraction(1, 10)
+    assert scale(chi, "1/10").support == {(1, 2): Fraction(1, 10)}
+
+
+def package_swing(chi, a) -> Fraction:
+    """The swing value on ``a`` as ``classify`` and ``witness`` sum it."""
+    return Fraction(*_swing_pair(chi, swing_set(a, chi.n)))
 
 
 class TestSwingValue:
+    # the package's unreduced sum against the conftest oracle
     def test_figure_triples(self, chi0):
-        assert swing_value(chi0, (1, 2, 4)) == -1
-        assert swing_value(chi0, (1, 2, 3)) == 0
-        assert swing_value(chi0, (1, 2, 3, 4)) == -3
-
-    def test_out_of_range(self, chi0):
-        with pytest.raises(IndexError):
-            swing_value(chi0, (1, 2, 5))
-
-    @pytest.mark.parametrize("members", [5, ("a", 1)])
-    def test_strands_that_are_not_ints_are_a_value_error(self, chi0, members):
-        with pytest.raises(ValueError, match="strands must be ints"):
-            swing_value(chi0, members)
+        triples = [(1, 2, 4), (1, 2, 3), (1, 2, 3, 4)]
+        assert [package_swing(chi0, a) for a in triples] == [-1, 0, -3]
+        assert [swing(chi0, a) for a in triples] == [-1, 0, -3]
 
     def test_any_iterable_of_strands(self, chi0):
         shapes = [(2, 3, 4), [4, 2, 3], {2, 3, 4}, range(2, 5), iter([3, 4, 2])]
-        assert [swing_value(chi0, a) for a in shapes] == [-4] * 5
+        assert [package_swing(chi0, a) for a in shapes] == [-4] * 5
 
     def test_additive_over_sum(self):
         rng = random.Random(7)
@@ -190,9 +215,7 @@ class TestSwingValue:
             b = random_character(5, rng)
             subset = (1, 3, 4, 5)
             total = add_characters(a, b)
-            assert swing_value(total, subset) == swing_value(a, subset) + swing_value(
-                b, subset
-            )
+            assert package_swing(total, subset) == swing(a, subset) + swing(b, subset)
 
 
 class TestDeltaValue:
@@ -213,12 +236,7 @@ class TestPermute:
 
     def test_transposition(self, chi0):
         swapped = permute(chi0, (2, 1, 3, 4))
-        assert swapped.weight(1, 2) == 3
-        assert swapped.weight(2, 3) == 2
-        assert swapped.weight(2, 4) == -4
-        assert swapped.weight(1, 3) == -5
-        assert swapped.weight(1, 4) == 0
-        assert swapped.weight(3, 4) == 1
+        assert swapped.support == {(1, 2): 3, (2, 3): 2, (2, 4): -4, (1, 3): -5, (3, 4): 1}
 
     def test_group_action(self):
         rng = random.Random(11)
@@ -233,7 +251,8 @@ class TestPermute:
     def test_a_tuple_a_list_and_a_range_give_one_character(self, chi0):
         perms = [(4, 3, 2, 1), [4, 3, 2, 1], range(4, 0, -1)]
         images = [permute(chi0, perm) for perm in perms]
-        assert images[0] == images[1] == images[2] and images[0].weight(3, 4) == chi0.weight(1, 2)
+        assert images[0] == images[1] == images[2]
+        assert images[0].support[(3, 4)] == chi0.support[(1, 2)]
         assert permute(chi0, range(1, 5)) == chi0
 
     def test_rejects_non_bijection(self, chi0):
@@ -252,13 +271,10 @@ class TestPullbackPhi:
     def test_index_transport(self):
         psi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         chi = pullback_phi(psi, (2, 4, 5), 5)
-        assert chi.weight(2, 4) == 1
-        assert chi.weight(2, 5) == 1
-        assert chi.weight(4, 5) == -2
-        assert len(chi.support) == 3
+        assert chi.support == {(2, 4): 1, (2, 5): 1, (4, 5): -2}
 
     def test_zero(self):
-        assert pullback_phi(zero_character(3), (1, 2, 3), 6).is_zero()
+        assert not pullback_phi(zero_character(3), (1, 2, 3), 6).support
 
     def test_delta_preserved(self):
         rng = random.Random(13)
@@ -273,9 +289,9 @@ class TestPullbackPhi:
             psi = random_character(3, rng)
             a = (2, 4, 5)
             chi = pullback_phi(psi, a, 6)
-            assert swing_value(chi, (2, 4)) == swing_value(psi, (1, 2))
-            assert swing_value(chi, (4, 5)) == swing_value(psi, (2, 3))
-            assert swing_value(chi, a) == swing_value(psi, (1, 2, 3))
+            assert swing(chi, (2, 4)) == swing(psi, (1, 2))
+            assert swing(chi, (4, 5)) == swing(psi, (2, 3))
+            assert swing(chi, a) == swing(psi, (1, 2, 3))
 
     def test_size_mismatch(self):
         psi = zero_character(3)
@@ -287,11 +303,11 @@ class TestPullbackRho:
     def test_edge_dictionary(self):
         psi = sparse(3, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
         chi = pullback_rho(psi)
-        ordered = [chi.weight(*e) for e in all_edges(4)]
+        ordered = [chi.support.get(e, 0) for e in all_edges(4)]
         assert ordered == [1, 1, -2, -2, 1, 1]
 
     def test_zero(self):
-        assert pullback_rho(zero_character(3)).is_zero()
+        assert not pullback_rho(zero_character(3)).support
 
     def test_delta_doubles(self):
         rng = random.Random(19)
@@ -307,7 +323,7 @@ class TestSwingSet:
             swing_set([3], 5)
         with pytest.raises(ValueError):
             swing_set([3, 3], 5)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=re.escape("swing set (1, 9) out of range 1..5")):
             swing_set([1, 9], 5)
 
     @pytest.mark.parametrize(
@@ -337,7 +353,7 @@ class TestJson:
 
     def test_rational_strings(self):
         data = {"n": 2, "weights": {"1-2": "-7/3"}}
-        assert character_from_json_dict(data).weight(1, 2) == Fraction(-7, 3)
+        assert character_from_json_dict(data).support[(1, 2)] == Fraction(-7, 3)
 
     def test_bad_rational(self):
         data = {"n": 2, "weights": {"1-2": "x"}}
@@ -351,7 +367,7 @@ class TestJson:
 
     def test_integer_weights(self):
         data = {"n": 2, "weights": {"1-2": -4}}
-        assert character_from_json_dict(data).weight(1, 2) == -4
+        assert character_from_json_dict(data).support[(1, 2)] == -4
 
     def test_float_rejected(self):
         # meant as a P3 circle point, but 0.1 + 0.2 - 0.3 != 0 in binary
@@ -368,9 +384,8 @@ class TestJson:
     def test_exponent_notation_accepted(self):
         data = {"n": 3, "weights": {"1-2": "1e3", "1-3": "2.5E-2", "2-3": "-1e-4300"}}
         chi = character_from_json_dict(data)
-        assert chi.weight(1, 2) == 1000
-        assert chi.weight(1, 3) == Fraction(1, 40)
-        assert chi.weight(2, 3) == Fraction(-1, 10**4300)
+        tiny = Fraction(-1, 10**4300)
+        assert chi.support == {(1, 2): 1000, (1, 3): Fraction(1, 40), (2, 3): tiny}
 
     @pytest.mark.parametrize(
         "val", ["1e4301", "1E-4301", "2.5e+99999", "-1e10000000", "1e1_0000000"]
@@ -407,7 +422,7 @@ class TestJson:
             by_raw = {}
             for key, val in raw.items():
                 i, j = map(int, key.split("-"))
-                got = chi.weight(i, j)
+                got = chi.support.get((i, j), Fraction(0))
                 assert type(got) is Fraction and got == Fraction(val), (key, val)
                 if got:  # the support's values are shared per raw value
                     assert by_raw.setdefault((type(val), val), got) is got
@@ -818,8 +833,6 @@ def test_parser_keeps_exactly_the_nonzero_pairs(case):
         exact = {e: Fraction(str(v)) for e, v in zip(pairs, values)}
         chi = want[0]
         assert chi.support == {e: v for e, v in exact.items() if v != 0}
-        for (i, j), v in exact.items():
-            assert chi.weight(i, j) == v and chi.weight(j, i) == v
     else:
         assert want[0] == "refused" and repr(keys[place]) in want[1]
     # the same weights in another key order, or with some keys spelled j-i
@@ -910,7 +923,7 @@ class TestWeightMemo:
 
     def test_subclasses_and_integers_take_the_parser(self, memo):
         warm = character_from_json_dict({"n": 2, "weights": {"1-2": "1"}})
-        assert warm.weight(1, 2) == 1 and list(memo) == ["1"]
+        assert warm.support == {(1, 2): 1} and list(memo) == ["1"]
         # equal to "1" and of equal hash, but its own methods refuse it
         with pytest.raises(CharacterFormatError, match="exponent of weight for key '1-2'"):
             character_from_json_dict({"n": 2, "weights": {"1-2": Shouted("1")}})
@@ -923,7 +936,7 @@ class TestWeightMemo:
         size = characters._WEIGHT_MEMO_SIZE
         for k in range(size + 20):
             chi = character_from_json_dict({"n": 2, "weights": {"1-2": f"{k}/7"}})
-            assert chi.weight(1, 2) == Fraction(k, 7)
+            assert chi.support.get((1, 2), 0) == Fraction(k, 7)
             assert len(memo) == min(k + 1, size)
         assert f"{size}/7" not in memo and f"{size - 1}/7" in memo
 

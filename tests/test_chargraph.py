@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from braidsigma.characters import Character, InternalError, swing_value
+from braidsigma.characters import Character, InternalError
 from braidsigma.chargraph import (
     build_kchi,
     find_disjoint_pair,
@@ -15,7 +15,7 @@ from braidsigma.chargraph import (
     shape_classify,
 )
 from braidsigma.commands import to_dot
-from conftest import add_characters, dense, sparse, zero_character
+from conftest import add_characters, dense, sparse, swing, zero_character
 
 
 def graph_of(n, edges):
@@ -39,10 +39,11 @@ def triple_sum_consequences(chi: Character) -> Optional[MatchingValues]:
     if chi.n != 4:
         raise ValueError(f"triple_sum_consequences needs n=4, got n={chi.n}")
     for triple in combinations(range(1, 5), 3):
-        if swing_value(chi, triple) != 0:
+        if swing(chi, triple) != 0:
             return None
-    x, y, z = chi.weight(1, 2), chi.weight(1, 3), chi.weight(1, 4)
-    if not (x == chi.weight(3, 4) and y == chi.weight(2, 4) and z == chi.weight(2, 3)):
+    w = chi.support.get
+    x, y, z = w((1, 2), 0), w((1, 3), 0), w((1, 4), 0)
+    if not (x == w((3, 4), 0) and y == w((2, 4), 0) and z == w((2, 3), 0)):
         raise InternalError("vanishing triangles must force equal opposite edges")
     if x + y + z != 0:
         raise InternalError("vanishing triangles must force a zero matching sum")
@@ -227,11 +228,12 @@ class TestTripleSums:
         for vals in product((-1, 0, 1), repeat=6):
             chi = dense(4, dict(zip(pairs, map(Fraction, vals))))
             mv = triple_sum_consequences(chi)
+            w = {e: chi.support.get(e, 0) for e in pairs}
             matches = (
-                chi.weight(1, 2) == chi.weight(3, 4)
-                and chi.weight(1, 3) == chi.weight(2, 4)
-                and chi.weight(1, 4) == chi.weight(2, 3)
-                and chi.weight(1, 2) + chi.weight(1, 3) + chi.weight(1, 4) == 0
+                w[(1, 2)] == w[(3, 4)]
+                and w[(1, 3)] == w[(2, 4)]
+                and w[(1, 4)] == w[(2, 3)]
+                and w[(1, 2)] + w[(1, 3)] + w[(1, 4)] == 0
             )
             assert (mv is not None) == matches
 

@@ -10,7 +10,7 @@ from math import comb, isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import braidsigma
@@ -455,6 +455,73 @@ def test_a_long_path_prints_its_start_and_its_length(args, chi0_file):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert len(proc.stderr.encode()) < 300
     assert f"{args[-1][:PATH_WIDTH]}... ({len(args[-1])} characters)" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify", "--in", "x\nerror: forged"], "no such file: x\\nerror: forged"),
+        (["classify", "--in", "f", "--a\nb"], "unrecognized arguments: --a\\nb"),
+        (
+            ["graph", "--in", "{chi}", "--dot", "no-such-dir/d\nerror: forged"],
+            "cannot write no-such-dir/d\\nerror: forged: No such file or directory",
+        ),
+    ],
+    ids=["in", "unknown", "dot"],
+)
+def test_a_newline_in_an_argument_prints_escaped(args, message, chi0_file):
+    # a path or an unknown argument cannot forge a second error line
+    proc = run_child(["-m", "braidsigma.cli", *(a.replace("{chi}", chi0_file) for a in args)])
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, ""), proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+
+
+# text that argv can carry (no NUL, and surrogates only as the escapes of
+# undecodable bytes), rich in characters that end or stretch a line
+LINE_BREAKERS = ["\n", "\r", "\x0b", "\x1b", "\x85", "\u2028", "\u2029", "\udcff", "\U000e0001"]
+ARGUMENT_CHARACTERS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+ARGUMENT_CHARACTERS |= st.sampled_from([*LINE_BREAKERS, "中", "\U0001f600"])
+LONG_RUNS = st.builds(
+    lambda c, k, tail: c * k + tail,
+    ARGUMENT_CHARACTERS,
+    st.integers(100, 3000),
+    st.text(ARGUMENT_CHARACTERS, max_size=4),
+)
+ARGUMENT_TEXT = st.text(ARGUMENT_CHARACTERS, max_size=40) | LONG_RUNS
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.sampled_from(["--in", "--dot", "unknown"]), ARGUMENT_TEXT)
+@example("--in", "x\nerror: forged")
+@example("--dot", "\u2028" * 3000)
+@example("unknown", "\U000e0001" * 3000)
+def test_any_path_or_unknown_argument_prints_one_short_line(
+    tmp_path, monkeypatch, chi0_file, where, text
+):
+    # an --in path read from an empty directory, a --dot path under a
+    # missing one, or an unknown argument: one error line, under 300 bytes
+    assume("chi0" not in text)
+    empty = tmp_path / "empty"
+    empty.mkdir(exist_ok=True)
+    monkeypatch.chdir(empty)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+    argv = {
+        "--in": ["classify", "--in", text],
+        "--dot": ["graph", "--in", chi0_file, "--dot", f"no-such-dir/{text}"],
+        "unknown": ["classify", "--in", chi0_file, f"--x{text}"],
+    }[where]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    line = err.getvalue()
+    assert (code, out.getvalue()) == (EXIT_INPUT_ERROR, ""), (argv, line)
+    assert line.startswith("error: ") and line.endswith("\n")
+    assert len(line.splitlines()) == 1 and len(line.encode()) < 300, line
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

@@ -4,8 +4,9 @@ the facts cached on a character and its support graph, and survival,
 domination and the shape checks of a witness.  Every reference below is
 written here and shares no code with the function it checks, except two
 whose reference is their definition: survival (relabel with ``permute``,
-then sum each swing with ``swing_value``) and domination (the commutation
-predicate of ``words`` on every pair of members)."""
+check each member with ``swing_set``, then sum its swing with conftest's
+``swing``) and domination (the commutation predicate of ``words`` on every
+pair of members)."""
 
 import json
 import random
@@ -24,7 +25,7 @@ from braidsigma.characters import (
     character_from_json_dict,
     delta_value,
     permute,
-    swing_value,
+    swing_set,
 )
 from braidsigma.chargraph import (
     CharGraph,
@@ -64,6 +65,7 @@ from conftest import (
     random_perm,
     scale,
     sparse,
+    swing,
     undominated,
     zero_character,
 )
@@ -260,7 +262,7 @@ def characters_near_circles(rng, n, count):
         if rng.random() < 0.2:
             local[rng.choice(pairs(n))] += 1
         chi = dense(n, local)
-        if not chi.is_zero():
+        if chi.support:
             out.append(chi)
     return out
 
@@ -717,7 +719,6 @@ class TestParsedSupport:
             expected = {e: v for e, v in weights.items() if v != 0}
             assert chi.support == expected
             assert delta_value(chi) == sum(weights.values())
-            assert chi.is_zero() == (not expected)
             empty += not expected
         assert empty > 10
 
@@ -743,8 +744,6 @@ class TestParsedSupport:
             ):
                 expected = {e: v for e, v in total.items() if v != 0}
                 assert chi.support == expected
-                assert chi.is_zero() == (not expected)
-                assert all(chi.weight(*e) == total.get(e, 0) for e in pairs(n))
                 assert delta_value(chi) == sum(total.values())
 
     # the type test looks at strings first, yet refuses exactly what it did
@@ -757,7 +756,7 @@ class TestParsedSupport:
             with pytest.raises(CharacterFormatError, match="key '1-2' must be a string or an integer"):
                 character_from_json_dict(data)
         else:
-            assert character_from_json_dict(data).weight(1, 2) == Fraction(val)
+            assert character_from_json_dict(data).support == {(1, 2): Fraction(val)}
 
 
 # -- survival without relabeling --------------------------------------------
@@ -776,7 +775,7 @@ def table_shapes(n):
 
 def survival_reference(pkg, chi):
     relabeled = permute(chi, pkg.perm)
-    return [j for j in pkg.j_sets if swing_value(relabeled, j) == 0]
+    return [j for j in pkg.j_sets if swing(relabeled, swing_set(j, chi.n)) == 0]
 
 
 def fresh_report(pkg, chi):

@@ -15,7 +15,6 @@ from braidsigma.characters import (
     all_edges,
     character_from_json,
     permute,
-    swing_value,
 )
 from braidsigma.classify import (
     RECOVERY_FACTORIZATIONS,
@@ -35,7 +34,7 @@ from braidsigma.witness import (
     verify_witness,
     witness_to_json_dict,
 )
-from conftest import character_to_json_dict, random_nonzero_character, sparse, undominated
+from conftest import character_to_json_dict, random_nonzero_character, sparse, swing, undominated
 from test_circles import JSON_VALUES
 from test_lift_oracle import _bench_corpus
 
@@ -117,7 +116,7 @@ class TestBuildWitness:
         pkg = build_witness_for(cls, chi)
         assert pkg.lemma == "disjoint_leaves"
         relabeled = permute(chi, pkg.perm)
-        values = [swing_value(relabeled, j) for j in pkg.j_sets]
+        values = [swing(relabeled, j) for j in pkg.j_sets]
         assert values == [1, -1, 1, -1, 1]
 
     def test_triangle_factorizations(self):
@@ -362,11 +361,11 @@ class TestVerifyWitness:
                 chi = sparse(
                     n, {(1, 4): a, (2, 4): b, (3, 4): -a - b}
                 )
-                if swing_value(chi, (3, 4)) == 0:
+                if swing(chi, (3, 4)) == 0:
                     continue
                 comp = lambda i: tuple(k for k in range(1, n + 1) if k != i)
                 for i in (1, 2, 3):
-                    assert swing_value(chi, comp(i)) == -swing_value(chi, (i, 4))
+                    assert swing(chi, comp(i)) == -swing(chi, (i, 4))
 
     def test_json_shape(self, chi0):
         pkg = build_witness_for(classify(chi0), chi0)
