@@ -204,6 +204,15 @@ class TestSwingValue:
         assert [package_swing(chi0, a) for a in triples] == [-1, 0, -3]
         assert [swing(chi0, a) for a in triples] == [-1, 0, -3]
 
+    def test_out_of_range(self, chi0):
+        with pytest.raises(IndexError, match=re.escape("swing set (1, 2, 5) out of range 1..4")):
+            package_swing(chi0, (1, 2, 5))
+
+    @pytest.mark.parametrize("members", [5, ("a", 1)])
+    def test_strands_that_are_not_ints_are_a_value_error(self, chi0, members):
+        with pytest.raises(ValueError, match="strands must be ints"):
+            package_swing(chi0, members)
+
     def test_any_iterable_of_strands(self, chi0):
         shapes = [(2, 3, 4), [4, 2, 3], {2, 3, 4}, range(2, 5), iter([3, 4, 2])]
         assert [package_swing(chi0, a) for a in shapes] == [-4] * 5
