@@ -9,9 +9,10 @@ zero-test below is therefore decidable.
 
 Fraction's own machinery stays off the per-character path.  The text is
 read by ``json.loads``, which names its errors.  Keys that are the
-canonical list "1-2", "1-3", ... in ``all_edges`` order are zipped against
-the pairs (both built once per n); other keys are split and checked one by
-one.  Every weight is read by Fraction, after the exponent bound below.
+canonical list "1-2", "1-3", ..., the pairs i < j in lexicographic order,
+are zipped against those pairs (both built once per n); other keys are
+split and checked one by one, "i-j" and "j-i" naming one pair.  Every
+weight is read by Fraction, after the exponent bound below.
 Each distinct spelling is parsed once per character, and once per process
 if ``_weight_memo`` keeps it: the memo maps a spelling that parsed to its
 value and the value's (numerator, denominator), None for 0, so a kept
@@ -33,6 +34,7 @@ it has proved, and sums Delta as it reads; ``_delta`` sums any other's.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -65,22 +67,11 @@ class InternalError(RuntimeError):
     """A broken invariant of the package itself, never an input error."""
 
 
-def edge(i: int, j: int) -> Edge:
-    """Normalize an unordered pair to (min, max)."""
-    if i == j:
-        raise ValueError(f"edge endpoints must be distinct, got {{{i},{j}}}")
-    return (i, j) if i < j else (j, i)
-
-
-def all_edges(n: int) -> list[Edge]:
-    return list(combinations(range(1, n + 1), 2))
-
-
 @lru_cache(maxsize=32)
 def _canonical_keys(n: int) -> tuple[list[str], list[Edge]]:
-    """The keys "i-j" (i < j) of the pairs of 1..n, and the pairs, in
-    ``all_edges`` order; asked for only with an input of C(n,2) keys."""
-    return [f"{i}-{j}" for i, j in combinations(map(str, range(1, n + 1)), 2)], all_edges(n)
+    """The keys "i-j" of the pairs i < j of 1..n, and the pairs, in lexicographic order."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return [f"{i}-{j}" for i, j in pairs], pairs
 
 
 def _int_strands(strands: object) -> bool:
@@ -334,11 +325,12 @@ def character_from_json_dict(data: dict) -> Character:
     for key, val, e in zip(raw, raw.values(), canonical[1] if fast else repeat(None)):
         if e is None:
             try:
-                i_s, j_s = key.split("-")
-                e = edge(int(i_s), int(j_s))
+                i, j = e = tuple(sorted(map(int, key.split("-"))))
+                if i == j:  # "i-i" names no pair
+                    raise ValueError(key)
             except (ValueError, AttributeError) as exc:
                 raise CharacterFormatError(f"bad weight key {_quoted(key)}") from exc
-            if not (1 <= e[0] and e[1] <= n):
+            if not (1 <= i and j <= n):
                 out = f"out of range for n={_quoted(n)}"
                 raise CharacterFormatError(f"weight key {_quoted(key)} {out}")
             if e in seen:
@@ -384,17 +376,26 @@ def character_from_json(text: str) -> Character:
     return character_from_json_dict(data)
 
 
+def _open(path: str, mode: str, verb: str) -> io.IOBase:
+    """``open(path, mode)``, UTF-8 in text mode; a path no file can have is an InputError."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except ValueError:  # the path holds a NUL or a lone surrogate
+        shown = _quoted(path, str, PATH_WIDTH)
+        raise InputError(f"cannot {verb} {shown}: no file can have this name") from None
+
+
 def read_text(path: str) -> str:
     """The text of the file ``path``, or of standard input for ``-``,
     decoded as UTF-8 (RFC 8259) whatever the locale.  A file or stream
-    that cannot be read is a CharacterFormatError."""
+    that cannot be read, or a path no file can have, is an InputError."""
     try:
         if path == "-":
             if sys.stdin is None:  # the process started with no file descriptor 0
                 raise CharacterFormatError("cannot read -: standard input is closed")
             data = sys.stdin.buffer.read()
         else:
-            with open(path, "rb") as f:
+            with _open(path, "rb", "read") as f:
                 data = f.read()
         return data.decode("utf-8")
     except FileNotFoundError:

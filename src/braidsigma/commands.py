@@ -18,25 +18,14 @@ from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
-from .characters import COUNT_DIGITS, PATH_WIDTH, Edge, InputError, _printed, _quoted
+from .characters import COUNT_DIGITS, PATH_WIDTH, Edge, InputError, _open, _printed, _quoted
 from .characters import character_from_json, read_text
 from .chargraph import CharGraph, build_kchi
-from .circles import P3, P4, CircleId
+from .circles import P3, P4
 from .classify import RECOVERY_FACTORIZATIONS
 
 MAX_CIRCLES = 10**6
 CIRCLES_PER_WRITE = 4096
-
-
-def enumerate_circles(n: int) -> list[CircleId]:
-    """All complement circles for P_n: 3-sets first, then 4-sets, both in
-    lexicographic order.  There are C(n,3) + C(n,4)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    strands = range(1, n + 1)
-    return [CircleId(P3, t) for t in combinations(strands, 3)] + [
-        CircleId(P4, q) for q in combinations(strands, 4)
-    ]
 
 
 def cmd_circles(args: SimpleNamespace) -> bool:
@@ -47,9 +36,9 @@ def cmd_circles(args: SimpleNamespace) -> bool:
     if count > MAX_CIRCLES:
         counts = f"n = {_quoted(n, str, COUNT_DIGITS)} gives {_quoted(count, str, COUNT_DIGITS)}"
         raise InputError(f"{counts} circles, more than the {MAX_CIRCLES} allowed")
-    # the bytes of json.dumps(enumerate_circles(n)) plus a newline, without
-    # holding the list: each circle is formatted from its strands, in the
-    # order of enumerate_circles, and written CIRCLES_PER_WRITE at a time
+    # every P3 circle, then every P4 circle, each in lexicographic order, as
+    # json.dumps prints the list of their to_json_dict() plus a newline; the
+    # list is never held: CIRCLES_PER_WRITE circles are formatted per write
     write = sys.stdout.write
     write("[")
     sep = ""
@@ -82,7 +71,7 @@ def cmd_graph(args: SimpleNamespace) -> bool:
     dot = to_dot(build_kchi(chi))
     if args.dot is not None:
         try:
-            with open(args.dot, "w", encoding="utf-8") as f:
+            with _open(args.dot, "w", "write") as f:
                 f.write(dot)
         except OSError as exc:
             shown = _quoted(args.dot, str, PATH_WIDTH)

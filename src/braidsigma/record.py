@@ -5,8 +5,8 @@ A subclass writes its own ``__init__``, which stores each field through
 constructor's parameters after ``self``, in order; the base reads them
 into ``_fields`` once, when the class is made, and a subclass without its
 own ``__init__`` keeps its parent's.  From ``_fields`` alone the base
-gives equality (same class, equal fields), hashing, a dataclass-style
-repr and ``_replace``, and it refuses to assign or delete attributes.
+gives equality (same class, equal fields), hashing and a dataclass-style
+repr, and it refuses to assign or delete attributes.
 Entries of ``__dict__`` that are not fields (values a class derives or
 caches) take no part in equality, hashing or repr.
 """
@@ -45,9 +45,3 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _replace(self, **changes: object) -> Record:
-        """A copy with the named fields changed, built and so checked
-        again by the class's own ``__init__``."""
-        d = self.__dict__
-        return type(self)(**{**{f: d[f] for f in self._fields}, **changes})

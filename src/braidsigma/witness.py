@@ -18,10 +18,10 @@ back.  Any other factorization gives nothing and is a reported failure.
 J and I are fixed by the lemma and n, not by the character, so every
 check that reads only them and the factorizations runs once per (lemma,
 n) in ``_lemma_shape``, the one cache here, and travels with the package
-``build_witness_for`` makes, outside its fields.  Any other package (from
-``WitnessPackage``, ``_replace`` or JSON) is checked in full on every
-call, so none reaches the cache.  The JSON dict holds the package's own
-tuples, which ``json.dumps`` writes as arrays.
+``build_witness_for`` makes, outside its fields.  A package from outside,
+one built by ``WitnessPackage(...)`` or read from JSON, is checked in full
+on every call, so none reaches the cache.  The JSON dict holds the
+package's own tuples, which ``json.dumps`` writes as arrays.
 
 Each of those checks costs about one pass over I, whose members are
 almost all pairs of strands.  A pair {a, b} commutes with a swing set S

@@ -4,16 +4,42 @@ from itertools import combinations
 
 import pytest
 
-from braidsigma.characters import (
-    Character,
-    CharacterFormatError,
-    ZeroCharacterError,
-    all_edges,
-    edge,
-    swing_set,
-)
-from braidsigma.circles import P3, CircleId, matchings_of
+from braidsigma.characters import Character, CharacterFormatError, ZeroCharacterError, swing_set
+from braidsigma.circles import P3, P4, CircleId, matchings_of
 from braidsigma.witness import _split_members, dominates
+
+# -- pairs, circles and changed copies ------------------------------------------
+
+
+def edge(i: int, j: int) -> tuple[int, int]:
+    """The unordered pair {i, j} as (min, max)."""
+    if i == j:
+        raise ValueError(f"edge endpoints must be distinct, got {{{i},{j}}}")
+    return (i, j) if i < j else (j, i)
+
+
+def all_edges(n: int) -> list[tuple[int, int]]:
+    """The pairs i < j of 1..n in lexicographic order."""
+    return list(combinations(range(1, n + 1), 2))
+
+
+def enumerate_circles(n: int) -> list[CircleId]:
+    """All complement circles for P_n: 3-sets first, then 4-sets, both in
+    lexicographic order, as ``braidsigma circles`` prints them.  There are
+    C(n,3) + C(n,4)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    strands = range(1, n + 1)
+    return [CircleId(P3, t) for t in combinations(strands, 3)] + [
+        CircleId(P4, q) for q in combinations(strands, 4)
+    ]
+
+
+def replaced(record, **changes):
+    """A copy of ``record`` with the named fields changed, built and so
+    checked again by its class's own constructor."""
+    fields = {f: record.__dict__[f] for f in record._fields}
+    return type(record)(**{**fields, **changes})
 
 # -- building characters -------------------------------------------------------
 #

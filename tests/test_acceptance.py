@@ -14,7 +14,7 @@ from functools import lru_cache
 from braidsigma.characters import permute
 from braidsigma.circles import CircleId, locate_circle, on_circle
 from braidsigma.classify import COMPLEMENT, SIGMA1, ZeroSum, classify
-from braidsigma.commands import enumerate_circles, oracle_star_or_small
+from braidsigma.commands import oracle_star_or_small
 from braidsigma.planar import (
     commute_wordlevel,
     planar_words,
@@ -25,7 +25,7 @@ from braidsigma.planar import (
 )
 from braidsigma.witness import build_witness_for, commutes_predicate, verify_witness
 from braidsigma.words import BraidWord, braid_aut, standard_pure_word
-from conftest import dense, random_nonzero_character, random_perm, scale, swing
+from conftest import dense, enumerate_circles, random_nonzero_character, random_perm, scale, swing
 
 GRID_VALUES = range(-2, 3)
 PAIRS4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))

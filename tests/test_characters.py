@@ -20,7 +20,6 @@ from braidsigma.characters import (
     _parse_weight,
     _quoted,
     _swing_pair,
-    all_edges,
     character_from_json,
     character_from_json_dict,
     delta_value,
@@ -30,6 +29,7 @@ from braidsigma.characters import (
 from braidsigma.cli import EXIT_INPUT_ERROR, main
 from conftest import (
     add_characters,
+    all_edges,
     character_to_json_dict,
     dense,
     pullback_phi,
@@ -450,7 +450,12 @@ class TestJson:
             character_from_json_dict(data)
 
     @pytest.mark.parametrize(
-        "key, message", [("x", "bad weight key 'x'"), ("1-4", "'1-4' out of range for n=3")]
+        "key, message",
+        [
+            ("x", "bad weight key 'x'"),
+            ("1-4", "'1-4' out of range for n=3"),
+            ("1-1", "bad weight key '1-1'"),
+        ],
     )
     def test_bad_key_in_a_full_count(self, key, message):
         # the bad key is reported, not the bad value after it

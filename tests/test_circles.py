@@ -12,9 +12,9 @@ from braidsigma.characters import (
     permute,
 )
 from braidsigma.circles import CircleId, locate_circle, on_circle
-from braidsigma.commands import enumerate_circles
 from conftest import (
     dense,
+    enumerate_circles,
     pullback_rho,
     random_character,
     random_perm,

@@ -24,11 +24,12 @@ from braidsigma.classify import (
     verify_certificate,
 )
 from braidsigma.witness import build_witness_for, verify_witness
-from braidsigma.commands import enumerate_circles
 from conftest import (
     dense,
+    enumerate_circles,
     random_nonzero_character,
     random_perm,
+    replaced,
     sample_circle,
     scale,
     sparse,
@@ -336,7 +337,7 @@ class TestCertificateRejection:
         good = classify(chi)
         assert good.certificate == Triangle(((1, 2), (3, 4)), (1, 2, 4), Fraction(-1))
         assert verify_certificate(good, chi)
-        bad = good.certificate._replace(**fields)
+        bad = replaced(good.certificate, **fields)
         assert not verify_certificate(Classification(bad, 4), chi)
 
     # a strand below 1 cannot even be named (TestEnumerate in test_circles)
@@ -358,7 +359,7 @@ class TestCertificateRejection:
     def test_wrong_edge_count_is_rejected(self, cert, extra):
         chi = sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
         assert verify_certificate(Classification(cert, 6), chi)
-        bad = cert._replace(**extra)
+        bad = replaced(cert, **extra)
         assert not verify_certificate(Classification(bad, 6), chi)
 
     # the same strands spelled as floats: (1.0, 2.0) equals and hashes like
@@ -388,7 +389,7 @@ class TestCertificateRejection:
         for name in cert._fields:
             if name != "value":
                 for value in respellings(getattr(cert, name), spell):
-                    bad = cert._replace(**{name: value})
+                    bad = replaced(cert, **{name: value})
                     assert not verify_certificate(Classification(bad, n), chi), bad
 
     # every field of every kind holding a value that is not what the row
@@ -407,7 +408,7 @@ class TestCertificateRejection:
         chi = sparse(n, weights)
         assert verify_certificate(Classification(cert, n), chi)
         for name in cert._fields:
-            bad = cert._replace(**{name: value})
+            bad = replaced(cert, **{name: value})
             assert verify_certificate(Classification(bad, n), chi) is False, bad
 
     # a bool equals 0 or 1, but is no exact value: it would print as true
@@ -418,12 +419,12 @@ class TestCertificateRejection:
         chi = sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (5, 6): -3})
         tri = Triangle(((1, 2), (3, 4)), (1, 2, 3), Fraction(1))
         assert verify_certificate(Classification(tri, 6), chi)
-        assert not verify_certificate(Classification(tri._replace(value=True), 6), chi)
+        assert not verify_certificate(Classification(replaced(tri, value=True), 6), chi)
 
     def test_strand_count_must_match(self, chi0):
         cls = classify(chi0)
         assert verify_certificate(cls, chi0)
-        assert not verify_certificate(cls._replace(n=chi0.n + 1), chi0)
+        assert not verify_certificate(replaced(cls, n=chi0.n + 1), chi0)
 
     # anything but a lemma or a circle where the certificate goes fails
     # the check and raises nothing

@@ -24,7 +24,8 @@ from braidsigma.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from braidsigma.commands import MAX_CIRCLES, enumerate_circles
+from braidsigma.commands import MAX_CIRCLES
+from conftest import enumerate_circles
 
 SRC = str(Path(braidsigma.__file__).resolve().parent.parent)
 
@@ -476,11 +477,32 @@ def test_a_newline_in_an_argument_prints_escaped(args, message, chi0_file):
     assert proc.stderr == f"error: {message}\n"
 
 
-# text that argv can carry (no NUL, and surrogates only as the escapes of
-# undecodable bytes), rich in characters that end or stretch a line
+@pytest.mark.parametrize("path", ["a\x00b", "\ud800"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize(
+    "args, verb",
+    [
+        (["classify", "--in", "{path}"], "read"),
+        (["graph", "--in", "{path}"], "read"),
+        (["graph", "--in", "{chi}", "--dot", "{path}"], "write"),
+    ],
+    ids=["classify-in", "graph-in", "graph-dot"],
+)
+def test_a_path_no_file_can_have_is_an_input_error(args, verb, path, chi0_file, capsys):
+    # open raises ValueError for such a path; argv cannot carry a NUL, so
+    # main runs in-process.  The one error line shows the path escaped.
+    argv = [a.replace("{chi}", chi0_file).replace("{path}", path) for a in args]
+    assert main(argv) == EXIT_INPUT_ERROR
+    line = f"error: cannot {verb} {repr(path)[1:-1]}: no file can have this name\n"
+    assert capsys.readouterr() == ("", line)
+
+
+# text rich in characters that end or stretch a line, and in those no path
+# can hold (a NUL, a lone surrogate), which only an in-process main meets:
+# argv carries no NUL, and surrogates only as the escapes of undecodable bytes
 LINE_BREAKERS = ["\n", "\r", "\x0b", "\x1b", "\x85", "\u2028", "\u2029", "\udcff", "\U000e0001"]
+NO_PATH_CHARACTERS = ["\x00", "\ud800", "\udfff"]
 ARGUMENT_CHARACTERS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
-ARGUMENT_CHARACTERS |= st.sampled_from([*LINE_BREAKERS, "中", "\U0001f600"])
+ARGUMENT_CHARACTERS |= st.sampled_from([*LINE_BREAKERS, *NO_PATH_CHARACTERS, "中", "\U0001f600"])
 LONG_RUNS = st.builds(
     lambda c, k, tail: c * k + tail,
     ARGUMENT_CHARACTERS,
@@ -500,6 +522,8 @@ ARGUMENT_TEXT = st.text(ARGUMENT_CHARACTERS, max_size=40) | LONG_RUNS
 @example("--in", "x\nerror: forged")
 @example("--dot", "\u2028" * 3000)
 @example("unknown", "\U000e0001" * 3000)
+@example("--in", "a\x00b")
+@example("--dot", "\ud800")
 def test_any_path_or_unknown_argument_prints_one_short_line(
     tmp_path, monkeypatch, chi0_file, where, text
 ):

@@ -48,7 +48,6 @@ from braidsigma.classify import (
     classify,
     verify_certificate,
 )
-from braidsigma.commands import enumerate_circles
 from braidsigma.witness import (
     WitnessPackage,
     WitnessReport,
@@ -62,7 +61,9 @@ from braidsigma.witness import (
 from conftest import (
     character_to_json_dict,
     dense,
+    enumerate_circles,
     random_perm,
+    replaced,
     scale,
     sparse,
     swing,
@@ -401,11 +402,11 @@ def table_package(rng, n):
         elif change < 0.3:
             f = Factorization(list(f.added), [list(x) for x in f.factors], list(f.recovers))
         elif mixed and change < 0.45:
-            f = f._replace(factors=f.factors[1:] + f.factors[:1])
+            f = replaced(f, factors=f.factors[1:] + f.factors[:1])
         elif mixed and change < 0.6:
-            f = f._replace(factors=f.factors[::-1])
+            f = replaced(f, factors=f.factors[::-1])
         elif mixed and change < 0.7:
-            f = f._replace(added=f.added[1:] + f.added[:1])
+            f = replaced(f, added=f.added[1:] + f.added[:1])
         facts.append(f)
     return tuple(members), tuple(facts)
 
@@ -539,7 +540,7 @@ class TestDomination:
             ([(1,)], ValueError),
         ):
             with pytest.raises(error):
-                verify_witness(pkg._replace(j_sets=j_sets), chi)
+                verify_witness(replaced(pkg, j_sets=j_sets), chi)
 
     def test_cold_shape_checks_at_n256(self):
         n = 256
@@ -879,12 +880,12 @@ class TestShapeCache:
 
     def test_equal_copy_and_tampered_match_a_fresh_verification(self):
         for chi, pkg in self.sigma1_packages():
-            copy = pkg._replace(i_sets=tuple(list(pkg.i_sets)))
+            copy = replaced(pkg, i_sets=tuple(list(pkg.i_sets)))
             assert copy.i_sets is not pkg.i_sets and copy.i_sets == pkg.i_sets
-            tampered = pkg._replace(i_sets=pkg.i_sets[:-1])  # a pair is not given
+            tampered = replaced(pkg, i_sets=pkg.i_sets[:-1])  # a pair is not given
             # J and I are the shape's own tuples, but S_123 is not S_12 alone
             wrong = Factorization((1, 2, 3), ((1, 2),), (1, 2))
-            refactored = pkg._replace(factorizations=(wrong,))
+            refactored = replaced(pkg, factorizations=(wrong,))
             for p in (pkg, copy, tampered, refactored, pkg):
                 assert verify_witness(p, chi) == fresh_report(p, chi)
             assert verify_witness(copy, chi).ok and not verify_witness(tampered, chi).ok
@@ -897,7 +898,7 @@ class TestShapeCache:
         size = witness._lemma_shape.cache_info().currsize
         subsets = (s for k in (2, 3) for s in combinations(pkg.i_sets, len(pkg.i_sets) - k))
         for _, i_sets in zip(range(witness._SHAPE_CACHE_SIZE + 20), subsets):
-            outside = pkg._replace(i_sets=i_sets)
+            outside = replaced(pkg, i_sets=i_sets)
             report = verify_witness(outside, chi)
             assert report == fresh_report(outside, chi)
             assert report.ungenerated == sorted(set(pkg.i_sets) - set(i_sets))
@@ -927,7 +928,7 @@ class TestShapeCache:
         for order in (("float", "built", "float"), ("built", "float")):
             pkg = build_witness_for(classify(chi), chi)
             assert pkg.lemma == "zero_sum"
-            floats = pkg._replace(i_sets=tuple(tuple(map(float, a)) for a in pkg.i_sets))
+            floats = replaced(pkg, i_sets=tuple(tuple(map(float, a)) for a in pkg.i_sets))
             assert floats == pkg and hash(floats) == hash(pkg)
             for name in order:
                 report = verify_witness({"built": pkg, "float": floats}[name], chi)
@@ -954,7 +955,7 @@ class TestShapeCache:
         pkg = build_witness_for(classify(chi5), chi5)
         assert verify_witness(pkg, chi5).ok
         chi6 = sparse(6, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
-        moved = pkg._replace(perm=(*pkg.perm, 6))
+        moved = replaced(pkg, perm=(*pkg.perm, 6))
         report = verify_witness(moved, chi6)
         assert report == fresh_report(moved, chi6)
         assert report.ungenerated == [(k, 6) for k in range(1, 6)]

@@ -7,6 +7,7 @@ from braidsigma.chargraph import build_kchi
 from braidsigma.circles import CircleId
 from braidsigma.classify import DisjointTriple, ZeroSum, classify
 from braidsigma.record import Record
+from conftest import replaced
 
 
 class Point(Record):
@@ -37,7 +38,7 @@ class TestRecord:
         for other in (Box(9, 2, 3), Box(1, 9, 3), Box(1, 2, 9)):
             assert box != other
         assert repr(box) == "Box(width=1, height=2, depth=3)"
-        moved = box._replace(depth=4)
+        moved = replaced(box, depth=4)
         assert moved == Box(1, 2, 4) and moved.volume == 8
         assert box == Box(1, 2, 3)
 
@@ -80,8 +81,8 @@ class TestRecord:
         assert cached == plain
         cls = classify(cached)
         assert cls.perm == (1, 2, 3) and "_perm" in cls.__dict__
-        assert cls == cls._replace()
-        assert repr(cls) == repr(cls._replace())
+        assert cls == replaced(cls)
+        assert repr(cls) == repr(replaced(cls))
 
     def test_repr_names_the_fields(self):
         assert repr(CircleId("P3", (1, 2, 3))) == "CircleId(kind='P3', support=(1, 2, 3))"
@@ -89,11 +90,11 @@ class TestRecord:
 
     def test_replace_builds_a_new_record(self):
         cid = CircleId("P3", (1, 2, 3))
-        moved = cid._replace(support=(2, 3, 4))
+        moved = replaced(cid, support=(2, 3, 4))
         assert moved == CircleId("P3", (2, 3, 4))
         assert cid == CircleId("P3", (1, 2, 3))
         with pytest.raises(TypeError):
-            cid._replace(size=3)
+            replaced(cid, size=3)
 
     @pytest.mark.parametrize(
         "changes",
@@ -101,4 +102,4 @@ class TestRecord:
     )
     def test_replace_checks_again(self, changes):
         with pytest.raises(ValueError):
-            CircleId("P3", (1, 2, 3))._replace(**changes)
+            replaced(CircleId("P3", (1, 2, 3)), **changes)

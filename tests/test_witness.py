@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from braidsigma import planar, witness, words
 from braidsigma.cli import main
-from braidsigma.characters import (
-    InternalError,
-    all_edges,
-    character_from_json,
-    permute,
-)
+from braidsigma.characters import InternalError, character_from_json, permute
 from braidsigma.classify import (
     RECOVERY_FACTORIZATIONS,
     SIGMA1,
@@ -34,7 +29,15 @@ from braidsigma.witness import (
     verify_witness,
     witness_to_json_dict,
 )
-from conftest import character_to_json_dict, random_nonzero_character, sparse, swing, undominated
+from conftest import (
+    all_edges,
+    character_to_json_dict,
+    random_nonzero_character,
+    replaced,
+    sparse,
+    swing,
+    undominated,
+)
 from test_circles import JSON_VALUES
 from test_lift_oracle import _bench_corpus
 
@@ -199,7 +202,7 @@ class TestVerifyWitness:
         pkg = build_witness_for(classify(chi0), chi0)
         assert pkg.j_sets == ((1, 2, 3, 4),) and verify_witness(pkg, chi0).ok
         with pytest.raises(ValueError, match="strands must be ints"):
-            verify_witness(pkg._replace(j_sets=j_sets), chi0)
+            verify_witness(replaced(pkg, j_sets=j_sets), chi0)
 
     # (True, 2, 3, 4) sorts equal to (1, 2, 3, 4), and once passed as ok
     # to print as [true, 2, 3, 4]; permute refuses the same perms
@@ -208,7 +211,7 @@ class TestVerifyWitness:
         pkg = build_witness_for(classify(chi0), chi0)
         assert verify_witness(pkg, chi0).ok
         with pytest.raises(ValueError, match="bijection on 1..4 of ints"):
-            verify_witness(pkg._replace(perm=perm), chi0)
+            verify_witness(replaced(pkg, perm=perm), chi0)
 
     # the last three hold no int strands: J dominates none of them
     @pytest.mark.parametrize("degenerate", [(3, 3), (1, 9), (0, 2), 5, None, ["a", 1]])
@@ -218,7 +221,7 @@ class TestVerifyWitness:
         assert pkg.lemma == "zero_sum" and verify_witness(pkg, chi).ok
         # without (1, 2) the pairs span only five of the six columns
         i_sets = tuple(a for a in pkg.i_sets if a != (1, 2)) + (degenerate,)
-        report = verify_witness(pkg._replace(i_sets=i_sets), chi)
+        report = verify_witness(replaced(pkg, i_sets=i_sets), chi)
         assert report.ungenerated == [(1, 2)] and not report.ok
         if degenerate == (3, 3):  # {3} lies in J's one member, so only generation fails
             assert report.uncovered == [] and report.connected
@@ -237,12 +240,12 @@ class TestVerifyWitness:
         chi = sparse(n, weights)
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == lemma and verify_witness(pkg, chi).ok
-        report = verify_witness(pkg._replace(factorizations=()), chi)
+        report = verify_witness(replaced(pkg, factorizations=()), chi)
         assert report.ungenerated == [(1, 4), (2, 4)] and not report.ok
         assert report.uncovered == [] and report.connected
         # each factorization names a factor that is not in I
-        facts = tuple(f._replace(factors=(*f.factors[:-1], (1, 2, 3))) for f in pkg.factorizations)
-        report = verify_witness(pkg._replace(factorizations=facts), chi)
+        facts = tuple(replaced(f, factors=(*f.factors[:-1], (1, 2, 3))) for f in pkg.factorizations)
+        report = verify_witness(replaced(pkg, factorizations=facts), chi)
         assert report.ungenerated == [(1, 4), (2, 4)] and not report.ok
 
     def test_no_table_factorization_reads_another_recovered_pair(self):
@@ -267,7 +270,7 @@ class TestVerifyWitness:
         for facts in ((f1, f2), (f2, f1)):
             split = witness._split_members(i_sets, n)
             assert witness._ungenerated(n, split, facts) == [(1, 4)]
-            report = verify_witness(pkg._replace(i_sets=i_sets, factorizations=facts), chi)
+            report = verify_witness(replaced(pkg, i_sets=i_sets, factorizations=facts), chi)
             assert report.failures() == [NOT_14_LINE, TABLE_LINE]
             assert not report.table_factorizations and not report.ok
 
@@ -278,7 +281,7 @@ class TestVerifyWitness:
         chi = sparse(4, {(1, 2): 1, (3, 4): 2})
         pkg = build_witness_for(classify(chi), chi)
         extra = Factorization((1, 2, 3), ((1, 2), (1, 3), (2, 3)), (3, 4))
-        tampered = pkg._replace(i_sets=(*pkg.i_sets, (1, 2, 3)), factorizations=(extra,))
+        tampered = replaced(pkg, i_sets=(*pkg.i_sets, (1, 2, 3)), factorizations=(extra,))
         report = verify_witness(tampered, chi)
         assert report.ungenerated == [] and report.failures() == [TABLE_LINE] and not report.ok
 
@@ -286,7 +289,7 @@ class TestVerifyWitness:
         chi = sparse(5, {(1, 2): 1, (3, 4): 2})
         pkg = build_witness_for(classify(chi), chi)
         assert verify_witness(pkg, chi).failures() == []
-        report = verify_witness(pkg._replace(i_sets=()), chi)
+        report = verify_witness(replaced(pkg, i_sets=()), chi)
         assert report.failures() == [
             f"pairs of 1..n that I does not give (10): {list(all_edges(5))[:8]}"
         ]
@@ -300,7 +303,7 @@ class TestVerifyWitness:
         chi = sparse(5, {(1, 2): 1})
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == "zero_sum"
-        report = verify_witness(pkg._replace(i_sets=(*pkg.i_sets, member)), chi)
+        report = verify_witness(replaced(pkg, i_sets=(*pkg.i_sets, member)), chi)
         assert report.uncovered == [member] and report.ok is False
         (line,) = report.failures()
         assert line.startswith("members of I that J does not dominate (1): [")
@@ -324,14 +327,14 @@ class TestVerifyWitness:
         # (1, 4) meets every member of J = (12, 34, 45), so no member
         # dominates it; the lemma puts (1, 4, 5) in I in its place
         i_sets = tuple((1, 4) if a == (1, 4, 5) else a for a in pkg.i_sets)
-        report = verify_witness(pkg._replace(i_sets=i_sets), chi)
+        report = verify_witness(replaced(pkg, i_sets=i_sets), chi)
         assert report.uncovered == [(1, 4)]
         assert report.connected and not report.ok
 
         # 13 misses 45 and does not interleave with it, so C(J) has the
         # edge 13 - 45 only; 34 shares a vertex with both and is isolated
         j_sets = ((1, 3), (3, 4), (4, 5))
-        report = verify_witness(pkg._replace(j_sets=j_sets), chi)
+        report = verify_witness(replaced(pkg, j_sets=j_sets), chi)
         assert not report.connected and not report.ok
 
         assert verify_witness(pkg, chi).ok
@@ -384,7 +387,7 @@ class TestVerifyWitness:
         assert verify_witness(pkg, chi).ok
         assert calls == []
         # a package from outside has its J checked on every call
-        assert verify_witness(pkg._replace(), chi).ok
+        assert verify_witness(replaced(pkg), chi).ok
         assert calls[: len(pkg.j_sets)] == list(pkg.j_sets)
 
     def test_a_bad_table_j_is_an_internal_error(self):
@@ -417,7 +420,7 @@ class TestVerifyWitness:
 
     def test_a_changed_member_of_a_carried_shape_is_checked_in_full(self, monkeypatch):
         # the shape at n = 64 carries its checks from n = 8; a copy made by
-        # _replace is checked in full at 64, and its report names the member
+        # its constructor is checked in full at 64, and its report names the member
         n = 64
         chi = sparse(n, {(1, 2): 1, (3, 4): 1, (4, 5): -2})
         pkg = build_witness_for(classify(chi), chi)
@@ -433,12 +436,12 @@ class TestVerifyWitness:
 
         # (7, 64) is given by itself alone; (7, 65) gives nothing
         i_sets = tuple((7, n + 1) if a == (7, n) else a for a in pkg.i_sets)
-        report = verify_witness(pkg._replace(i_sets=i_sets), chi)
+        report = verify_witness(replaced(pkg, i_sets=i_sets), chi)
         assert report.failures() == [f"pairs of 1..n that I does not give (1): [(7, {n})]"]
 
         # (4, 64) carries no weight, so its swing vanishes
         j_sets = ((1, 2), (3, 4), (4, n))
-        report = verify_witness(pkg._replace(j_sets=j_sets), chi)
+        report = verify_witness(replaced(pkg, j_sets=j_sets), chi)
         assert report.survival_failures == [(4, n)] and not report.ok
         assert ran == [n, n]
 
@@ -449,7 +452,7 @@ class TestVerifyWitness:
         pkg = build_witness_for(classify(chi), chi)
         assert verify_witness(pkg, chi).ok
         with pytest.raises(ValueError, match="must each be a tuple or list"):
-            verify_witness(pkg._replace(**{field: value}), chi)
+            verify_witness(replaced(pkg, **{field: value}), chi)
 
 
 def reference_json_dict(pkg):
@@ -509,7 +512,7 @@ class TestPackageLemma:
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == "disjoint_pair" and verify_witness(pkg, chi).ok
         with pytest.raises(ValueError, match="the kind of a lemma row"):
-            verify_witness(pkg._replace(lemma=lemma), chi)
+            verify_witness(replaced(pkg, lemma=lemma), chi)
 
     @pytest.mark.parametrize("lemma", sorted(LEMMA_SUPPORTS))
     def test_each_kind_verifies_on_its_own_package(self, lemma):
@@ -554,8 +557,8 @@ class TestWitnessJson:
         assert verify_witness(pkg, chi).ok and verify_witness(as_lists, chi).ok
         # the same failures as the tuples' when I loses a member
         for k in (0, len(pkg.i_sets) - 1):
-            fewer = pkg._replace(i_sets=pkg.i_sets[:k] + pkg.i_sets[k + 1:])
-            fewer_lists = as_lists._replace(i_sets=listed["I"][:k] + listed["I"][k + 1:])
+            fewer = replaced(pkg, i_sets=pkg.i_sets[:k] + pkg.i_sets[k + 1:])
+            fewer_lists = replaced(as_lists, i_sets=listed["I"][:k] + listed["I"][k + 1:])
             assert verify_witness(fewer_lists, chi).failures() == verify_witness(fewer, chi).failures()
 
 
@@ -617,11 +620,11 @@ class TestWordLevel:
         rotated = Factorization(first.added, first.factors[1:] + first.factors[:1], first.recovers)
         assert rotated != first and planar.factorization_holds(rotated, n)
         engine_calls.clear()
-        report = verify_witness(pkg._replace(factorizations=(rotated, second)), chi)
+        report = verify_witness(replaced(pkg, factorizations=(rotated, second)), chi)
         assert report.failures() == [NOT_14_LINE, TABLE_LINE]
         # S_245 is not the product of S_14, S_15 and S_45
-        wrong = first._replace(added=(2, 4, 5))
-        report = verify_witness(pkg._replace(factorizations=(wrong, second)), chi)
+        wrong = replaced(first, added=(2, 4, 5))
+        report = verify_witness(replaced(pkg, factorizations=(wrong, second)), chi)
         assert not report.table_factorizations and TABLE_LINE in report.failures()
         assert engine_calls == []
 
@@ -632,8 +635,8 @@ class TestWordLevel:
         pkg = build_witness_for(classify(chi), chi)
         assert pkg.lemma == "disjoint_pair" and verify_witness(pkg, chi).ok
         first, second = pkg.factorizations
-        reordered = first._replace(factors=((1, 4), (4, 5), (1, 5)))
-        report = verify_witness(pkg._replace(factorizations=(reordered, second)), chi)
+        reordered = replaced(first, factors=((1, 4), (4, 5), (1, 5)))
+        report = verify_witness(replaced(pkg, factorizations=(reordered, second)), chi)
         assert report.failures() == [NOT_14_LINE, TABLE_LINE]
         assert engine_calls == []
 
@@ -644,7 +647,7 @@ class TestWordLevel:
         chi = sparse(n, weights)
         pkg = build_witness_for(classify(chi), chi)
         assert n == 4 and pkg.lemma == lemma
-        moved = pkg._replace(factorizations=RECOVERY_FACTORIZATIONS[5])
+        moved = replaced(pkg, factorizations=RECOVERY_FACTORIZATIONS[5])
         report = verify_witness(moved, chi)
         assert not report.table_factorizations and report.failures()[-1] == TABLE_LINE
 
@@ -663,12 +666,12 @@ class TestWordLevel:
                 "factors": tuple(tuple(map(float, x)) for x in f.factors),
                 "recovers": tuple(map(float, f.recovers)),
             }
-            return f._replace(**{k: v for k, v in changed.items() if k in part})
+            return replaced(f, **{k: v for k, v in changed.items() if k in part})
 
         for part in (("added", "factors", "recovers"), ("added",), ("factors",), ("recovers",)):
             spelled = tuple(floats(f, part) for f in pkg.factorizations)
             assert spelled == pkg.factorizations
-            report = verify_witness(pkg._replace(factorizations=spelled), chi)
+            report = verify_witness(replaced(pkg, factorizations=spelled), chi)
             assert not report.table_factorizations and TABLE_LINE in report.failures()
         assert verify_witness(pkg, chi).ok
 
@@ -694,7 +697,7 @@ def stratified_cases():
 STRAND_VALUES = JSON_VALUES | st.integers(0, 9) | st.lists(st.integers(0, 9), max_size=4)
 
 
-def replaced(values, k, value):
+def with_item(values, k, value):
     return (*values[:k], value, *values[k + 1:])
 
 
@@ -713,16 +716,16 @@ def test_any_json_value_is_judged_not_raised(data):
     if place == "certificate":
         cert = cls.certificate
         name = data.draw(st.sampled_from(cert._fields), label="field")
-        bad = Classification(cert._replace(**{name: value}), cls.n)
+        bad = Classification(replaced(cert, **{name: value}), cls.n)
         assert verify_certificate(bad, chi) in (True, False)
         return
     if place == "I":
         k = data.draw(st.integers(0, len(pkg.i_sets) - 1), label="member")
-        bad = pkg._replace(i_sets=replaced(pkg.i_sets, k, value))
+        bad = replaced(pkg, i_sets=with_item(pkg.i_sets, k, value))
     else:
         k = data.draw(st.integers(0, len(pkg.factorizations) - 1), label="factorization")
         name = data.draw(st.sampled_from([None, *Factorization._fields]), label="field")
         f = pkg.factorizations[k]
-        fact = value if name is None else f._replace(**{name: value})
-        bad = pkg._replace(factorizations=replaced(pkg.factorizations, k, fact))
+        fact = value if name is None else replaced(f, **{name: value})
+        bad = replaced(pkg, factorizations=with_item(pkg.factorizations, k, fact))
     assert isinstance(verify_witness(bad, chi), WitnessReport)
