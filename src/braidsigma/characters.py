@@ -391,7 +391,7 @@ def read_text(path: str) -> str:
     that cannot be read, or a path no file can have, is an InputError."""
     try:
         if path == "-":
-            if sys.stdin is None:  # the process started with no file descriptor 0
+            if sys.stdin is None or sys.stdin.closed:  # None: no file descriptor 0
                 raise CharacterFormatError("cannot read -: standard input is closed")
             data = sys.stdin.buffer.read()
         else:

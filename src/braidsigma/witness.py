@@ -31,14 +31,14 @@ pair only when it is the pair).  So domination tests a pair by two lookups
 in a membership array of S and one difference of its prefix counts, built
 once per member of J, and C(J) is one search over the predicate from J's
 first member.  The word engine checks the predicate on every two swing
-sets at n <= 7 in the tests and at n = 8 in CI, so every commutation a
-table shape reads at n <= 8 is checked at word level.  The carried checks
-below reason about the predicate, so above n = 8 its soundness for points
-in convex position is cited.  ``_shape_checks`` splits I once into its
-pairs of 1..n and its other members, which take the predicate and are
-sorted into swing sets only for the coverage.  A list member (as from
-JSON) counts as its tuple; a member not of int strands is dominated by
-none, and one not a swing set of 1..n gives nothing.
+sets at n <= 8 in the tests, so every commutation a table shape reads at
+n <= 8 is checked at word level.  The carried checks below reason about
+the predicate, so above n = 8 its soundness for points in convex position
+is cited.  ``_shape_checks`` splits I once into its pairs of 1..n and
+its other members, which take the predicate and are sorted into swing
+sets only for the coverage.  A list member (as from JSON) counts as its
+tuple; a member not of int strands is dominated by none, and one not a
+swing set of 1..n gives nothing.
 
 Above n = CARRIED_FROM = 8, a table shape carries the checks of its shape
 at 8.  Every member S of a row's J lies on strands <= 6, is {1..n}, or is

@@ -2,10 +2,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, islice
 from math import comb, isqrt
 from pathlib import Path
 
@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 
 import braidsigma
 from braidsigma import cli, commands, planar, witness
-from braidsigma.characters import MAX_EXPONENT, PATH_WIDTH, InternalError, delta_value
-from braidsigma.classify import Classification, Star, ZeroSum
+from braidsigma.characters import (
+    MAX_EXPONENT,
+    PATH_WIDTH,
+    InternalError,
+    character_from_json,
+    delta_value,
+)
+from braidsigma.classify import Classification, Factorization, Star, ZeroSum
 from braidsigma.cli import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -25,7 +31,8 @@ from braidsigma.cli import (
     main,
 )
 from braidsigma.commands import MAX_CIRCLES
-from conftest import enumerate_circles
+from braidsigma.witness import WitnessPackage, verify_witness
+from conftest import all_edges, enumerate_circles
 
 SRC = str(Path(braidsigma.__file__).resolve().parent.parent)
 
@@ -277,6 +284,16 @@ def full_weights(n, weights):
     return {f"{i}-{j}": weights.get((i, j), "0") for i, j in pairs}
 
 
+def seven_digit_primes(count):
+    """The first ``count`` primes above 10**6, sieved below 2 * 10**6."""
+    lo = 10**6
+    sieve = bytearray([1]) * (2 * lo)
+    for p in range(2, isqrt(2 * lo) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 2 * lo, p)))
+    return [p for p in range(lo, 2 * lo) if sieve[p]][:count]
+
+
 def refused_past_the_digit_limit(args, name, capsys):
     """Does the command exit 2 with one error line naming ``name`` and the
     limit, and print nothing else?"""
@@ -321,11 +338,9 @@ def test_a_value_past_the_digit_limit_is_an_input_error(command, weights, name, 
 def test_a_delta_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
     # 1/p over 2,016 distinct 7-digit primes: every weight prints, but
     # Delta's denominator is their product, about 12,100 digits
-    n, lo = 64, 10**6
-    edges = list(combinations(range(1, n + 1), 2))
-    odd = range(lo + 1, 2 * lo, 2)
-    primes = (p for p in odd if all(p % d for d in range(3, isqrt(p) + 1, 2)))
-    primes = list(islice(primes, len(edges)))
+    n = 64
+    edges = all_edges(n)
+    primes = seven_digit_primes(len(edges))
     if sum(len(str(p)) - 1 for p in primes) <= DIGIT_LIMIT:
         pytest.skip("Delta's denominator is within the digit limit")
     weights = {e: f"1/{p}" for e, p in zip(edges, primes)}
@@ -389,7 +404,7 @@ def test_python_m_loads_cli_once():
     code = (
         "import runpy, sys\n"
         "codes = []\n"
-        "for argv in (['oracle'], ['-h']):\n"
+        "for argv in (['oracle'], ['verify'], ['-h']):\n"
         "    sys.argv[1:] = argv\n"
         "    try:\n"
         "        runpy.run_module('braidsigma.cli', run_name='__main__')\n"
@@ -399,8 +414,9 @@ def test_python_m_loads_cli_once():
     )
     proc = run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[0, 0] False\n"
+    assert proc.stderr == "[0, 0, 0] False\n"
     assert proc.stdout.startswith("star-or-small at every n")
+    assert VERIFY_OUTPUT in proc.stdout
     assert "usage: braidsigma [-h]" in proc.stdout
 
 
@@ -411,6 +427,15 @@ def test_closed_stdin_is_an_input_error():
     assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "error: cannot read -: standard input is closed\n"
+
+
+def test_a_closed_stdin_in_process_is_an_input_error(monkeypatch, capsys):
+    # an in-process caller may close sys.stdin itself, which leaves it set
+    stdin = io.TextIOWrapper(io.BytesIO(CHI0_JSON.encode()))
+    stdin.close()
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["classify", "--in", "-"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: cannot read -: standard input is closed\n")
 
 
 @pytest.mark.parametrize(
@@ -717,6 +742,99 @@ def test_reimport_frees_the_earlier_package():
     proc = run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0", "earlier copies of braidsigma survive re-import"
+
+
+def two_stars(n):
+    """Centers 1 and 2, each joined to every strand from 3 on, with weights
+    1 and -1: the stars share their leaves, so there is no disjoint triple."""
+    return {(c, v): str(3 - 2 * c) for c in (1, 2) for v in range(3, n + 1)}
+
+
+def dense_zero_sum(n):
+    """A seeded weight 1..9 on each pair of edges, + on the first and - on
+    the second, so every pair has a weight and Delta = 0."""
+    rng = random.Random(256)
+    values = [rng.randint(1, 9) for _ in range(comb(n, 2) // 2)]
+    return dict(zip(all_edges(n), (str(s * v) for v in values for s in (1, -1))))
+
+
+def prime_denominators(n):
+    """+-1/p on consecutive pairs of edges, each p a distinct 7-digit prime,
+    so Delta = 0 and an exact sum meets up to C(n, 2) / 2 denominators."""
+    primes = seven_digit_primes(comb(n, 2) // 2)
+    return {e: f"{(-1) ** k}/{primes[k // 2]}" for k, e in enumerate(all_edges(n))}
+
+
+# the same character's JSON spelled another way: keys out of the canonical
+# order or written j-i take the reader that checks each key, and weights as
+# JSON integers instead of strings
+RESPELLINGS = {
+    "shuffled": lambda items: random.Random(256).sample(items, len(items)),
+    "reversed": lambda items: [("-".join(k.split("-")[::-1]), v) for k, v in items],
+    "integers": lambda items: [(k, int(v)) for k, v in items],
+}
+
+
+@pytest.mark.parametrize(
+    "weights, lemma, respellings",
+    [
+        ({(1, 2): "1"}, "zero_sum", ()),
+        # Delta = 0, so I drops (1, 4) and (2, 4), which the coverage must
+        # recover through the factorizations
+        ({(1, 2): "1", (3, 4): "1", (4, 5): "-2"}, "disjoint_pair", ("shuffled", "reversed")),
+        ({(1, 2): "1", (3, 4): "1", (5, 6): "-2"}, "disjoint_triple", ()),
+        ({(1, 2): "1", (1, 3): "1", (1, 4): "-2"}, "star", ()),
+        ({(1, 2): "1", (2, 3): "-2", (3, 4): "1"}, "disjoint_leaves", ()),
+        ({(1, 2): "1", (1, 3): "1", (2, 3): "1", (3, 4): "-3"}, "triangle", ()),
+        (prime_denominators, "disjoint_triple", ()),
+        (two_stars, "disjoint_pair", ()),
+        # the greedy matching of a dense character is its least disjoint triple
+        (dense_zero_sum, "disjoint_triple", ("integers",)),
+    ],
+    ids=[
+        "single-edge",
+        "disjoint-pair",
+        "disjoint-triple",
+        "star",
+        "disjoint-leaves",
+        "triangle",
+        "prime-denominators",
+        "two-stars",
+        "dense",
+    ],
+)
+def test_witness_at_256(weights, lemma, respellings, tmp_path, capsys):
+    # a cold witness shape of 32,640 pairs, built and checked in one call
+    n = 256
+    data = {"n": n, "weights": full_weights(n, weights(n) if callable(weights) else weights)}
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--witness", "--in", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    printed = json.loads(out)
+    assert (printed["verdict"], printed["witness"]["lemma"]) == ("sigma1", lemma)
+
+    # read back from JSON, with lists where the package held tuples and its
+    # I split by the full type scan, the package verifies as the built one
+    w = printed["witness"]
+    chi = character_from_json(path.read_text())
+    facts = [Factorization(f["added"], f["factors"], f["recovers"]) for f in w["factorizations"]]
+    assert verify_witness(WitnessPackage(w["lemma"], w["perm"], w["J"], w["I"], facts), chi).ok
+    if facts:
+        # with its first factorization's factors rotated, the package holds
+        # a true identity that is not the table's, so the pair that only
+        # that factorization recovers is not given
+        first = facts[0]
+        rotated = Factorization(first.added, first.factors[1:] + first.factors[:1], first.recovers)
+        package = WitnessPackage(w["lemma"], w["perm"], w["J"], w["I"], [rotated, *facts[1:]])
+        ungiven = f"pairs of 1..n that I does not give (1): [{tuple(first.recovers)}]"
+        assert ungiven in verify_witness(package, chi).failures()
+
+    for name in respellings:
+        items = RESPELLINGS[name](list(data["weights"].items()))
+        path.write_text(json.dumps({"n": n, "weights": dict(items)}))
+        assert main(["classify", "--witness", "--in", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
 
 class TestCircles:
